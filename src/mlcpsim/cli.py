@@ -318,10 +318,10 @@ def _restrict_channels(dataset: SpikeDataset, n: int) -> SpikeDataset:
     """Keep only channels < n (the synthetic layout spreads classes evenly)."""
     if n >= dataset.channel_count:
         return dataset
-    trials = [
-        Trial(t.id, t.label, t.onset, t.duration, [e for e in t.events if e.channel < n])
-        for t in dataset.trials
-    ]
+    trials = []
+    for t in dataset.trials:
+        keep = t.channels < n
+        trials.append(Trial(t.id, t.label, t.onset, t.duration, t.times_us[keep], t.channels[keep]))
     return SpikeDataset(trials, n, dataset.class_count, dataset.metadata)
 
 

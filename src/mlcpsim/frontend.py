@@ -217,7 +217,7 @@ def run_trial(config: FrontendConfig, trial) -> np.ndarray:
     """Codes for one spike trial: (n_ticks, rows), one tick per sub-window."""
     t_s_us = config.t_s_ms * 1000.0
     n_ticks = int(np.ceil(trial.duration / t_s_us))
-    counts = bin_events(trial.times(), trial.channels(), config.n_external, config.t_s_ms, n_ticks)
+    counts = bin_events(trial.times_us, trial.channels, config.n_external, config.t_s_ms, n_ticks)
     return run_counts(config, counts)
 
 

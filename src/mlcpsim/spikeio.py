@@ -12,6 +12,11 @@ integer microseconds from trial start.  Event rows are sorted non-decreasing
 in time.  ``meta.txt`` is written by :func:`write_dataset` and read when
 present; without it channel and class counts are inferred from the data.
 
+In memory a trial's events are two parallel int64 arrays, ``times_us`` and
+``channels``.  Each event file is parsed in one pass over its text and
+validated with array operations; only when a check fails is the file
+rescanned line by line, to name the first bad row as ``file:line``.
+
 The synthetic generator produces tuned inhomogeneous-Poisson trials as a
 stand-in for recorded motor-cortex units: each neuron prefers one movement
 class, fires at a baseline rate at rest and ramps to a tuned peak around
@@ -21,9 +26,10 @@ movement onset.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import NoReturn
 
 import numpy as np
 
@@ -33,6 +39,8 @@ EVENTS_DIR = "events"
 
 MANIFEST_HEADER = "trial_id,label,onset_us,duration_us"
 EVENTS_HEADER = "time_us,channel"
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class DatasetError(Exception):
@@ -63,33 +71,38 @@ class LabelRangeError(DatasetError):
     """A trial label is outside [1, class_count]."""
 
 
-class SpikeEvent(NamedTuple):
-    """One spike: time in integer microseconds from trial start, channel index."""
+def _event_array(values, name: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.int64)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+    return arr
 
-    time: int
-    channel: int
 
-
-@dataclass
+@dataclass(eq=False)
 class Trial:
     """A labeled trial of spike events.
 
     ``onset`` is the movement-onset time in microseconds from trial start
-    (nominally 1 s); ``duration`` the trial length.  Events are sorted
-    non-decreasing in time.
+    (nominally 1 s); ``duration`` the trial length.  Event ``i`` is a spike
+    on channel ``channels[i]`` at ``times_us[i]`` microseconds from trial
+    start; both are 1-D int64 arrays of equal length, sorted non-decreasing
+    in time.
     """
 
     id: str
     label: int
     onset: int
     duration: int
-    events: list[SpikeEvent] = field(default_factory=list)
+    times_us: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    channels: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
-    def times(self) -> np.ndarray:
-        return np.array([e.time for e in self.events], dtype=np.int64)
-
-    def channels(self) -> np.ndarray:
-        return np.array([e.channel for e in self.events], dtype=np.int64)
+    def __post_init__(self):
+        self.times_us = _event_array(self.times_us, "times_us")
+        self.channels = _event_array(self.channels, "channels")
+        if len(self.times_us) != len(self.channels):
+            raise ValueError(
+                f"trial {self.id!r}: {len(self.times_us)} times but {len(self.channels)} channels"
+            )
 
 
 @dataclass
@@ -111,17 +124,19 @@ class SpikeDataset:
                 raise DatasetError(
                     f"trial {trial.id!r}: onset {trial.onset} outside [0, {trial.duration}]"
                 )
-            prev = -1
-            for ev in trial.events:
-                if ev.time < 0 or ev.time < prev:
+            times, channels = trial.times_us, trial.channels
+            prev = np.concatenate(([-1], times))[:-1]
+            bad_time = (times < 0) | (times < prev)
+            bad = np.flatnonzero(bad_time | (channels < 0) | (channels >= self.channel_count))
+            if bad.size:
+                i = bad[0]
+                if bad_time[i]:
                     raise BadTimestampError(
-                        f"trial {trial.id!r}: bad event time {ev.time} after {prev}"
+                        f"trial {trial.id!r}: bad event time {times[i]} after {prev[i]}"
                     )
-                if not (0 <= ev.channel < self.channel_count):
-                    raise ChannelRangeError(
-                        f"trial {trial.id!r}: channel {ev.channel} outside [0, {self.channel_count})"
-                    )
-                prev = ev.time
+                raise ChannelRangeError(
+                    f"trial {trial.id!r}: channel {channels[i]} outside [0, {self.channel_count})"
+                )
 
 
 @dataclass
@@ -179,41 +194,54 @@ def tuned_peak_rate(params: SynthParams, neuron_class: int, trial_class: int) ->
     return params.baseline_rate + (params.peak_rate - params.baseline_rate) * atten
 
 
-def rate_at(params: SynthParams, peak: float, t_us: int) -> float:
-    """Programmed firing rate (Hz) at time ``t_us`` for a neuron with the given tuned peak.
+def rate_profile(params: SynthParams, peak, t_us) -> np.ndarray:
+    """Programmed firing rate (Hz) at each time in ``t_us``, for neurons with tuned ``peak``.
 
-    The profile is trapezoidal around the movement onset: baseline, a linear
-    rise over [ramp_start, ramp_peak], a hold at the tuned peak through
-    decay_start, then a linear return to baseline by decay_end.
+    ``peak`` is a scalar or an array broadcastable to ``t_us``.  The profile
+    is trapezoidal around the movement onset: baseline, a linear rise over
+    [ramp_start, ramp_peak), a hold at the tuned peak through decay_start,
+    then a linear return to baseline by decay_end.  Each segment is computed
+    only where it applies, with the same float expressions for every element,
+    so the result does not depend on how times are batched.
     """
+    t = np.asarray(t_us, dtype=np.int64)
+    peak = np.broadcast_to(np.asarray(peak, dtype=np.float64), t.shape)
+    base = params.baseline_rate
     ramp_start = (params.onset_ms + params.ramp_start_ms) * 1000.0
     ramp_peak = (params.onset_ms + params.ramp_peak_ms) * 1000.0
     decay_start = (params.onset_ms + params.decay_start_ms) * 1000.0
     decay_end = (params.onset_ms + params.decay_end_ms) * 1000.0
-    if t_us < ramp_start or t_us >= decay_end:
-        return params.baseline_rate
-    if t_us < ramp_peak:
-        frac = (t_us - ramp_start) / (ramp_peak - ramp_start)
-        return params.baseline_rate + (peak - params.baseline_rate) * frac
-    if t_us < decay_start:
-        return peak
-    frac = (t_us - decay_start) / (decay_end - decay_start)
-    return peak + (params.baseline_rate - peak) * frac
+
+    rate = np.full(t.shape, base, dtype=np.float64)
+    inside = (t >= ramp_start) & (t < decay_end)
+    rise = inside & (t < ramp_peak)
+    hold = inside & ~rise & (t < decay_start)
+    fall = inside & ~rise & ~hold
+    frac = (t[rise] - ramp_start) / (ramp_peak - ramp_start)
+    rate[rise] = base + (peak[rise] - base) * frac
+    rate[hold] = peak[hold]
+    frac = (t[fall] - decay_start) / (decay_end - decay_start)
+    rate[fall] = peak[fall] + (base - peak[fall]) * frac
+    return rate
 
 
-def _poisson_times(rng: np.random.Generator, params: SynthParams, peak: float) -> np.ndarray:
-    """Inhomogeneous-Poisson event times (int us) for one neuron in one trial, by thinning."""
-    duration_us = int(round(params.trial_duration_ms * 1000.0))
+def _candidate_times(
+    rng: np.random.Generator, params: SynthParams, peak: float, duration_us: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One neuron's sorted candidate spike times (int us) and thinning draws.
+
+    A candidate at time ``t`` is kept when its draw is below the programmed
+    rate at ``t``.  Draws are uniform on [0, max rate).
+    """
     rate_max = max(peak, params.baseline_rate)
     if rate_max <= 0.0 or duration_us <= 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), np.empty(0)
     n = rng.poisson(rate_max * duration_us * 1e-6)
     if n == 0:
-        return np.empty(0, dtype=np.int64)
-    times = np.sort(rng.integers(0, duration_us, size=n))
-    accept = rng.random(n) * rate_max
-    rates = np.array([rate_at(params, peak, int(t)) for t in times])
-    return times[accept < rates].astype(np.int64)
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    times = rng.integers(0, duration_us, size=n)
+    times.sort()
+    return times, rng.random(n) * rate_max
 
 
 def gen_synthetic(params: SynthParams) -> SpikeDataset:
@@ -227,29 +255,28 @@ def gen_synthetic(params: SynthParams) -> SpikeDataset:
     rng = np.random.default_rng(params.seed)
     duration_us = int(round(params.trial_duration_ms * 1000.0))
     onset_us = int(round(params.onset_ms * 1000.0))
-    preferred = [(j % params.m) + 1 for j in range(params.q)]
+    neurons = np.arange(params.q, dtype=np.int64)
 
     trials = []
     for cls in range(1, params.m + 1):
+        peaks = [tuned_peak_rate(params, (j % params.m) + 1, cls) for j in range(params.q)]
         for rep in range(params.trials_per_class):
-            all_times = []
-            all_channels = []
-            for j in range(params.q):
-                peak = tuned_peak_rate(params, preferred[j], cls)
-                t = _poisson_times(rng, params, peak)
-                all_times.append(t)
-                all_channels.append(np.full(t.shape, j, dtype=np.int64))
-            times = np.concatenate(all_times)
-            channels = np.concatenate(all_channels)
+            drawn = [_candidate_times(rng, params, peak, duration_us) for peak in peaks]
+            counts = [len(t) for t, _ in drawn]
+            times = np.concatenate([t for t, _ in drawn])
+            draws = np.concatenate([a for _, a in drawn])
+            channels = np.repeat(neurons, counts)
+            keep = draws < rate_profile(params, np.repeat(peaks, counts), times)
+            times, channels = times[keep], channels[keep]
             order = np.lexsort((channels, times))
-            events = [SpikeEvent(int(t), int(c)) for t, c in zip(times[order], channels[order])]
             trials.append(
                 Trial(
                     id=f"c{cls:02d}_r{rep:03d}",
                     label=cls,
                     onset=onset_us,
                     duration=duration_us,
-                    events=events,
+                    times_us=times[order],
+                    channels=channels[order],
                 )
             )
     metadata = {"source": "synthetic", "seed": str(params.seed)}
@@ -291,6 +318,74 @@ def _parse_meta(path: Path) -> tuple[int | None, int | None, dict[str, str]]:
         else:
             metadata[key] = value
     return q, m, metadata
+
+
+_BLANK_RUNS = re.compile(r"\n{2,}")
+_COMMALESS_ROW = re.compile(r"\n[^,\n]*\n")
+
+
+def _raise_first_bad_row(path: Path, lines: list[str], q: int | None) -> NoReturn:
+    """Check event rows one at a time and raise the error for the first bad one.
+
+    Runs only after the one-pass parse in :func:`_parse_events` has found a
+    problem, so that the error names the file and line of the first bad row.
+    """
+    prev_time = -1
+    for j, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise DatasetError(f"expected 2 fields, got {len(parts)}", path, j)
+        t = _parse_int(parts[0], "time_us", path, j)
+        ch = _parse_int(parts[1], "channel", path, j)
+        if t < 0:
+            raise BadTimestampError(f"negative timestamp {t}", path, j)
+        if t < prev_time:
+            raise BadTimestampError(f"timestamp {t} after {prev_time}", path, j)
+        if ch < 0 or (q is not None and ch >= q):
+            raise ChannelRangeError(f"channel {ch} outside [0, {q})", path, j)
+        if t > _INT64_MAX:
+            raise BadTimestampError(f"timestamp {t} outside the int64 range", path, j)
+        if ch > _INT64_MAX:
+            raise ChannelRangeError(f"channel {ch} outside the int64 range", path, j)
+        prev_time = t
+    raise DatasetError("event rows failed a check that no single row fails", path)
+
+
+def _parse_events(path: Path, q: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Times and channels of one event file, read in one pass over its text.
+
+    Blank rows are skipped.  Every other row must hold exactly one comma;
+    its two fields are parsed with ``int()`` straight into one int64 array,
+    which is then checked as a whole: times non-negative and sorted,
+    channels in ``[0, q)`` (or non-negative when ``q`` is unknown).
+    """
+    text = path.read_text(encoding="utf-8")
+    header, _, body = text.partition("\n")
+    if header != EVENTS_HEADER:
+        raise DatasetError(f"expected header {EVENTS_HEADER!r}", path, 1)
+    body = body.strip("\n")
+    if not body:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if "\n\n" in body:
+        body = _BLANK_RUNS.sub("\n", body)
+    n = body.count("\n") + 1
+    if body.count(",") == n and not _COMMALESS_ROW.search(f"\n{body}\n"):
+        try:
+            values = np.fromiter(map(int, body.replace("\n", ",").split(",")), np.int64, 2 * n)
+        except (ValueError, OverflowError):  # a field int() rejects, or one beyond int64
+            pass
+        else:
+            times, channels = values[0::2], values[1::2]
+            if (
+                times[0] >= 0
+                and not np.any(times[1:] < times[:-1])
+                and channels.min() >= 0
+                and (q is None or channels.max() < q)
+            ):
+                return times, channels
+    _raise_first_bad_row(path, text.split("\n"), q)
 
 
 def parse_dataset(root_path: str | Path) -> SpikeDataset:
@@ -337,29 +432,10 @@ def parse_dataset(root_path: str | Path) -> SpikeDataset:
         events_path = root / EVENTS_DIR / f"{trial_id}.csv"
         if not events_path.is_file():
             raise DatasetError("event file not found", events_path)
-        ev_lines = _read_lines(events_path)
-        if not ev_lines or ev_lines[0] != EVENTS_HEADER:
-            raise DatasetError(f"expected header {EVENTS_HEADER!r}", events_path, 1)
-        events = []
-        prev_time = -1
-        for j, ev_line in enumerate(ev_lines[1:], start=2):
-            if not ev_line:
-                continue
-            ev_parts = ev_line.split(",")
-            if len(ev_parts) != 2:
-                raise DatasetError(f"expected 2 fields, got {len(ev_parts)}", events_path, j)
-            t = _parse_int(ev_parts[0], "time_us", events_path, j)
-            ch = _parse_int(ev_parts[1], "channel", events_path, j)
-            if t < 0:
-                raise BadTimestampError(f"negative timestamp {t}", events_path, j)
-            if t < prev_time:
-                raise BadTimestampError(f"timestamp {t} after {prev_time}", events_path, j)
-            if ch < 0 or (q is not None and ch >= q):
-                raise ChannelRangeError(f"channel {ch} outside [0, {q})", events_path, j)
-            max_channel = max(max_channel, ch)
-            events.append(SpikeEvent(t, ch))
-            prev_time = t
-        trials.append(Trial(trial_id, label, onset, duration, events))
+        times, channels = _parse_events(events_path, q)
+        if len(channels):
+            max_channel = max(max_channel, int(channels.max()))
+        trials.append(Trial(trial_id, label, onset, duration, times, channels))
 
     if q is None:
         q = max(max_channel + 1, 1)
@@ -398,8 +474,7 @@ def write_dataset(dataset: SpikeDataset, root_path: str | Path) -> None:
     (root / META_NAME).write_text("\n".join(meta_lines) + "\n", encoding="utf-8")
 
     for trial in dataset.trials:
-        ev_lines = [EVENTS_HEADER]
-        for ev in trial.events:
-            ev_lines.append(f"{ev.time},{ev.channel}")
+        rows = np.column_stack((trial.times_us, trial.channels))
+        text = ("%d,%d\n" * len(rows)) % tuple(rows.ravel().tolist())
         path = root / EVENTS_DIR / f"{trial.id}.csv"
-        path.write_text("\n".join(ev_lines) + "\n", encoding="utf-8")
+        path.write_text(f"{EVENTS_HEADER}\n{text}", encoding="utf-8")

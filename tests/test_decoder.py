@@ -20,7 +20,7 @@ from mlcpsim.decoder import (
     write_stream_csv,
 )
 from mlcpsim.frontend import FrontendConfig, run_trial
-from mlcpsim.spikeio import SpikeDataset, SpikeEvent, SynthParams, Trial, gen_synthetic
+from mlcpsim.spikeio import SpikeDataset, SynthParams, Trial, gen_synthetic
 from mlcpsim.training import collect_H, fit_output_weights
 
 
@@ -228,11 +228,11 @@ def _clockwork_dataset():
         for rep in range(4):
             events = []
             for ch in range(6):
-                events.extend(SpikeEvent(t, ch) for t in baseline_us)
+                events.extend((t, ch) for t in baseline_us)
                 if ch // 2 == cls - 1:
-                    events.extend(SpikeEvent(t, ch) for t in burst_us)
-            events.sort(key=lambda e: (e.time, e.channel))
-            trials.append(Trial(f"det_c{cls}_r{rep}", cls, 1_000_000, 2_000_000, events))
+                    events.extend((t, ch) for t in burst_us)
+            times, channels = zip(*sorted(events))
+            trials.append(Trial(f"det_c{cls}_r{rep}", cls, 1_000_000, 2_000_000, times, channels))
     return SpikeDataset(trials, channel_count=6, class_count=3)
 
 

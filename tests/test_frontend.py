@@ -12,7 +12,7 @@ from mlcpsim.frontend import (
     saturate_count,
     write_trace,
 )
-from mlcpsim.spikeio import SpikeEvent, Trial
+from mlcpsim.spikeio import Trial
 
 
 def brute_force_codes(d_matrix):
@@ -186,9 +186,7 @@ def test_bin_events_half_open_boundaries():
 
 
 def test_run_trial_and_trace(tmp_path):
-    trial = Trial(
-        "t", 1, 50000, 100000, [SpikeEvent(5000, 0), SpikeEvent(25000, 1), SpikeEvent(25500, 1)]
-    )
+    trial = Trial("t", 1, 50000, 100000, [5000, 25000, 25500], [0, 1, 1])
     codes = run_trial(FrontendConfig.direct(2), trial)
     assert codes.shape == (5, 2)
     assert codes[0].tolist() == [1, 0]

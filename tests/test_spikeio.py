@@ -1,5 +1,6 @@
 """Tests for spike dataset parsing, writing, and synthesis."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from mlcpsim.spikeio import (
     BadTimestampError,
     MissingManifestError,
     SpikeDataset,
-    SpikeEvent,
     SynthParams,
     Trial,
     gen_synthetic,
@@ -29,6 +29,16 @@ def read_tree(root):
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def tree_sha256(root):
+    """One digest over every file's relative path and contents under ``root``."""
+    h = hashlib.sha256()
+    for p in sorted(root.rglob("*")):
+        if p.is_file():
+            h.update(p.relative_to(root).as_posix().encode() + b"\0")
+            h.update(hashlib.sha256(p.read_bytes()).digest())
+    return h.hexdigest()
 
 
 def test_empty_manifest_parses_to_zero_trials(tmp_path):
@@ -56,7 +66,8 @@ def test_single_trial_single_event(tmp_path):
     assert trial.label == 1
     assert trial.onset == 1000000
     assert trial.duration == 2000000
-    assert trial.events == [SpikeEvent(500000, 3)]
+    assert trial.times_us.tolist() == [500000]
+    assert trial.channels.tolist() == [3]
 
 
 def test_channel_out_of_range_rejected(tmp_path):
@@ -118,7 +129,7 @@ def test_malformed_row_names_line(tmp_path):
 def test_zero_rate_generator_emits_no_events():
     params = SynthParams(q=4, m=2, baseline_rate=0.0, peak_rate=0.0, trials_per_class=2, seed=1)
     ds = gen_synthetic(params)
-    assert all(t.events == [] for t in ds.trials)
+    assert all(len(t.times_us) == 0 and len(t.channels) == 0 for t in ds.trials)
 
 
 def test_generator_trial_count_and_labels():
@@ -134,9 +145,11 @@ def test_generator_trial_count_and_labels():
 def test_generator_same_seed_identical():
     a = gen_synthetic(SynthParams(q=8, m=4, trials_per_class=2, seed=7))
     b = gen_synthetic(SynthParams(q=8, m=4, trials_per_class=2, seed=7))
-    assert [t.events for t in a.trials] == [t.events for t in b.trials]
+    assert [(t.times_us.tolist(), t.channels.tolist()) for t in a.trials] == [
+        (t.times_us.tolist(), t.channels.tolist()) for t in b.trials
+    ]
     c = gen_synthetic(SynthParams(q=8, m=4, trials_per_class=2, seed=8))
-    assert [t.events for t in c.trials] != [t.events for t in a.trials]
+    assert [t.times_us.tolist() for t in c.trials] != [t.times_us.tolist() for t in a.trials]
 
 
 def test_constant_rate_mean_count():
@@ -148,7 +161,7 @@ def test_constant_rate_mean_count():
     ds = gen_synthetic(params)
     counts = []
     for trial in ds.trials:
-        per_channel = np.bincount(trial.channels(), minlength=params.q)
+        per_channel = np.bincount(trial.channels, minlength=params.q)
         counts.extend(per_channel.tolist())
     mean = float(np.mean(counts))
     assert abs(mean - 200.0) < 3.0  # 3 sigma
@@ -172,7 +185,7 @@ def test_constant_rate_count_distribution_chi_square():
     )
     ds = gen_synthetic(params)
     counts = np.concatenate(
-        [np.bincount(t.channels(), minlength=params.q) for t in ds.trials]
+        [np.bincount(t.channels, minlength=params.q) for t in ds.trials]
     )
     assert counts.size == 1200
 
@@ -207,7 +220,7 @@ def test_preferred_class_fires_most():
     # neuron 0 prefers class 1; count its post-onset spikes per trial class
     totals = {c: 0 for c in range(1, 5)}
     for trial in ds.trials:
-        mask = (trial.channels() == 0) & (trial.times() >= trial.onset)
+        mask = (trial.channels == 0) & (trial.times_us >= trial.onset)
         totals[trial.label] += int(np.sum(mask))
     assert totals[1] == max(totals.values())
     assert totals[3] == min(totals.values())  # opposite class on the ring
@@ -229,8 +242,8 @@ def test_roundtrip_byte_identical(tmp_path):
 def test_parse_infers_counts_without_meta(tmp_path):
     ds = SpikeDataset(
         trials=[
-            Trial("a", 2, 100, 1000, [SpikeEvent(10, 4)]),
-            Trial("b", 1, 100, 1000, [SpikeEvent(20, 1)]),
+            Trial("a", 2, 100, 1000, [10], [4]),
+            Trial("b", 1, 100, 1000, [20], [1]),
         ],
         channel_count=5,
         class_count=2,
@@ -240,3 +253,89 @@ def test_parse_infers_counts_without_meta(tmp_path):
     reparsed = parse_dataset(tmp_path)
     assert reparsed.channel_count == 5  # max channel + 1
     assert reparsed.class_count == 2  # max label
+
+
+def test_trial_coerces_events_to_int64_arrays():
+    trial = Trial("t", 1, 0, 100, [3, 5], (0, 2))
+    assert isinstance(trial.times_us, np.ndarray) and trial.times_us.dtype == np.int64
+    assert isinstance(trial.channels, np.ndarray) and trial.channels.dtype == np.int64
+    assert trial.times_us.tolist() == [3, 5]
+    assert trial.channels.tolist() == [0, 2]
+    empty = Trial("e", 1, 0, 100)
+    assert empty.times_us.shape == (0,) and empty.channels.shape == (0,)
+    assert empty.times_us.dtype == np.int64 and empty.channels.dtype == np.int64
+
+
+def test_trial_rejects_mismatched_or_non_1d_events():
+    with pytest.raises(ValueError, match="2 times but 1 channels"):
+        Trial("t", 1, 0, 100, [3, 5], [0])
+    with pytest.raises(ValueError, match="1-D"):
+        Trial("t", 1, 0, 100, [[3, 5]], [[0, 1]])
+    with pytest.raises(ValueError, match="1-D"):
+        Trial("t", 1, 0, 100, 3, 0)
+
+
+@pytest.mark.parametrize(
+    "times, channels, error, message",
+    [
+        ([5, 9, 7], [0, 0, 0], BadTimestampError, "bad event time 7 after 9"),
+        ([-2, 1], [0, 0], BadTimestampError, "bad event time -2 after -1"),
+        ([1, 2, 1], [0, 3, 0], ChannelRangeError, "channel 3 outside [0, 3)"),
+        ([1, 0], [-1, 0], ChannelRangeError, "channel -1 outside [0, 3)"),
+    ],
+)
+def test_validate_names_first_bad_event(times, channels, error, message):
+    ds = SpikeDataset([Trial("a", 1, 0, 10, times, channels)], channel_count=3, class_count=1)
+    with pytest.raises(error) as excinfo:
+        ds.validate()
+    assert str(excinfo.value) == f"trial 'a': {message}"
+
+
+# Digests of write_dataset(gen_synthetic(...)) trees, recorded from the
+# row-by-row implementation; the array-based one must reproduce them.
+SYNTH_TREE_SHA256 = {
+    "defaults": (
+        SynthParams(trials_per_class=2),
+        "fbd2e2b65e65f9d474c8e483347ba74b3d246d827cf66c394f0c8ecdbe30d344",
+    ),
+    "degenerate_ramp": (
+        SynthParams(
+            q=7, m=3, baseline_rate=0.0, peak_rate=150.0, ramp_start_ms=-200.0,
+            ramp_peak_ms=-200.0, decay_start_ms=150.0, decay_end_ms=150.0,
+            trials_per_class=3, seed=11,
+        ),
+        "170abb641008066aa6710633df75048796a1d7ae5e20716699e0ac378cfa909e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTH_TREE_SHA256))
+def test_synth_and_write_bytes_locked(tmp_path, name):
+    params, digest = SYNTH_TREE_SHA256[name]
+    write_dataset(gen_synthetic(params), tmp_path)
+    assert tree_sha256(tmp_path) == digest
+
+
+def test_random_trials_roundtrip_byte_identical(tmp_path):
+    rng = np.random.default_rng(20240)
+    for case in range(40):
+        q = int(rng.integers(1, 9))
+        m = int(rng.integers(1, 5))
+        trials = []
+        for i in range(int(rng.integers(2, 6))):
+            n = i if i < 2 else int(rng.integers(0, 60))  # an empty and a single-event trial
+            span = int(rng.choice([10, 10**6, 2**62]))
+            times = np.sort(rng.integers(0, span, size=n))
+            duration = int(times[-1]) + 1 if n else 1000
+            label = int(rng.integers(1, m + 1))
+            channels = rng.integers(0, q, size=n)
+            trials.append(Trial(f"t{i}", label, duration // 2, duration, times, channels))
+        ds = SpikeDataset(trials, channel_count=q, class_count=m, metadata={"case": str(case)})
+        first, second = tmp_path / f"{case}_first", tmp_path / f"{case}_second"
+        write_dataset(ds, first)
+        back = parse_dataset(first)
+        for a, b in zip(ds.trials, back.trials):
+            assert np.array_equal(a.times_us, b.times_us)
+            assert np.array_equal(a.channels, b.channels)
+        write_dataset(back, second)
+        assert read_tree(first) == read_tree(second)
