@@ -400,7 +400,7 @@ def cmd_stream(args, cfg: dict) -> int:
         if cfg["decoder.noise_on"]
         else None
     )
-    result = decode_stream(trial, model, chip, noise_on=cfg["decoder.noise_on"], rng=rng)
+    result = decode_stream(trial, model, chip, rng=rng)
     write_stream_csv(out, result)
     _echo(cfg)
     _note(f"streamed trial {trial.id} ({len(result.t_ms)} ticks) to {out}")
@@ -439,6 +439,9 @@ def cmd_sweep(args, cfg: dict) -> int:
     seeds = parse_int_list(cfg["sweep.chip_seeds"])
     if not (methods and l_grid and n_grid and p_grid and seeds):
         raise ConfigError("sweep grids must be non-empty")
+    if cfg["frontend.mode"] == "direct" and max(p_grid) > 1:
+        raise ConfigError(f"sweep.p_grid has p={max(p_grid)}, but frontend.mode=direct builds "
+                          "one row per channel; set frontend.mode=tdbdi or sweep.p_grid=1")
 
     lines = ["method,l,n,p,accuracy_mean,accuracy_std"]
     for method, l, n, p in itertools.product(methods, l_grid, n_grid, p_grid):

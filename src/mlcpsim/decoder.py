@@ -11,11 +11,15 @@ Per 20 ms tick the decoder computes the M+1 output values
 * combined: ``F = G_track * s`` - the class label exactly when a tracked
   onset fires, else 0.
 
+``track`` runs the tracker over a (streams, ticks) batch of G bits: one
+cumulative sum gives the window counts and only the refractory state steps
+through time.
+
 Evaluation scores movement type per trial by majority vote of the per-tick
 class over the membership plateau, and onset detection by matching G_track
 events against a tolerance window around the true onset (events outside it
-count as false positives).  ``roc_sweep`` reuses the theta-independent
-output streams to trace (TPR, FP/trial) across thresholds.
+count as false positives).  ``score_onsets`` tracks all trials of an
+``evaluate`` or ``roc_sweep`` call as one padded batch per threshold.
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analog import ChipInstance, hidden_layer, normalize_rows
-from .frontend import FrontendConfig, run_trial
+from .analog import ChipInstance
+from .frontend import FrontendConfig
 from .spikeio import SpikeDataset, Trial
-from .training import OutputWeights, TrapezoidParams
+from .training import OutputWeights, TrapezoidParams, hidden_stream
 
 MODEL_FORMAT = "mlcpsim-model"
 MODEL_VERSION = 1
@@ -135,50 +139,42 @@ def load_model(path: str | Path) -> DecoderModel:
     )
 
 
-# ------------------------------------------------------------ per-tick ops
+# ----------------------------------------------------------------- decode
 
-def classify_type(o: np.ndarray, m: int) -> int:
-    """Predicted class 1..M: argmax over the type outputs, lowest index on ties."""
-    return int(np.argmax(o[:m])) + 1
-
-
-def onset_primary(o_onset: float, theta: float) -> int:
-    """Primary onset bit: strictly above threshold."""
-    return int(o_onset > theta)
+class ChipMismatchError(ValueError):
+    """The chip does not have the shape the model was trained against."""
 
 
-class TrackingFsm:
-    """Windowed-count onset tracker with refractory.
+def _check_chip(model: DecoderModel, chip: ChipInstance) -> None:
+    """Raise ``ChipMismatchError`` unless the chip's D and L match the model."""
+    d, l = model.frontend.rows, model.beta.shape[0]
+    if (d, l) != (chip.d, chip.l):
+        raise ChipMismatchError(f"model needs a chip with D={d} rows and L={l} neurons "
+                                f"(beta rows), chip has D={chip.d}, L={chip.l}")
 
-    Feeds on the per-tick G bit; emits G_track.  The bit goes high when at
-    least ``lam`` of the last ``tau`` G bits (current included) are high and
-    the tick is past the refractory deadline; each rising edge pushes the
-    deadline ``tr_ms`` ahead, so detections can never crowd closer than that.
+
+def track(g: np.ndarray, lam: int, tau: int, tr_ticks: float) -> np.ndarray:
+    """G_track for a (B, T) batch of G bit streams, one stream per row.
+
+    A tick's output is high when at least ``lam`` of the last ``tau`` G bits
+    are high and the tick is past the row's refractory deadline; each rising
+    edge pushes that deadline ``tr_ticks`` ahead.
     """
-
-    def __init__(self, lam: int, tau: int, tr_ms: float, t_s_ms: float):
-        if not (1 <= lam <= tau):
-            raise ValueError("need 1 <= lam <= tau")
-        self.lam = lam
-        self.tau = tau
-        self.tr_ticks = tr_ms / t_s_ms
-        self.reset()
-
-    def reset(self) -> None:
-        self.history = [0] * self.tau  # last tau G bits, newest last
-        self.refractory_until = 0.0
-        self.tick = 0
-        self.prev_out = 0
-
-    def step(self, g: int) -> int:
-        self.history.pop(0)
-        self.history.append(1 if g else 0)
-        out = 1 if sum(self.history) >= self.lam and self.tick >= self.refractory_until else 0
-        if out and not self.prev_out:
-            self.refractory_until = self.tick + self.tr_ticks
-        self.prev_out = out
-        self.tick += 1
-        return out
+    if not (1 <= lam <= tau):
+        raise ValueError("need 1 <= lam <= tau")
+    g = np.asarray(g, dtype=bool)
+    n_rows, n_ticks = g.shape
+    csum = np.zeros((n_rows, tau + n_ticks), dtype=np.int64)
+    np.cumsum(g, axis=1, out=csum[:, tau:])
+    ready = np.ascontiguousarray((csum[:, tau:] - csum[:, :n_ticks] >= lam).T)
+    out = np.zeros_like(ready)
+    until = np.zeros(n_rows)
+    prev = np.zeros(n_rows, dtype=bool)
+    for n in range(n_ticks):
+        cur = ready[n] & (until <= n)
+        until[cur & ~prev] = n + tr_ticks
+        out[n] = prev = cur
+    return out.T
 
 
 @dataclass
@@ -198,30 +194,17 @@ class DecodeResult:
         return self.t_ms[rising]
 
 
-def decode_codes(codes: np.ndarray, model: DecoderModel, chip: ChipInstance,
-                 noise_on: bool = False,
-                 rng: np.random.Generator | None = None) -> DecodeResult:
-    """Decode a (T, D) code stream: hidden layer, outputs, bits, tracking."""
-    h = hidden_layer(codes, chip, noise_on=noise_on, rng=rng).astype(np.float64)
-    if model.normalize:
-        h = normalize_rows(h, codes)
-    o = h @ model.beta
-    n_ticks = codes.shape[0]
-    t_ms = (np.arange(n_ticks) + 1) * model.frontend.t_s_ms
+def decode_stream(trial: Trial, model: DecoderModel, chip: ChipInstance,
+                  rng: np.random.Generator | None = None) -> DecodeResult:
+    """Decode one spike trial end to end; noise is on when ``rng`` is given."""
+    _check_chip(model, chip)
+    o = hidden_stream(trial, chip, model.frontend, model.normalize, rng) @ model.beta
     s = np.argmax(o[:, : model.m], axis=1) + 1
     g = (o[:, model.m] > model.theta).astype(np.int64)
-    fsm = TrackingFsm(model.lam, model.tau, model.tr_ms, model.frontend.t_s_ms)
-    g_track = np.array([fsm.step(int(b)) for b in g], dtype=np.int64)
-    f = g_track * s
-    return DecodeResult(t_ms, o, s, g, g_track, f)
-
-
-def decode_stream(trial: Trial, model: DecoderModel, chip: ChipInstance,
-                  noise_on: bool = False,
-                  rng: np.random.Generator | None = None) -> DecodeResult:
-    """Decode one spike trial end to end."""
-    codes = run_trial(model.frontend, trial)
-    return decode_codes(codes, model, chip, noise_on=noise_on, rng=rng)
+    tr_ticks = model.tr_ms / model.frontend.t_s_ms
+    g_track = track(g[None, :], model.lam, model.tau, tr_ticks)[0].astype(np.int64)
+    t_ms = (np.arange(len(o)) + 1) * model.frontend.t_s_ms
+    return DecodeResult(t_ms, o, s, g, g_track, g_track * s)
 
 
 def write_stream_csv(path: str | Path, result: DecodeResult) -> None:
@@ -293,27 +276,55 @@ def majority_class(s_ticks: np.ndarray, m: int) -> int:
     return int(np.argmax(counts[1:])) + 1
 
 
-def score_trial(result: DecodeResult, trial: Trial, model: DecoderModel,
-                tol_ms: float) -> dict:
-    """Type vote, onset hits and false positives for one decoded trial."""
-    onset_ms = trial.onset / 1000.0
-    plateau = (result.t_ms >= model.trap.t1_ms) & (result.t_ms <= model.trap.t2_ms)
-    predicted = majority_class(result.s[plateau], model.m)
-    detections = result.detections_ms()
-    in_window = np.abs(detections - onset_ms) <= tol_ms
-    hits = detections[in_window]
-    return {
-        "predicted": predicted,
-        "hit": bool(in_window.any()),
-        "latency_ms": float(hits[0] - onset_ms) if in_window.any() else None,
-        "false_positives": int(np.sum(~in_window)),
-    }
+def _output_streams(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
+                    noise_on: bool, noise_seed: int) -> list[np.ndarray]:
+    """(T, M+1) decoder outputs per trial; with noise on, trial ``i`` draws
+    from ``default_rng([noise_seed, i])``, so outputs do not depend on order."""
+    if not dataset.trials:
+        raise ValueError("cannot evaluate an empty test set")
+    _check_chip(model, chip)
+    return [
+        hidden_stream(trial, chip, model.frontend, model.normalize,
+                      np.random.default_rng([noise_seed, idx]) if noise_on else None)
+        @ model.beta
+        for idx, trial in enumerate(dataset.trials)
+    ]
+
+
+def score_onsets(trials: list[Trial], outputs: list[np.ndarray], model: DecoderModel,
+                 thetas: list[float], tol_ms: float) -> list[tuple[int, int, list[float]]]:
+    """(hits, false positives, hit latencies in ms) per threshold.
+
+    A trial is hit when a G_track rising edge lies within ``tol_ms`` of its
+    onset (the latency is the first such edge's); every other rising edge is
+    a false positive.  All trials are tracked as one (trials, ticks) batch
+    per threshold, padded with G = 0 past each trial's end; edges in the
+    padding are ignored.
+    """
+    lengths = np.array([len(o) for o in outputs])
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    onset_out = np.full(valid.shape, -np.inf)
+    onset_out[valid] = np.concatenate([o[:, model.m] for o in outputs])
+    onsets_ms = np.array([trial.onset / 1000.0 for trial in trials])
+    t_ms = (np.arange(valid.shape[1]) + 1) * model.frontend.t_s_ms
+    in_window = np.abs(t_ms - onsets_ms[:, None]) <= tol_ms
+    tr_ticks = model.tr_ms / model.frontend.t_s_ms
+    scores = []
+    for theta in thetas:
+        g_track = track(onset_out > theta, model.lam, model.tau, tr_ticks)
+        rising = g_track & valid
+        rising[:, 1:] &= ~g_track[:, :-1]
+        rows, cols = np.nonzero(rising & in_window)
+        first = np.flatnonzero(np.diff(rows, prepend=-1))  # first hit of each hit trial
+        latencies = (t_ms[cols[first]] - onsets_ms[rows[first]]).tolist()
+        scores.append((len(first), int(np.count_nonzero(rising)) - len(rows), latencies))
+    return scores
 
 
 def evaluate(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
              noise_on: bool = False, noise_seed: int = 0,
              tol_ms: float = 150.0) -> EvalReport:
-    """Score a test set trial by trial.
+    """Score a test set.
 
     Type accuracy is the fraction of trials whose plateau majority class
     matches the label; TPR the fraction with a detection within ``tol_ms``
@@ -321,21 +332,14 @@ def evaluate(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
     positives.  With noise on, each trial uses its own counter-derived
     stream, so scores are independent of evaluation order.
     """
-    if not dataset.trials:
-        raise ValueError("cannot evaluate an empty test set")
+    outputs = _output_streams(dataset, model, chip, noise_on, noise_seed)
     confusion = np.zeros((dataset.class_count, dataset.class_count), dtype=np.int64)
-    hits = 0
-    fps = 0
-    latencies = []
-    for idx, trial in enumerate(dataset.trials):
-        rng = np.random.default_rng([noise_seed, idx]) if noise_on else None
-        result = decode_stream(trial, model, chip, noise_on=noise_on, rng=rng)
-        scores = score_trial(result, trial, model, tol_ms)
-        confusion[trial.label - 1, scores["predicted"] - 1] += 1
-        hits += scores["hit"]
-        fps += scores["false_positives"]
-        if scores["latency_ms"] is not None:
-            latencies.append(scores["latency_ms"])
+    for trial, o in zip(dataset.trials, outputs):
+        t_ms = (np.arange(len(o)) + 1) * model.frontend.t_s_ms
+        plateau = (t_ms >= model.trap.t1_ms) & (t_ms <= model.trap.t2_ms)
+        s = np.argmax(o[plateau, : model.m], axis=1) + 1
+        confusion[trial.label - 1, majority_class(s, model.m) - 1] += 1
+    [(hits, fps, latencies)] = score_onsets(dataset.trials, outputs, model, [model.theta], tol_ms)
     n = len(dataset.trials)
     return EvalReport(
         accuracy=float(np.trace(confusion)) / n,
@@ -359,27 +363,10 @@ def roc_sweep(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
     thetas = sorted(float(t) for t in np.asarray(theta_grid).ravel())
     if not thetas:
         raise ValueError("theta grid is empty")
-    streams = []
-    for idx, trial in enumerate(dataset.trials):
-        rng = np.random.default_rng([noise_seed, idx]) if noise_on else None
-        result = decode_stream(trial, model, chip, noise_on=noise_on, rng=rng)
-        streams.append((trial, result.t_ms, result.o[:, model.m]))
-
-    points = []
-    for theta in thetas:
-        hits = 0
-        fps = 0
-        for trial, t_ms, onset_out in streams:
-            fsm = TrackingFsm(model.lam, model.tau, model.tr_ms, model.frontend.t_s_ms)
-            g_track = np.array([fsm.step(int(v > theta)) for v in onset_out])
-            rising = (g_track == 1) & (np.concatenate([[0], g_track[:-1]]) == 0)
-            detections = t_ms[rising]
-            in_window = np.abs(detections - trial.onset / 1000.0) <= tol_ms
-            hits += bool(in_window.any())
-            fps += int(np.sum(~in_window))
-        n = len(streams)
-        points.append((theta, hits / n, fps / n))
-    return points
+    outputs = _output_streams(dataset, model, chip, noise_on, noise_seed)
+    scores = score_onsets(dataset.trials, outputs, model, thetas, tol_ms)
+    n = len(dataset.trials)
+    return [(theta, hits / n, fps / n) for theta, (hits, fps, _) in zip(thetas, scores)]
 
 
 def write_roc_csv(path: str | Path, points: list[tuple[float, float, float]]) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .analog import ChipInstance, hidden_layer, normalize_rows
 from .frontend import FrontendConfig, run_trial
-from .spikeio import SpikeDataset
+from .spikeio import SpikeDataset, Trial
 
 SV_CUTOFF = 1e-10  # relative singular-value cutoff for least squares
 
@@ -129,6 +129,15 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
+def hidden_stream(trial: Trial, chip: ChipInstance, frontend_cfg: FrontendConfig,
+                  normalize: bool, rng: np.random.Generator | None = None) -> np.ndarray:
+    """(T, L) hidden responses of one trial: front end, hidden layer, and
+    optional row normalization.  Noise is on when ``rng`` is given."""
+    codes = run_trial(frontend_cfg, trial)
+    h = hidden_layer(codes, chip, noise_on=rng is not None, rng=rng).astype(np.float64)
+    return normalize_rows(h, codes) if normalize else h
+
+
 def collect_H(
     dataset: SpikeDataset,
     chip: ChipInstance,
@@ -167,13 +176,10 @@ def collect_H(
 
     h_blocks, meta, trial_idx, members, labels = [], [], [], [], []
     for idx, trial in enumerate(dataset.trials):
-        codes = run_trial(frontend_cfg, trial)
         rng = np.random.default_rng([noise_seed, idx]) if noise_on else None
-        h = hidden_layer(codes, chip, noise_on=noise_on, rng=rng).astype(np.float64)
-        if normalize:
-            h = normalize_rows(h, codes)
+        h = hidden_stream(trial, chip, frontend_cfg, normalize, rng)
         h_blocks.append(h)
-        n_ticks = codes.shape[0]
+        n_ticks = h.shape[0]
         meta.extend((trial.id, k) for k in range(n_ticks))
         trial_idx.extend([idx] * n_ticks)
         t_ms = (np.arange(n_ticks) + 1) * frontend_cfg.t_s_ms

@@ -242,3 +242,39 @@ def test_budget_prints_golden_line_and_json(capsys, tmp_path):
     assert "3.45 pJ/MAC" in text
     payload = json.loads(out.read_text())
     assert payload["energy"]["e_per_mac_stage1"] == pytest.approx(3.45e-12)
+
+
+def test_roc_on_zero_trial_dataset_is_data_error(capsys, tmp_path, easy_run):
+    _, model = easy_run
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "manifest.csv").write_text("trial_id,label,onset_us,duration_us\n")
+    for cmd, extra in (("eval", []), ("roc", ["--out", str(tmp_path / "roc.csv")])):
+        code, _, err = run(capsys, cmd, "--data", str(empty), "--model", str(model),
+                           "--seed", "3", *SMALL_CHIP, *extra)
+        assert code == 2
+        assert "error: cannot evaluate an empty test set" in err
+
+
+@pytest.mark.parametrize("cmd", ["eval", "roc", "stream"])
+@pytest.mark.parametrize("chip_set, sizes", [("chip.l=20", ("L=16", "L=20")),
+                                             ("chip.d=9", ("D=8", "D=9"))])
+def test_chip_shape_mismatch_is_named_data_error(capsys, tmp_path, easy_run, cmd, chip_set, sizes):
+    ds, model = easy_run
+    chip = tmp_path / "chip.json"
+    assert run(capsys, "chip", "--out", str(chip), "--seed", "3", "--set", "chip.d=8",
+               *SMALL_CHIP, "--set", chip_set)[0] == 0
+    code, _, err = run(capsys, cmd, "--data", str(ds), "--model", str(model), "--chip", str(chip),
+                       "--out", str(tmp_path / "out"), "--seed", "3", *SMALL_CHIP)
+    assert code == 2
+    assert all(size in err for size in sizes)
+
+
+def test_sweep_p_above_one_in_direct_mode_is_rejected(capsys, tmp_path, easy_run):
+    ds, _ = easy_run
+    out = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, "sweep", "--data", str(ds), "--out", str(out), "--seed", "3",
+                       "--set", "sweep.p_grid=1,2", "--set", "sweep.l_grid=8")
+    assert code == 2
+    assert "sweep.p_grid" in err and "frontend.mode=direct" in err
+    assert not out.exists()

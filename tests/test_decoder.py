@@ -5,23 +5,24 @@ import pytest
 
 from mlcpsim.analog import AnalogParams, build_chip, hidden_layer, normalize_rows
 from mlcpsim.decoder import (
+    ChipMismatchError,
     DecoderModel,
-    TrackingFsm,
-    classify_type,
     decode_stream,
     evaluate,
     load_model,
     majority_class,
-    onset_primary,
     roc_sweep,
     save_model,
     split_dataset,
+    track,
     write_roc_csv,
     write_stream_csv,
 )
 from mlcpsim.frontend import FrontendConfig, run_trial
 from mlcpsim.spikeio import SpikeDataset, SynthParams, Trial, gen_synthetic
 from mlcpsim.training import collect_H, fit_output_weights
+
+from decoder_oracle import TrackingFsm, classify_type, onset_primary, oracle_scores
 
 
 def brute_force_track(g_bits, lam, tau, tr_ticks):
@@ -137,6 +138,38 @@ def test_track_parameter_validation():
         TrackingFsm(lam=5, tau=4, tr_ms=0.0, t_s_ms=20.0)
     with pytest.raises(ValueError):
         TrackingFsm(lam=0, tau=4, tr_ms=0.0, t_s_ms=20.0)
+    for lam, tau in [(5, 4), (0, 4)]:
+        with pytest.raises(ValueError):
+            track(np.zeros((1, 3), dtype=bool), lam, tau, 0.0)
+
+
+def test_batched_track_matches_brute_force_exhaustive():
+    # the exhaustive set of the FSM test, one batch per (lam, tau, tr, length)
+    for tau in range(1, 5):
+        for lam in range(1, tau + 1):
+            for tr_ticks in (0.0, 2.0, 3.5):
+                for length in range(1, 13):
+                    bits = np.arange(1 << length)[:, None] >> np.arange(length) & 1
+                    got = track(bits.astype(bool), lam, tau, tr_ticks)
+                    assert got.shape == bits.shape
+                    for row, g in zip(got, bits.tolist()):
+                        if row.tolist() != brute_force_track(g, lam, tau, tr_ticks):
+                            raise AssertionError(
+                                f"mismatch lam={lam} tau={tau} tr={tr_ticks} g={g}"
+                            )
+
+
+def test_batched_track_matches_brute_force_random():
+    rng = np.random.default_rng(78)
+    n_ticks = 300
+    for tr_ticks in (0.0, 0.5, 1.0, 1.5, 7.0, 7.5, float(n_ticks), n_ticks + 0.5):
+        for _ in range(4):
+            tau = int(rng.integers(1, 16))
+            lam = int(rng.integers(1, tau + 1))
+            g = rng.random((32, n_ticks)) < rng.uniform(0.1, 0.9, size=(32, 1))
+            got = track(g, lam, tau, tr_ticks)
+            for row, bits in zip(got, g.astype(int).tolist()):
+                assert row.tolist() == brute_force_track(bits, lam, tau, tr_ticks)
 
 
 # ------------------------------------------------------------ decode_stream
@@ -287,6 +320,62 @@ def test_evaluate_empty_rejected(easy_setup):
     empty = type(ds)([], ds.channel_count, ds.class_count)
     with pytest.raises(ValueError):
         evaluate(empty, model, chip)
+    with pytest.raises(ValueError, match="empty test set"):
+        roc_sweep(empty, model, chip, theta_grid=[0.5])
+
+
+def test_chip_shape_mismatch_is_named(easy_setup):
+    ds, chip, model = easy_setup
+    narrow = build_chip(chip.seed, chip.params, d=chip.d, l=chip.l - 4)
+    for run in (lambda c: evaluate(ds, model, c), lambda c: decode_stream(ds.trials[0], model, c),
+                lambda c: roc_sweep(ds, model, c, theta_grid=[0.5])):
+        with pytest.raises(ChipMismatchError, match="L=24 neurons.*L=20"):
+            run(narrow)
+    wide = build_chip(chip.seed, chip.params, d=chip.d + 1, l=chip.l)
+    with pytest.raises(ChipMismatchError, match="D=12 rows.*D=13"):
+        evaluate(ds, model, wide)
+
+
+def _burst(start_ms, end_ms, q=4):
+    """Every channel spikes every 5 ms in [start_ms, end_ms)."""
+    times = np.repeat(np.arange(start_ms * 1000, end_ms * 1000, 5000), q)
+    return times, np.tile(np.arange(q), len(times) // q)
+
+
+def test_ragged_trials_score_like_per_trial_oracle():
+    # Trials of different lengths are tracked as one padded batch.  The onset
+    # output is the window code sum (normalized h summed over all-ones
+    # weights), so G is high exactly while a burst is in the window.
+    trials = [
+        Trial("long", 1, 1_000_000, 2_000_000, *_burst(940, 1200)),
+        Trial("short", 2, 50_000, 90_000, *_burst(0, 90)),  # 5 ticks < tau
+        Trial("tail", 2, 700_000, 930_000, *_burst(650, 930)),  # G high to the end
+        Trial("quiet", 1, 1_000_000, 1_500_000),
+    ]
+    ds = SpikeDataset(trials, channel_count=4, class_count=2)
+    chip = build_chip(5, AnalogParams(), d=4, l=8)
+    beta = np.column_stack([np.random.default_rng(6).normal(size=(8, 2)), np.ones(8)])
+    model = DecoderModel(beta, np.ones(8, bool), m=2, theta=20.0, lam=3, tau=6, tr_ms=140.0,
+                         frontend=FrontendConfig.direct(4))
+    # the tail trial's refractory runs out in the padding while its window
+    # count is still >= lam, so an unmasked batch would detect there
+    g = decode_stream(trials[2], model, chip).g
+    padded = track(np.concatenate([g, np.zeros(model.tau, int)])[None, :].astype(bool),
+                   model.lam, model.tau, model.tr_ms / model.frontend.t_s_ms)[0]
+    rising = padded & ~np.concatenate([[False], padded[:-1]])
+    assert np.flatnonzero(rising).max() >= len(g)
+
+    for tol_ms in (150.0, 400.0):  # the wider window holds several edges per trial
+        report = evaluate(ds, model, chip, tol_ms=tol_ms)
+        confusion, hits, fps, latencies = oracle_scores(ds, model, chip, model.theta, tol_ms)
+        assert np.array_equal(report.confusion, confusion)
+        assert (report.tpr, report.fp_per_trial) == (hits / 4, fps / 4)
+        assert report.latencies_ms == latencies
+        assert hits > 0
+    thetas = [-1.0, 5.0, 20.0, 45.0, 1e9]
+    for theta, tpr, fp in roc_sweep(ds, model, chip, theta_grid=thetas):
+        _, hits, fps, _ = oracle_scores(ds, model, chip, theta)
+        assert (tpr, fp) == (hits / 4, fps / 4)
 
 
 def test_majority_vote_tie_break():
