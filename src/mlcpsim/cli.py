@@ -207,10 +207,11 @@ def _trap_from_cfg(cfg: dict) -> TrapezoidParams:
 def _frontend_from_cfg(cfg: dict, n_channels: int, p: int | None = None) -> FrontendConfig:
     t_s = cfg["frontend.t_s_ms"]
     p = cfg["frontend.p"] if p is None else p
+    if cfg["frontend.mode"] not in ("direct", "tdbdi"):
+        raise ConfigError(f"unknown frontend.mode {cfg['frontend.mode']!r} "
+                          "(expected direct or tdbdi)")
     if cfg["frontend.mode"] == "direct" or p == 1:
         return FrontendConfig.direct(n_channels, t_s_ms=t_s)
-    if cfg["frontend.mode"] != "tdbdi":
-        raise ConfigError(f"unknown frontend.mode {cfg['frontend.mode']!r}")
     return FrontendConfig.tdbdi(n_channels, p, link_delay=cfg["frontend.link_delay"], t_s_ms=t_s)
 
 

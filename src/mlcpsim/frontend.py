@@ -204,13 +204,11 @@ def run_counts(config: FrontendConfig, channel_counts: np.ndarray) -> np.ndarray
     d[:, config.external_rows] = np.minimum(SUBCOUNT_MAX, counts)
     for r in np.flatnonzero(config.s_ext == 1):
         delay = config.delay_of(r)
-        d[delay:, r] = d[: n_ticks - delay, r - 1]
-    padded = np.vstack([np.zeros((WINDOW_SUBCOUNT - 1, config.rows), dtype=np.int64), d])
-    csum = np.cumsum(padded, axis=0)
-    sliding = csum[WINDOW_SUBCOUNT - 1 :] - np.vstack(
-        [np.zeros((1, config.rows), dtype=np.int64), csum[: n_ticks - 1]]
-    )
-    return np.minimum(WINDOW_MAX, sliding)
+        d[delay:, r] = d[: max(n_ticks - delay, 0), r - 1]
+    # behind five zero rows, csum[n + 5] - csum[n] sums sub-windows n-4 .. n
+    csum = np.cumsum(np.vstack([np.zeros((WINDOW_SUBCOUNT, config.rows), dtype=np.int64), d]),
+                     axis=0)
+    return np.minimum(WINDOW_MAX, csum[WINDOW_SUBCOUNT:] - csum[:n_ticks])
 
 
 def run_trial(config: FrontendConfig, trial) -> np.ndarray:

@@ -71,6 +71,18 @@ class LabelRangeError(DatasetError):
     """A trial label is outside [1, class_count]."""
 
 
+class TrialIdError(DatasetError):
+    """A trial id is empty or could name a file outside the events directory."""
+
+
+def _check_trial_id(trial_id: str, path: Path | None = None, line: int | None = None) -> None:
+    """Trial ids name event files, so they may not be empty or hold a path step."""
+    if not trial_id or any(bad in trial_id for bad in ("/", "\\", "..")):
+        raise TrialIdError(
+            f"trial id {trial_id!r} is empty or contains '/', '\\' or '..'", path, line
+        )
+
+
 def _event_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.int64)
     if arr.ndim != 1:
@@ -116,6 +128,7 @@ class SpikeDataset:
 
     def validate(self) -> None:
         for trial in self.trials:
+            _check_trial_id(trial.id)
             if not (1 <= trial.label <= self.class_count):
                 raise LabelRangeError(
                     f"trial {trial.id!r}: label {trial.label} outside [1, {self.class_count}]"
@@ -420,6 +433,7 @@ def parse_dataset(root_path: str | Path) -> SpikeDataset:
         if len(parts) != 4:
             raise DatasetError(f"expected 4 fields, got {len(parts)}", manifest, i)
         trial_id = parts[0]
+        _check_trial_id(trial_id, manifest, i)
         label = _parse_int(parts[1], "label", manifest, i)
         onset = _parse_int(parts[2], "onset_us", manifest, i)
         duration = _parse_int(parts[3], "duration_us", manifest, i)

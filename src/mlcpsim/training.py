@@ -59,16 +59,23 @@ class TrapezoidParams:
             raise ValueError("trapezoid times must satisfy t0 <= t1 <= t2 <= t3")
 
 
-def trapezoid(t_ms: float, params: TrapezoidParams) -> float:
-    """Membership value in [0, 1] at time ``t_ms``."""
+def trapezoid(t_ms, params: TrapezoidParams) -> np.ndarray:
+    """Membership values in [0, 1] at the times ``t_ms`` (array-like).
+
+    A ramp is evaluated only where it applies, so a degenerate ramp
+    (t0 == t1 or t2 == t3) never divides by zero.
+    """
     p = params
-    if t_ms <= p.t0_ms or t_ms >= p.t3_ms:
-        return 0.0
-    if p.t1_ms <= t_ms <= p.t2_ms:
-        return 1.0
-    if t_ms < p.t1_ms:
-        return (t_ms - p.t0_ms) / (p.t1_ms - p.t0_ms)
-    return (p.t3_ms - t_ms) / (p.t3_ms - p.t2_ms)
+    t = np.asarray(t_ms, dtype=np.float64)
+    out = np.zeros(t.shape)
+    inside = (t > p.t0_ms) & (t < p.t3_ms)
+    plateau = inside & (t >= p.t1_ms) & (t <= p.t2_ms)
+    rise = inside & (t < p.t1_ms)
+    fall = inside & ~plateau & ~rise
+    out[plateau] = 1.0
+    out[rise] = (t[rise] - p.t0_ms) / (p.t1_ms - p.t0_ms)
+    out[fall] = (p.t3_ms - t[fall]) / (p.t3_ms - p.t2_ms)
+    return out
 
 
 @dataclass
@@ -76,8 +83,8 @@ class HiddenMatrix:
     """Hidden responses, one row per sampled tick: h (p, L) plus row provenance."""
 
     h: np.ndarray
-    sample_meta: list  # (trial_id, tick) per row
     trial_index: np.ndarray  # dataset trial index per row
+    tick: np.ndarray  # tick within its trial per row
 
     def __post_init__(self):
         if self.h.ndim != 2 or self.h.shape[0] < 1:
@@ -174,21 +181,17 @@ def collect_H(
         )
     trap = trap or TrapezoidParams()
 
-    h_blocks, meta, trial_idx, members, labels = [], [], [], [], []
-    for idx, trial in enumerate(dataset.trials):
-        rng = np.random.default_rng([noise_seed, idx]) if noise_on else None
-        h = hidden_stream(trial, chip, frontend_cfg, normalize, rng)
-        h_blocks.append(h)
-        n_ticks = h.shape[0]
-        meta.extend((trial.id, k) for k in range(n_ticks))
-        trial_idx.extend([idx] * n_ticks)
-        t_ms = (np.arange(n_ticks) + 1) * frontend_cfg.t_s_ms
-        members.append([trapezoid(t, trap) for t in t_ms])
-        labels.extend([trial.label] * n_ticks)
-
+    h_blocks = [
+        hidden_stream(trial, chip, frontend_cfg, normalize,
+                      np.random.default_rng([noise_seed, idx]) if noise_on else None)
+        for idx, trial in enumerate(dataset.trials)
+    ]
+    n_ticks = np.array([h.shape[0] for h in h_blocks])
+    trial_index = np.repeat(np.arange(len(h_blocks)), n_ticks)
+    tick = np.arange(len(trial_index)) - np.repeat(np.cumsum(n_ticks) - n_ticks, n_ticks)
+    membership = trapezoid((tick + 1) * frontend_cfg.t_s_ms, trap)
+    labels = np.array([trial.label for trial in dataset.trials])[trial_index]
     h_all = np.vstack(h_blocks)
-    membership = np.concatenate(members)
-    labels = np.asarray(labels)
     if sample_policy == "unambiguous":
         type_rows = (membership == 0.0) | (membership == 1.0)
     elif sample_policy == "plateau":
@@ -196,7 +199,7 @@ def collect_H(
     else:
         type_rows = np.ones(len(membership), dtype=bool)
 
-    hidden = HiddenMatrix(h_all, meta, np.asarray(trial_idx))
+    hidden = HiddenMatrix(h_all, trial_index, tick)
     targets = TargetSet(one_hot(labels, dataset.class_count), membership, type_rows)
     return hidden, targets
 
@@ -234,38 +237,25 @@ def train_T1(h: np.ndarray, t: np.ndarray, ridge_lambda: float = 0.0) -> OutputW
 
 # ------------------------------------------------------------------ T2
 
-def lasso_lambda_max(h: np.ndarray, t: np.ndarray) -> float:
-    """Smallest penalty that forces the lasso solution for target ``t`` to zero."""
-    return float(np.max(np.abs(h.T @ t))) if h.size else 0.0
+def _lasso_events(
+    gram: np.ndarray, corr0: np.ndarray, lam_min: float, max_iter: int | None = None
+):
+    """Breakpoints ``(lam, beta)`` of the homotopy path, made on demand.
 
-
-def lasso_path(
-    h: np.ndarray, t: np.ndarray, lam_min: float, max_iter: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Homotopy path for min 1/2 ||h b - t||^2 + lam ||b||_1.
-
-    Returns descending breakpoints ``lams`` and matching coefficient rows
-    ``betas``; the solution is piecewise linear in lam between breakpoints,
-    starting from all-zero at lam_max and ending at ``lam_min``.  Follows
-    the least-angle recursion: between events the active coefficients move
-    linearly in lam; an event either activates the most correlated inactive
-    column or removes an active coefficient crossing zero.
+    Runs on the Gram matrix h.T h and the correlations h.T t alone, so path
+    cost does not grow with the number of training rows.  Yields the
+    all-zero solution at lam_max first, then one breakpoint per event in
+    descending lam, and last the solution at ``lam_min``; raises
+    ``ConvergenceError`` if ``max_iter`` events do not reach ``lam_min``.
     """
-    h = np.asarray(h, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    n = h.shape[1]
+    n = len(corr0)
     if max_iter is None:
         max_iter = 20 * n + 50
-
-    # Everything past this point runs on the Gram matrix, so path cost does
-    # not grow with the number of training rows.
-    gram = h.T @ h
-    corr0 = h.T @ t
     beta = np.zeros(n)
     lam = float(np.max(np.abs(corr0))) if n else 0.0
-    lams, betas = [lam], [beta.copy()]
+    yield lam, beta.copy()
     if lam <= lam_min:
-        return np.array(lams), np.array(betas)
+        return
 
     active: list[int] = []
     is_active = np.zeros(n, dtype=bool)
@@ -278,15 +268,16 @@ def lasso_path(
 
     for _ in range(max_iter):
         if active:
-            g_a = gram[np.ix_(active, active)]
+            g_cols = gram[:, active]
+            g_a = g_cols[active]
             s_a = signs[active]
             try:
                 direction = np.linalg.solve(g_a, s_a)
             except np.linalg.LinAlgError:
                 direction, *_ = np.linalg.lstsq(g_a, s_a, rcond=None)
             # inactive correlations are affine in lam: c_j = a_j + lam * b_j
-            b_vec = gram[:, active] @ direction
-            a_vec = corr0 - gram[:, active] @ beta[active] - lam * b_vec
+            b_vec = g_cols @ direction
+            a_vec = corr0 - g_cols @ beta[active] - lam * b_vec
         else:
             direction = np.zeros(0)
             b_vec = np.zeros(n)
@@ -317,9 +308,8 @@ def lasso_path(
             beta[active] += (lam - lam_next) * direction
         lam = lam_next
         if lam_next == lam_min:
-            lams.append(lam)
-            betas.append(beta.copy())
-            return np.array(lams), np.array(betas)
+            yield lam, beta.copy()
+            return
         if lam_leave >= lam_join:
             beta[leave_idx] = 0.0
             signs[leave_idx] = 0.0
@@ -330,8 +320,7 @@ def lasso_path(
             signs[join_idx] = 1.0 if c_at > 0 else -1.0
             is_active[join_idx] = True
             active.append(join_idx)
-        lams.append(lam)
-        betas.append(beta.copy())
+        yield lam, beta.copy()
 
     raise ConvergenceError(
         f"lasso homotopy did not reach lam={lam_min:g} in {max_iter} events "
@@ -339,28 +328,22 @@ def lasso_path(
     )
 
 
-def lasso_interp(lams: np.ndarray, betas: np.ndarray, lam: float) -> np.ndarray:
-    """Solution at any penalty on a computed path (piecewise linear in lam)."""
-    if lam >= lams[0]:
-        return np.zeros(betas.shape[1])
-    if lam <= lams[-1]:
-        return betas[-1].copy()
-    k = int(np.searchsorted(-lams, -lam, side="right"))  # lams descending
-    lo, hi = lams[k], lams[k - 1]
-    frac = (hi - lam) / (hi - lo) if hi > lo else 1.0
-    return betas[k - 1] + frac * (betas[k] - betas[k - 1])
+def lasso_path(
+    h: np.ndarray, t: np.ndarray, lam_min: float, max_iter: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Homotopy path for min 1/2 ||h b - t||^2 + lam ||b||_1.
 
-
-def lasso_kkt_violation(h: np.ndarray, t: np.ndarray, beta: np.ndarray, lam: float) -> float:
-    """Worst violation of the lasso optimality conditions (0 at an exact optimum)."""
-    grad = h.T @ (h @ beta - t)
-    viol = 0.0
-    for j in range(len(beta)):
-        if beta[j] == 0.0:
-            viol = max(viol, abs(grad[j]) - lam)
-        else:
-            viol = max(viol, abs(grad[j] + lam * np.sign(beta[j])))
-    return viol
+    Returns descending breakpoints ``lams`` and matching coefficient rows
+    ``betas``; the solution is piecewise linear in lam between breakpoints,
+    starting from all-zero at lam_max and ending at ``lam_min``.  Follows
+    the least-angle recursion: between events the active coefficients move
+    linearly in lam; an event either activates the most correlated inactive
+    column or removes an active coefficient crossing zero.
+    """
+    h = np.asarray(h, dtype=np.float64)
+    corr0 = h.T @ np.asarray(t, dtype=np.float64)
+    lams, betas = zip(*_lasso_events(h.T @ h, corr0, lam_min, max_iter))
+    return np.array(lams), np.array(betas)
 
 
 def train_T2(
@@ -386,29 +369,11 @@ def train_T2(
         raise TrainingError("give exactly one of l1_lambda or target_sparsity")
 
     n_cols = t.shape[1]
-    lam_max = max(lasso_lambda_max(h, t[:, k]) for k in range(n_cols))
     if l1_lambda is not None:
         lam = float(l1_lambda)
-        beta = np.stack([_lasso_at(h, t[:, k], lam) for k in range(n_cols)], axis=1)
+        beta = np.stack([lasso_path(h, t[:, k], lam)[1][-1] for k in range(n_cols)], axis=1)
     else:
-        if not (0.0 <= target_sparsity < 1.0):
-            raise TrainingError("target_sparsity must be in [0, 1)")
-        lam_min = max(lam_max * 1e-6, 1e-12)
-        paths = [lasso_path(h, t[:, k], lam_min) for k in range(n_cols)]
-        grid = np.geomspace(lam_max, lam_min, 80)
-        lam = grid[0]
-        beta = None
-        for cand in grid:  # descending: stop at the smallest lam still sparse enough
-            b = np.stack([lasso_interp(*paths[k], cand) for k in range(n_cols)], axis=1)
-            pruned = float(np.mean(~np.any(b != 0.0, axis=1)))
-            if pruned >= target_sparsity:
-                lam, beta = cand, b
-            else:
-                break
-        if beta is None:
-            beta = np.stack(
-                [lasso_interp(*paths[k], lam) for k in range(n_cols)], axis=1
-            )
+        lam, beta = _common_penalty_search([(h, t)], target_sparsity)
 
     support = np.any(beta != 0.0, axis=1)
     report = {
@@ -427,9 +392,62 @@ def train_T2(
     return OutputWeights(beta, support, report)
 
 
-def _lasso_at(h: np.ndarray, t: np.ndarray, lam: float) -> np.ndarray:
-    lams, betas = lasso_path(h, t, lam_min=lam)
-    return betas[-1]
+class _PathWalk:
+    """One column's homotopy, computed only as far down as it is read.
+
+    ``at`` must be called with non-increasing penalties.  It returns the
+    solution at that penalty, interpolated linearly between the breakpoints
+    that bracket it, which are always the last two the walk has made; below
+    the end of the path it returns the last breakpoint.
+    """
+
+    def __init__(self, gram: np.ndarray, corr0: np.ndarray, lam_min: float):
+        self.events = _lasso_events(gram, corr0, lam_min)
+        self.lam0, self.beta0 = self.hi = self.lo = next(self.events)
+        self.ended = False
+
+    def at(self, lam: float) -> np.ndarray:
+        while not self.ended and self.lo[0] >= lam:
+            step = next(self.events, None)
+            self.ended = step is None
+            if step is not None:
+                self.hi, self.lo = self.lo, step
+        (hi, b_hi), (lo, b_lo) = self.hi, self.lo
+        if lam >= self.lam0:
+            return self.beta0
+        if lam <= lo:
+            return b_lo
+        frac = (hi - lam) / (hi - lo)  # hi >= lam > lo
+        return b_hi + frac * (b_lo - b_hi)
+
+
+def _common_penalty_search(blocks: list, target_sparsity: float) -> tuple[float, np.ndarray]:
+    """Smallest grid penalty whose solution prunes ``target_sparsity`` of the neurons.
+
+    ``blocks`` holds (h, t) pairs, t of shape (rows, k); every column of t
+    is one output, and the columns of a block share h and its Gram matrix.
+    The grid is 80 log-spaced penalties from the largest lam_max down to
+    lam_max * 1e-6, walked in descending order up to the first penalty that
+    is no longer sparse enough; each column's path is computed only down to
+    the penalty read last.  Returns that penalty and the (L, outputs) beta.
+    """
+    if not (0.0 <= target_sparsity < 1.0):
+        raise TrainingError("target_sparsity must be in [0, 1)")
+    columns = []
+    for h, t in blocks:
+        h, t = np.asarray(h, dtype=np.float64), np.asarray(t, dtype=np.float64)
+        gram = h.T @ h
+        columns += [(gram, h.T @ t[:, k]) for k in range(t.shape[1])]
+    lam_max = max(float(np.max(np.abs(corr))) if len(corr) else 0.0 for _, corr in columns)
+    lam_min = max(lam_max * 1e-6, 1e-12)
+    walks = [_PathWalk(gram, corr, lam_min) for gram, corr in columns]
+    # at grid[0] = lam_max every column is zero, so the first point always passes
+    for cand in np.geomspace(lam_max, lam_min, 80):
+        b = np.stack([walk.at(cand) for walk in walks], axis=1)
+        if np.mean(~np.any(b != 0.0, axis=1)) < target_sparsity:
+            break
+        lam, beta = cand, b
+    return lam, beta
 
 
 # ------------------------------------------------------------ full assembly
@@ -478,26 +496,8 @@ def fit_output_weights(
     else:
         if target_sparsity is None:
             raise TrainingError("T2 needs l1_lambda or target_sparsity")
-        if not (0.0 <= target_sparsity < 1.0):
-            raise TrainingError("target_sparsity must be in [0, 1)")
-        n_type = t_type.shape[1]
-        lam_maxes = [lasso_lambda_max(h_type, t_type[:, k]) for k in range(n_type)]
-        lam_maxes.append(lasso_lambda_max(h_all, t_onset))
-        lam_max = max(lam_maxes)
-        lam_min = max(lam_max * 1e-6, 1e-12)
-        paths = [lasso_path(h_type, t_type[:, k], lam_min) for k in range(n_type)]
-        paths.append(lasso_path(h_all, t_onset, lam_min))
-        grid = np.geomspace(lam_max, lam_min, 80)
-        lam, beta = grid[0], None
-        for cand in grid:
-            b = np.stack([lasso_interp(*path, cand) for path in paths], axis=1)
-            pruned = float(np.mean(~np.any(b != 0.0, axis=1)))
-            if pruned >= target_sparsity:
-                lam, beta = cand, b
-            else:
-                break
-        if beta is None:
-            beta = np.stack([lasso_interp(*path, lam) for path in paths], axis=1)
+        blocks = [(h_type, t_type), (h_all, t_onset[:, None])]
+        lam, beta = _common_penalty_search(blocks, target_sparsity)
 
     support = np.any(beta != 0.0, axis=1)
     if refit and support.any():

@@ -278,3 +278,40 @@ def test_sweep_p_above_one_in_direct_mode_is_rejected(capsys, tmp_path, easy_run
     assert code == 2
     assert "sweep.p_grid" in err and "frontend.mode=direct" in err
     assert not out.exists()
+
+
+def test_train_and_eval_accept_a_zero_duration_trial(capsys, tmp_path, easy_run):
+    ds, _ = easy_run
+    with (ds / "manifest.csv").open("a") as manifest:
+        manifest.write("z0,1,0,0\n")
+    (ds / "events" / "z0.csv").write_text("time_us,channel\n")
+    model = tmp_path / "m.json"
+    code, _, err = run(capsys, "train", "--data", str(ds), "--out", str(model),
+                       "--seed", "3", *SMALL_CHIP)
+    assert code == 0 and "broadcast" not in err
+    code, _, err = run(capsys, "eval", "--data", str(ds), "--model", str(model),
+                       "--seed", "3", *SMALL_CHIP)
+    assert code == 0 and "broadcast" not in err
+
+
+@pytest.mark.parametrize("cmd, extra", [("train", ["--set", "frontend.p=1"]),
+                                        ("sweep", ["--set", "sweep.l_grid=8"])])
+def test_misspelled_frontend_mode_rejected_at_p_one(capsys, tmp_path, easy_run, cmd, extra):
+    ds, _ = easy_run
+    out = tmp_path / "out"
+    code, _, err = run(capsys, cmd, "--data", str(ds), "--out", str(out), "--seed", "3",
+                       *SMALL_CHIP, "--set", "frontend.mode=tdbd", *extra)
+    assert code == 2
+    assert "frontend.mode" in err and "'tdbd'" in err
+    assert not out.exists()
+
+
+def test_trial_id_with_a_path_step_is_data_error(capsys, tmp_path, easy_run):
+    ds, _ = easy_run
+    with (ds / "manifest.csv").open("a") as manifest:
+        manifest.write("../outside,1,0,1000\n")
+    (ds / "outside.csv").write_text("time_us,channel\n")
+    code, _, err = run(capsys, "train", "--data", str(ds), "--out", str(tmp_path / "m.json"),
+                       "--seed", "3", *SMALL_CHIP)
+    assert code == 2
+    assert "trial id '../outside'" in err and "manifest.csv:" in err

@@ -86,6 +86,21 @@ def test_batch_matches_stateful():
     assert np.array_equal(run_counts(config, counts), stateful_run(config, counts))
 
 
+def test_batch_matches_stateful_on_trials_shorter_than_the_window_or_delay():
+    # 0 ticks (a zero-duration trial) and trials shorter than the 5-tick
+    # window or than a delayed row's accumulated delay
+    rng = np.random.default_rng(18)
+    for config in [FrontendConfig.direct(4), FrontendConfig.tdbdi(4, 3, link_delay=5)]:
+        for n_ticks in range(0, 13):
+            counts = rng.poisson(3.0, size=(n_ticks, 4))
+            codes = run_counts(config, counts)
+            assert codes.shape == (n_ticks, config.rows) and codes.dtype == np.int64
+            want = stateful_run(config, counts).reshape(n_ticks, config.rows)
+            assert np.array_equal(codes, want)
+    empty = run_trial(FrontendConfig.direct(4), Trial("z", 1, 0, 0))
+    assert empty.shape == (0, 4) and empty.dtype == np.int64
+
+
 def test_monotone_saturation():
     # Adding spikes to any one sub-window never decreases any output code.
     rng = np.random.default_rng(13)

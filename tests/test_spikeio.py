@@ -15,6 +15,7 @@ from mlcpsim.spikeio import (
     SpikeDataset,
     SynthParams,
     Trial,
+    TrialIdError,
     gen_synthetic,
     parse_dataset,
     tuned_peak_rate,
@@ -115,6 +116,24 @@ def test_label_out_of_range_rejected(tmp_path):
     with pytest.raises(LabelRangeError) as excinfo:
         parse_dataset(tmp_path)
     assert "manifest.csv" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("trial_id", ["", "../t0", "a/b", "a\\b", "..", "t..0"])
+def test_trial_id_that_is_not_a_plain_file_name_rejected(tmp_path, trial_id):
+    # the parser would open events/<id>.csv: the id must not leave that directory
+    (tmp_path / "manifest.csv").write_text(
+        f"trial_id,label,onset_us,duration_us\nok,1,0,1000\n{trial_id},1,0,1000\n"
+    )
+    (tmp_path / "events").mkdir()
+    (tmp_path / "events" / "ok.csv").write_text("time_us,channel\n")
+    (tmp_path / "t0.csv").write_text("time_us,channel\n")
+    with pytest.raises(TrialIdError) as excinfo:
+        parse_dataset(tmp_path)
+    assert "manifest.csv:3" in str(excinfo.value)
+    ds = SpikeDataset([Trial(trial_id, 1, 0, 1000)], channel_count=1, class_count=1)
+    with pytest.raises(TrialIdError):
+        write_dataset(ds, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_row_names_line(tmp_path):

@@ -6,7 +6,9 @@ import pytest
 from mlcpsim.analog import AnalogParams, ChipInstance, build_chip, hidden_layer
 from mlcpsim.frontend import FrontendConfig
 from mlcpsim.spikeio import SpikeDataset, SynthParams, Trial, gen_synthetic
+from mlcpsim import training
 from mlcpsim.training import (
+    ConvergenceError,
     HiddenMatrix,
     OutputWeights,
     TargetSet,
@@ -14,14 +16,19 @@ from mlcpsim.training import (
     TrapezoidParams,
     collect_H,
     fit_output_weights,
-    lasso_kkt_violation,
-    lasso_lambda_max,
     lasso_path,
-    lasso_interp,
     one_hot,
     train_T1,
     train_T2,
     trapezoid,
+)
+from training_oracle import (
+    eager_fit_T2,
+    eager_train_T2,
+    lasso_interp,
+    lasso_kkt_violation,
+    lasso_lambda_max,
+    trapezoid_scalar,
 )
 
 
@@ -71,6 +78,21 @@ def test_trapezoid_shape():
     assert trapezoid(1100.0, p) == 1.0
 
 
+def test_trapezoid_array_matches_scalar_oracle():
+    # every tick of the default trapezoid at 20 ms, plus the breakpoints and
+    # their neighbours, on the default and on degenerate ramps
+    ticks = (np.arange(200) + 1) * 20.0
+    for p in [TrapezoidParams(), TrapezoidParams(800, 800, 1100, 1200),
+              TrapezoidParams(800, 900, 1100, 1100), TrapezoidParams(900, 900, 900, 900),
+              TrapezoidParams(0, 0, 0, 50), TrapezoidParams(810, 905.5, 1013, 1187.25)]:
+        edges = np.array([p.t0_ms, p.t1_ms, p.t2_ms, p.t3_ms])
+        t = np.concatenate([ticks, edges, np.nextafter(edges, -np.inf),
+                            np.nextafter(edges, np.inf)])
+        got = trapezoid(t, p)
+        want = np.array([trapezoid_scalar(x, p) for x in t])
+        assert np.array_equal(got, want)
+
+
 def test_trapezoid_ordering_enforced():
     with pytest.raises(ValueError):
         TrapezoidParams(900, 800, 1100, 1200)
@@ -86,7 +108,8 @@ def test_collect_row_count_every_tick():
     assert hidden.h.shape == (400, 8)
     assert targets.t_type.shape == (400, 2)
     assert targets.type_rows.all()
-    assert len(hidden.sample_meta) == 400
+    assert np.array_equal(hidden.trial_index, np.repeat(np.arange(4), 100))
+    assert np.array_equal(hidden.tick, np.tile(np.arange(100), 4))
 
 
 def test_collect_zero_spikes_gives_zero_h():
@@ -361,3 +384,135 @@ def test_fit_t2_common_penalty_prunes_whole_neurons():
     assert not w.beta[~w.support].any()
     again = fit_output_weights(hidden, targets, method="T2", target_sparsity=0.5)
     assert np.array_equal(w.beta, again.beta)
+
+
+# ------------------------------------------------- common-penalty search
+
+def search_problem(seed, rows=70, l=14, m=3):
+    """Nonnegative hidden matrix with one-hot type and trapezoid onset targets."""
+    rng = np.random.default_rng(seed)
+    h = rng.poisson(4.0, size=(rows, l)).astype(float)
+    labels = rng.integers(1, m + 1, size=rows)
+    tick = np.arange(rows) % 35
+    membership = trapezoid((tick + 1) * 40.0, TrapezoidParams())
+    type_rows = (membership == 0.0) | (membership == 1.0)
+    hidden = HiddenMatrix(h, np.arange(rows) // 35, tick)
+    return hidden, TargetSet(one_hot(labels, m), membership, type_rows)
+
+
+@pytest.mark.parametrize("target", [0.0, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("refit", [False, True])
+def test_search_equals_eager_oracle_fit_output_weights(target, refit):
+    for seed in range(70, 74):
+        hidden, targets = search_problem(seed)
+        w = fit_output_weights(hidden, targets, method="T2", target_sparsity=target,
+                               refit=refit)
+        lam, beta = eager_fit_T2(hidden, targets, target, refit)
+        assert w.report["l1_lambda"] == lam
+        assert np.array_equal(w.beta, beta)
+
+
+@pytest.mark.parametrize("target", [0.0, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("refit", [False, True])
+def test_search_equals_eager_oracle_train_T2(target, refit):
+    rng = np.random.default_rng(75)
+    for _ in range(4):
+        h = rng.normal(size=(40, 12))
+        t = rng.normal(size=(40, 3))
+        w = train_T2(h, t, target_sparsity=target, refit=refit)
+        lam, beta = eager_train_T2(h, t, target, refit)
+        assert w.report["l1_lambda"] == lam
+        assert np.array_equal(w.beta, beta)
+
+
+def test_search_with_a_column_below_the_global_lam_max():
+    # column 1's path starts far below the grid's first points, and column 2
+    # is all zero, so its path is the single breakpoint (0, 0)
+    rng = np.random.default_rng(76)
+    h = rng.normal(size=(40, 12))
+    t = rng.normal(size=(40, 3))
+    t[:, 1] *= 0.02
+    t[:, 2] = 0.0
+    lam_maxes = [lasso_lambda_max(h, t[:, k]) for k in range(3)]
+    assert lam_maxes[1] < 0.1 * max(lam_maxes) and lam_maxes[2] == 0.0
+    for target in [0.0, 0.3, 0.5, 0.9]:
+        w = train_T2(h, t, target_sparsity=target)
+        lam, beta = eager_train_T2(h, t, target)
+        assert w.report["l1_lambda"] == lam
+        assert np.array_equal(w.beta, beta)
+
+
+def counting_events(monkeypatch, **kwargs):
+    """Record, per homotopy the search starts, breakpoints read and whether it ended."""
+    real = training._lasso_events
+    log = []
+
+    def counted(*args):
+        entry = {"read": 0, "ended": False}
+        log.append(entry)
+        for event in real(*args, **kwargs):
+            entry["read"] += 1
+            yield event
+        entry["ended"] = True
+
+    monkeypatch.setattr(training, "_lasso_events", counted)
+    return log
+
+
+def output_columns(hidden, targets):
+    """One (h, t) problem per output, as ``fit_output_weights`` poses them."""
+    h_type, t_type = hidden.h[targets.type_rows], targets.t_type[targets.type_rows]
+    return [(h_type, t_type[:, k]) for k in range(t_type.shape[1])] + [
+        (hidden.h, targets.t_onset)]
+
+
+def full_paths(columns):
+    lam_min = max(max(lasso_lambda_max(h, t) for h, t in columns) * 1e-6, 1e-12)
+    return lam_min, [lasso_path(h, t, lam_min) for h, t in columns]
+
+
+def test_search_stops_each_path_at_the_chosen_lambda(monkeypatch):
+    hidden, targets = search_problem(77, rows=140, l=24)
+    _, paths = full_paths(output_columns(hidden, targets))
+    log = counting_events(monkeypatch)
+    fit_output_weights(hidden, targets, method="T2", target_sparsity=0.3)
+    assert len(log) == len(paths) == 4
+    assert not all(entry["ended"] for entry in log)
+    assert sum(entry["read"] for entry in log) < sum(len(lams) for lams, _ in paths)
+
+
+def test_search_does_not_walk_a_path_below_the_chosen_lambda(monkeypatch):
+    # A path that runs out of iterations only below the chosen lambda raised
+    # ConvergenceError when every path was built in full; the lazy search
+    # never computes that part and returns what the full paths give.
+    hidden, targets = search_problem(78, rows=140, l=24)
+    columns = output_columns(hidden, targets)
+    lam_min, paths = full_paths(columns)
+    lam, beta = eager_fit_T2(hidden, targets, 0.5)
+    log = counting_events(monkeypatch)
+    fit_output_weights(hidden, targets, method="T2", target_sparsity=0.5)
+    max_iter = max(entry["read"] for entry in log) - 1  # events after lam_max
+    longest = int(np.argmax([len(lams) for lams, _ in paths]))
+    assert len(paths[longest][0]) - 1 > max_iter
+    with pytest.raises(ConvergenceError):
+        lasso_path(*columns[longest], lam_min, max_iter=max_iter)
+    monkeypatch.undo()
+    counting_events(monkeypatch, max_iter=max_iter)
+    w = fit_output_weights(hidden, targets, method="T2", target_sparsity=0.5)
+    assert w.report["l1_lambda"] == lam
+    assert np.array_equal(w.beta, beta)
+
+
+def test_walk_returns_last_breakpoint_once_its_path_has_ended():
+    # Read below the end of a path, the walk gives the path's last breakpoint,
+    # as lasso_interp does on the full path; above it, the interpolation.
+    rng = np.random.default_rng(79)
+    h = rng.normal(size=(30, 10))
+    t = rng.normal(size=30)
+    lam_max = lasso_lambda_max(h, t)
+    lams, betas = lasso_path(h, t, lam_min=0.2 * lam_max)
+    walk = training._PathWalk(h.T @ h, h.T @ t, 0.2 * lam_max)
+    for lam in [1.5 * lam_max, lam_max, 0.7 * lam_max, 0.2 * lam_max, 0.1 * lam_max, 0.0]:
+        assert np.array_equal(walk.at(lam), lasso_interp(lams, betas, lam))
+    assert walk.ended
+    assert np.array_equal(walk.at(0.0), betas[-1])
