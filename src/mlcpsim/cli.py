@@ -55,7 +55,7 @@ from .decoder import (
     write_roc_csv,
     write_stream_csv,
 )
-from .frontend import FrontendConfig
+from .frontend import FrontendConfig, run_trial
 from .spikeio import (
     DatasetError,
     SpikeDataset,
@@ -71,6 +71,7 @@ from .training import (
     TrapezoidParams,
     collect_H,
     fit_output_weights,
+    hidden_streams,
 )
 
 EXIT_OK = 0
@@ -224,34 +225,6 @@ def _chip_for(cfg: dict, d: int, seed: int | None = None, l: int | None = None):
     )
 
 
-def _fit_kwargs(cfg: dict) -> dict:
-    l1 = cfg["train.l1_lambda"]
-    sparsity = cfg["train.target_sparsity"]
-    return {
-        "method": cfg["train.method"],
-        "ridge_lambda": cfg["train.ridge_lambda"],
-        "l1_lambda": None if l1 < 0 else l1,
-        "target_sparsity": None if sparsity < 0 else sparsity,
-        "refit": cfg["train.refit"],
-    }
-
-
-def _model_from_weights(cfg: dict, weights, frontend, m: int, chip) -> DecoderModel:
-    return DecoderModel.from_training(
-        weights,
-        m=m,
-        frontend=frontend,
-        theta=cfg["decoder.theta"],
-        lam=cfg["decoder.lam"],
-        tau=cfg["decoder.tau"],
-        tr_ms=cfg["decoder.tr_ms"],
-        normalize=cfg["decoder.normalize"],
-        chip_seed=chip.seed,
-        fmax_sel=chip.params.fmax_sel,
-        trap=_trap_from_cfg(cfg),
-    )
-
-
 def _training_accuracy(hidden, targets, dataset, beta, m: int) -> float:
     """Per-trial plateau-majority accuracy of the type outputs on the
     training set itself (an optimistic sanity figure, stored in the report)."""
@@ -270,8 +243,10 @@ def _training_accuracy(hidden, targets, dataset, beta, m: int) -> float:
     return correct / total
 
 
-def _train_model(cfg: dict, dataset: SpikeDataset, chip) -> DecoderModel:
-    frontend = _frontend_from_cfg(cfg, dataset.channel_count)
+def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: list,
+                  codes: list | None = None) -> tuple:
+    """(hidden, targets, one model per training method): H is collected once
+    on the chip, from ``codes`` if the trials' front-end codes are given."""
     hidden, targets = collect_H(
         dataset,
         chip,
@@ -281,12 +256,30 @@ def _train_model(cfg: dict, dataset: SpikeDataset, chip) -> DecoderModel:
         trap=_trap_from_cfg(cfg),
         normalize=cfg["decoder.normalize"],
         noise_seed=cfg["train.noise_seed"],
+        codes=codes,
     )
-    weights = fit_output_weights(hidden, targets, **_fit_kwargs(cfg))
-    weights.report["train_accuracy"] = _training_accuracy(
-        hidden, targets, dataset, weights.beta, dataset.class_count
-    )
-    return _model_from_weights(cfg, weights, frontend, dataset.class_count, chip)
+    l1, sparsity = cfg["train.l1_lambda"], cfg["train.target_sparsity"]
+    models = []
+    for method in methods:
+        weights = fit_output_weights(
+            hidden,
+            targets,
+            method=method,
+            ridge_lambda=cfg["train.ridge_lambda"],
+            l1_lambda=None if l1 < 0 else l1,
+            target_sparsity=None if sparsity < 0 else sparsity,
+            refit=cfg["train.refit"],
+        )
+        models.append(DecoderModel.from_training(
+            weights,
+            m=dataset.class_count,
+            frontend=frontend,
+            chip_seed=chip.seed,
+            fmax_sel=chip.params.fmax_sel,
+            trap=_trap_from_cfg(cfg),
+            **{name: cfg[f"decoder.{name}"] for name in ("theta", "lam", "tau", "tr_ms", "normalize")},
+        ))
+    return hidden, targets, models
 
 
 def _load_runtime(cfg: dict, args) -> tuple[SpikeDataset, DecoderModel, object]:
@@ -355,11 +348,11 @@ def cmd_train(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
     dataset = parse_dataset(args.data)
     frontend = _frontend_from_cfg(cfg, dataset.channel_count)
-    if args.chip:
-        chip = load_chip(args.chip)
-    else:
-        chip = _chip_for(cfg, d=frontend.rows)
-    model = _train_model(cfg, dataset, chip)
+    chip = load_chip(args.chip) if args.chip else _chip_for(cfg, d=frontend.rows)
+    hidden, targets, [model] = _train_models(cfg, dataset, chip, frontend, [cfg["train.method"]])
+    model.report["train_accuracy"] = _training_accuracy(
+        hidden, targets, dataset, model.beta, dataset.class_count
+    )
     save_model(model, out)
     _echo(cfg)
     _note(f"trained {cfg['train.method']} on {len(dataset.trials)} trials")
@@ -444,38 +437,33 @@ def cmd_sweep(args, cfg: dict) -> int:
         raise ConfigError(f"sweep.p_grid has p={max(p_grid)}, but frontend.mode=direct builds "
                           "one row per channel; set frontend.mode=tdbdi or sweep.p_grid=1")
 
-    lines = ["method,l,n,p,accuracy_mean,accuracy_std"]
-    for method, l, n, p in itertools.product(methods, l_grid, n_grid, p_grid):
+    # H depends on the data, the front end and the chip, never on the trainer:
+    # codes are computed once per (n, p) and hidden streams once per chip
+    accuracy = {}
+    for n in n_grid:
         n_eff = n or dataset.channel_count
         sub_train = _restrict_channels(train_set, n_eff)
         sub_test = _restrict_channels(test_set, n_eff)
-        frontend = _frontend_from_cfg(cfg, n_eff, p=p)
-        point_cfg = dict(cfg)
-        point_cfg["train.method"] = method
-        accs = []
-        for seed in seeds:
-            chip = _chip_for(cfg, d=frontend.rows, seed=seed, l=l)
-            hidden, targets = collect_H(
-                sub_train,
-                chip,
-                frontend,
-                noise_on=cfg["train.noise_on"],
-                sample_policy=cfg["train.sample_policy"],
-                trap=_trap_from_cfg(cfg),
-                normalize=cfg["decoder.normalize"],
-                noise_seed=cfg["train.noise_seed"],
-            )
-            weights = fit_output_weights(hidden, targets, **_fit_kwargs(point_cfg))
-            model = _model_from_weights(cfg, weights, frontend, dataset.class_count, chip)
-            report = evaluate(
-                sub_test,
-                model,
-                chip,
-                noise_on=cfg["decoder.noise_on"],
-                noise_seed=cfg["decoder.noise_seed"],
-                tol_ms=cfg["decoder.tol_ms"],
-            )
-            accs.append(report.accuracy)
+        for p in p_grid:
+            frontend = _frontend_from_cfg(cfg, n_eff, p=p)
+            # codes are 0..63, so uint8 holds them exactly
+            train_codes = [run_trial(frontend, t).astype(np.uint8) for t in sub_train.trials]
+            test_codes = [run_trial(frontend, t).astype(np.uint8) for t in sub_test.trials]
+            for l, seed in itertools.product(l_grid, seeds):
+                chip = _chip_for(cfg, d=frontend.rows, seed=seed, l=l)
+                _, _, models = _train_models(cfg, sub_train, chip, frontend, methods, train_codes)
+                streams = list(hidden_streams(test_codes, chip, cfg["decoder.normalize"],
+                                              cfg["decoder.noise_on"], cfg["decoder.noise_seed"]))
+                for method, model in zip(methods, models):
+                    report = evaluate(sub_test, model, chip, tol_ms=cfg["decoder.tol_ms"],
+                                      outputs=[h @ model.beta for h in streams])
+                    accuracy[method, l, n_eff, p, seed] = report.accuracy
+                del streams  # before the next chip's
+
+    lines = ["method,l,n,p,accuracy_mean,accuracy_std"]
+    for method, l, n, p in itertools.product(methods, l_grid, n_grid, p_grid):
+        n_eff = n or dataset.channel_count
+        accs = [accuracy[method, l, n_eff, p, seed] for seed in seeds]
         mean, std = float(np.mean(accs)), float(np.std(accs))
         lines.append(f"{method},{l},{n_eff},{p},{mean!r},{std!r}")
         _note(f"{method} l={l} n={n_eff} p={p}: accuracy {mean:.4f} +/- {std:.4f}")

@@ -31,9 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from .analog import ChipInstance
-from .frontend import FrontendConfig
+from .frontend import FrontendConfig, run_trial
 from .spikeio import SpikeDataset, Trial
-from .training import OutputWeights, TrapezoidParams, hidden_stream
+from .training import OutputWeights, TrapezoidParams, hidden_stream, hidden_streams
 
 MODEL_FORMAT = "mlcpsim-model"
 MODEL_VERSION = 1
@@ -198,7 +198,7 @@ def decode_stream(trial: Trial, model: DecoderModel, chip: ChipInstance,
                   rng: np.random.Generator | None = None) -> DecodeResult:
     """Decode one spike trial end to end; noise is on when ``rng`` is given."""
     _check_chip(model, chip)
-    o = hidden_stream(trial, chip, model.frontend, model.normalize, rng) @ model.beta
+    o = hidden_stream(run_trial(model.frontend, trial), chip, model.normalize, rng) @ model.beta
     s = np.argmax(o[:, : model.m], axis=1) + 1
     g = (o[:, model.m] > model.theta).astype(np.int64)
     tr_ticks = model.tr_ms / model.frontend.t_s_ms
@@ -283,12 +283,9 @@ def _output_streams(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstan
     if not dataset.trials:
         raise ValueError("cannot evaluate an empty test set")
     _check_chip(model, chip)
-    return [
-        hidden_stream(trial, chip, model.frontend, model.normalize,
-                      np.random.default_rng([noise_seed, idx]) if noise_on else None)
-        @ model.beta
-        for idx, trial in enumerate(dataset.trials)
-    ]
+    codes = (run_trial(model.frontend, trial) for trial in dataset.trials)
+    return [h @ model.beta for h in hidden_streams(codes, chip, model.normalize, noise_on,
+                                                   noise_seed)]
 
 
 def score_onsets(trials: list[Trial], outputs: list[np.ndarray], model: DecoderModel,
@@ -323,16 +320,18 @@ def score_onsets(trials: list[Trial], outputs: list[np.ndarray], model: DecoderM
 
 def evaluate(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
              noise_on: bool = False, noise_seed: int = 0,
-             tol_ms: float = 150.0) -> EvalReport:
+             tol_ms: float = 150.0, outputs: list | None = None) -> EvalReport:
     """Score a test set.
 
     Type accuracy is the fraction of trials whose plateau majority class
     matches the label; TPR the fraction with a detection within ``tol_ms``
     of the true onset; detections outside that window count as false
     positives.  With noise on, each trial uses its own counter-derived
-    stream, so scores are independent of evaluation order.
+    stream, so scores are independent of evaluation order.  ``outputs``, if
+    given, are the trials' (T, M+1) decoder outputs, already computed.
     """
-    outputs = _output_streams(dataset, model, chip, noise_on, noise_seed)
+    if outputs is None:
+        outputs = _output_streams(dataset, model, chip, noise_on, noise_seed)
     confusion = np.zeros((dataset.class_count, dataset.class_count), dtype=np.int64)
     for trial, o in zip(dataset.trials, outputs):
         t_ms = (np.arange(len(o)) + 1) * model.frontend.t_s_ms

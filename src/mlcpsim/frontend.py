@@ -211,10 +211,14 @@ def run_counts(config: FrontendConfig, channel_counts: np.ndarray) -> np.ndarray
     return np.minimum(WINDOW_MAX, csum[WINDOW_SUBCOUNT:] - csum[:n_ticks])
 
 
+def tick_count(config: FrontendConfig, trial) -> int:
+    """Sub-windows that cover a trial: the number of rows ``run_trial`` returns."""
+    return int(np.ceil(trial.duration / (config.t_s_ms * 1000.0)))
+
+
 def run_trial(config: FrontendConfig, trial) -> np.ndarray:
     """Codes for one spike trial: (n_ticks, rows), one tick per sub-window."""
-    t_s_us = config.t_s_ms * 1000.0
-    n_ticks = int(np.ceil(trial.duration / t_s_us))
+    n_ticks = tick_count(config, trial)
     counts = bin_events(trial.times_us, trial.channels, config.n_external, config.t_s_ms, n_ticks)
     return run_counts(config, counts)
 

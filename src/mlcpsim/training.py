@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analog import ChipInstance, hidden_layer, normalize_rows
-from .frontend import FrontendConfig, run_trial
-from .spikeio import SpikeDataset, Trial
+from .frontend import FrontendConfig, run_trial, tick_count
+from .spikeio import SpikeDataset
 
 SV_CUTOFF = 1e-10  # relative singular-value cutoff for least squares
 
@@ -136,13 +136,21 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-def hidden_stream(trial: Trial, chip: ChipInstance, frontend_cfg: FrontendConfig,
-                  normalize: bool, rng: np.random.Generator | None = None) -> np.ndarray:
-    """(T, L) hidden responses of one trial: front end, hidden layer, and
-    optional row normalization.  Noise is on when ``rng`` is given."""
-    codes = run_trial(frontend_cfg, trial)
+def hidden_stream(codes: np.ndarray, chip: ChipInstance, normalize: bool,
+                  rng: np.random.Generator | None = None) -> np.ndarray:
+    """(T, L) hidden responses to one trial's (T, D) front-end codes, row
+    normalized if asked; noise is on when ``rng`` is given."""
     h = hidden_layer(codes, chip, noise_on=rng is not None, rng=rng).astype(np.float64)
     return normalize_rows(h, codes) if normalize else h
+
+
+def hidden_streams(codes, chip: ChipInstance, normalize: bool, noise_on: bool = False,
+                   noise_seed: int = 0):
+    """``hidden_stream`` of each trial's codes in turn; with noise on, trial
+    ``i`` draws from ``default_rng([noise_seed, i])``, whatever else runs."""
+    for idx, trial_codes in enumerate(codes):
+        yield hidden_stream(trial_codes, chip, normalize,
+                            np.random.default_rng([noise_seed, idx]) if noise_on else None)
 
 
 def collect_H(
@@ -154,13 +162,15 @@ def collect_H(
     trap: TrapezoidParams | None = None,
     normalize: bool = True,
     noise_seed: int = 0,
+    codes: list | None = None,
 ) -> tuple[HiddenMatrix, TargetSet]:
     """Run the simulated chain over a dataset and assemble (H, targets).
 
     One row per tick per trial; with noise on, each trial draws from its own
     counter-derived stream ``default_rng([noise_seed, trial_index])`` so
     results do not depend on evaluation order.  Row timestamps are the end
-    of the tick's most recent sub-window.
+    of the tick's most recent sub-window.  ``codes``, when given, are the
+    trials' front-end codes computed beforehand with ``frontend_cfg``.
 
     ``sample_policy`` selects the rows the type outputs train on:
     "unambiguous" (membership exactly 0 or 1), "plateau" (membership 1),
@@ -181,17 +191,18 @@ def collect_H(
         )
     trap = trap or TrapezoidParams()
 
-    h_blocks = [
-        hidden_stream(trial, chip, frontend_cfg, normalize,
-                      np.random.default_rng([noise_seed, idx]) if noise_on else None)
-        for idx, trial in enumerate(dataset.trials)
-    ]
-    n_ticks = np.array([h.shape[0] for h in h_blocks])
-    trial_index = np.repeat(np.arange(len(h_blocks)), n_ticks)
-    tick = np.arange(len(trial_index)) - np.repeat(np.cumsum(n_ticks) - n_ticks, n_ticks)
+    if codes is None:
+        codes = (run_trial(frontend_cfg, trial) for trial in dataset.trials)
+    n_ticks = np.array([tick_count(frontend_cfg, trial) for trial in dataset.trials])
+    starts = np.cumsum(n_ticks) - n_ticks
+    h_all = np.empty((int(n_ticks.sum()), chip.l))
+    for h, start, n in zip(hidden_streams(codes, chip, normalize, noise_on, noise_seed),
+                           starts, n_ticks):
+        h_all[start : start + n] = h
+    trial_index = np.repeat(np.arange(len(n_ticks)), n_ticks)
+    tick = np.arange(len(trial_index)) - np.repeat(starts, n_ticks)
     membership = trapezoid((tick + 1) * frontend_cfg.t_s_ms, trap)
     labels = np.array([trial.label for trial in dataset.trials])[trial_index]
-    h_all = np.vstack(h_blocks)
     if sample_policy == "unambiguous":
         type_rows = (membership == 0.0) | (membership == 1.0)
     elif sample_policy == "plateau":
@@ -383,6 +394,8 @@ def train_T2(
         "sparsity": float(np.mean(~support)),
         "refit": bool(refit),
     }
+    if not h.any():
+        report["degenerate"] = True
     if refit and support.any():
         refit_beta = np.zeros_like(beta)
         sub, *_ = np.linalg.lstsq(h[:, support], t, rcond=SV_CUTOFF)
@@ -439,6 +452,8 @@ def _common_penalty_search(blocks: list, target_sparsity: float) -> tuple[float,
         gram = h.T @ h
         columns += [(gram, h.T @ t[:, k]) for k in range(t.shape[1])]
     lam_max = max(float(np.max(np.abs(corr))) if len(corr) else 0.0 for _, corr in columns)
+    if lam_max == 0.0:  # no column correlates with its target: beta = 0 at every penalty
+        return 0.0, np.zeros((len(columns[0][1]), len(columns)))
     lam_min = max(lam_max * 1e-6, 1e-12)
     walks = [_PathWalk(gram, corr, lam_min) for gram, corr in columns]
     # at grid[0] = lam_max every column is zero, so the first point always passes
@@ -482,6 +497,8 @@ def fit_output_weights(
             "ridge_lambda": ridge_lambda,
             "residuals": w_type.report["residuals"] + w_onset.report["residuals"],
         }
+        if not h_all.any():
+            report["degenerate"] = True
         support = np.any(beta != 0.0, axis=1)
         return OutputWeights(beta, support, report)
 
@@ -517,4 +534,6 @@ def fit_output_weights(
         "refit": bool(refit),
         "residuals": resid_type.tolist() + [float(resid_onset)],
     }
+    if not h_all.any():
+        report["degenerate"] = True
     return OutputWeights(beta, support, report)

@@ -10,6 +10,7 @@ from mlcpsim.analog import load_chip
 from mlcpsim.cli import main
 from mlcpsim.config import parse_config_text, resolve_config
 from mlcpsim.decoder import load_model
+from cli_oracle import oracle_sweep
 
 EASY_GEN = [
     "--set", "synth.q=8",
@@ -214,6 +215,40 @@ def test_sweep_shape_and_determinism(capsys, tmp_path, easy_run):
     assert len(lines) == 3
     assert lines[1].startswith("T1,8,8,1,")
     assert lines[2].startswith("T1,16,8,1,")
+
+
+def test_sweep_equals_per_point_oracle(capsys, tmp_path):
+    # codes shared per (n, p) and hidden streams shared per chip by T1, T2
+    # and the test set must give what every point computed alone gave; at a
+    # 12 dB mirror SNR the noisy streams move most accuracies, so each trial
+    # must draw the same values as when computed alone
+    ds, out = tmp_path / "ds", tmp_path / "sweep.csv"
+    gen = ["--set", "synth.q=8", "--set", "synth.m=3", "--set", "synth.trials_per_class=6"]
+    assert run(capsys, "gen", "--out", str(ds), "--seed", "4", *gen)[0] == 0
+    sets = ["sweep.methods=T1,T2", "train.target_sparsity=0.3", "sweep.n_grid=5,0",
+            "sweep.p_grid=1,2", "frontend.mode=tdbdi", "sweep.l_grid=8,12",
+            "sweep.chip_seeds=1,2", "train.noise_on=true", "decoder.noise_on=true",
+            "split.test_fraction=0.5", "analog.mirror_snr_db=12"]
+    code, text, _ = run(capsys, "sweep", "--data", str(ds), "--out", str(out), "--seed", "4",
+                        *[arg for s in sets for arg in ("--set", s)])
+    assert code == 0
+    want_csv, want_notes = oracle_sweep(resolve_config(None, sets, seed=4), ds)
+    assert out.read_text() == want_csv
+    assert [line for line in text.splitlines() if ": accuracy " in line] == want_notes
+    assert len(want_notes) == 16
+
+
+def test_train_t2_on_a_silent_dataset_is_degenerate_not_an_error(capsys, tmp_path):
+    ds, model = tmp_path / "ds", tmp_path / "m.json"
+    assert run(capsys, "gen", "--out", str(ds), "--seed", "3", *EASY_GEN,
+               "--set", "synth.peak_rate=0", "--set", "synth.baseline_rate=0")[0] == 0
+    code, _, err = run(capsys, "train", "--data", str(ds), "--out", str(model), "--seed", "3",
+                       *SMALL_CHIP, "--set", "train.method=T2",
+                       "--set", "train.target_sparsity=0.3")
+    assert code == 0 and "Geometric" not in err
+    saved = load_model(model)
+    assert not saved.beta.any() and not saved.support.any()
+    assert saved.report["degenerate"] is True
 
 
 def test_numeric_failures_map_to_exit_3(capsys, monkeypatch):

@@ -86,6 +86,25 @@ def test_batch_matches_stateful():
     assert np.array_equal(run_counts(config, counts), stateful_run(config, counts))
 
 
+def test_batch_matches_stateful_on_random_configurations():
+    # any row layout: delayed rows anywhere after row 0, mixed delay codes,
+    # chains of delayed rows; counts heavy enough to hit both clamps
+    rng = np.random.default_rng(19)
+    sub_clamps = window_clamps = 0
+    for _ in range(300):
+        rows = int(rng.integers(1, 13))
+        s_ext = np.concatenate([[0], rng.integers(0, 2, size=rows - 1)])
+        config = FrontendConfig(rows=rows, s_ext=s_ext, sdl=rng.integers(0, 5, size=rows))
+        n_ticks = int(rng.integers(0, 41))
+        counts = rng.poisson(rng.uniform(0.5, 25.0), size=(n_ticks, config.n_external))
+        want = stateful_run(config, counts).reshape(n_ticks, rows)
+        codes = run_counts(config, counts)
+        assert codes.dtype == np.int64 and np.array_equal(codes, want)
+        sub_clamps += int(np.count_nonzero(counts > 15))
+        window_clamps += int(np.count_nonzero(codes == 63))
+    assert sub_clamps > 0 and window_clamps > 0
+
+
 def test_batch_matches_stateful_on_trials_shorter_than_the_window_or_delay():
     # 0 ticks (a zero-duration trial) and trials shorter than the 5-tick
     # window or than a delayed row's accumulated delay

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mlcpsim.analog import AnalogParams, ChipInstance, build_chip, hidden_layer
-from mlcpsim.frontend import FrontendConfig
+from mlcpsim.frontend import FrontendConfig, run_trial, tick_count
 from mlcpsim.spikeio import SpikeDataset, SynthParams, Trial, gen_synthetic
 from mlcpsim import training
 from mlcpsim.training import (
@@ -16,6 +16,7 @@ from mlcpsim.training import (
     TrapezoidParams,
     collect_H,
     fit_output_weights,
+    hidden_stream,
     lasso_path,
     one_hot,
     train_T1,
@@ -110,6 +111,31 @@ def test_collect_row_count_every_tick():
     assert targets.type_rows.all()
     assert np.array_equal(hidden.trial_index, np.repeat(np.arange(4), 100))
     assert np.array_equal(hidden.tick, np.tile(np.arange(100), 4))
+
+
+def test_collect_fills_H_like_a_stack_of_per_trial_streams():
+    # a zero-tick trial in the middle and one whose duration is not a whole
+    # number of sub-windows; codes given beforehand as uint8 or not at all
+    base = tiny_dataset()
+    odd = Trial("odd", 2, 0, 30_001, [5, 20_000, 30_000], [0, 3, 5])
+    trials = base.trials[:2] + [Trial("z", 1, 0, 0), odd] + base.trials[2:]
+    ds = SpikeDataset(trials, base.channel_count, base.class_count, base.metadata)
+    cfg = FrontendConfig.tdbdi(6, 2, link_delay=2)
+    chip = build_chip(44, AnalogParams(), d=cfg.rows, l=8)
+    n_ticks = [tick_count(cfg, trial) for trial in trials]
+    assert n_ticks[2:4] == [0, 2]
+    assert n_ticks == [len(run_trial(cfg, trial)) for trial in trials]
+    for noise_on in (False, True):
+        want = np.vstack([
+            hidden_stream(run_trial(cfg, trial), chip, True,
+                          np.random.default_rng([5, idx]) if noise_on else None)
+            for idx, trial in enumerate(trials)
+        ])
+        for codes in (None, [run_trial(cfg, trial).astype(np.uint8) for trial in trials]):
+            hidden, _ = collect_H(ds, chip, cfg, noise_on=noise_on, noise_seed=5, codes=codes)
+            assert np.array_equal(hidden.h, want)
+            assert np.array_equal(hidden.trial_index, np.repeat(np.arange(len(trials)), n_ticks))
+            assert np.array_equal(hidden.tick, np.concatenate([np.arange(n) for n in n_ticks]))
 
 
 def test_collect_zero_spikes_gives_zero_h():
@@ -222,6 +248,24 @@ def test_t1_all_zero_h_reported_not_fatal():
 
 
 # ---------------------------------------------------------------------- T2
+
+def test_t2_all_zero_h_reported_not_fatal():
+    t = np.random.default_rng(53).normal(size=(50, 3))
+    for refit in (False, True):
+        w = train_T2(np.zeros((50, 6)), t, target_sparsity=0.3, refit=refit)
+        assert w.beta.shape == (6, 3) and not w.beta.any()
+        assert w.pruned_count == 6
+        assert w.report["degenerate"] is True and w.report["l1_lambda"] == 0.0
+    ds = tiny_dataset(baseline_rate=0.0, peak_rate=0.0)
+    hidden, targets = collect_H(ds, build_chip(42, AnalogParams(), d=6, l=8),
+                                FrontendConfig.direct(6))
+    for method, kwargs in [("T1", {}), ("T2", {"target_sparsity": 0.3})]:
+        w = fit_output_weights(hidden, targets, method=method, **kwargs)
+        assert w.beta.shape == (8, 3) and not w.beta.any()
+        assert w.pruned_count == 8 and w.report["degenerate"] is True
+    # a non-zero H does not carry the flag
+    assert "degenerate" not in train_T2(np.eye(6), np.ones(6), target_sparsity=0.3).report
+
 
 def test_t2_null_threshold():
     rng = np.random.default_rng(52)
