@@ -45,10 +45,6 @@ CHIP_VERSION = 1
 _FLOOR_EPS = 1e-9
 
 
-class DegenerateInputError(ValueError):
-    """Normalization requested on an all-zero code or count vector."""
-
-
 @dataclass
 class AnalogParams:
     """Electrical and noise parameters of the analog fabric.
@@ -127,12 +123,6 @@ class ChipInstance:
         self.current_lut = np.maximum(0.0, params.i_ref_na * effective / DAC_CODES)
         for arr in (self.delta_vt_mv, self.dac_dnl_lsb, self.weights, self.current_lut):
             arr.setflags(write=False)
-
-    def dac_current(self, code: int, channel: int) -> float:
-        """Output current (nA) of one channel DAC at one code."""
-        if not (0 <= code < DAC_CODES):
-            raise ValueError(f"code must be in [0, {DAC_CODES - 1}], got {code}")
-        return float(self.current_lut[channel, code])
 
     def dac_currents(self, codes: np.ndarray) -> np.ndarray:
         """Currents (nA) for a full code vector or a (T, D) batch of them."""
@@ -271,16 +261,6 @@ def hidden_layer(
     i_dac = chip.dac_currents(x_codes)
     i_in = mirror_multiply(i_dac, chip, noise_on, rng)
     return cco_count(i_in, chip.params, noise_on, rng)
-
-
-def normalize_hidden(h: np.ndarray, x_codes: np.ndarray) -> np.ndarray:
-    """Normalized counts h / (sum h / sum x); errors on degenerate input."""
-    h = np.asarray(h, dtype=np.float64)
-    sum_h = float(np.sum(h))
-    sum_x = float(np.sum(x_codes))
-    if sum_h <= 0.0 or sum_x <= 0.0:
-        raise DegenerateInputError("normalization undefined for all-zero h or x")
-    return h * (sum_x / sum_h)
 
 
 def normalize_rows(h_rows: np.ndarray, x_rows: np.ndarray) -> np.ndarray:

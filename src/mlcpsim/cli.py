@@ -28,7 +28,6 @@ import numpy as np
 
 from .analog import (
     AnalogParams,
-    DegenerateInputError,
     build_chip,
     load_chip,
     mismatch_map,
@@ -48,7 +47,7 @@ from .decoder import (
     decode_stream,
     evaluate,
     load_model,
-    majority_class,
+    plateau_class,
     roc_sweep,
     save_model,
     split_dataset,
@@ -225,27 +224,9 @@ def _chip_for(cfg: dict, d: int, seed: int | None = None, l: int | None = None):
     )
 
 
-def _training_accuracy(hidden, targets, dataset, beta, m: int) -> float:
-    """Per-trial plateau-majority accuracy of the type outputs on the
-    training set itself (an optimistic sanity figure, stored in the report)."""
-    plateau = targets.t_onset == 1.0
-    scores = hidden.h @ beta[:, :m]
-    s = np.argmax(scores, axis=1) + 1
-    correct = total = 0
-    for idx, trial in enumerate(dataset.trials):
-        rows = plateau & (hidden.trial_index == idx)
-        if not rows.any():
-            continue
-        total += 1
-        correct += majority_class(s[rows], m) == trial.label
-    if total == 0:
-        raise TrainingError("no plateau rows to score training accuracy on")
-    return correct / total
-
-
 def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: list,
                   codes: list | None = None) -> tuple:
-    """(hidden, targets, one model per training method): H is collected once
+    """(hidden, one model per training method): H is collected once
     on the chip, from ``codes`` if the trials' front-end codes are given."""
     hidden, targets = collect_H(
         dataset,
@@ -279,7 +260,7 @@ def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: lis
             trap=_trap_from_cfg(cfg),
             **{name: cfg[f"decoder.{name}"] for name in ("theta", "lam", "tau", "tr_ms", "normalize")},
         ))
-    return hidden, targets, models
+    return hidden, models
 
 
 def _load_runtime(cfg: dict, args) -> tuple[SpikeDataset, DecoderModel, object]:
@@ -349,10 +330,12 @@ def cmd_train(args, cfg: dict) -> int:
     dataset = parse_dataset(args.data)
     frontend = _frontend_from_cfg(cfg, dataset.channel_count)
     chip = load_chip(args.chip) if args.chip else _chip_for(cfg, d=frontend.rows)
-    hidden, targets, [model] = _train_models(cfg, dataset, chip, frontend, [cfg["train.method"]])
-    model.report["train_accuracy"] = _training_accuracy(
-        hidden, targets, dataset, model.beta, dataset.class_count
-    )
+    hidden, [model] = _train_models(cfg, dataset, chip, frontend, [cfg["train.method"]])
+    # an optimistic sanity figure: the evaluation vote on the training set itself
+    bounds = np.searchsorted(hidden.trial_index, np.arange(1, len(dataset.trials)))
+    scores = np.split(hidden.h @ model.beta[:, : model.m], bounds)
+    correct = sum(plateau_class(o, model) == t.label for o, t in zip(scores, dataset.trials))
+    model.report["train_accuracy"] = correct / len(dataset.trials)
     save_model(model, out)
     _echo(cfg)
     _note(f"trained {cfg['train.method']} on {len(dataset.trials)} trials")
@@ -451,7 +434,8 @@ def cmd_sweep(args, cfg: dict) -> int:
             test_codes = [run_trial(frontend, t).astype(np.uint8) for t in sub_test.trials]
             for l, seed in itertools.product(l_grid, seeds):
                 chip = _chip_for(cfg, d=frontend.rows, seed=seed, l=l)
-                _, _, models = _train_models(cfg, sub_train, chip, frontend, methods, train_codes)
+                # keep no reference to H, or two chips' H would be alive at once
+                models = _train_models(cfg, sub_train, chip, frontend, methods, train_codes)[1]
                 streams = list(hidden_streams(test_codes, chip, cfg["decoder.normalize"],
                                               cfg["decoder.noise_on"], cfg["decoder.noise_seed"]))
                 for method, model in zip(methods, models):
@@ -514,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (np.linalg.LinAlgError, DegenerateInputError, ConvergenceError, FloatingPointError) as exc:
+    except (np.linalg.LinAlgError, ConvergenceError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigError, DatasetError, TrainingError, OSError, ValueError) as exc:

@@ -276,6 +276,16 @@ def majority_class(s_ticks: np.ndarray, m: int) -> int:
     return int(np.argmax(counts[1:])) + 1
 
 
+def plateau_class(outputs: np.ndarray, model: DecoderModel) -> int:
+    """Type vote of one trial: the majority class of its per-tick outputs
+    over the ticks whose window ends on the membership plateau
+    [``trap.t1_ms``, ``trap.t2_ms``].  A trial with no plateau tick (one
+    that ends before ``t1_ms``) votes class 1, in training as in evaluation."""
+    t_ms = (np.arange(len(outputs)) + 1) * model.frontend.t_s_ms
+    plateau = (t_ms >= model.trap.t1_ms) & (t_ms <= model.trap.t2_ms)
+    return majority_class(np.argmax(outputs[plateau, : model.m], axis=1) + 1, model.m)
+
+
 def _output_streams(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
                     noise_on: bool, noise_seed: int) -> list[np.ndarray]:
     """(T, M+1) decoder outputs per trial; with noise on, trial ``i`` draws
@@ -323,7 +333,7 @@ def evaluate(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
              tol_ms: float = 150.0, outputs: list | None = None) -> EvalReport:
     """Score a test set.
 
-    Type accuracy is the fraction of trials whose plateau majority class
+    Type accuracy is the fraction of trials whose ``plateau_class`` vote
     matches the label; TPR the fraction with a detection within ``tol_ms``
     of the true onset; detections outside that window count as false
     positives.  With noise on, each trial uses its own counter-derived
@@ -334,10 +344,7 @@ def evaluate(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
         outputs = _output_streams(dataset, model, chip, noise_on, noise_seed)
     confusion = np.zeros((dataset.class_count, dataset.class_count), dtype=np.int64)
     for trial, o in zip(dataset.trials, outputs):
-        t_ms = (np.arange(len(o)) + 1) * model.frontend.t_s_ms
-        plateau = (t_ms >= model.trap.t1_ms) & (t_ms <= model.trap.t2_ms)
-        s = np.argmax(o[plateau, : model.m], axis=1) + 1
-        confusion[trial.label - 1, majority_class(s, model.m) - 1] += 1
+        confusion[trial.label - 1, plateau_class(o, model) - 1] += 1
     [(hits, fps, latencies)] = score_onsets(dataset.trials, outputs, model, [model.theta], tol_ms)
     n = len(dataset.trials)
     return EvalReport(

@@ -19,9 +19,8 @@ channel-major as
 
 which multiplies the feature dimension by p without extra electrodes.
 
-The stateful :class:`Frontend` advances one tick at a time and is exactly
-reproducible from a snapshot; :func:`run_counts` computes whole trials in one
-vectorized pass and is cross-checked against the stateful path in the tests.
+:func:`run_counts` computes whole trials in one vectorized pass; the tests
+cross-check it against a stateful tick-by-tick model of the same counters.
 """
 
 from __future__ import annotations
@@ -36,11 +35,6 @@ SUBCOUNT_MAX = 15  # 4-bit sub-window counter
 WINDOW_MAX = 63  # 6-bit window output
 WINDOW_SUBCOUNT = 5  # sub-windows summed per output
 SDL_MAX = 4  # delay code, decodes to 1..5 sub-windows
-
-
-def saturate_count(count: int) -> int:
-    """Clamp a sub-window spike count to the 4-bit counter range."""
-    return min(SUBCOUNT_MAX, int(count))
 
 
 @dataclass
@@ -117,60 +111,6 @@ class FrontendConfig:
                 s_ext[j * p + l] = 1
                 sdl[j * p + l] = link_delay - 1
         return cls(rows=rows, s_ext=s_ext, sdl=sdl, t_s_ms=t_s_ms)
-
-
-class Frontend:
-    """Stateful tick-by-tick model of the input path.
-
-    ``step`` takes this tick's spike counts per external channel and returns
-    the 6-bit window codes of all rows.  The window sum is tracked exactly
-    (it cannot exceed 75 = 5x15) and clamped to 63 only at the output, so the
-    incremental update always equals the brute-force sum of the last five
-    sub-window counts.
-    """
-
-    def __init__(self, config: FrontendConfig):
-        self.config = config
-        self.reset()
-
-    def reset(self) -> None:
-        # hist[:, k] holds D_{n-1-k}; column 4 is D_{n-5}, about to drop out
-        self.hist = np.zeros((self.config.rows, WINDOW_SUBCOUNT), dtype=np.int64)
-        self.qsum = np.zeros(self.config.rows, dtype=np.int64)
-        self.tick = 0
-
-    def snapshot(self) -> tuple:
-        return self.hist.copy(), self.qsum.copy(), self.tick
-
-    def restore(self, state: tuple) -> None:
-        hist, qsum, tick = state
-        self.hist = hist.copy()
-        self.qsum = qsum.copy()
-        self.tick = tick
-
-    def step(self, channel_counts: np.ndarray) -> np.ndarray:
-        """Advance one sub-window; returns the code vector x in {0..63}^rows."""
-        cfg = self.config
-        counts = np.asarray(channel_counts, dtype=np.int64)
-        if counts.shape != (cfg.n_external,):
-            raise ValueError(
-                f"expected {cfg.n_external} channel counts, got shape {counts.shape}"
-            )
-        if (counts < 0).any():
-            raise ValueError("spike counts must be non-negative")
-
-        d_new = np.zeros(cfg.rows, dtype=np.int64)
-        d_new[cfg.external_rows] = np.minimum(SUBCOUNT_MAX, counts)
-        # Delayed rows read the previous row's pre-update history, so a chain
-        # of delayed rows accumulates its link delays.
-        for r in np.flatnonzero(cfg.s_ext == 1):
-            d_new[r] = self.hist[r - 1, self.config.delay_of(r) - 1]
-
-        self.qsum += d_new - self.hist[:, WINDOW_SUBCOUNT - 1]
-        self.hist[:, 1:] = self.hist[:, :-1]
-        self.hist[:, 0] = d_new
-        self.tick += 1
-        return np.minimum(WINDOW_MAX, self.qsum)
 
 
 def bin_events(

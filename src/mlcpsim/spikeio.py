@@ -13,9 +13,12 @@ in time.  ``meta.txt`` is written by :func:`write_dataset` and read when
 present; without it channel and class counts are inferred from the data.
 
 In memory a trial's events are two parallel int64 arrays, ``times_us`` and
-``channels``.  Each event file is parsed in one pass over its text and
-validated with array operations; only when a check fails is the file
-rescanned line by line, to name the first bad row as ``file:line``.
+``channels``.  An event file is read in one of two tiers.  A body of
+canonical rows (unsigned ASCII decimals of at most 18 digits, one comma per
+row, LF line ends, the form :func:`write_dataset` writes) is read by numpy
+in one pass and validated with array operations.  Any other body, or one
+that fails a check, is scanned row by row with ``int()``, which gives the
+same arrays or names the first bad row as ``file:line``.
 
 The synthetic generator produces tuned inhomogeneous-Poisson trials as a
 stand-in for recorded motor-cortex units: each neuron prefers one movement
@@ -29,7 +32,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -334,15 +336,18 @@ def _parse_meta(path: Path) -> tuple[int | None, int | None, dict[str, str]]:
 
 
 _BLANK_RUNS = re.compile(r"\n{2,}")
-_COMMALESS_ROW = re.compile(r"\n[^,\n]*\n")
+# Rows of two unsigned ASCII integers; 18 digits cannot overflow int64, so
+# np.fromstring reads a matching body exactly as int() would.
+_CANONICAL_BODY = re.compile(r"[0-9]{1,18},[0-9]{1,18}(?:\n[0-9]{1,18},[0-9]{1,18})*")
 
 
-def _raise_first_bad_row(path: Path, lines: list[str], q: int | None) -> NoReturn:
-    """Check event rows one at a time and raise the error for the first bad one.
+def _scan_rows(path: Path, lines: list[str], q: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Times and channels of event rows read one at a time with ``int()``.
 
-    Runs only after the one-pass parse in :func:`_parse_events` has found a
-    problem, so that the error names the file and line of the first bad row.
+    Reads every file whose body :func:`_parse_events` cannot take in one
+    pass; the first bad row raises an error that names its file and line.
     """
+    times, channels = [], []
     prev_time = -1
     for j, line in enumerate(lines[1:], start=2):
         if not line:
@@ -362,17 +367,19 @@ def _raise_first_bad_row(path: Path, lines: list[str], q: int | None) -> NoRetur
             raise BadTimestampError(f"timestamp {t} outside the int64 range", path, j)
         if ch > _INT64_MAX:
             raise ChannelRangeError(f"channel {ch} outside the int64 range", path, j)
+        times.append(t)
+        channels.append(ch)
         prev_time = t
-    raise DatasetError("event rows failed a check that no single row fails", path)
+    return np.array(times, dtype=np.int64), np.array(channels, dtype=np.int64)
 
 
 def _parse_events(path: Path, q: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Times and channels of one event file, read in one pass over its text.
+    """Times and channels of one event file.
 
-    Blank rows are skipped.  Every other row must hold exactly one comma;
-    its two fields are parsed with ``int()`` straight into one int64 array,
-    which is then checked as a whole: times non-negative and sorted,
-    channels in ``[0, q)`` (or non-negative when ``q`` is unknown).
+    Blank rows are skipped.  A body of canonical rows (``time,channel``,
+    unsigned ASCII digits, at most 18 each) is read in one pass by numpy and
+    checked as a whole: times sorted, channels below ``q``.  Every other
+    body, and one that fails a check, goes to the row-by-row scan.
     """
     text = path.read_text(encoding="utf-8")
     header, _, body = text.partition("\n")
@@ -383,22 +390,12 @@ def _parse_events(path: Path, q: int | None) -> tuple[np.ndarray, np.ndarray]:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     if "\n\n" in body:
         body = _BLANK_RUNS.sub("\n", body)
-    n = body.count("\n") + 1
-    if body.count(",") == n and not _COMMALESS_ROW.search(f"\n{body}\n"):
-        try:
-            values = np.fromiter(map(int, body.replace("\n", ",").split(",")), np.int64, 2 * n)
-        except (ValueError, OverflowError):  # a field int() rejects, or one beyond int64
-            pass
-        else:
-            times, channels = values[0::2], values[1::2]
-            if (
-                times[0] >= 0
-                and not np.any(times[1:] < times[:-1])
-                and channels.min() >= 0
-                and (q is None or channels.max() < q)
-            ):
-                return times, channels
-    _raise_first_bad_row(path, text.split("\n"), q)
+    if _CANONICAL_BODY.fullmatch(body):
+        values = np.fromstring(body.replace("\n", ","), dtype=np.int64, sep=",")
+        times, channels = values[0::2], values[1::2]
+        if not np.any(times[1:] < times[:-1]) and (q is None or channels.max() < q):
+            return times, channels
+    return _scan_rows(path, text.split("\n"), q)
 
 
 def parse_dataset(root_path: str | Path) -> SpikeDataset:

@@ -23,11 +23,12 @@ from mlcpsim.analog import (
 from mlcpsim.budget import BudgetInputs, datarate_report, energy_report
 from mlcpsim.cli import main
 from mlcpsim.decoder import DecoderModel, decode_stream, evaluate, roc_sweep, split_dataset
-from mlcpsim.frontend import Frontend, FrontendConfig
+from mlcpsim.frontend import FrontendConfig
 from mlcpsim.spikeio import SpikeDataset, SynthParams, Trial, gen_synthetic
 from mlcpsim.training import collect_H, fit_output_weights, train_T1, train_T2
 
 from decoder_oracle import TrackingFsm
+from frontend_oracle import Frontend
 
 
 # --------------------------------------------------------------- 1. energy

@@ -9,7 +9,6 @@ from scipy import stats
 from mlcpsim.analog import (
     AnalogParams,
     ChipInstance,
-    DegenerateInputError,
     build_chip,
     cco_count,
     cco_frequency,
@@ -17,11 +16,12 @@ from mlcpsim.analog import (
     load_chip,
     mirror_multiply,
     mismatch_map,
-    normalize_hidden,
     normalize_rows,
     save_chip,
     write_mismatch_map,
 )
+
+from analog_oracle import DegenerateInputError, dac_current, normalize_hidden
 
 
 def ideal_params(**overrides):
@@ -92,12 +92,12 @@ def test_chip_roundtrip_byte_identical(tmp_path):
 
 def test_dac_code_zero_is_zero_current():
     chip = build_chip(7, AnalogParams(), d=4, l=4)
-    assert all(chip.dac_current(0, ch) == 0.0 for ch in range(4))
+    assert all(dac_current(chip, 0, ch) == 0.0 for ch in range(4))
 
 
 def test_dac_ideal_midscale():
     chip = build_chip(8, ideal_params(i_ref_na=32.0), d=2, l=2)
-    assert chip.dac_current(32, 0) == pytest.approx(16.0)
+    assert dac_current(chip, 32, 0) == pytest.approx(16.0)
 
 
 def test_dac_measured_dnl_within_bound():
@@ -114,7 +114,7 @@ def test_dac_measured_dnl_within_bound():
 def test_dac_code_range_checked():
     chip = build_chip(10, AnalogParams(), d=2, l=2)
     with pytest.raises(ValueError):
-        chip.dac_current(64, 0)
+        dac_current(chip, 64, 0)
     with pytest.raises(ValueError):
         chip.dac_currents(np.array([1, -1]))
 
@@ -300,6 +300,19 @@ def test_normalize_rows_zero_rows_pass_through():
     out = normalize_rows(h, x)
     assert np.allclose(out[0], [2.0, 2.0])
     assert np.array_equal(out[1], [0.0, 0.0])
+
+
+def test_normalize_rows_matches_single_window_oracle():
+    rng = np.random.default_rng(128)
+    h = rng.integers(0, 200, size=(40, 12)).astype(np.float64)
+    x = rng.integers(0, 64, size=(40, 8))
+    h[3], x[5], h[7], x[7] = 0.0, 0, 0.0, 0
+    out = normalize_rows(h, x)
+    for h_row, x_row, got in zip(h, x, out):
+        if h_row.sum() > 0 and x_row.sum() > 0:
+            assert np.allclose(got, normalize_hidden(h_row, x_row), rtol=1e-13, atol=0)
+        else:
+            assert not got.any()
 
 
 def test_supply_sweep_normalization_cancels():

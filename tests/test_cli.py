@@ -251,6 +251,21 @@ def test_train_t2_on_a_silent_dataset_is_degenerate_not_an_error(capsys, tmp_pat
     assert saved.report["degenerate"] is True
 
 
+def test_train_accuracy_votes_like_eval_when_no_trial_reaches_the_plateau(capsys, tmp_path):
+    """Trials of 880 ms end before trap.t1_ms = 900 ms: with no plateau tick
+    each trial votes class 1, in training as in evaluation."""
+    ds, model, report = tmp_path / "ds", tmp_path / "m.json", tmp_path / "r.json"
+    assert run(capsys, "gen", "--out", str(ds), "--set", "synth.trial_duration_ms=880",
+               "--set", "synth.onset_ms=500", "--set", "synth.trials_per_class=3")[0] == 0
+    code, _, err = run(capsys, "train", "--data", str(ds), "--out", str(model), *SMALL_CHIP)
+    assert code == 0, err
+    accuracy = load_model(model).report["train_accuracy"]
+    assert accuracy == 3 / 36  # 12 classes, 3 trials each: the class-1 trials are right
+    assert run(capsys, "eval", "--data", str(ds), "--model", str(model),
+               "--out", str(report))[0] == 0
+    assert json.loads(report.read_text())["accuracy"] == accuracy
+
+
 def test_numeric_failures_map_to_exit_3(capsys, monkeypatch):
     import mlcpsim.cli as cli
     from mlcpsim.training import ConvergenceError

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from mlcpsim.frontend import (
-    Frontend,
     FrontendConfig,
     bin_events,
     run_counts,
     run_trial,
-    saturate_count,
     write_trace,
 )
 from mlcpsim.spikeio import Trial
+
+from frontend_oracle import Frontend, saturate_count
 
 
 def brute_force_codes(d_matrix):

@@ -1,17 +1,24 @@
 """Scalar oracles for the array-based spike I/O.
 
 ``oracle_parse_events`` is the row-by-row event-file parser that
-``parse_dataset`` used before event files were parsed in one pass, and
+``parse_dataset`` used before event files were parsed in one pass (with the
+int64 range errors that ``parse_dataset`` raises for a time or channel
+beyond int64), and
 ``rate_at`` is the scalar rate profile that ``rate_profile`` vectorizes.
 Both live here only as references: the package must match them exactly,
 down to the exception type and message and the bits of every rate.
 """
 
+import importlib
 import math
+import pkgutil
+import re
 
 import numpy as np
 import pytest
 
+import mlcpsim
+from mlcpsim import spikeio
 from mlcpsim.cli import main
 from mlcpsim.spikeio import (
     EVENTS_HEADER,
@@ -19,10 +26,16 @@ from mlcpsim.spikeio import (
     ChannelRangeError,
     DatasetError,
     SynthParams,
+    Trial,
+    gen_synthetic,
     parse_dataset,
     rate_profile,
     tuned_peak_rate,
+    write_dataset,
 )
+
+
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def oracle_parse_events(path, q):
@@ -55,6 +68,10 @@ def oracle_parse_events(path, q):
             raise BadTimestampError(f"timestamp {t} after {prev_time}", path, j)
         if ch < 0 or (q is not None and ch >= q):
             raise ChannelRangeError(f"channel {ch} outside [0, {q})", path, j)
+        if t > INT64_MAX:
+            raise BadTimestampError(f"timestamp {t} outside the int64 range", path, j)
+        if ch > INT64_MAX:
+            raise ChannelRangeError(f"channel {ch} outside the int64 range", path, j)
         times.append(t)
         channels.append(ch)
         prev_time = t
@@ -110,6 +127,14 @@ EVENT_FILES = {
     "header_without_newline": "time_us,channel",
     "empty_file": "",
     "wrong_header": "time,channel\n1,0\n",
+    # boundaries of the canonical-row grammar the one-pass reader accepts
+    "leading_zeros": "time_us,channel\n007,03\n",
+    "eighteen_digit_time": "time_us,channel\n1,0\n999999999999999999,1\n",
+    "int64_max_time": f"time_us,channel\n1,0\n{2**63 - 1},1\n",
+    "one_past_int64_max_time": f"time_us,channel\n1,0\n{2**63},1\n",
+    "one_past_int64_max_channel": f"time_us,channel\n1,{2**63}\n",
+    "one_cr_ended_row": "time_us,channel\n1,0\n2,3\r\n4,1\n",
+    "three_fields_in_last_row": "time_us,channel\n1,0\n2,1\n3,2,1\n",
 }
 
 
@@ -143,6 +168,114 @@ def test_parser_matches_row_by_row_oracle(tmp_path, name, with_meta):
         return trial.times_us.tolist(), trial.channels.tolist()
 
     assert _outcome(parse) == expected
+
+
+def _canonical_rows(rng, big):
+    """Sorted event rows as ``write_dataset`` formats them, values below 10**18."""
+    n = int(rng.integers(1, 8))
+    times = np.sort(rng.integers(0, 10**17 if big else 3000, size=n))
+    return [[str(t), str(c)] for t, c in zip(times, rng.integers(0, 4, size=n))]
+
+
+def _perturb(rng, rows):
+    """Event-file text of ``rows`` with one random change to the canonical form."""
+    i = int(rng.integers(len(rows)))
+    f = int(rng.integers(2))
+    field = rows[i][f]
+    kind = int(rng.integers(18))
+    if kind == 0:
+        rows[i][f] = "0" * int(rng.integers(1, 20)) + field
+    elif kind == 1:
+        rows[i][f] = rng.choice(["+", "-", " ", "\t"]) + field
+    elif kind == 2:
+        rows[i][f] = field + rng.choice([" ", "\t", "\r", "\x0b", "\x0c"])
+    elif kind == 3:
+        rows[i][f] = field[:1] + "_" + field[1:] if len(field) > 1 else field + "_"
+    elif kind == 4:
+        rows[i][f] = field.replace(field[0], rng.choice(["\u0663", "\uff13", "\u0967"]), 1)
+    elif kind == 5:
+        rows[i][f] = rng.choice(["", "x", "1.0", "1e3", "0x1", "nan", "--1"])
+    elif kind == 6:
+        rows[i][f] = str(int(rng.choice([10**18, 2**63 - 1, 2**63, 2**64, 10**19 + 7])))
+    elif kind == 7:
+        rows[i].append(rng.choice(["", "1"]))
+    elif kind == 8:
+        rows[i] = [rows[i][0] + rows[i][1]]
+    elif kind == 9:
+        rows.insert(i, [""])  # a blank row
+    elif kind == 10:
+        rows[i] = [" "]
+    elif kind == 11 and len(rows) > 1:
+        rows[i], rows[-1] = rows[-1], rows[i]
+        rows.insert(0, [str(10**17 + 1), "0"])  # out of order from the first row on
+    elif kind == 12:
+        rows[i][1] = str(int(rng.integers(4, 1000)))
+    text = "time_us,channel\n" + "".join(",".join(r) + "\n" for r in rows)
+    if kind == 13:
+        text = text.rstrip("\n")
+    elif kind == 14:
+        text += "\n" * int(rng.integers(1, 4))
+    elif kind == 15:
+        text = text.replace("\n", "\r\n", 1 + int(rng.integers(len(rows) + 1)))
+    elif kind == 16:
+        text = text[:-1] + "\r"
+    elif kind == 17:
+        text = text.replace("\n", "\n\n", 1 + int(rng.integers(len(rows))))
+    return text
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parser_matches_oracle_on_perturbed_canonical_files(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    for case in range(60):
+        with_meta = bool(rng.integers(2))
+        text = _perturb(rng, _canonical_rows(rng, big=bool(rng.integers(2))))
+        root = tmp_path / f"case{case}"
+        root.mkdir()
+        path = _write_one_trial(root, text, with_meta)
+        expected = _outcome(lambda: oracle_parse_events(path, 4 if with_meta else None))
+
+        def parse():
+            trial = parse_dataset(root).trials[0]
+            assert trial.times_us.dtype == np.int64 and trial.channels.dtype == np.int64
+            return trial.times_us.tolist(), trial.channels.tolist()
+
+        assert _outcome(parse) == expected, text
+
+
+def test_written_event_files_take_the_one_pass_reader(tmp_path, monkeypatch):
+    """Every event file ``write_dataset`` writes (values below 10**18) is read
+    without the row-by-row scan; a typo in the grammar would fail here."""
+    dataset = gen_synthetic(SynthParams(q=6, m=2, trials_per_class=3, seed=5))
+    dataset.trials += [
+        Trial("silent", 1, 5, 10),
+        Trial("wide", 2, 5, 10, [0, 0, 7, 10**18 - 1], [5, 0, 0, 5]),
+    ]
+    write_dataset(dataset, tmp_path)
+
+    def no_scan(path, lines, q):
+        raise AssertionError(f"{path.name} fell back to the row-by-row scan")
+
+    monkeypatch.setattr(spikeio, "_scan_rows", no_scan)
+    again = parse_dataset(tmp_path)
+    for got, want in zip(again.trials, dataset.trials, strict=True):
+        assert np.array_equal(got.times_us, want.times_us)
+        assert np.array_equal(got.channels, want.channels)
+
+
+def test_module_patterns_use_no_python_3_11_syntax():
+    """The package supports Python 3.10, whose ``re`` rejects possessive
+    quantifiers (``x*+``, ``x{1,18}+``) and atomic groups (``(?>...)``) at
+    compile time, so a module-level pattern using them breaks the import."""
+    patterns = {}
+    for info in pkgutil.iter_modules(mlcpsim.__path__):
+        module = importlib.import_module(f"mlcpsim.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, re.Pattern):
+                patterns[f"{info.name}.{name}"] = value.pattern
+    assert "spikeio._CANONICAL_BODY" in patterns
+    for name, pattern in patterns.items():
+        assert not re.search(r"[*+?}]\+|\(\?>", pattern), name
 
 
 @pytest.mark.parametrize("with_meta", [True, False], ids=["meta", "no_meta"])
