@@ -3,14 +3,17 @@
 Only the digital output weights are ever trained; the hidden layer is the
 chip's fixed random fabric.  Training therefore runs the full simulated
 signal chain (front end, DAC, mirrors, CCO counters, optionally noise and
-normalization) to collect the hidden matrix H, then solves for beta:
+normalization) to collect the hidden matrix H, then solves for beta.  One
+trainer, ``fit_blocks``, fits (h, t) blocks that share the hidden neurons;
+``fit_output_weights`` passes it the type block and the onset block.
 
 * T1 - least squares: the minimum-norm solution via a rank-revealing
   decomposition (or ridge regression for ridge_lambda > 0).
-* T2 - L1-sparsified: per-output lasso solved by least-angle homotopy on
-  the regularization path, with whole-neuron pruning (a hidden neuron is
-  pruned only when its weight row is zero for every output) and an optional
-  least-squares refit on the surviving neurons.
+* T2 - L1-sparsified: per-output lasso solved by least-angle homotopy at one
+  penalty for every output (given, or searched for a target sparsity), with
+  whole-neuron pruning (a hidden neuron is pruned only when its weight row
+  is zero for every output) and an optional least-squares refit on the
+  surviving neurons.
 
 Targets: one-hot class rows for the M type outputs, and a trapezoid
 membership (0 before movement, ramp up, 1 around onset, ramp down) for the
@@ -215,38 +218,7 @@ def collect_H(
     return hidden, targets
 
 
-# ------------------------------------------------------------------ T1
-
-def train_T1(h: np.ndarray, t: np.ndarray, ridge_lambda: float = 0.0) -> OutputWeights:
-    """Least-squares output weights.
-
-    ridge_lambda = 0 gives the minimum-L2-norm least-squares solution
-    (singular values below ``SV_CUTOFF`` relative to the largest are
-    treated as zero); ridge_lambda > 0 solves the regularized normal
-    equations.  An all-zero H is reported, not fatal: beta = 0.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    t = np.atleast_2d(np.asarray(t, dtype=np.float64).T).T
-    if h.ndim != 2 or h.shape[0] != t.shape[0]:
-        raise TrainingError(f"shape mismatch: H {h.shape} vs T {t.shape}")
-    if ridge_lambda < 0:
-        raise TrainingError("ridge_lambda must be >= 0")
-
-    report = {"method": "T1", "ridge_lambda": ridge_lambda}
-    if not h.any():
-        beta = np.zeros((h.shape[1], t.shape[1]))
-        report["degenerate"] = True
-    elif ridge_lambda == 0.0:
-        beta, *_ = np.linalg.lstsq(h, t, rcond=SV_CUTOFF)
-    else:
-        gram = h.T @ h + ridge_lambda * np.eye(h.shape[1])
-        beta = np.linalg.solve(gram, h.T @ t)
-    report["residuals"] = np.linalg.norm(h @ beta - t, axis=0).tolist()
-    support = np.any(beta != 0.0, axis=1)
-    return OutputWeights(beta, support, report)
-
-
-# ------------------------------------------------------------------ T2
+# ----------------------------------------------------------- lasso path
 
 def _lasso_events(
     gram: np.ndarray, corr0: np.ndarray, lam_min: float, max_iter: int | None = None
@@ -339,72 +311,6 @@ def _lasso_events(
     )
 
 
-def lasso_path(
-    h: np.ndarray, t: np.ndarray, lam_min: float, max_iter: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Homotopy path for min 1/2 ||h b - t||^2 + lam ||b||_1.
-
-    Returns descending breakpoints ``lams`` and matching coefficient rows
-    ``betas``; the solution is piecewise linear in lam between breakpoints,
-    starting from all-zero at lam_max and ending at ``lam_min``.  Follows
-    the least-angle recursion: between events the active coefficients move
-    linearly in lam; an event either activates the most correlated inactive
-    column or removes an active coefficient crossing zero.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    corr0 = h.T @ np.asarray(t, dtype=np.float64)
-    lams, betas = zip(*_lasso_events(h.T @ h, corr0, lam_min, max_iter))
-    return np.array(lams), np.array(betas)
-
-
-def train_T2(
-    h: np.ndarray,
-    t: np.ndarray,
-    l1_lambda: float | None = None,
-    target_sparsity: float | None = None,
-    refit: bool = False,
-) -> OutputWeights:
-    """L1-sparsified output weights with whole-neuron pruning.
-
-    Exactly one of ``l1_lambda`` (shared penalty for every output column) or
-    ``target_sparsity`` (desired pruned-neuron fraction; the smallest common
-    penalty reaching it on the paths is used) must be given.  A neuron is
-    pruned only when its row is zero across all columns.  With ``refit``,
-    the surviving neurons get an unpenalized least-squares refit.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    t = np.atleast_2d(np.asarray(t, dtype=np.float64).T).T
-    if h.ndim != 2 or h.shape[0] != t.shape[0]:
-        raise TrainingError(f"shape mismatch: H {h.shape} vs T {t.shape}")
-    if (l1_lambda is None) == (target_sparsity is None):
-        raise TrainingError("give exactly one of l1_lambda or target_sparsity")
-
-    n_cols = t.shape[1]
-    if l1_lambda is not None:
-        lam = float(l1_lambda)
-        beta = np.stack([lasso_path(h, t[:, k], lam)[1][-1] for k in range(n_cols)], axis=1)
-    else:
-        lam, beta = _common_penalty_search([(h, t)], target_sparsity)
-
-    support = np.any(beta != 0.0, axis=1)
-    report = {
-        "method": "T2",
-        "l1_lambda": lam,
-        "pruned": int(np.sum(~support)),
-        "sparsity": float(np.mean(~support)),
-        "refit": bool(refit),
-    }
-    if not h.any():
-        report["degenerate"] = True
-    if refit and support.any():
-        refit_beta = np.zeros_like(beta)
-        sub, *_ = np.linalg.lstsq(h[:, support], t, rcond=SV_CUTOFF)
-        refit_beta[support] = sub
-        beta = refit_beta
-    report["residuals"] = np.linalg.norm(h @ beta - t, axis=0).tolist()
-    return OutputWeights(beta, support, report)
-
-
 class _PathWalk:
     """One column's homotopy, computed only as far down as it is read.
 
@@ -434,23 +340,15 @@ class _PathWalk:
         return b_hi + frac * (b_lo - b_hi)
 
 
-def _common_penalty_search(blocks: list, target_sparsity: float) -> tuple[float, np.ndarray]:
+def _common_penalty_search(columns: list, target_sparsity: float) -> tuple[float, np.ndarray]:
     """Smallest grid penalty whose solution prunes ``target_sparsity`` of the neurons.
 
-    ``blocks`` holds (h, t) pairs, t of shape (rows, k); every column of t
-    is one output, and the columns of a block share h and its Gram matrix.
-    The grid is 80 log-spaced penalties from the largest lam_max down to
-    lam_max * 1e-6, walked in descending order up to the first penalty that
-    is no longer sparse enough; each column's path is computed only down to
-    the penalty read last.  Returns that penalty and the (L, outputs) beta.
+    ``columns`` holds one (Gram, correlations) pair per output.  The grid is
+    80 log-spaced penalties from the largest lam_max down to lam_max * 1e-6,
+    walked in descending order up to the first penalty that is no longer
+    sparse enough; each column's path is computed only down to the penalty
+    read last.  Returns that penalty and the (L, outputs) beta.
     """
-    if not (0.0 <= target_sparsity < 1.0):
-        raise TrainingError("target_sparsity must be in [0, 1)")
-    columns = []
-    for h, t in blocks:
-        h, t = np.asarray(h, dtype=np.float64), np.asarray(t, dtype=np.float64)
-        gram = h.T @ h
-        columns += [(gram, h.T @ t[:, k]) for k in range(t.shape[1])]
     lam_max = max(float(np.max(np.abs(corr))) if len(corr) else 0.0 for _, corr in columns)
     if lam_max == 0.0:  # no column correlates with its target: beta = 0 at every penalty
         return 0.0, np.zeros((len(columns[0][1]), len(columns)))
@@ -465,7 +363,90 @@ def _common_penalty_search(blocks: list, target_sparsity: float) -> tuple[float,
     return lam, beta
 
 
-# ------------------------------------------------------------ full assembly
+# ------------------------------------------------------------ the trainer
+
+def _least_squares(h: np.ndarray, t: np.ndarray, ridge_lambda: float = 0.0) -> np.ndarray:
+    """(L, k) beta minimizing ||h beta - t||^2 + ridge_lambda ||beta||^2: the
+    minimum-norm solution for ridge_lambda = 0 (singular values below
+    ``SV_CUTOFF`` relative to the largest count as zero), else the solution
+    of the regularized normal equations.  An all-zero h gives beta = 0.
+    """
+    if not h.any():
+        return np.zeros((h.shape[1], t.shape[1]))
+    if ridge_lambda == 0.0:
+        return np.linalg.lstsq(h, t, rcond=SV_CUTOFF)[0]
+    return np.linalg.solve(h.T @ h + ridge_lambda * np.eye(h.shape[1]), h.T @ t)
+
+
+def fit_blocks(
+    blocks: list,
+    method: str = "T1",
+    ridge_lambda: float = 0.0,
+    l1_lambda: float | None = None,
+    target_sparsity: float | None = None,
+    refit: bool = False,
+) -> OutputWeights:
+    """Output weights for (h, t) blocks that share the hidden neurons.
+
+    Each block pairs an (n, L) hidden matrix, L the same in every block,
+    with (n,) or (n, k) targets; beta holds the blocks' columns in order.
+    T1 is least squares per block (ridge for ridge_lambda > 0).  T2 reads
+    every column's lasso path at one penalty: ``l1_lambda``, or the one the
+    common-penalty search picks for ``target_sparsity`` (give exactly one).
+    A neuron is pruned when its row is zero in every column, and ``refit``
+    refits each block on the surviving neurons by least squares.  The
+    report flags ``degenerate`` when every h is all zero (beta is then 0).
+    """
+    blocks = [(np.asarray(h, dtype=np.float64), np.atleast_2d(np.asarray(t, dtype=np.float64).T).T)
+              for h, t in blocks]
+    for h, t in blocks:
+        if h.ndim != 2 or h.shape[0] != t.shape[0]:
+            raise TrainingError(f"shape mismatch: H {h.shape} vs T {t.shape}")
+    widths = sorted({h.shape[1] for h, _ in blocks})
+    if len(widths) != 1:
+        raise TrainingError(f"blocks must share one hidden width L, got {widths}")
+
+    if method == "T1":
+        if not ridge_lambda >= 0:  # NaN too
+            raise TrainingError("ridge_lambda must be >= 0")
+        beta = np.hstack([_least_squares(h, t, ridge_lambda) for h, t in blocks])
+        report = {"method": "T1", "ridge_lambda": ridge_lambda}
+    elif method == "T2":
+        if (l1_lambda is None) == (target_sparsity is None):
+            raise TrainingError("T2 takes exactly one of l1_lambda or target_sparsity")
+        if l1_lambda is not None and not l1_lambda >= 0:
+            raise TrainingError("l1_lambda must be >= 0")
+        if target_sparsity is not None and not 0.0 <= target_sparsity < 1.0:
+            raise TrainingError("target_sparsity must be in [0, 1)")
+        columns = []  # one (Gram, correlations) pair per output
+        for h, t in blocks:
+            gram = h.T @ h
+            columns += [(gram, h.T @ t[:, k]) for k in range(t.shape[1])]
+        if target_sparsity is None:
+            lam = float(l1_lambda)
+            beta = np.stack([_PathWalk(gram, corr, lam).at(lam) for gram, corr in columns], axis=1)
+        else:
+            lam, beta = _common_penalty_search(columns, target_sparsity)
+        report = {"method": "T2", "l1_lambda": float(lam), "refit": bool(refit)}
+    else:
+        raise TrainingError(f"unknown training method {method!r}")
+    support = np.any(beta != 0.0, axis=1)
+
+    splits = np.cumsum([t.shape[1] for _, t in blocks])[:-1]  # np.split gives views
+    if method == "T2":
+        report.update(pruned=int(np.sum(~support)), sparsity=float(np.mean(~support)))
+        if refit and support.any():
+            beta = np.zeros_like(beta)
+            for (h, t), b in zip(blocks, np.split(beta, splits, axis=1)):
+                b[support] = _least_squares(h[:, support], t)
+    report["residuals"] = np.concatenate([
+        np.linalg.norm(h @ b - t, axis=0)
+        for (h, t), b in zip(blocks, np.split(beta, splits, axis=1))
+    ]).tolist()
+    if not any(h.any() for h, _ in blocks):
+        report["degenerate"] = True
+    return OutputWeights(beta, support, report)
+
 
 def fit_output_weights(
     hidden: HiddenMatrix,
@@ -478,62 +459,12 @@ def fit_output_weights(
 ) -> OutputWeights:
     """Train all M+1 output columns against a collected hidden matrix.
 
-    Type columns use the rows selected by the sample policy; the onset
-    column uses every row.  Under T2 a common penalty spans both blocks so
-    whole-neuron pruning stays meaningful.
+    Two blocks share the neurons: the type columns on the rows the sample
+    policy selected, and the onset column on every row.  Under T2 one
+    penalty spans both blocks, so whole-neuron pruning stays meaningful.
     """
     h_type = hidden.h[targets.type_rows]
-    t_type = targets.t_type[targets.type_rows]
-    h_all, t_onset = hidden.h, targets.t_onset
     if h_type.shape[0] == 0:
         raise TrainingError("sample policy selected no rows for the type outputs")
-
-    if method == "T1":
-        w_type = train_T1(h_type, t_type, ridge_lambda)
-        w_onset = train_T1(h_all, t_onset, ridge_lambda)
-        beta = np.hstack([w_type.beta, w_onset.beta])
-        report = {
-            "method": "T1",
-            "ridge_lambda": ridge_lambda,
-            "residuals": w_type.report["residuals"] + w_onset.report["residuals"],
-        }
-        if not h_all.any():
-            report["degenerate"] = True
-        support = np.any(beta != 0.0, axis=1)
-        return OutputWeights(beta, support, report)
-
-    if method != "T2":
-        raise TrainingError(f"unknown training method {method!r}")
-
-    if l1_lambda is not None:
-        w_type = train_T2(h_type, t_type, l1_lambda=l1_lambda)
-        w_onset = train_T2(h_all, t_onset, l1_lambda=l1_lambda)
-        lam = float(l1_lambda)
-        beta = np.hstack([w_type.beta, w_onset.beta])
-    else:
-        if target_sparsity is None:
-            raise TrainingError("T2 needs l1_lambda or target_sparsity")
-        blocks = [(h_type, t_type), (h_all, t_onset[:, None])]
-        lam, beta = _common_penalty_search(blocks, target_sparsity)
-
-    support = np.any(beta != 0.0, axis=1)
-    if refit and support.any():
-        refit_beta = np.zeros_like(beta)
-        sub_type, *_ = np.linalg.lstsq(h_type[:, support], t_type, rcond=SV_CUTOFF)
-        sub_onset, *_ = np.linalg.lstsq(h_all[:, support], t_onset, rcond=SV_CUTOFF)
-        refit_beta[support, : t_type.shape[1]] = sub_type
-        refit_beta[support, -1] = sub_onset
-        beta = refit_beta
-    resid_type = np.linalg.norm(h_type @ beta[:, :-1] - t_type, axis=0)
-    resid_onset = np.linalg.norm(h_all @ beta[:, -1] - t_onset)
-    report = {
-        "method": "T2",
-        "l1_lambda": float(lam),
-        "pruned": int(np.sum(~support)),
-        "sparsity": float(np.mean(~support)),
-        "refit": bool(refit),
-        "residuals": resid_type.tolist() + [float(resid_onset)],
-    }
-    if not h_all.any():
-        report["degenerate"] = True
-    return OutputWeights(beta, support, report)
+    blocks = [(h_type, targets.t_type[targets.type_rows]), (hidden.h, targets.t_onset)]
+    return fit_blocks(blocks, method, ridge_lambda, l1_lambda, target_sparsity, refit)

@@ -25,7 +25,7 @@ from mlcpsim.cli import main
 from mlcpsim.decoder import DecoderModel, decode_stream, evaluate, roc_sweep, split_dataset
 from mlcpsim.frontend import FrontendConfig
 from mlcpsim.spikeio import SpikeDataset, SynthParams, Trial, gen_synthetic
-from mlcpsim.training import collect_H, fit_output_weights, train_T1, train_T2
+from mlcpsim.training import collect_H, fit_blocks, fit_output_weights
 
 from decoder_oracle import TrackingFsm
 from frontend_oracle import Frontend
@@ -199,13 +199,13 @@ def test_c08_trainer_oracles():
         if rng.random() < 0.3 and p >= 2:  # force rank deficiency sometimes
             h[:, -1] = h[:, 0]
         t = rng.normal(size=(n, 2))
-        got = train_T1(h, t).beta
+        got = fit_blocks([(h, t)]).beta
         u, s, vt = np.linalg.svd(h, full_matrices=False)
         keep = s > 1e-10 * s[0]
         want = vt[keep].T @ ((u[:, keep].T @ t) / s[keep, None])
         assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
         lam_r = 0.7
-        got_r = train_T1(h, t, ridge_lambda=lam_r).beta
+        got_r = fit_blocks([(h, t)], ridge_lambda=lam_r).beta
         want_r = np.linalg.solve(h.T @ h + lam_r * np.eye(p), h.T @ t)
         assert np.linalg.norm(got_r - want_r) <= 1e-8 * max(1.0, np.linalg.norm(want_r))
 
@@ -214,7 +214,7 @@ def test_c08_trainer_oracles():
         h = rng.normal(size=(20, 6))
         t = rng.normal(size=20)
         lam = float(rng.uniform(0.05, 0.7)) * np.max(np.abs(h.T @ t))
-        beta = train_T2(h, t[:, None], l1_lambda=lam).beta[:, 0]
+        beta = fit_blocks([(h, t[:, None])], "T2", l1_lambda=lam).beta[:, 0]
         grad = h.T @ (h @ beta - t)
         active = beta != 0.0
         assert np.all(np.abs(grad[active] + lam * np.sign(beta[active])) <= 1e-6 * max(1.0, lam))

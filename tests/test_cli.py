@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface (in-process via main)."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -328,6 +329,45 @@ def test_sweep_p_above_one_in_direct_mode_is_rejected(capsys, tmp_path, easy_run
     assert code == 2
     assert "sweep.p_grid" in err and "frontend.mode=direct" in err
     assert not out.exists()
+
+
+BOTH_T2_PENALTIES = ["--set", "train.l1_lambda=0.5", "--set", "train.target_sparsity=0.3"]
+
+
+@pytest.mark.parametrize("cmd, extra", [("train", ["--set", "train.method=T2"]),
+                                        ("sweep", ["--set", "sweep.methods=T1,T2",
+                                                   "--set", "sweep.l_grid=8"])])
+def test_conflicting_t2_penalties_are_a_data_error(capsys, tmp_path, easy_run, cmd, extra):
+    ds, _ = easy_run
+    out = tmp_path / "out"
+    code, _, err = run(capsys, cmd, "--data", str(ds), "--out", str(out), "--seed", "3",
+                       *SMALL_CHIP, *BOTH_T2_PENALTIES, *extra)
+    assert code == 2
+    assert "l1_lambda" in err and "target_sparsity" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd, extra", [("train", []), ("sweep", ["--set", "sweep.l_grid=8"])])
+def test_t1_ignores_the_t2_penalties(capsys, tmp_path, easy_run, cmd, extra):
+    ds, _ = easy_run
+    code, _, _ = run(capsys, cmd, "--data", str(ds), "--out", str(tmp_path / "out"), "--seed", "3",
+                     *SMALL_CHIP, *BOTH_T2_PENALTIES, *extra)
+    assert code == 0
+
+
+def test_bench_tracer_finds_every_function_it_wraps():
+    # bench/spans.py wraps package functions by name and skips a name it
+    # cannot find, so a renamed function would read zero in its metrics
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()
 
 
 def test_train_and_eval_accept_a_zero_duration_trial(capsys, tmp_path, easy_run):

@@ -15,20 +15,20 @@ from mlcpsim.training import (
     TrainingError,
     TrapezoidParams,
     collect_H,
+    fit_blocks,
     fit_output_weights,
     hidden_stream,
-    lasso_path,
     one_hot,
-    train_T1,
-    train_T2,
     trapezoid,
 )
 from training_oracle import (
+    eager_block_T2,
     eager_fit_T2,
-    eager_train_T2,
+    two_block_refit,
     lasso_interp,
     lasso_kkt_violation,
     lasso_lambda_max,
+    lasso_path,
     trapezoid_scalar,
 )
 
@@ -193,7 +193,7 @@ def test_sample_policies_select_expected_rows():
 
 def test_t1_identity_h_returns_targets():
     t = np.random.default_rng(47).normal(size=(6, 3))
-    w = train_T1(np.eye(6), t)
+    w = fit_blocks([(np.eye(6), t)])
     assert np.allclose(w.beta, t, atol=1e-12)
 
 
@@ -201,7 +201,7 @@ def test_t1_matches_normal_equations_oracle():
     rng = np.random.default_rng(48)
     h = rng.normal(size=(50, 10))
     t = rng.normal(size=(50, 3))
-    w = train_T1(h, t)
+    w = fit_blocks([(h, t)])
     oracle = np.linalg.solve(h.T @ h, h.T @ t)
     assert np.max(np.abs(w.beta - oracle)) / np.max(np.abs(oracle)) < 1e-8
 
@@ -211,7 +211,7 @@ def test_t1_min_norm_on_rank_deficient_h():
     h = rng.normal(size=(30, 8))
     h[:, 5] = h[:, 2]  # duplicated column
     t = rng.normal(size=30)
-    w = train_T1(h, t)
+    w = fit_blocks([(h, t)])
     oracle = np.linalg.pinv(h) @ t
     assert np.allclose(w.beta[:, 0], oracle, atol=1e-10)
     # any least-squares solution differing by a null-space vector is longer
@@ -226,7 +226,7 @@ def test_t1_residual_orthogonal_to_columns():
     rng = np.random.default_rng(50)
     h = rng.normal(size=(40, 12))
     t = rng.normal(size=(40, 4))
-    w = train_T1(h, t)
+    w = fit_blocks([(h, t)])
     lhs = np.linalg.norm(h.T @ (h @ w.beta - t))
     assert lhs <= 1e-8 * np.linalg.norm(h.T @ t)
 
@@ -236,13 +236,13 @@ def test_t1_ridge_matches_oracle():
     h = rng.normal(size=(25, 6))
     t = rng.normal(size=(25, 2))
     lam = 3.7
-    w = train_T1(h, t, ridge_lambda=lam)
+    w = fit_blocks([(h, t)], ridge_lambda=lam)
     oracle = np.linalg.solve(h.T @ h + lam * np.eye(6), h.T @ t)
     assert np.allclose(w.beta, oracle, atol=1e-10)
 
 
 def test_t1_all_zero_h_reported_not_fatal():
-    w = train_T1(np.zeros((10, 4)), np.ones((10, 2)))
+    w = fit_blocks([(np.zeros((10, 4)), np.ones((10, 2)))])
     assert not w.beta.any()
     assert w.report.get("degenerate") is True
 
@@ -252,7 +252,7 @@ def test_t1_all_zero_h_reported_not_fatal():
 def test_t2_all_zero_h_reported_not_fatal():
     t = np.random.default_rng(53).normal(size=(50, 3))
     for refit in (False, True):
-        w = train_T2(np.zeros((50, 6)), t, target_sparsity=0.3, refit=refit)
+        w = fit_blocks([(np.zeros((50, 6)), t)], "T2", target_sparsity=0.3, refit=refit)
         assert w.beta.shape == (6, 3) and not w.beta.any()
         assert w.pruned_count == 6
         assert w.report["degenerate"] is True and w.report["l1_lambda"] == 0.0
@@ -264,7 +264,8 @@ def test_t2_all_zero_h_reported_not_fatal():
         assert w.beta.shape == (8, 3) and not w.beta.any()
         assert w.pruned_count == 8 and w.report["degenerate"] is True
     # a non-zero H does not carry the flag
-    assert "degenerate" not in train_T2(np.eye(6), np.ones(6), target_sparsity=0.3).report
+    w = fit_blocks([(np.eye(6), np.ones(6))], "T2", target_sparsity=0.3)
+    assert "degenerate" not in w.report
 
 
 def test_t2_null_threshold():
@@ -272,7 +273,7 @@ def test_t2_null_threshold():
     h = rng.normal(size=(20, 6))
     t = rng.normal(size=(20, 2))
     lam_max = max(lasso_lambda_max(h, t[:, k]) for k in range(2))
-    w = train_T2(h, t, l1_lambda=lam_max * 1.0001)
+    w = fit_blocks([(h, t)], "T2", l1_lambda=lam_max * 1.0001)
     assert not w.beta.any()
     assert w.pruned_count == 6
 
@@ -281,9 +282,9 @@ def test_t2_small_penalty_approaches_t1():
     rng = np.random.default_rng(53)
     h = rng.normal(size=(40, 8))
     t = rng.normal(size=(40, 3))
-    w1 = train_T1(h, t)
+    w1 = fit_blocks([(h, t)])
     lam = 1e-7 * max(lasso_lambda_max(h, t[:, k]) for k in range(3))
-    w2 = train_T2(h, t, l1_lambda=lam)
+    w2 = fit_blocks([(h, t)], "T2", l1_lambda=lam)
     rel = np.max(np.abs(w2.beta - w1.beta)) / np.max(np.abs(w1.beta))
     assert rel < 1e-4
 
@@ -327,8 +328,8 @@ def test_t2_objective_bounded_by_t1():
     h = rng.normal(size=(30, 8))
     t = rng.normal(size=30)
     lam = 0.3 * lasso_lambda_max(h, t)
-    beta1 = train_T1(h, t).beta[:, 0]
-    beta2 = train_T2(h, t, l1_lambda=lam).beta[:, 0]
+    beta1 = fit_blocks([(h, t)]).beta[:, 0]
+    beta2 = fit_blocks([(h, t)], "T2", l1_lambda=lam).beta[:, 0]
     bound = lasso_objective(h, t, beta1, 0.0) + lam * np.sum(np.abs(beta1))
     assert lasso_objective(h, t, beta2, lam) <= bound + 1e-9
 
@@ -337,7 +338,7 @@ def test_t2_target_sparsity_reached():
     rng = np.random.default_rng(58)
     h = rng.normal(size=(60, 20))
     t = rng.normal(size=(60, 3))
-    w = train_T2(h, t, target_sparsity=0.5)
+    w = fit_blocks([(h, t)], "T2", target_sparsity=0.5)
     assert w.report["sparsity"] >= 0.5
     assert w.pruned_count >= 10
     # pruned means the whole row is zero
@@ -350,8 +351,8 @@ def test_t2_refit_keeps_support_and_reduces_residual():
     h = rng.normal(size=(50, 12))
     t = rng.normal(size=(50, 2))
     lam = 0.4 * max(lasso_lambda_max(h, t[:, k]) for k in range(2))
-    plain = train_T2(h, t, l1_lambda=lam)
-    refit = train_T2(h, t, l1_lambda=lam, refit=True)
+    plain = fit_blocks([(h, t)], "T2", l1_lambda=lam)
+    refit = fit_blocks([(h, t)], "T2", l1_lambda=lam, refit=True)
     assert np.array_equal(plain.support, refit.support)
     assert not refit.beta[~refit.support].any()
     assert np.linalg.norm(h @ refit.beta - t) <= np.linalg.norm(h @ plain.beta - t) + 1e-12
@@ -360,17 +361,33 @@ def test_t2_refit_keeps_support_and_reduces_residual():
 def test_t2_requires_exactly_one_penalty_setting():
     h, t = np.eye(4), np.ones(4)
     with pytest.raises(TrainingError):
-        train_T2(h, t)
+        fit_blocks([(h, t)], "T2")
     with pytest.raises(TrainingError):
-        train_T2(h, t, l1_lambda=1.0, target_sparsity=0.5)
+        fit_blocks([(h, t)], "T2", l1_lambda=1.0, target_sparsity=0.5)
+
+
+@pytest.mark.parametrize("method, kwargs", [
+    ("T1", {"ridge_lambda": -1.0}),
+    ("T1", {"ridge_lambda": float("nan")}),
+    ("T2", {"l1_lambda": -5.0}),
+    ("T2", {"l1_lambda": float("nan")}),
+    ("T2", {"target_sparsity": 1.0}),
+    ("T2", {"target_sparsity": float("nan")}),
+])
+def test_negative_nan_or_out_of_range_penalty_rejected(method, kwargs):
+    rng = np.random.default_rng(61)
+    h = rng.normal(size=(40, 8))
+    t = rng.normal(size=40)
+    with pytest.raises(TrainingError, match=next(iter(kwargs))):
+        fit_blocks([(h, t)], method, **kwargs)
 
 
 def test_training_deterministic():
     rng = np.random.default_rng(60)
     h = rng.normal(size=(40, 10))
     t = rng.normal(size=(40, 3))
-    a = train_T2(h, t, l1_lambda=0.2 * lasso_lambda_max(h, t[:, 0]))
-    b = train_T2(h, t, l1_lambda=0.2 * lasso_lambda_max(h, t[:, 0]))
+    a = fit_blocks([(h, t)], "T2", l1_lambda=0.2 * lasso_lambda_max(h, t[:, 0]))
+    b = fit_blocks([(h, t)], "T2", l1_lambda=0.2 * lasso_lambda_max(h, t[:, 0]))
     assert np.array_equal(a.beta, b.beta)
 
 
@@ -463,10 +480,26 @@ def test_search_equals_eager_oracle_train_T2(target, refit):
     for _ in range(4):
         h = rng.normal(size=(40, 12))
         t = rng.normal(size=(40, 3))
-        w = train_T2(h, t, target_sparsity=target, refit=refit)
-        lam, beta = eager_train_T2(h, t, target, refit)
+        w = fit_blocks([(h, t)], "T2", target_sparsity=target, refit=refit)
+        lam, beta = eager_block_T2(h, t, target, refit)
         assert w.report["l1_lambda"] == lam
         assert np.array_equal(w.beta, beta)
+
+
+@pytest.mark.parametrize("frac", [1.2, 0.3, 0.05])
+@pytest.mark.parametrize("refit", [False, True])
+def test_fixed_penalty_on_two_blocks_equals_full_path_oracle(frac, refit):
+    # every column's full path read at its end, then the two-block refit; at
+    # 1.2 times its lam_max the onset column is zero and most type columns are not
+    for seed in range(70, 74):
+        hidden, targets = search_problem(seed)
+        columns = output_columns(hidden, targets)
+        lam = frac * lasso_lambda_max(*columns[-1])
+        beta = np.stack([lasso_path(h, t, lam)[1][-1] for h, t in columns], axis=1)
+        w = fit_output_weights(hidden, targets, method="T2", l1_lambda=lam, refit=refit)
+        assert w.report["l1_lambda"] == lam
+        assert np.array_equal(w.support, np.any(beta != 0.0, axis=1))
+        assert np.array_equal(w.beta, two_block_refit(hidden, targets, beta) if refit else beta)
 
 
 def test_search_with_a_column_below_the_global_lam_max():
@@ -480,8 +513,8 @@ def test_search_with_a_column_below_the_global_lam_max():
     lam_maxes = [lasso_lambda_max(h, t[:, k]) for k in range(3)]
     assert lam_maxes[1] < 0.1 * max(lam_maxes) and lam_maxes[2] == 0.0
     for target in [0.0, 0.3, 0.5, 0.9]:
-        w = train_T2(h, t, target_sparsity=target)
-        lam, beta = eager_train_T2(h, t, target)
+        w = fit_blocks([(h, t)], "T2", target_sparsity=target)
+        lam, beta = eager_block_T2(h, t, target)
         assert w.report["l1_lambda"] == lam
         assert np.array_equal(w.beta, beta)
 

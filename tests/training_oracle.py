@@ -1,18 +1,21 @@
 """Reference implementations for the training module.
 
 ``trapezoid_scalar`` is the per-tick onset membership that ``collect_H``
-evaluates as one array expression.  ``eager_train_T2`` and ``eager_fit_T2``
-are the target-sparsity searches that ``train_T2`` and ``fit_output_weights``
-ran before the common-penalty search walked each homotopy lazily: they build
-every column's full ``lasso_path`` first, then read it on the 80-point grid
-with ``lasso_interp``.  ``lasso_lambda_max`` and ``lasso_kkt_violation`` are
-checks on a lasso solution.  They live here only as references the package
-must match exactly.
+evaluates as one array expression.  ``lasso_path`` is the full homotopy path
+of one output, every breakpoint down to ``lam_min``; ``fit_blocks`` reads
+only as much of it as the penalty it needs.  ``eager_block_T2`` and
+``eager_fit_T2`` are the target-sparsity searches that ``fit_blocks`` on one
+block and ``fit_output_weights`` ran before the common-penalty search walked
+each homotopy lazily: they build every column's full ``lasso_path`` first,
+then read it on the 80-point grid with ``lasso_interp``.
+``lasso_lambda_max`` and ``lasso_kkt_violation`` are checks on a lasso
+solution.  They live here only as references the package must match exactly.
 """
 
 import numpy as np
 
-from mlcpsim.training import SV_CUTOFF, TrapezoidParams, lasso_path
+from mlcpsim import training
+from mlcpsim.training import SV_CUTOFF, TrapezoidParams
 
 
 def trapezoid_scalar(t_ms: float, params: TrapezoidParams) -> float:
@@ -25,6 +28,24 @@ def trapezoid_scalar(t_ms: float, params: TrapezoidParams) -> float:
     if t_ms < p.t1_ms:
         return (t_ms - p.t0_ms) / (p.t1_ms - p.t0_ms)
     return (p.t3_ms - t_ms) / (p.t3_ms - p.t2_ms)
+
+
+def lasso_path(
+    h: np.ndarray, t: np.ndarray, lam_min: float, max_iter: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Homotopy path for min 1/2 ||h b - t||^2 + lam ||b||_1.
+
+    Returns descending breakpoints ``lams`` and matching coefficient rows
+    ``betas``; the solution is piecewise linear in lam between breakpoints,
+    starting from all-zero at lam_max and ending at ``lam_min``.  Follows
+    the least-angle recursion: between events the active coefficients move
+    linearly in lam; an event either activates the most correlated inactive
+    column or removes an active coefficient crossing zero.
+    """
+    h = np.asarray(h, dtype=np.float64)
+    corr0 = h.T @ np.asarray(t, dtype=np.float64)
+    lams, betas = zip(*training._lasso_events(h.T @ h, corr0, lam_min, max_iter))
+    return np.array(lams), np.array(betas)
 
 
 def lasso_lambda_max(h: np.ndarray, t: np.ndarray) -> float:
@@ -75,8 +96,8 @@ def eager_search(columns, target_sparsity):
     return lam, beta
 
 
-def eager_train_T2(h, t, target_sparsity, refit=False):
-    """(l1_lambda, beta) that ``train_T2(h, t, target_sparsity=...)`` must give."""
+def eager_block_T2(h, t, target_sparsity, refit=False):
+    """(l1_lambda, beta) that ``fit_blocks([(h, t)], "T2", target_sparsity=...)`` must give."""
     h = np.asarray(h, dtype=np.float64)
     t = np.atleast_2d(np.asarray(t, dtype=np.float64).T).T
     lam, beta = eager_search([(h, t[:, k]) for k in range(t.shape[1])], target_sparsity)
@@ -94,9 +115,18 @@ def eager_fit_T2(hidden, targets, target_sparsity, refit=False):
     h_all, t_onset = hidden.h, targets.t_onset
     columns = [(h_type, t_type[:, k]) for k in range(t_type.shape[1])]
     lam, beta = eager_search(columns + [(h_all, t_onset)], target_sparsity)
+    return float(lam), two_block_refit(hidden, targets, beta) if refit else beta
+
+
+def two_block_refit(hidden, targets, beta):
+    """``beta`` refit on its nonzero rows as ``fit_output_weights`` refits it:
+    type columns on the type rows, the onset column on every row."""
+    h_type = hidden.h[targets.type_rows]
+    t_type = targets.t_type[targets.type_rows]
     support = np.any(beta != 0.0, axis=1)
-    if refit and support.any():
-        beta = np.zeros_like(beta)
-        beta[support, :-1], *_ = np.linalg.lstsq(h_type[:, support], t_type, rcond=SV_CUTOFF)
-        beta[support, -1], *_ = np.linalg.lstsq(h_all[:, support], t_onset, rcond=SV_CUTOFF)
-    return float(lam), beta
+    if not support.any():
+        return beta
+    beta = np.zeros_like(beta)
+    beta[support, :-1], *_ = np.linalg.lstsq(h_type[:, support], t_type, rcond=SV_CUTOFF)
+    beta[support, -1], *_ = np.linalg.lstsq(hidden.h[:, support], targets.t_onset, rcond=SV_CUTOFF)
+    return beta
