@@ -195,19 +195,17 @@ def load_chip(path: str | Path) -> ChipInstance:
 def mirror_multiply(
     i_dac_na: np.ndarray,
     chip: ChipInstance,
-    noise_on: bool = False,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Mirror each row current into all neurons: I_in = b + W @ I_dac (nA).
 
-    With noise on, the mirrored sum gets multiplicative Gaussian error at the
-    configured SNR (the leak is not mirrored, so it is noise-free here).
-    Accepts a (D,) vector or a (T, D) batch; returns (L,) or (T, L).
+    Given an ``rng`` (noise on), the mirrored sum gets multiplicative
+    Gaussian error at the configured SNR (the leak is not mirrored, so it is
+    noise-free here).  Accepts a (D,) vector or a (T, D) batch; returns (L,)
+    or (T, L).
     """
     summed = np.asarray(i_dac_na) @ chip.weights.T
-    if noise_on:
-        if rng is None:
-            raise ValueError("noise_on requires an rng")
+    if rng is not None:
         rel = 10.0 ** (-chip.params.mirror_snr_db / 20.0)
         summed = summed * (1.0 + rng.normal(0.0, rel, size=summed.shape))
     return np.maximum(0.0, chip.params.b_na + summed)
@@ -234,14 +232,12 @@ def cco_frequency(i_in_na: np.ndarray, params: AnalogParams) -> np.ndarray:
 def cco_count(
     i_in_na: np.ndarray,
     params: AnalogParams,
-    noise_on: bool = False,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Gated-counter output: min(stop, floor(alpha * f * t_cnt)), with jitter when noisy."""
+    """Gated-counter output: min(stop, floor(alpha * f * t_cnt)), with jitter
+    drawn from ``rng`` when one is given."""
     value = params.alpha_supply * cco_frequency(i_in_na, params) * params.t_cnt_s
-    if noise_on and params.jitter_rel > 0:
-        if rng is None:
-            raise ValueError("noise_on requires an rng")
+    if rng is not None and params.jitter_rel > 0:
         value = value * (1.0 + rng.normal(0.0, params.jitter_rel, size=np.shape(value)))
     counts = np.floor(np.maximum(0.0, value) + _FLOOR_EPS).astype(np.int64)
     return np.minimum(params.stop_value, counts)
@@ -250,17 +246,16 @@ def cco_count(
 def hidden_layer(
     x_codes: np.ndarray,
     chip: ChipInstance,
-    noise_on: bool = False,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Hidden-layer counts h for one code vector (D,) or a batch (T, D).
 
-    Composition DAC -> mirror array -> CCO counter; with noise off this is a
-    pure function of (x, chip).
+    Composition DAC -> mirror array -> CCO counter; noise is on exactly when
+    an ``rng`` is given, and without one this is a pure function of (x, chip).
     """
     i_dac = chip.dac_currents(x_codes)
-    i_in = mirror_multiply(i_dac, chip, noise_on, rng)
-    return cco_count(i_in, chip.params, noise_on, rng)
+    i_in = mirror_multiply(i_dac, chip, rng)
+    return cco_count(i_in, chip.params, rng)
 
 
 def normalize_rows(h_rows: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
@@ -288,7 +283,7 @@ def mismatch_map(chip: ChipInstance, probe_code: int = 8) -> np.ndarray:
         raise ValueError("probe_code must be in [1, 63]")
     x = np.zeros((chip.d, chip.d), dtype=np.int64)
     np.fill_diagonal(x, probe_code)
-    counts = hidden_layer(x, chip, noise_on=False).T.astype(np.float64)
+    counts = hidden_layer(x, chip).T.astype(np.float64)
     median = float(np.median(counts))
     if median <= 0:
         raise ValueError("probe too weak: median count is zero")

@@ -34,13 +34,15 @@ from .analog import (
     save_chip,
     write_mismatch_map,
 )
-from .budget import BudgetInputs, budget_json, budget_report, format_budget
+from .budget import budget_json, budget_report, format_budget
 from .config import (
+    DECODER_KEYS,
     ConfigError,
     echo_config,
     parse_int_list,
     parse_str_list,
     resolve_config,
+    section,
 )
 from .decoder import (
     DecoderModel,
@@ -58,7 +60,6 @@ from .frontend import FrontendConfig, run_trial
 from .spikeio import (
     DatasetError,
     SpikeDataset,
-    SynthParams,
     Trial,
     gen_synthetic,
     parse_dataset,
@@ -67,7 +68,6 @@ from .spikeio import (
 from .training import (
     ConvergenceError,
     TrainingError,
-    TrapezoidParams,
     collect_H,
     fit_output_weights,
     hidden_streams,
@@ -168,42 +168,6 @@ def _fresh_path(path: Path, force: bool, directory: bool = False) -> Path:
     return path
 
 
-def _synth_from_cfg(cfg: dict) -> SynthParams:
-    return SynthParams(
-        q=cfg["synth.q"],
-        m=cfg["synth.m"],
-        baseline_rate=cfg["synth.baseline_rate"],
-        peak_rate=cfg["synth.peak_rate"],
-        tuning_width=cfg["synth.tuning_width"],
-        ramp_start_ms=cfg["synth.ramp_start_ms"],
-        ramp_peak_ms=cfg["synth.ramp_peak_ms"],
-        decay_start_ms=cfg["synth.decay_start_ms"],
-        decay_end_ms=cfg["synth.decay_end_ms"],
-        onset_ms=cfg["synth.onset_ms"],
-        trial_duration_ms=cfg["synth.trial_duration_ms"],
-        trials_per_class=cfg["synth.trials_per_class"],
-        seed=cfg["synth.seed"],
-    )
-
-
-def _analog_from_cfg(cfg: dict) -> AnalogParams:
-    fields = (
-        "i_ref_na c_f_f dvdd_v u_t_mv sigma_vt_mv mu_vt_mv dnl_max_lsb "
-        "t_cnt_s fmax_sel jitter_rel mirror_snr_db b_na alpha_supply "
-        "use_full_cco i_rst_na"
-    ).split()
-    return AnalogParams(**{name: cfg[f"analog.{name}"] for name in fields})
-
-
-def _trap_from_cfg(cfg: dict) -> TrapezoidParams:
-    return TrapezoidParams(
-        t0_ms=cfg["trap.t0_ms"],
-        t1_ms=cfg["trap.t1_ms"],
-        t2_ms=cfg["trap.t2_ms"],
-        t3_ms=cfg["trap.t3_ms"],
-    )
-
-
 def _frontend_from_cfg(cfg: dict, n_channels: int, p: int | None = None) -> FrontendConfig:
     t_s = cfg["frontend.t_s_ms"]
     p = cfg["frontend.p"] if p is None else p
@@ -218,7 +182,7 @@ def _frontend_from_cfg(cfg: dict, n_channels: int, p: int | None = None) -> Fron
 def _chip_for(cfg: dict, d: int, seed: int | None = None, l: int | None = None):
     return build_chip(
         cfg["chip.seed"] if seed is None else seed,
-        _analog_from_cfg(cfg),
+        section(cfg, "analog"),
         d=d,
         l=cfg["chip.l"] if l is None else l,
     )
@@ -234,7 +198,7 @@ def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: lis
         frontend,
         noise_on=cfg["train.noise_on"],
         sample_policy=cfg["train.sample_policy"],
-        trap=_trap_from_cfg(cfg),
+        trap=section(cfg, "trap"),
         normalize=cfg["decoder.normalize"],
         noise_seed=cfg["train.noise_seed"],
         codes=codes,
@@ -257,8 +221,8 @@ def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: lis
             frontend=frontend,
             chip_seed=chip.seed,
             fmax_sel=chip.params.fmax_sel,
-            trap=_trap_from_cfg(cfg),
-            **{name: cfg[f"decoder.{name}"] for name in ("theta", "lam", "tau", "tr_ms", "normalize")},
+            trap=section(cfg, "trap"),
+            **{name: cfg[f"decoder.{name}"] for name in DECODER_KEYS},
         ))
     return hidden, models
 
@@ -270,7 +234,7 @@ def _load_runtime(cfg: dict, args) -> tuple[SpikeDataset, DecoderModel, object]:
     if args.chip:
         chip = load_chip(args.chip)
     else:
-        params = _analog_from_cfg(cfg)
+        params = section(cfg, "analog")
         if params.fmax_sel != model.fmax_sel:
             params = AnalogParams(**{**params.__dict__, "fmax_sel": model.fmax_sel})
         chip = build_chip(model.chip_seed, params, d=model.frontend.rows, l=model.beta.shape[0])
@@ -304,7 +268,7 @@ def _restrict_channels(dataset: SpikeDataset, n: int) -> SpikeDataset:
 
 def cmd_gen(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force, directory=True)
-    dataset = gen_synthetic(_synth_from_cfg(cfg))
+    dataset = gen_synthetic(section(cfg, "synth"))
     write_dataset(dataset, out)
     _echo(cfg)
     _note(f"wrote {len(dataset.trials)} trials to {out}")
@@ -458,13 +422,7 @@ def cmd_sweep(args, cfg: dict) -> int:
 
 
 def cmd_budget(args, cfg: dict) -> int:
-    fields = (
-        "d l c f_class_hz p_analog_w p_digital_w e_mac_digital_j f_bio_hz "
-        "f_deco_hz address_bits channel_count raw_channels raw_sample_rate_hz "
-        "raw_resolution_bits"
-    ).split()
-    inputs = BudgetInputs(**{name: cfg[f"budget.{name}"] for name in fields})
-    report = budget_report(inputs)
+    report = budget_report(section(cfg, "budget"))
     _echo(cfg)
     for line in format_budget(report).splitlines():
         _note(line)

@@ -1,58 +1,51 @@
 """Flat ``key = value`` run configuration with typed defaults.
 
-Every tunable across the package has a namespaced key and a documented
-default below; a config file (or ``--set`` override) may only assign known
-keys, and values are coerced to the default's type.  ``echo_config``
-renders a resolved configuration as config-file text, so a run's echoed
-configuration can be fed straight back in to reproduce it.
+Every tunable across the package has a namespaced key; a config file (or
+``--set`` override) may only assign known keys, and values are coerced to
+the default's type.  The ``synth.*``, ``analog.*``, ``trap.*`` and
+``budget.*`` keys are the fields of their parameter classes, and the model
+``decoder.*`` keys are fields of ``DecoderModel``: their defaults live on
+those dataclasses, and ``section`` builds a parameter object from its keys.
+``echo_config`` renders a resolved configuration as config-file text, so a
+run's echoed configuration can be fed straight back in to reproduce it.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
+
+from .analog import AnalogParams
+from .budget import BudgetInputs
+from .decoder import DecoderModel
+from .spikeio import SynthParams
+from .training import TrapezoidParams
 
 
 class ConfigError(ValueError):
     """Unknown key, malformed line, or a value of the wrong type."""
 
 
+#: Config sections that are parameter classes: one ``section.field`` key per field.
+SECTIONS = {
+    "synth": SynthParams,  # synthetic dataset generator
+    "analog": AnalogParams,  # analog fabric
+    "trap": TrapezoidParams,  # onset-membership trapezoid, ms from trial start
+    "budget": BudgetInputs,  # power/energy/data-rate budget
+}
+
+#: The ``DecoderModel`` fields that ``decoder.<name>`` keys set.
+DECODER_KEYS = ("theta", "lam", "tau", "tr_ms", "normalize")
+
 #: Every supported key with its default value; types are taken from here.
 DEFAULTS: dict[str, object] = {
-    # synthetic dataset generator
-    "synth.q": 30,  # input channels
-    "synth.m": 12,  # movement classes
-    "synth.baseline_rate": 8.0,  # Hz at rest
-    "synth.peak_rate": 90.0,  # Hz at the preferred class's peak
-    "synth.tuning_width": 2.0,  # raised-cosine half-width, in class distance
-    "synth.ramp_start_ms": -300.0,  # rate envelope, relative to onset
-    "synth.ramp_peak_ms": -100.0,
-    "synth.decay_start_ms": 100.0,
-    "synth.decay_end_ms": 300.0,
-    "synth.onset_ms": 1000.0,
-    "synth.trial_duration_ms": 2000.0,
-    "synth.trials_per_class": 10,
-    "synth.seed": 0,
+    **{f"{name}.{f.name}": f.default for name, cls in SECTIONS.items() for f in fields(cls)},
+    **{f"decoder.{f.name}": f.default for f in fields(DecoderModel) if f.name in DECODER_KEYS},
     # front end layout
     "frontend.mode": "direct",  # direct | tdbdi
     "frontend.p": 2,  # rows per channel under tdbdi
     "frontend.link_delay": 5,  # sub-windows per delay link
     "frontend.t_s_ms": 20.0,  # sub-window period
-    # analog fabric
-    "analog.i_ref_na": 20.0,
-    "analog.c_f_f": 100e-15,
-    "analog.dvdd_v": 0.6,
-    "analog.u_t_mv": 26.0,
-    "analog.sigma_vt_mv": 16.5,
-    "analog.mu_vt_mv": 0.0,
-    "analog.dnl_max_lsb": 3.0,
-    "analog.t_cnt_s": 0.010,
-    "analog.fmax_sel": 7,
-    "analog.jitter_rel": 0.0005,
-    "analog.mirror_snr_db": 43.0,
-    "analog.b_na": 0.0,
-    "analog.alpha_supply": 1.0,
-    "analog.use_full_cco": False,
-    "analog.i_rst_na": 1000.0,
     # chip instantiation
     "chip.seed": 1,
     "chip.d": 0,  # 0 = take the front end's row count (or synth.q standalone)
@@ -67,17 +60,7 @@ DEFAULTS: dict[str, object] = {
     "train.sample_policy": "unambiguous",  # unambiguous | plateau | all
     "train.noise_on": False,
     "train.noise_seed": 0,
-    # onset-membership trapezoid, ms from trial start
-    "trap.t0_ms": 800.0,
-    "trap.t1_ms": 900.0,
-    "trap.t2_ms": 1100.0,
-    "trap.t3_ms": 1200.0,
-    # runtime decoder
-    "decoder.theta": 0.75,
-    "decoder.lam": 6,
-    "decoder.tau": 10,
-    "decoder.tr_ms": 140.0,
-    "decoder.normalize": True,
+    # runtime decoder scoring
     "decoder.tol_ms": 150.0,  # onset truth window for scoring
     "decoder.noise_on": False,
     "decoder.noise_seed": 0,
@@ -96,22 +79,14 @@ DEFAULTS: dict[str, object] = {
     "sweep.p_grid": "1",
     "sweep.methods": "T1",
     "sweep.chip_seeds": "1,2,3,4,5",
-    # power/energy/data-rate budget
-    "budget.d": 40,
-    "budget.l": 60,
-    "budget.c": 12,
-    "budget.f_class_hz": 50.0,
-    "budget.p_analog_w": 360e-9,
-    "budget.p_digital_w": 54e-9,
-    "budget.e_mac_digital_j": 11e-12,
-    "budget.f_bio_hz": 100.0,
-    "budget.f_deco_hz": 50.0,
-    "budget.address_bits": 8,
-    "budget.channel_count": 256,
-    "budget.raw_channels": 100,
-    "budget.raw_sample_rate_hz": 20e3,
-    "budget.raw_resolution_bits": 10,
 }
+
+
+def section(cfg: dict[str, object], name: str):
+    """The parameter object of section ``name``, built from its keys in ``cfg``."""
+    cls = SECTIONS[name]
+    return cls(**{f.name: cfg[f"{name}.{f.name}"] for f in fields(cls)})
+
 
 _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}

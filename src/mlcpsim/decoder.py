@@ -269,9 +269,9 @@ def split_dataset(dataset: SpikeDataset, test_fraction: float, seed: int
 
 
 def majority_class(s_ticks: np.ndarray, m: int) -> int:
-    """Majority vote with lowest-class tie-break; class 1 if no ticks."""
+    """Majority vote with lowest-class tie-break; 0 (no vote) if no ticks."""
     if len(s_ticks) == 0:
-        return 1
+        return 0
     counts = np.bincount(s_ticks, minlength=m + 1)
     return int(np.argmax(counts[1:])) + 1
 
@@ -280,7 +280,8 @@ def plateau_class(outputs: np.ndarray, model: DecoderModel) -> int:
     """Type vote of one trial: the majority class of its per-tick outputs
     over the ticks whose window ends on the membership plateau
     [``trap.t1_ms``, ``trap.t2_ms``].  A trial with no plateau tick (one
-    that ends before ``t1_ms``) votes class 1, in training as in evaluation."""
+    that ends before ``t1_ms``) has no vote (0), so it is scored wrong
+    whatever its label, in training as in evaluation."""
     t_ms = (np.arange(len(outputs)) + 1) * model.frontend.t_s_ms
     plateau = (t_ms >= model.trap.t1_ms) & (t_ms <= model.trap.t2_ms)
     return majority_class(np.argmax(outputs[plateau, : model.m], axis=1) + 1, model.m)
@@ -334,7 +335,8 @@ def evaluate(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
     """Score a test set.
 
     Type accuracy is the fraction of trials whose ``plateau_class`` vote
-    matches the label; TPR the fraction with a detection within ``tol_ms``
+    matches the label (a trial with no vote is wrong and stays out of the
+    confusion matrix); TPR the fraction with a detection within ``tol_ms``
     of the true onset; detections outside that window count as false
     positives.  With noise on, each trial uses its own counter-derived
     stream, so scores are independent of evaluation order.  ``outputs``, if
@@ -344,7 +346,8 @@ def evaluate(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
         outputs = _output_streams(dataset, model, chip, noise_on, noise_seed)
     confusion = np.zeros((dataset.class_count, dataset.class_count), dtype=np.int64)
     for trial, o in zip(dataset.trials, outputs):
-        confusion[trial.label - 1, plateau_class(o, model) - 1] += 1
+        if vote := plateau_class(o, model):
+            confusion[trial.label - 1, vote - 1] += 1
     [(hits, fps, latencies)] = score_onsets(dataset.trials, outputs, model, [model.theta], tol_ms)
     n = len(dataset.trials)
     return EvalReport(

@@ -26,7 +26,6 @@ cross-check it against a stateful tick-by-tick model of the same counters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -162,11 +161,3 @@ def run_trial(config: FrontendConfig, trial) -> np.ndarray:
     counts = bin_events(trial.times_us, trial.channels, config.n_external, config.t_s_ms, n_ticks)
     return run_counts(config, counts)
 
-
-def write_trace(path: str | Path, codes: np.ndarray) -> None:
-    """Export a code matrix as a ``tick,row,code`` CSV for debugging."""
-    lines = ["tick,row,code"]
-    for tick in range(codes.shape[0]):
-        for row in range(codes.shape[1]):
-            lines.append(f"{tick},{row},{codes[tick, row]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

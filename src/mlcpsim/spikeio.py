@@ -164,12 +164,12 @@ class SynthParams:
     circular class distance over ``tuning_width`` classes.
     """
 
-    q: int = 30
-    m: int = 12
-    baseline_rate: float = 8.0
-    peak_rate: float = 90.0
-    tuning_width: float = 2.0
-    ramp_start_ms: float = -300.0
+    q: int = 30  # input channels
+    m: int = 12  # movement classes
+    baseline_rate: float = 8.0  # Hz at rest
+    peak_rate: float = 90.0  # Hz at the preferred class's peak
+    tuning_width: float = 2.0  # raised-cosine half-width, in class distance
+    ramp_start_ms: float = -300.0  # rate envelope, relative to onset
     ramp_peak_ms: float = -100.0
     decay_start_ms: float = 100.0
     decay_end_ms: float = 300.0

@@ -143,7 +143,7 @@ def hidden_stream(codes: np.ndarray, chip: ChipInstance, normalize: bool,
                   rng: np.random.Generator | None = None) -> np.ndarray:
     """(T, L) hidden responses to one trial's (T, D) front-end codes, row
     normalized if asked; noise is on when ``rng`` is given."""
-    h = hidden_layer(codes, chip, noise_on=rng is not None, rng=rng).astype(np.float64)
+    h = hidden_layer(codes, chip, rng).astype(np.float64)
     return normalize_rows(h, codes) if normalize else h
 
 

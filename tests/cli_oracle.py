@@ -12,8 +12,8 @@ import itertools
 
 import numpy as np
 
-from mlcpsim.cli import _chip_for, _frontend_from_cfg, _restrict_channels, _trap_from_cfg
-from mlcpsim.config import parse_int_list, parse_str_list
+from mlcpsim.cli import _chip_for, _frontend_from_cfg, _restrict_channels
+from mlcpsim.config import parse_int_list, parse_str_list, section
 from mlcpsim.decoder import DecoderModel, evaluate, split_dataset
 from mlcpsim.spikeio import parse_dataset
 from mlcpsim.training import collect_H, fit_output_weights
@@ -28,7 +28,7 @@ def _point_model(cfg, method, hidden, targets, frontend, m, chip):
     return DecoderModel.from_training(
         weights, m=m, frontend=frontend, theta=cfg["decoder.theta"], lam=cfg["decoder.lam"],
         tau=cfg["decoder.tau"], tr_ms=cfg["decoder.tr_ms"], normalize=cfg["decoder.normalize"],
-        chip_seed=chip.seed, fmax_sel=chip.params.fmax_sel, trap=_trap_from_cfg(cfg))
+        chip_seed=chip.seed, fmax_sel=chip.params.fmax_sel, trap=section(cfg, "trap"))
 
 
 def oracle_sweep(cfg: dict, data) -> tuple[str, list[str]]:
@@ -49,7 +49,7 @@ def oracle_sweep(cfg: dict, data) -> tuple[str, list[str]]:
             chip = _chip_for(cfg, d=frontend.rows, seed=seed, l=l)
             hidden, targets = collect_H(
                 sub_train, chip, frontend, noise_on=cfg["train.noise_on"],
-                sample_policy=cfg["train.sample_policy"], trap=_trap_from_cfg(cfg),
+                sample_policy=cfg["train.sample_policy"], trap=section(cfg, "trap"),
                 normalize=cfg["decoder.normalize"], noise_seed=cfg["train.noise_seed"])
             model = _point_model(cfg, method, hidden, targets, frontend,
                                  dataset.class_count, chip)

@@ -80,7 +80,9 @@ def oracle_scores(dataset, model, chip, theta, tol_ms=150.0):
         t_ms = (np.arange(len(o)) + 1) * model.frontend.t_s_ms
         s = np.array([classify_type(row, model.m) for row in o], dtype=np.int64)
         plateau = (t_ms >= model.trap.t1_ms) & (t_ms <= model.trap.t2_ms)
-        confusion[trial.label - 1, majority_class(s[plateau], model.m) - 1] += 1
+        vote = majority_class(s[plateau], model.m)
+        if vote:  # a trial with no plateau tick has no vote
+            confusion[trial.label - 1, vote - 1] += 1
         fsm = TrackingFsm(model.lam, model.tau, model.tr_ms, model.frontend.t_s_ms)
         g_track = np.array([fsm.step(onset_primary(v, theta)) for v in o[:, model.m]], dtype=int)
         rising = (g_track == 1) & (np.concatenate([[0], g_track[:-1]]) == 0)

@@ -106,7 +106,7 @@ def test_c06_noise_calibration():
     chip = build_chip(600, AnalogParams(sigma_vt_mv=0.0, dnl_max_lsb=0.0), d=1, l=1)
     rng = np.random.default_rng(601)
     outs = np.array(
-        [mirror_multiply(np.array([10.0]), chip, noise_on=True, rng=rng)[0] for _ in range(4000)]
+        [mirror_multiply(np.array([10.0]), chip, rng=rng)[0] for _ in range(4000)]
     )
     rel = outs.std() / outs.mean()
     assert 0.5 * 0.00708 <= rel <= 2.0 * 0.00708
@@ -116,7 +116,7 @@ def test_c06_noise_calibration():
     rng = np.random.default_rng(602)
     for i_na in [6.0, 36.0, 90.0]:
         counts = np.array(
-            [cco_count(np.array([i_na]), params, noise_on=True, rng=rng)[0] for _ in range(100)]
+            [cco_count(np.array([i_na]), params, rng=rng)[0] for _ in range(100)]
         )
         assert counts.std() / counts.mean() < 1e-3
 

@@ -147,7 +147,7 @@ def test_mirror_noise_matches_snr():
     clean = mirror_multiply(i_dac, chip)
     rel = []
     for _ in range(1000):
-        noisy = mirror_multiply(i_dac, chip, noise_on=True, rng=rng)
+        noisy = mirror_multiply(i_dac, chip, rng=rng)
         rel.extend((noisy / clean - 1.0).tolist())
     target = 10.0 ** (-43.0 / 20.0)
     assert abs(np.std(rel) - target) < 0.15 * target
@@ -180,7 +180,7 @@ def test_cco_jitter_bounded():
     rng = np.random.default_rng(121)
     for i_na in [6.0, 36.0, 90.0]:
         draws = np.array(
-            [int(cco_count(np.array([i_na]), params, noise_on=True, rng=rng)[0]) for _ in range(1000)]
+            [int(cco_count(np.array([i_na]), params, rng=rng)[0]) for _ in range(1000)]
         )
         rel_std = draws.std() / draws.mean()
         assert rel_std < 0.001

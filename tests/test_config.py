@@ -1,9 +1,14 @@
 """Tests for the flat key = value configuration layer."""
 
+import typing
+from dataclasses import fields
+
 import pytest
 
 from mlcpsim.config import (
+    DECODER_KEYS,
     DEFAULTS,
+    SECTIONS,
     ConfigError,
     coerce,
     echo_config,
@@ -11,7 +16,9 @@ from mlcpsim.config import (
     parse_config_text,
     parse_int_list,
     resolve_config,
+    section,
 )
+from mlcpsim.decoder import DecoderModel
 
 
 def test_resolve_without_inputs_is_defaults():
@@ -105,3 +112,38 @@ def test_int_list_parsing():
     assert parse_int_list("") == []
     with pytest.raises(ConfigError):
         parse_int_list("10,x")
+
+
+def _field_keys(prefix, cls, names=None):
+    """(key, field default, annotated type) of every config-backed field of ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return [(f"{prefix}.{f.name}", f.default, hints[f.name]) for f in fields(cls)
+            if names is None or f.name in names]
+
+
+def test_section_and_decoder_keys_are_the_dataclass_fields():
+    backed = [row for name, cls in SECTIONS.items() for row in _field_keys(name, cls)]
+    backed += _field_keys("decoder", DecoderModel, DECODER_KEYS)
+    assert len(backed) == len({key for key, _, _ in backed}) == 46 + len(DECODER_KEYS)
+    assert {f"decoder.{name}" for name in DECODER_KEYS} <= {key for key, _, _ in backed}
+    for key, default, hint in backed:
+        # the default's type is what coerce parses, so it must be the annotated one
+        assert type(DEFAULTS[key]) is hint, key
+        assert DEFAULTS[key] == default, key
+    section_keys = {key for key in DEFAULTS if key.split(".")[0] in SECTIONS}
+    assert section_keys == {key for key, _, _ in backed if not key.startswith("decoder.")}
+
+
+def test_section_of_the_defaults_is_the_default_instance():
+    cfg = resolve_config()
+    for name, cls in SECTIONS.items():
+        assert section(cfg, name) == cls()
+    cfg = resolve_config(sets=["analog.fmax_sel=3", "trap.t1_ms=950"])
+    assert section(cfg, "analog").fmax_sel == 3
+    assert section(cfg, "trap").t1_ms == 950.0
+
+
+def test_unknown_section_keys_rejected():
+    for key in ("analog.bogus", "trap.t4_ms", "budget.D", "decoder.chip_seed", "decoder.m"):
+        with pytest.raises(ConfigError, match="unknown configuration key"):
+            resolve_config(sets=[f"{key}=1"])

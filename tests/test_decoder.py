@@ -380,7 +380,21 @@ def test_ragged_trials_score_like_per_trial_oracle():
 
 def test_majority_vote_tie_break():
     assert majority_class(np.array([2, 2, 3, 3]), m=4) == 2
-    assert majority_class(np.array([], dtype=int), m=4) == 1
+    assert majority_class(np.array([], dtype=int), m=4) == 0  # no ticks, no vote
+
+
+def test_trial_without_a_plateau_tick_is_wrong_whatever_its_label(easy_setup):
+    """A zero-duration trial has no plateau tick, so it has no vote: it is
+    scored wrong under either label and stays out of the confusion matrix."""
+    ds, chip, model = easy_setup
+    base = evaluate(ds, model, chip)
+    for label in (1, 2):
+        padded = SpikeDataset(ds.trials + [Trial("z0", label, 0, 0)], ds.channel_count,
+                              ds.class_count)
+        report = evaluate(padded, model, chip)
+        assert report.accuracy == np.trace(base.confusion) / (len(ds.trials) + 1)
+        assert np.array_equal(report.confusion, base.confusion)
+        assert np.array_equal(oracle_scores(padded, model, chip, model.theta)[0], base.confusion)
 
 
 # ---------------------------------------------------------------- ROC sweep

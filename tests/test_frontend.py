@@ -8,7 +8,6 @@ from mlcpsim.frontend import (
     bin_events,
     run_counts,
     run_trial,
-    write_trace,
 )
 from mlcpsim.spikeio import Trial
 
@@ -219,15 +218,9 @@ def test_bin_events_half_open_boundaries():
     assert counts[:, 0].tolist() == [2, 2, 1]
 
 
-def test_run_trial_and_trace(tmp_path):
+def test_run_trial_codes():
     trial = Trial("t", 1, 50000, 100000, [5000, 25000, 25500], [0, 1, 1])
     codes = run_trial(FrontendConfig.direct(2), trial)
     assert codes.shape == (5, 2)
     assert codes[0].tolist() == [1, 0]
     assert codes[1].tolist() == [1, 2]
-    out = tmp_path / "trace.csv"
-    write_trace(out, codes)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "tick,row,code"
-    assert lines[1] == "0,0,1"
-    assert len(lines) == 1 + 10
