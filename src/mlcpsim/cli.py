@@ -37,8 +37,10 @@ from .analog import (
 from .budget import budget_json, budget_report, format_budget
 from .config import (
     DECODER_KEYS,
+    DEFAULTS,
     ConfigError,
     echo_config,
+    format_value,
     parse_int_list,
     parse_str_list,
     resolve_config,
@@ -227,10 +229,24 @@ def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: lis
     return hidden, models
 
 
+def _adopt_model_decoder_keys(cfg: dict, model: DecoderModel) -> None:
+    """Set the ``decoder.*`` model keys to the model's values, the ones it
+    decodes with, so the echo shows them.  A key configured away from its
+    default to a value other than the model's is an error."""
+    for name in DECODER_KEYS:
+        key, value = f"decoder.{name}", getattr(model, name)
+        if cfg[key] != DEFAULTS[key] and cfg[key] != value:
+            raise ConfigError(f"{key} = {format_value(cfg[key])} differs from the model's "
+                              f"{format_value(value)}; the model's value is used, so drop "
+                              "the setting or train a model with it")
+        cfg[key] = type(DEFAULTS[key])(value)
+
+
 def _load_runtime(cfg: dict, args) -> tuple[SpikeDataset, DecoderModel, object]:
     """Dataset + model + chip for the eval/stream/roc commands."""
-    dataset = parse_dataset(args.data)
     model = load_model(args.model)
+    _adopt_model_decoder_keys(cfg, model)
+    dataset = parse_dataset(args.data)
     if args.chip:
         chip = load_chip(args.chip)
     else:

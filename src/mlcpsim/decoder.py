@@ -11,24 +11,30 @@ Per 20 ms tick the decoder computes the M+1 output values
 * combined: ``F = G_track * s`` - the class label exactly when a tracked
   onset fires, else 0.
 
-``track`` runs the tracker over a (streams, ticks) batch of G bits: one
-cumulative sum gives the window counts and only the refractory state steps
-through time.
+Only the tracker's refractory state steps through time (``_track_steps``),
+for many (threshold, stream) pairs at once.  ``track`` runs it over a
+(streams, ticks) batch of G bits, whose window counts come from one
+cumulative sum.
 
 Evaluation scores movement type per trial by majority vote of the per-tick
 class over the membership plateau, and onset detection by matching G_track
 events against a tolerance window around the true onset (events outside it
-count as false positives).  ``score_onsets`` tracks all trials of an
-``evaluate`` or ``roc_sweep`` call as one padded batch per threshold.
+count as false positives).  "At least ``lam`` of the last ``tau`` onset
+outputs exceed theta" is the same test as "the ``lam``-th largest of them
+exceeds theta", so ``score_onsets`` ranks each trial's windows once and
+tracks every (threshold, trial) pair of an ``evaluate`` or ``roc_sweep``
+call in one pass through the ticks.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .analog import ChipInstance
 from .frontend import FrontendConfig, run_trial
@@ -69,8 +75,10 @@ class DecoderModel:
             raise ValueError(f"beta must be (L, {self.m + 1}), got {self.beta.shape}")
         if not (1 <= self.lam <= self.tau):
             raise ValueError("need 1 <= lam <= tau")
-        if self.tr_ms < 0:
-            raise ValueError("tr_ms must be >= 0")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
+        if not (math.isfinite(self.tr_ms) and self.tr_ms >= 0):
+            raise ValueError(f"tr_ms must be finite and >= 0, got {self.tr_ms}")
         if self.frontend is None:
             raise ValueError("model needs a frontend configuration")
 
@@ -153,6 +161,48 @@ def _check_chip(model: DecoderModel, chip: ChipInstance) -> None:
                                 f"(beta rows), chip has D={chip.d}, L={chip.l}")
 
 
+#: Cells the onset scorer works on at once: (threshold, stream) pairs stepped
+#: through time together, or window values ranked together.  Bounds its
+#: working set whatever the number of thresholds or ticks.
+_TRACK_CELLS = 1 << 15
+
+
+def _track_steps(levels: np.ndarray, thetas, tr_ticks: float):
+    """Run one tracker per (threshold, stream) pair through the ticks at once.
+
+    ``levels`` is (T, B): pair (theta, b) passes its window test at tick n
+    when ``levels[n, b] > theta``; it is high when it passes and is past its
+    refractory deadline, and each rising edge pushes that deadline
+    ``tr_ticks`` ahead.  Yields ``(n, cur, rise)`` with G_track and its rising
+    edges as (thresholds, B) arrays, reused between ticks (``rise`` is None at
+    a tick without one), for each tick at which some level exceeds the
+    smallest threshold; at every other tick all outputs are low.
+    """
+    if not tr_ticks >= 0:
+        raise ValueError(f"need tr_ticks >= 0, got {tr_ticks}")
+    th = np.asarray(thetas, dtype=np.float64)[:, None]
+    n_ticks = levels.shape[0]
+    shape = (len(th), levels.shape[1])
+    # deadlines as ticks: until <= n exactly when ceil(until) <= n
+    until = np.zeros(shape, dtype=np.int64)
+    cur, prev, rise, free = (np.zeros(shape, dtype=bool) for _ in range(4))
+    last = -1
+    for n in np.flatnonzero((levels > th.min()).any(axis=1)).tolist():
+        if n != last + 1:  # every output was low at tick n - 1
+            prev.fill(False)
+        last = n
+        np.greater(levels[n], th, out=cur)
+        np.less_equal(until, n, out=free)
+        cur &= free
+        np.greater(cur, prev, out=rise)
+        if rise.any():
+            np.copyto(until, math.ceil(min(n + tr_ticks, n_ticks)), where=rise)
+            yield n, cur, rise
+        else:
+            yield n, cur, None
+        cur, prev = prev, cur
+
+
 def track(g: np.ndarray, lam: int, tau: int, tr_ticks: float) -> np.ndarray:
     """G_track for a (B, T) batch of G bit streams, one stream per row.
 
@@ -166,14 +216,10 @@ def track(g: np.ndarray, lam: int, tau: int, tr_ticks: float) -> np.ndarray:
     n_rows, n_ticks = g.shape
     csum = np.zeros((n_rows, tau + n_ticks), dtype=np.int64)
     np.cumsum(g, axis=1, out=csum[:, tau:])
-    ready = np.ascontiguousarray((csum[:, tau:] - csum[:, :n_ticks] >= lam).T)
-    out = np.zeros_like(ready)
-    until = np.zeros(n_rows)
-    prev = np.zeros(n_rows, dtype=bool)
-    for n in range(n_ticks):
-        cur = ready[n] & (until <= n)
-        until[cur & ~prev] = n + tr_ticks
-        out[n] = prev = cur
+    counts = np.ascontiguousarray((csum[:, tau:] - csum[:, :n_ticks]).T)
+    out = np.zeros((n_ticks, n_rows), dtype=bool)
+    for n, cur, _ in _track_steps(counts, [lam - 1], tr_ticks):  # count > lam - 1
+        out[n] = cur[0]
     return out.T
 
 
@@ -299,33 +345,74 @@ def _output_streams(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstan
                                                    noise_seed)]
 
 
+def _window_levels(outputs: list[np.ndarray], model: DecoderModel, floor: float) -> np.ndarray:
+    """(T, B) levels of a trial batch, -inf where at most ``floor``.
+
+    A trial's level at a tick is the ``lam``-th largest of its last ``tau``
+    onset outputs (-inf before its first tick, past its last and for NaN),
+    so at least ``lam`` of those outputs exceed theta exactly when the level
+    does, whatever theta is.  Only the windows whose level exceeds ``floor``
+    (at least ``lam`` outputs above it, one cumulative sum) are ranked.
+    """
+    lam, tau = model.lam, model.tau
+    lengths = np.array([len(o) for o in outputs])
+    n_trials, n_ticks = len(outputs), int(lengths.max())
+    valid = np.arange(n_ticks) < lengths[:, None]
+    onset = np.full((n_trials, tau - 1 + n_ticks), -np.inf)
+    onset[:, tau - 1:][valid] = np.concatenate([o[:, model.m] for o in outputs])
+    onset[np.isnan(onset)] = -np.inf
+    csum = np.zeros((n_trials, tau + n_ticks), dtype=np.int64)
+    np.cumsum(onset > floor, axis=1, out=csum[:, 1:])
+    rows, ticks = np.nonzero((csum[:, tau:] - csum[:, :n_ticks] >= lam) & valid)
+    levels = np.full((n_ticks, n_trials), -np.inf)
+    if len(rows):
+        windows = sliding_window_view(onset, tau, axis=1)  # (B, T, tau), a view
+        step = max(1, _TRACK_CELLS // tau)
+        for lo in range(0, len(rows), step):
+            b, n = rows[lo:lo + step], ticks[lo:lo + step]
+            levels[n, b] = np.partition(windows[b, n], tau - lam, axis=1)[:, tau - lam]
+    return levels
+
+
 def score_onsets(trials: list[Trial], outputs: list[np.ndarray], model: DecoderModel,
                  thetas: list[float], tol_ms: float) -> list[tuple[int, int, list[float]]]:
     """(hits, false positives, hit latencies in ms) per threshold.
 
     A trial is hit when a G_track rising edge lies within ``tol_ms`` of its
     onset (the latency is the first such edge's); every other rising edge is
-    a false positive.  All trials are tracked as one (trials, ticks) batch
-    per threshold, padded with G = 0 past each trial's end; edges in the
-    padding are ignored.
+    a false positive.  Whether a trial's window test passes depends on
+    theta only through one level per tick (``_window_levels``), so one pass
+    through the ticks tracks every (threshold, trial) pair, in groups of at
+    most ``_TRACK_CELLS`` pairs; hits and false positives are counted at the
+    ticks that have a rising edge.
     """
-    lengths = np.array([len(o) for o in outputs])
-    valid = np.arange(lengths.max()) < lengths[:, None]
-    onset_out = np.full(valid.shape, -np.inf)
-    onset_out[valid] = np.concatenate([o[:, model.m] for o in outputs])
+    if not tol_ms >= 0:
+        raise ValueError(f"tol_ms must be >= 0, got {tol_ms}")
+    thetas = np.asarray(thetas, dtype=np.float64).ravel()
+    if np.isnan(thetas).any():
+        raise ValueError("onset thresholds must not be NaN")
+    levels = _window_levels(outputs, model, thetas.min(initial=np.inf))
+    n_ticks, n_trials = levels.shape
     onsets_ms = np.array([trial.onset / 1000.0 for trial in trials])
-    t_ms = (np.arange(valid.shape[1]) + 1) * model.frontend.t_s_ms
-    in_window = np.abs(t_ms - onsets_ms[:, None]) <= tol_ms
+    t_ms = (np.arange(n_ticks) + 1) * model.frontend.t_s_ms
+    in_window = np.abs(t_ms[:, None] - onsets_ms) <= tol_ms  # (T, B)
     tr_ticks = model.tr_ms / model.frontend.t_s_ms
+    group = max(1, _TRACK_CELLS // n_trials)
     scores = []
-    for theta in thetas:
-        g_track = track(onset_out > theta, model.lam, model.tau, tr_ticks)
-        rising = g_track & valid
-        rising[:, 1:] &= ~g_track[:, :-1]
-        rows, cols = np.nonzero(rising & in_window)
-        first = np.flatnonzero(np.diff(rows, prepend=-1))  # first hit of each hit trial
-        latencies = (t_ms[cols[first]] - onsets_ms[rows[first]]).tolist()
-        scores.append((len(first), int(np.count_nonzero(rising)) - len(rows), latencies))
+    for lo in range(0, len(thetas), group):
+        chunk = thetas[lo:lo + group]
+        fps = np.zeros((len(chunk), n_trials), dtype=np.int64)
+        first = np.full(fps.shape, -1)  # tick of the first edge in the trial's window
+        for n, _, rise in _track_steps(levels, chunk, tr_ticks):
+            if rise is None:
+                continue
+            hit = rise & in_window[n]
+            fps += rise ^ hit
+            np.copyto(first, n, where=hit & (first < 0))
+        for row_first, row_fps in zip(first, fps):
+            hit_trials = np.flatnonzero(row_first >= 0)
+            latencies = (t_ms[row_first[hit_trials]] - onsets_ms[hit_trials]).tolist()
+            scores.append((len(hit_trials), int(row_fps.sum()), latencies))
     return scores
 
 

@@ -1,17 +1,21 @@
-"""Per-tick and per-trial oracles for the batched decoder.
+"""Per-tick, per-trial and per-threshold oracles for the batched decoder.
 
 ``TrackingFsm`` is the tick-by-tick tracker that ``decoder.track`` batches,
 ``classify_type`` and ``onset_primary`` are the scalar per-tick ops that
 ``decode_stream`` vectorizes, and ``oracle_scores`` decodes every trial on
 its own and scores it by the per-trial rules that ``evaluate`` and
-``roc_sweep`` followed before trials were tracked as one batch.  They live
+``roc_sweep`` followed before trials were tracked as one batch
+(``oracle_onset_scores`` is its onset half, on given outputs).
+``per_threshold_scores`` is the scorer that tracked all trials as one batch
+but made one pass through the ticks per threshold, before
+``decoder.score_onsets`` tracked every threshold in one pass.  They live
 here only as references the package must match exactly.
 """
 
 import numpy as np
 
 from mlcpsim.analog import hidden_layer, normalize_rows
-from mlcpsim.decoder import majority_class
+from mlcpsim.decoder import majority_class, track
 from mlcpsim.frontend import run_trial
 
 
@@ -59,30 +63,16 @@ class TrackingFsm:
         return out
 
 
-def oracle_scores(dataset, model, chip, theta, tol_ms=150.0):
-    """Score every trial alone at one threshold: (confusion, hits, fps, latencies).
-
-    Each trial runs front end, hidden layer, normalization and output layer
-    by hand, is tracked tick by tick with ``TrackingFsm``, and is scored by
-    the per-trial rules: plateau majority class, a hit when any detection
-    lies within ``tol_ms`` of the onset (latency of the first such one),
-    every other detection a false positive.
-    """
-    confusion = np.zeros((dataset.class_count, dataset.class_count), dtype=np.int64)
+def oracle_onset_scores(trials, outputs, model, theta, tol_ms=150.0):
+    """Onset scores of each trial's (T, M+1) outputs alone at one threshold:
+    (hits, fps, latencies), tracked tick by tick with ``TrackingFsm``.  A
+    trial is hit when any detection lies within ``tol_ms`` of its onset
+    (latency of the first such one); every other detection is a false
+    positive."""
     hits = fps = 0
     latencies = []
-    for trial in dataset.trials:
-        codes = run_trial(model.frontend, trial)
-        h = hidden_layer(codes, chip).astype(np.float64)
-        if model.normalize:
-            h = normalize_rows(h, codes)
-        o = h @ model.beta
+    for trial, o in zip(trials, outputs):
         t_ms = (np.arange(len(o)) + 1) * model.frontend.t_s_ms
-        s = np.array([classify_type(row, model.m) for row in o], dtype=np.int64)
-        plateau = (t_ms >= model.trap.t1_ms) & (t_ms <= model.trap.t2_ms)
-        vote = majority_class(s[plateau], model.m)
-        if vote:  # a trial with no plateau tick has no vote
-            confusion[trial.label - 1, vote - 1] += 1
         fsm = TrackingFsm(model.lam, model.tau, model.tr_ms, model.frontend.t_s_ms)
         g_track = np.array([fsm.step(onset_primary(v, theta)) for v in o[:, model.m]], dtype=int)
         rising = (g_track == 1) & (np.concatenate([[0], g_track[:-1]]) == 0)
@@ -93,4 +83,54 @@ def oracle_scores(dataset, model, chip, theta, tol_ms=150.0):
             hits += 1
             latencies.append(float(detections[in_window][0] - onset_ms))
         fps += int(np.sum(~in_window))
-    return confusion, hits, fps, latencies
+    return hits, fps, latencies
+
+
+def oracle_scores(dataset, model, chip, theta, tol_ms=150.0):
+    """Score every trial alone at one threshold: (confusion, hits, fps, latencies).
+
+    Each trial runs front end, hidden layer, normalization and output layer
+    by hand, gets its type by the plateau majority class and is scored for
+    onsets by ``oracle_onset_scores``.
+    """
+    confusion = np.zeros((dataset.class_count, dataset.class_count), dtype=np.int64)
+    outputs = []
+    for trial in dataset.trials:
+        codes = run_trial(model.frontend, trial)
+        h = hidden_layer(codes, chip).astype(np.float64)
+        if model.normalize:
+            h = normalize_rows(h, codes)
+        o = h @ model.beta
+        outputs.append(o)
+        t_ms = (np.arange(len(o)) + 1) * model.frontend.t_s_ms
+        s = np.array([classify_type(row, model.m) for row in o], dtype=np.int64)
+        plateau = (t_ms >= model.trap.t1_ms) & (t_ms <= model.trap.t2_ms)
+        vote = majority_class(s[plateau], model.m)
+        if vote:  # a trial with no plateau tick has no vote
+            confusion[trial.label - 1, vote - 1] += 1
+    return (confusion, *oracle_onset_scores(dataset.trials, outputs, model, theta, tol_ms))
+
+
+def per_threshold_scores(trials, outputs, model, thetas, tol_ms):
+    """(hits, false positives, hit latencies in ms) per threshold, one
+    ``track`` pass per threshold over all trials as one (trials, ticks)
+    batch padded with G = 0 past each trial's end; edges in the padding are
+    ignored."""
+    lengths = np.array([len(o) for o in outputs])
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    onset_out = np.full(valid.shape, -np.inf)
+    onset_out[valid] = np.concatenate([o[:, model.m] for o in outputs])
+    onsets_ms = np.array([trial.onset / 1000.0 for trial in trials])
+    t_ms = (np.arange(valid.shape[1]) + 1) * model.frontend.t_s_ms
+    in_window = np.abs(t_ms - onsets_ms[:, None]) <= tol_ms
+    tr_ticks = model.tr_ms / model.frontend.t_s_ms
+    scores = []
+    for theta in thetas:
+        g_track = track(onset_out > theta, model.lam, model.tau, tr_ticks)
+        rising = g_track & valid
+        rising[:, 1:] &= ~g_track[:, :-1]
+        rows, cols = np.nonzero(rising & in_window)
+        first = np.flatnonzero(np.diff(rows, prepend=-1))  # first hit of each hit trial
+        latencies = (t_ms[cols[first]] - onsets_ms[rows[first]]).tolist()
+        scores.append((len(first), int(np.count_nonzero(rising)) - len(rows), latencies))
+    return scores

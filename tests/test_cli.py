@@ -405,3 +405,72 @@ def test_trial_id_with_a_path_step_is_data_error(capsys, tmp_path, easy_run):
                        "--seed", "3", *SMALL_CHIP)
     assert code == 2
     assert "trial id '../outside'" in err and "manifest.csv:" in err
+
+
+@pytest.mark.parametrize("key, value", [("decoder.theta", "nan"), ("decoder.tr_ms", "nan"),
+                                        ("decoder.tr_ms", "inf")])
+def test_train_rejects_a_non_finite_threshold_or_refractory(capsys, tmp_path, easy_run,
+                                                            key, value):
+    ds, _ = easy_run
+    out = tmp_path / "m.json"
+    code, _, err = run(capsys, "train", "--data", str(ds), "--out", str(out), "--seed", "3",
+                       *SMALL_CHIP, "--set", f"{key}={value}")
+    assert code == 2
+    assert key.split(".")[1] in err and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, token", [("theta", "NaN"), ("tr_ms", "Infinity")])
+def test_model_file_with_a_non_finite_threshold_or_refractory_is_rejected(
+        capsys, tmp_path, easy_run, field, token):
+    ds, model = easy_run
+    doc = json.loads(model.read_text())
+    doc[field] = float(token)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert token in bad.read_text()
+    with pytest.raises(ValueError, match=field):
+        load_model(bad)
+    code, _, err = run(capsys, "eval", "--data", str(ds), "--model", str(bad), "--seed", "3",
+                       *SMALL_CHIP)
+    assert code == 2 and field in err
+
+
+@pytest.mark.parametrize("cmd, setting, named", [
+    ("eval", "decoder.tol_ms=-5", "tol_ms"),
+    ("eval", "decoder.tol_ms=nan", "tol_ms"),
+    ("roc", "decoder.tol_ms=-5", "tol_ms"),
+    ("roc", "decoder.tol_ms=nan", "tol_ms"),
+    ("roc", "roc.theta_min=nan", "NaN"),
+])
+def test_bad_tolerance_or_nan_threshold_is_data_error(capsys, tmp_path, easy_run, cmd, setting,
+                                                     named):
+    ds, model = easy_run
+    out = tmp_path / "out"
+    code, _, err = run(capsys, cmd, "--data", str(ds), "--model", str(model), "--out", str(out),
+                       "--seed", "3", *SMALL_CHIP, "--set", setting)
+    assert code == 2 and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["eval", "roc", "stream"])
+def test_runtime_commands_echo_and_decode_with_the_models_decoder_keys(capsys, tmp_path,
+                                                                       easy_run, cmd):
+    ds, _ = easy_run
+    model = tmp_path / "m.json"
+    assert run(capsys, "train", "--data", str(ds), "--out", str(model), "--seed", "3",
+               *SMALL_CHIP, "--set", "decoder.theta=0.5", "--set", "decoder.tau=8")[0] == 0
+    base = [cmd, "--data", str(ds), "--model", str(model), "--seed", "3", *SMALL_CHIP]
+    # unset, or set to the model's value: the echo shows what decoding uses
+    for extra in ([], ["--set", "decoder.theta=0.5"]):
+        code, text, _ = run(capsys, *base, "--out", str(tmp_path / "out"), "--force", *extra)
+        assert code == 0
+        echoed = parse_config_text(text)
+        assert (echoed["decoder.theta"], echoed["decoder.tau"]) == (0.5, 8)
+        assert echoed["decoder.lam"] == 6
+    # set to something else: refused, naming the key and both values
+    out = tmp_path / "refused"
+    code, _, err = run(capsys, *base, "--out", str(out), "--set", "decoder.theta=0.0")
+    assert code == 2
+    assert "decoder.theta = 0.0" in err and "0.5" in err
+    assert not out.exists()

@@ -1,8 +1,11 @@
 """Tests for runtime decoding: classifier, onset bits, tracking FSM, scoring."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mlcpsim import decoder
 from mlcpsim.analog import AnalogParams, build_chip, hidden_layer, normalize_rows
 from mlcpsim.decoder import (
     ChipMismatchError,
@@ -13,6 +16,7 @@ from mlcpsim.decoder import (
     majority_class,
     roc_sweep,
     save_model,
+    score_onsets,
     split_dataset,
     track,
     write_roc_csv,
@@ -22,7 +26,14 @@ from mlcpsim.frontend import FrontendConfig, run_trial
 from mlcpsim.spikeio import SpikeDataset, SynthParams, Trial, gen_synthetic
 from mlcpsim.training import collect_H, fit_output_weights
 
-from decoder_oracle import TrackingFsm, classify_type, onset_primary, oracle_scores
+from decoder_oracle import (
+    TrackingFsm,
+    classify_type,
+    onset_primary,
+    oracle_onset_scores,
+    oracle_scores,
+    per_threshold_scores,
+)
 
 
 def brute_force_track(g_bits, lam, tau, tr_ticks):
@@ -378,6 +389,113 @@ def test_ragged_trials_score_like_per_trial_oracle():
         assert (tpr, fp) == (hits / 4, fps / 4)
 
 
+def _onset_model(lam=6, tau=10, tr_ms=140.0, theta=0.75):
+    """A model whose scoring depends only on its tracker settings: m = 1, so
+    column 1 of a (T, 2) output is the onset output."""
+    return DecoderModel(np.zeros((2, 2)), np.ones(2, bool), m=1, theta=theta, lam=lam, tau=tau,
+                        tr_ms=tr_ms, frontend=FrontendConfig.direct(2))
+
+
+def _random_onset_batch(rng, n_trials, max_ticks, all_empty=False):
+    """Ragged trials with onset outputs on a quarter grid, so thresholds can
+    equal output values exactly; a few outputs are NaN or +-inf, and some
+    trials have no tick at all."""
+    trials, outputs = [], []
+    for i in range(n_trials):
+        n_ticks = 0 if all_empty else int(rng.integers(0, max_ticks + 1))
+        o = rng.integers(-4, 5, size=(n_ticks, 2)) / 4.0
+        special = rng.random(n_ticks) < 0.05
+        o[special, 1] = rng.choice([np.nan, np.inf, -np.inf], size=int(special.sum()))
+        onset_us = int(rng.integers(0, max_ticks * 20_000 + 1))
+        trials.append(Trial(f"t{i}", 1, onset_us, n_ticks * 20_000))
+        outputs.append(o)
+    return trials, outputs
+
+
+ORACLE_THETAS = [-np.inf, -1.0, -0.25, 0.0, 0.0, 0.25, 0.5, 0.5, 0.75, 1.0, np.inf]
+
+
+@pytest.mark.parametrize("cells", [None, 7])  # the default grouping, and a tiny one
+def test_one_pass_scorer_matches_per_threshold_and_per_trial_oracles(monkeypatch, cells):
+    if cells is not None:  # groups and ranking chunks split mid-batch
+        monkeypatch.setattr(decoder, "_TRACK_CELLS", cells)
+    rng = np.random.default_rng(90)
+    max_ticks = 40
+    cases = 0
+    for lam, tau in [(1, 1), (3, 3), (2, 5), (6, 10), (4, 4)]:  # lam == tau four times
+        for tr_ticks in (0.0, 0.5, 7.5, max_ticks + 3.0):
+            model = _onset_model(lam, tau, tr_ms=tr_ticks * 20.0)
+            for tol_ms in (0.0, 400.0):
+                for all_empty in (False, True):
+                    trials, outputs = _random_onset_batch(rng, 12, max_ticks, all_empty)
+                    got = score_onsets(trials, outputs, model, ORACLE_THETAS, tol_ms)
+                    assert got == per_threshold_scores(trials, outputs, model, ORACLE_THETAS,
+                                                       tol_ms)
+                    for theta, score in zip(ORACLE_THETAS, got):
+                        assert score == oracle_onset_scores(trials, outputs, model, theta, tol_ms)
+                    cases += sum(hits + fps for hits, fps, _ in got) > 0
+    assert cases >= 20  # most batches detect something
+
+
+def test_scorer_threshold_equal_to_every_output_is_strict():
+    # every onset output is 0.5: theta = 0.5 sees G = 0 throughout, just below it G = 1
+    model = _onset_model(lam=2, tau=3, tr_ms=0.0)
+    outputs = [np.full((30, 2), 0.5)]
+    trials = [Trial("flat", 1, 20_000, 600_000)]
+    [at, below] = score_onsets(trials, outputs, model, [0.5, np.nextafter(0.5, 0.0)], 150.0)
+    assert at == (0, 0, [])
+    assert below == (1, 0, [20.0])  # one edge at the second tick, 40 ms, 20 ms after onset
+
+
+def test_roc_sweep_ignores_grid_order(easy_setup):
+    ds, chip, model = easy_setup
+    grid = np.linspace(-0.5, 1.5, 41)
+    grid = np.concatenate([grid, grid[::5]])  # with duplicates
+    shuffled = np.random.default_rng(91).permutation(grid)
+    want = roc_sweep(ds, model, chip, theta_grid=np.sort(grid))
+    assert roc_sweep(ds, model, chip, theta_grid=shuffled) == want
+    # the scorer itself keeps each threshold's score in the order given
+    outputs = [decode_stream(trial, model, chip).o for trial in ds.trials]
+    by_theta = dict(zip(np.sort(grid), score_onsets(ds.trials, outputs, model, np.sort(grid),
+                                                    150.0)))
+    got = score_onsets(ds.trials, outputs, model, shuffled, 150.0)
+    assert got == [by_theta[theta] for theta in shuffled]
+
+
+def test_roc_sweep_memory_does_not_grow_with_thresholds_times_ticks():
+    # 2,000 thresholds x 480 trials x 100 ticks: a (thresholds, trials, ticks)
+    # bool array alone would take 96 MB.  The peak, about 17 MB, is mostly the
+    # hit latencies score_onsets returns (one float per hit, about 13 MB here);
+    # the grouped pass itself needs about 3 MB
+    ds = gen_synthetic(SynthParams(q=4, m=2, trials_per_class=240, seed=92))
+    chip = build_chip(93, AnalogParams(), d=4, l=8)
+    beta = np.column_stack([np.zeros((8, 2)), np.ones(8)])
+    model = DecoderModel(beta, np.ones(8, bool), m=2, frontend=FrontendConfig.direct(4))
+    tracemalloc.start()
+    try:
+        points = roc_sweep(ds, model, chip, theta_grid=np.linspace(0.0, 60.0, 2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 2000 and points[0][1] > 0.0
+    assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("tol_ms", [-5.0, np.nan])
+def test_scorer_rejects_a_negative_or_nan_tolerance(easy_setup, tol_ms):
+    ds, chip, model = easy_setup
+    with pytest.raises(ValueError, match="tol_ms"):
+        evaluate(ds, model, chip, tol_ms=tol_ms)
+    with pytest.raises(ValueError, match="tol_ms"):
+        roc_sweep(ds, model, chip, theta_grid=[0.5], tol_ms=tol_ms)
+
+
+def test_scorer_rejects_nan_thresholds(easy_setup):
+    ds, chip, model = easy_setup
+    with pytest.raises(ValueError, match="NaN"):
+        roc_sweep(ds, model, chip, theta_grid=[0.5, np.nan])
+
+
 def test_majority_vote_tie_break():
     assert majority_class(np.array([2, 2, 3, 3]), m=4) == 2
     assert majority_class(np.array([], dtype=int), m=4) == 0  # no ticks, no vote
@@ -454,6 +572,10 @@ def test_model_validation():
         DecoderModel(np.zeros((8, 3)), np.ones(8, bool), m=3, frontend=cfg)  # beta too narrow
     with pytest.raises(ValueError):
         DecoderModel(np.zeros((8, 4)), np.ones(8, bool), m=3, frontend=cfg, lam=11, tau=10)
+    for bad in ({"theta": np.nan}, {"theta": np.inf}, {"tr_ms": np.nan}, {"tr_ms": np.inf},
+                {"tr_ms": -1.0}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            DecoderModel(np.zeros((8, 4)), np.ones(8, bool), m=3, frontend=cfg, **bad)
 
 
 # ------------------------------------------------- normalization robustness
