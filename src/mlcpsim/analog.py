@@ -29,8 +29,9 @@ same chip sees the same weights.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -92,6 +93,7 @@ class AnalogParams:
         return 1 << (7 + self.fmax_sel)
 
 
+@dataclass(eq=False)
 class ChipInstance:
     """One fabricated die: frozen mismatch and DNL tables plus parameters.
 
@@ -100,27 +102,29 @@ class ChipInstance:
     ``dac_dnl_lsb[j, k]`` is channel j's DNL at code k+1 (codes 1..63).
     """
 
-    def __init__(self, seed: int, params: AnalogParams, d: int, l: int,
-                 delta_vt_mv: np.ndarray, dac_dnl_lsb: np.ndarray):
-        params.validate()
-        if not (1 <= d <= MAX_DIM and 1 <= l <= MAX_DIM):
-            raise ValueError(f"dimensions must be in [1, {MAX_DIM}], got D={d}, L={l}")
-        self.seed = seed
-        self.params = params
-        self.d = d
-        self.l = l
-        self.delta_vt_mv = np.array(delta_vt_mv, dtype=np.float64)
-        self.dac_dnl_lsb = np.array(dac_dnl_lsb, dtype=np.float64)
-        if self.delta_vt_mv.shape != (l, d):
+    seed: int
+    params: AnalogParams
+    d: int
+    l: int
+    delta_vt_mv: np.ndarray
+    dac_dnl_lsb: np.ndarray
+
+    def __post_init__(self):
+        self.params.validate()
+        if not (1 <= self.d <= MAX_DIM and 1 <= self.l <= MAX_DIM):
+            raise ValueError(f"dimensions must be in [1, {MAX_DIM}], got D={self.d}, L={self.l}")
+        self.delta_vt_mv = np.array(self.delta_vt_mv, dtype=np.float64)
+        self.dac_dnl_lsb = np.array(self.dac_dnl_lsb, dtype=np.float64)
+        if self.delta_vt_mv.shape != (self.l, self.d):
             raise ValueError("delta_vt_mv must be (L, D)")
-        if self.dac_dnl_lsb.shape != (d, DAC_CODES - 1):
+        if self.dac_dnl_lsb.shape != (self.d, DAC_CODES - 1):
             raise ValueError("dac_dnl_lsb must be (D, 63)")
-        self.weights = np.exp(self.delta_vt_mv / params.u_t_mv)
+        self.weights = np.exp(self.delta_vt_mv / self.params.u_t_mv)
         # current lookup: current_lut[j, code] in nA, code 0 -> 0
         inl = np.cumsum(self.dac_dnl_lsb, axis=1)
-        effective = np.arange(DAC_CODES, dtype=np.float64)[None, :].repeat(d, axis=0)
+        effective = np.arange(DAC_CODES, dtype=np.float64)[None, :].repeat(self.d, axis=0)
         effective[:, 1:] += inl
-        self.current_lut = np.maximum(0.0, params.i_ref_na * effective / DAC_CODES)
+        self.current_lut = np.maximum(0.0, self.params.i_ref_na * effective / DAC_CODES)
         for arr in (self.delta_vt_mv, self.dac_dnl_lsb, self.weights, self.current_lut):
             arr.setflags(write=False)
 
@@ -162,34 +166,58 @@ def build_chip(seed: int, params: AnalogParams, d: int, l: int) -> ChipInstance:
     return ChipInstance(seed, params, d, l, delta_vt, dnl)
 
 
+def json_array(value) -> list:
+    """``json.dumps`` default: an array as nested lists, bools as 0/1."""
+    if not isinstance(value, np.ndarray):
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return (value.astype(int) if value.dtype == bool else value).tolist()
+
+
+def write_versioned_json(path: str | Path, fmt: str, version: int, obj) -> None:
+    """Write dataclass ``obj``'s fields (nested ones as objects, arrays as
+    ``json_array`` lists) beside ``format`` and ``version``: keys sorted,
+    compact, one LF-ended line, so the bytes depend on the values alone."""
+    doc = {"format": fmt, "version": version, **asdict(obj)}
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=json_array)
+    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
+
+
+def _from_fields(cls, doc, prefix: str = ""):
+    """Build ``cls`` from an object with exactly its fields, nested
+    dataclasses from nested objects; names the first missing or unknown key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{prefix.rstrip('.')!r} is not a JSON object")
+    names, hints = [f.name for f in fields(cls)], get_type_hints(cls)
+    if bad := ([f"missing key {prefix + name!r}" for name in names if name not in doc]
+               + [f"unknown key {prefix + key!r}" for key in sorted(doc) if key not in names]):
+        raise ValueError(bad[0])
+    return cls(**{name: _from_fields(hints[name], doc[name], f"{prefix}{name}.")
+                  if is_dataclass(hints[name]) else doc[name] for name in names})
+
+
+def read_versioned_json(path: str | Path, fmt: str, version: int, cls):
+    """The ``cls`` that ``write_versioned_json`` wrote; a ``ValueError`` that
+    names the file for any other document or a value the classes reject."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError("the document is not a JSON object")
+        if (tag := doc.pop("format", None)) != fmt:
+            raise ValueError(f"not a {fmt} file (format {tag!r})")
+        if (found := doc.pop("version", None)) != version:
+            raise ValueError(f"unsupported {fmt} version {found!r} (expected {version})")
+        return _from_fields(cls, doc)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def save_chip(chip: ChipInstance, path: str | Path) -> None:
     """Write a chip to a versioned JSON file (byte-deterministic)."""
-    doc = {
-        "format": CHIP_FORMAT,
-        "version": CHIP_VERSION,
-        "seed": chip.seed,
-        "d": chip.d,
-        "l": chip.l,
-        "params": asdict(chip.params),
-        "delta_vt_mv": chip.delta_vt_mv.tolist(),
-        "dac_dnl_lsb": chip.dac_dnl_lsb.tolist(),
-    }
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-    )
+    write_versioned_json(path, CHIP_FORMAT, CHIP_VERSION, chip)
 
 
 def load_chip(path: str | Path) -> ChipInstance:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != CHIP_FORMAT:
-        raise ValueError(f"not a chip file: {path}")
-    if doc.get("version") != CHIP_VERSION:
-        raise ValueError(f"unsupported chip file version {doc.get('version')}")
-    params = AnalogParams(**doc["params"])
-    return ChipInstance(
-        doc["seed"], params, doc["d"], doc["l"],
-        np.array(doc["delta_vt_mv"]), np.array(doc["dac_dnl_lsb"]),
-    )
+    return read_versioned_json(path, CHIP_FORMAT, CHIP_VERSION, ChipInstance)
 
 
 def mirror_multiply(

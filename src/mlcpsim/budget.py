@@ -160,9 +160,4 @@ def format_budget(report: BudgetReport) -> str:
 
 def budget_json(report: BudgetReport) -> str:
     """Byte-deterministic JSON rendering of the full budget."""
-    payload = {
-        "inputs": asdict(report.inputs),
-        "energy": asdict(report.energy),
-        "rates": asdict(report.rates),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(asdict(report), sort_keys=True, separators=(",", ":"))

@@ -22,12 +22,12 @@ import argparse
 import itertools
 import shutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .analog import (
-    AnalogParams,
     build_chip,
     load_chip,
     mismatch_map,
@@ -48,6 +48,7 @@ from .config import (
 )
 from .decoder import (
     DecoderModel,
+    check_decoder_keys,
     decode_stream,
     evaluate,
     load_model,
@@ -73,6 +74,7 @@ from .training import (
     collect_H,
     fit_output_weights,
     hidden_streams,
+    trial_rng,
 )
 
 EXIT_OK = 0
@@ -193,7 +195,10 @@ def _chip_for(cfg: dict, d: int, seed: int | None = None, l: int | None = None):
 def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: list,
                   codes: list | None = None) -> tuple:
     """(hidden, one model per training method): H is collected once
-    on the chip, from ``codes`` if the trials' front-end codes are given."""
+    on the chip, from ``codes`` if the trials' front-end codes are given.
+    The ``decoder.*`` model keys are checked before H is collected."""
+    decoder_keys = {name: cfg[f"decoder.{name}"] for name in DECODER_KEYS}
+    check_decoder_keys(decoder_keys)
     hidden, targets = collect_H(
         dataset,
         chip,
@@ -224,7 +229,7 @@ def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: lis
             chip_seed=chip.seed,
             fmax_sel=chip.params.fmax_sel,
             trap=section(cfg, "trap"),
-            **{name: cfg[f"decoder.{name}"] for name in DECODER_KEYS},
+            **decoder_keys,
         ))
     return hidden, models
 
@@ -250,9 +255,7 @@ def _load_runtime(cfg: dict, args) -> tuple[SpikeDataset, DecoderModel, object]:
     if args.chip:
         chip = load_chip(args.chip)
     else:
-        params = section(cfg, "analog")
-        if params.fmax_sel != model.fmax_sel:
-            params = AnalogParams(**{**params.__dict__, "fmax_sel": model.fmax_sel})
+        params = replace(section(cfg, "analog"), fmax_sel=model.fmax_sel)
         chip = build_chip(model.chip_seed, params, d=model.frontend.rows, l=model.beta.shape[0])
     return dataset, model, chip
 
@@ -352,11 +355,7 @@ def cmd_stream(args, cfg: dict) -> int:
     dataset, model, chip = _load_runtime(cfg, args)
     selector = args.trial if args.trial is not None else cfg["stream.trial"]
     idx, trial = _pick_trial(dataset, selector)
-    rng = (
-        np.random.default_rng([cfg["decoder.noise_seed"], idx])
-        if cfg["decoder.noise_on"]
-        else None
-    )
+    rng = trial_rng(cfg["decoder.noise_seed"], idx) if cfg["decoder.noise_on"] else None
     result = decode_stream(trial, model, chip, rng=rng)
     write_stream_csv(out, result)
     _echo(cfg)

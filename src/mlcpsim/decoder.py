@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .analog import ChipInstance
+from .analog import ChipInstance, json_array, read_versioned_json, write_versioned_json
 from .frontend import FrontendConfig, run_trial
 from .spikeio import SpikeDataset, Trial
 from .training import OutputWeights, TrapezoidParams, hidden_stream, hidden_streams
@@ -73,12 +73,7 @@ class DecoderModel:
         self.support = np.asarray(self.support, dtype=bool)
         if self.beta.ndim != 2 or self.beta.shape[1] != self.m + 1:
             raise ValueError(f"beta must be (L, {self.m + 1}), got {self.beta.shape}")
-        if not (1 <= self.lam <= self.tau):
-            raise ValueError("need 1 <= lam <= tau")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
-        if not (math.isfinite(self.tr_ms) and self.tr_ms >= 0):
-            raise ValueError(f"tr_ms must be finite and >= 0, got {self.tr_ms}")
+        check_decoder_keys(vars(self))
         if self.frontend is None:
             raise ValueError("model needs a frontend configuration")
 
@@ -90,61 +85,24 @@ class DecoderModel:
                    report=weights.report, **kwargs)
 
 
+def check_decoder_keys(keys: dict) -> None:
+    """Raise ``ValueError`` naming the first invalid ``decoder.*`` model key in
+    ``keys``: a model's fields, or the settings a model will be trained with."""
+    if not (1 <= keys["lam"] <= keys["tau"]):
+        raise ValueError(f"need 1 <= lam <= tau, got lam={keys['lam']}, tau={keys['tau']}")
+    if not math.isfinite(keys["theta"]):
+        raise ValueError(f"theta must be finite, got {keys['theta']}")
+    if not (math.isfinite(keys["tr_ms"]) and keys["tr_ms"] >= 0):
+        raise ValueError(f"tr_ms must be finite and >= 0, got {keys['tr_ms']}")
+
+
 def save_model(model: DecoderModel, path: str | Path) -> None:
     """Write a decoder model to a versioned JSON file (byte-deterministic)."""
-    doc = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "m": model.m,
-        "theta": model.theta,
-        "lam": model.lam,
-        "tau": model.tau,
-        "tr_ms": model.tr_ms,
-        "normalize": model.normalize,
-        "chip_seed": model.chip_seed,
-        "fmax_sel": model.fmax_sel,
-        "frontend": {
-            "rows": model.frontend.rows,
-            "s_ext": model.frontend.s_ext.tolist(),
-            "sdl": model.frontend.sdl.tolist(),
-            "t_s_ms": model.frontend.t_s_ms,
-        },
-        "trap": asdict(model.trap),
-        "beta": model.beta.tolist(),
-        "support": model.support.astype(int).tolist(),
-        "report": model.report,
-    }
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-    )
+    write_versioned_json(path, MODEL_FORMAT, MODEL_VERSION, model)
 
 
 def load_model(path: str | Path) -> DecoderModel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"not a model file: {path}")
-    if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model file version {doc.get('version')}")
-    fe = doc["frontend"]
-    frontend = FrontendConfig(
-        rows=fe["rows"], s_ext=np.array(fe["s_ext"]), sdl=np.array(fe["sdl"]),
-        t_s_ms=fe["t_s_ms"],
-    )
-    return DecoderModel(
-        beta=np.array(doc["beta"]),
-        support=np.array(doc["support"], dtype=bool),
-        m=doc["m"],
-        theta=doc["theta"],
-        lam=doc["lam"],
-        tau=doc["tau"],
-        tr_ms=doc["tr_ms"],
-        normalize=doc["normalize"],
-        chip_seed=doc["chip_seed"],
-        fmax_sel=doc["fmax_sel"],
-        frontend=frontend,
-        trap=TrapezoidParams(**doc["trap"]),
-        report=doc["report"],
-    )
+    return read_versioned_json(path, MODEL_FORMAT, MODEL_VERSION, DecoderModel)
 
 
 # ----------------------------------------------------------------- decode
@@ -282,16 +240,7 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        doc = {
-            "accuracy": self.accuracy,
-            "confusion": self.confusion.tolist(),
-            "tpr": self.tpr,
-            "fp_per_trial": self.fp_per_trial,
-            "latencies_ms": self.latencies_ms,
-            "n_trials": self.n_trials,
-            "metadata": self.metadata,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2, default=json_array) + "\n"
 
 
 def split_dataset(dataset: SpikeDataset, test_fraction: float, seed: int
@@ -336,7 +285,7 @@ def plateau_class(outputs: np.ndarray, model: DecoderModel) -> int:
 def _output_streams(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
                     noise_on: bool, noise_seed: int) -> list[np.ndarray]:
     """(T, M+1) decoder outputs per trial; with noise on, trial ``i`` draws
-    from ``default_rng([noise_seed, i])``, so outputs do not depend on order."""
+    from ``trial_rng(noise_seed, i)``, so outputs do not depend on order."""
     if not dataset.trials:
         raise ValueError("cannot evaluate an empty test set")
     _check_chip(model, chip)
@@ -374,9 +323,17 @@ def _window_levels(outputs: list[np.ndarray], model: DecoderModel, floor: float)
     return levels
 
 
+def _check_scoring(thetas, tol_ms: float) -> None:
+    """Raise ``ValueError`` for a negative or NaN ``tol_ms`` or a NaN threshold."""
+    if not tol_ms >= 0:
+        raise ValueError(f"tol_ms must be >= 0, got {tol_ms}")
+    if np.isnan(thetas).any():
+        raise ValueError("onset thresholds must not be NaN")
+
+
 def score_onsets(trials: list[Trial], outputs: list[np.ndarray], model: DecoderModel,
-                 thetas: list[float], tol_ms: float) -> list[tuple[int, int, list[float]]]:
-    """(hits, false positives, hit latencies in ms) per threshold.
+                 thetas: list[float], tol_ms: float) -> list[tuple[int, int, np.ndarray]]:
+    """(hits, false positives, float array of hit latencies in ms) per threshold.
 
     A trial is hit when a G_track rising edge lies within ``tol_ms`` of its
     onset (the latency is the first such edge's); every other rising edge is
@@ -384,13 +341,10 @@ def score_onsets(trials: list[Trial], outputs: list[np.ndarray], model: DecoderM
     theta only through one level per tick (``_window_levels``), so one pass
     through the ticks tracks every (threshold, trial) pair, in groups of at
     most ``_TRACK_CELLS`` pairs; hits and false positives are counted at the
-    ticks that have a rising edge.
+    ticks that have a rising edge.  ``evaluate`` and ``roc_sweep`` check
+    ``thetas`` and ``tol_ms`` (``_check_scoring``) before any work.
     """
-    if not tol_ms >= 0:
-        raise ValueError(f"tol_ms must be >= 0, got {tol_ms}")
     thetas = np.asarray(thetas, dtype=np.float64).ravel()
-    if np.isnan(thetas).any():
-        raise ValueError("onset thresholds must not be NaN")
     levels = _window_levels(outputs, model, thetas.min(initial=np.inf))
     n_ticks, n_trials = levels.shape
     onsets_ms = np.array([trial.onset / 1000.0 for trial in trials])
@@ -411,7 +365,7 @@ def score_onsets(trials: list[Trial], outputs: list[np.ndarray], model: DecoderM
             np.copyto(first, n, where=hit & (first < 0))
         for row_first, row_fps in zip(first, fps):
             hit_trials = np.flatnonzero(row_first >= 0)
-            latencies = (t_ms[row_first[hit_trials]] - onsets_ms[hit_trials]).tolist()
+            latencies = t_ms[row_first[hit_trials]] - onsets_ms[hit_trials]
             scores.append((len(hit_trials), int(row_fps.sum()), latencies))
     return scores
 
@@ -429,6 +383,7 @@ def evaluate(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
     stream, so scores are independent of evaluation order.  ``outputs``, if
     given, are the trials' (T, M+1) decoder outputs, already computed.
     """
+    _check_scoring([model.theta], tol_ms)
     if outputs is None:
         outputs = _output_streams(dataset, model, chip, noise_on, noise_seed)
     confusion = np.zeros((dataset.class_count, dataset.class_count), dtype=np.int64)
@@ -442,7 +397,7 @@ def evaluate(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
         confusion=confusion,
         tpr=hits / n,
         fp_per_trial=fps / n,
-        latencies_ms=latencies,
+        latencies_ms=latencies.tolist(),
         n_trials=n,
         metadata={"aggregation": "per-trial plateau majority", "tol_ms": tol_ms},
     )
@@ -459,6 +414,7 @@ def roc_sweep(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
     thetas = sorted(float(t) for t in np.asarray(theta_grid).ravel())
     if not thetas:
         raise ValueError("theta grid is empty")
+    _check_scoring(thetas, tol_ms)
     outputs = _output_streams(dataset, model, chip, noise_on, noise_seed)
     scores = score_onsets(dataset.trials, outputs, model, thetas, tol_ms)
     n = len(dataset.trials)

@@ -147,13 +147,18 @@ def hidden_stream(codes: np.ndarray, chip: ChipInstance, normalize: bool,
     return normalize_rows(h, codes) if normalize else h
 
 
+def trial_rng(noise_seed: int, index: int) -> np.random.Generator:
+    """The noise stream of the trial at ``index``, whatever else runs."""
+    return np.random.default_rng([noise_seed, index])
+
+
 def hidden_streams(codes, chip: ChipInstance, normalize: bool, noise_on: bool = False,
                    noise_seed: int = 0):
     """``hidden_stream`` of each trial's codes in turn; with noise on, trial
-    ``i`` draws from ``default_rng([noise_seed, i])``, whatever else runs."""
+    ``i`` draws from ``trial_rng(noise_seed, i)``."""
     for idx, trial_codes in enumerate(codes):
         yield hidden_stream(trial_codes, chip, normalize,
-                            np.random.default_rng([noise_seed, idx]) if noise_on else None)
+                            trial_rng(noise_seed, idx) if noise_on else None)
 
 
 def collect_H(
@@ -170,7 +175,7 @@ def collect_H(
     """Run the simulated chain over a dataset and assemble (H, targets).
 
     One row per tick per trial; with noise on, each trial draws from its own
-    counter-derived stream ``default_rng([noise_seed, trial_index])`` so
+    counter-derived stream ``trial_rng(noise_seed, trial_index)`` so
     results do not depend on evaluation order.  Row timestamps are the end
     of the tick's most recent sub-window.  ``codes``, when given, are the
     trials' front-end codes computed beforehand with ``frontend_cfg``.

@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mlcpsim import cli, decoder
 from mlcpsim.analog import load_chip
 from mlcpsim.cli import main
 from mlcpsim.config import parse_config_text, resolve_config
 from mlcpsim.decoder import load_model
 from cli_oracle import oracle_sweep
+from test_files import DEFECT_CASES, write_defective
 
 EASY_GEN = [
     "--set", "synth.q=8",
@@ -474,3 +476,86 @@ def test_runtime_commands_echo_and_decode_with_the_models_decoder_keys(capsys, t
     assert code == 2
     assert "decoder.theta = 0.0" in err and "0.5" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, name", DEFECT_CASES)
+def test_eval_with_a_defective_model_or_chip_file_is_data_error(capsys, tmp_path, easy_run,
+                                                                kind, name):
+    ds, model = easy_run
+    chip = tmp_path / "chip.json"
+    assert run(capsys, "chip", "--out", str(chip), "--seed", "3", "--set", "synth.q=8",
+               *SMALL_CHIP)[0] == 0
+    argv = ["eval", "--data", str(ds), "--seed", "3", *SMALL_CHIP]
+    assert run(capsys, *argv, "--model", str(model), "--chip", str(chip))[0] == 0
+    files = {"model": model, "chip": chip}
+    bad = tmp_path / "bad.json"
+    named = write_defective(files[kind], bad, kind, name)
+    files[kind] = bad
+    code, _, err = run(capsys, *argv, "--model", str(files["model"]), "--chip", str(files["chip"]))
+    assert code == 2
+    assert f"{bad}: " in err and named in err
+
+
+def _fail(what):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{what} before the settings were checked")
+    return fail
+
+
+@pytest.mark.parametrize("cmd, setting, named", [
+    ("eval", "decoder.tol_ms=-5", "tol_ms"),
+    ("roc", "decoder.tol_ms=nan", "tol_ms"),
+    ("roc", "roc.theta_min=nan", "NaN"),
+])
+def test_bad_scoring_settings_are_rejected_before_outputs_are_computed(
+        capsys, tmp_path, monkeypatch, easy_run, cmd, setting, named):
+    ds, model = easy_run
+    monkeypatch.setattr(decoder, "_output_streams", _fail("decoder outputs computed"))
+    code, _, err = run(capsys, cmd, "--data", str(ds), "--model", str(model),
+                       "--out", str(tmp_path / "out"), "--seed", "3", *SMALL_CHIP,
+                       "--set", setting)
+    assert code == 2 and named in err
+
+
+@pytest.mark.parametrize("cmd, setting, named", [
+    ("train", "decoder.theta=nan", "theta"),
+    ("train", "decoder.lam=11", "lam"),
+    ("train", "decoder.tr_ms=-1", "tr_ms"),
+    ("sweep", "decoder.theta=inf", "theta"),
+])
+def test_bad_decoder_keys_are_rejected_before_H_is_collected(capsys, tmp_path, monkeypatch,
+                                                             easy_run, cmd, setting, named):
+    ds, _ = easy_run
+    monkeypatch.setattr(cli, "collect_H", _fail("H collected"))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, cmd, "--data", str(ds), "--out", str(out), "--seed", "3",
+                       *SMALL_CHIP, "--set", "sweep.l_grid=8", "--set", setting)
+    assert code == 2 and named in err
+    assert not out.exists()
+
+
+def test_noisy_stream_outputs_are_the_ones_eval_scores(capsys, tmp_path, monkeypatch, easy_run):
+    ds, model = easy_run
+    base = ["--data", str(ds), "--model", str(model), "--seed", "3", *SMALL_CHIP,
+            "--set", "decoder.noise_seed=5"]
+    scored = []
+    score_onsets = decoder.score_onsets
+
+    def spy(trials, outputs, *args):
+        scored.extend(outputs)
+        return score_onsets(trials, outputs, *args)
+
+    monkeypatch.setattr(decoder, "score_onsets", spy)
+    assert run(capsys, "eval", *base, "--set", "decoder.noise_on=true")[0] == 0
+
+    def streamed(idx, *extra):
+        out = tmp_path / "stream.csv"
+        assert run(capsys, "stream", *base, "--trial", str(idx), "--out", str(out), "--force",
+                   *extra)[0] == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        cols = [k for k, name in enumerate(header) if name.startswith("o_")]
+        return np.array([[float(row[k]) for k in cols] for row in rows])
+
+    for idx in (0, 5):
+        assert np.array_equal(streamed(idx, "--set", "decoder.noise_on=true"), scored[idx])
+    assert not np.array_equal(streamed(5), scored[5])  # the noise is on
