@@ -29,6 +29,7 @@ same chip sees the same weights.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -73,19 +74,23 @@ class AnalogParams:
     i_rst_na: float = 1000.0
 
     def validate(self) -> None:
+        """Raise ``ValueError`` naming the first field out of its domain.
+        Every float must be finite; the comparisons are false for NaN."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not (1.0 <= self.i_ref_na <= 63.0):
             raise ValueError(f"i_ref_na must be in [1, 63], got {self.i_ref_na}")
         if not (0 <= self.fmax_sel <= 7):
             raise ValueError("fmax_sel must be in [0, 7]")
-        if self.jitter_rel < 0:
-            raise ValueError("jitter_rel must be >= 0")
-        if self.dnl_max_lsb < 0:
-            raise ValueError("dnl_max_lsb must be >= 0")
-        if self.t_cnt_s <= 0 or self.c_f_f <= 0 or self.dvdd_v <= 0:
-            raise ValueError("t_cnt_s, c_f_f, dvdd_v must be positive")
-        if self.alpha_supply <= 0:
-            raise ValueError("alpha_supply must be positive")
-        if self.use_full_cco and self.i_rst_na <= 0:
+        for name in ("jitter_rel", "dnl_max_lsb", "sigma_vt_mv"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("t_cnt_s", "c_f_f", "dvdd_v", "u_t_mv", "alpha_supply"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.use_full_cco and not self.i_rst_na > 0:
             raise ValueError("i_rst_na must be positive")
 
     @property
@@ -182,17 +187,35 @@ def write_versioned_json(path: str | Path, fmt: str, version: int, obj) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
+#: The JSON value types a field of each scalar type takes (``bool`` is not
+#: an ``int`` here); a float field's value must also be finite.
+_SCALAR_TYPES = {bool: ("a boolean", (bool,)), int: ("an integer", (int,)),
+                 float: ("a finite number", (int, float))}
+
+
+def _field_value(hint, value, key: str):
+    """``value`` of the field ``key`` of type ``hint``: a nested dataclass
+    built from its object, a scalar checked against its type."""
+    if is_dataclass(hint):
+        return _from_fields(hint, value, f"{key}.")
+    what, types = _SCALAR_TYPES.get(hint, ("", None))
+    if types and not (type(value) in types and (hint is not float or math.isfinite(value))):
+        raise ValueError(f"{key!r} must be {what}, got {json.dumps(value)}")
+    return value
+
+
 def _from_fields(cls, doc, prefix: str = ""):
     """Build ``cls`` from an object with exactly its fields, nested
-    dataclasses from nested objects; names the first missing or unknown key."""
+    dataclasses from nested objects; names the first missing or unknown key
+    and the first scalar of the wrong type (a bool for a bool, an integer
+    for an int, a finite number for a float)."""
     if not isinstance(doc, dict):
         raise ValueError(f"{prefix.rstrip('.')!r} is not a JSON object")
     names, hints = [f.name for f in fields(cls)], get_type_hints(cls)
     if bad := ([f"missing key {prefix + name!r}" for name in names if name not in doc]
                + [f"unknown key {prefix + key!r}" for key in sorted(doc) if key not in names]):
         raise ValueError(bad[0])
-    return cls(**{name: _from_fields(hints[name], doc[name], f"{prefix}{name}.")
-                  if is_dataclass(hints[name]) else doc[name] for name in names})
+    return cls(**{name: _field_value(hints[name], doc[name], prefix + name) for name in names})
 
 
 def read_versioned_json(path: str | Path, fmt: str, version: int, cls):
@@ -204,7 +227,7 @@ def read_versioned_json(path: str | Path, fmt: str, version: int, cls):
             raise ValueError("the document is not a JSON object")
         if (tag := doc.pop("format", None)) != fmt:
             raise ValueError(f"not a {fmt} file (format {tag!r})")
-        if (found := doc.pop("version", None)) != version:
+        if type(found := doc.pop("version", None)) is not int or found != version:
             raise ValueError(f"unsupported {fmt} version {found!r} (expected {version})")
         return _from_fields(cls, doc)
     except (TypeError, ValueError) as exc:

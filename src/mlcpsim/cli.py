@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import shutil
 import sys
 from dataclasses import replace
@@ -61,11 +62,14 @@ from .decoder import (
 )
 from .frontend import FrontendConfig, run_trial
 from .spikeio import (
+    ChannelCountError,
+    ChannelRangeError,
     DatasetError,
     SpikeDataset,
     Trial,
     gen_synthetic,
     parse_dataset,
+    read_trial,
     write_dataset,
 )
 from .training import (
@@ -247,29 +251,24 @@ def _adopt_model_decoder_keys(cfg: dict, model: DecoderModel) -> None:
         cfg[key] = type(DEFAULTS[key])(value)
 
 
-def _load_runtime(cfg: dict, args) -> tuple[SpikeDataset, DecoderModel, object]:
-    """Dataset + model + chip for the eval/stream/roc commands."""
+def _load_runtime(cfg: dict, args, trial: str | None = None) -> tuple:
+    """(data, model, chip) for the eval/stream/roc commands: the data is the
+    dataset, or with ``trial`` only the (index, Trial) it names.  The data
+    must have the channel count of the model's front end."""
     model = load_model(args.model)
     _adopt_model_decoder_keys(cfg, model)
-    dataset = parse_dataset(args.data)
     if args.chip:
         chip = load_chip(args.chip)
     else:
         params = replace(section(cfg, "analog"), fmax_sel=model.fmax_sel)
         chip = build_chip(model.chip_seed, params, d=model.frontend.rows, l=model.beta.shape[0])
-    return dataset, model, chip
-
-
-def _pick_trial(dataset: SpikeDataset, selector: str) -> tuple[int, Trial]:
-    if selector.lstrip("-").isdigit():
-        idx = int(selector)
-        if not (0 <= idx < len(dataset.trials)):
-            raise DatasetError(f"trial index {idx} out of range [0, {len(dataset.trials)})")
-        return idx, dataset.trials[idx]
-    for idx, trial in enumerate(dataset.trials):
-        if trial.id == selector:
-            return idx, trial
-    raise DatasetError(f"no trial with id {selector!r}")
+    channels = model.frontend.n_external
+    try:
+        data = (parse_dataset(args.data, channels) if trial is None
+                else read_trial(args.data, trial, channels))
+    except (ChannelCountError, ChannelRangeError) as exc:
+        raise ChannelCountError(f"the model's front end takes {channels} channels: {exc}") from exc
+    return data, model, chip
 
 
 def _restrict_channels(dataset: SpikeDataset, n: int) -> SpikeDataset:
@@ -352,9 +351,8 @@ def cmd_eval(args, cfg: dict) -> int:
 
 def cmd_stream(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
-    dataset, model, chip = _load_runtime(cfg, args)
     selector = args.trial if args.trial is not None else cfg["stream.trial"]
-    idx, trial = _pick_trial(dataset, selector)
+    (idx, trial), model, chip = _load_runtime(cfg, args, selector)
     rng = trial_rng(cfg["decoder.noise_seed"], idx) if cfg["decoder.noise_on"] else None
     result = decode_stream(trial, model, chip, rng=rng)
     write_stream_csv(out, result)
@@ -365,9 +363,13 @@ def cmd_stream(args, cfg: dict) -> int:
 
 def cmd_roc(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
-    dataset, model, chip = _load_runtime(cfg, args)
     if cfg["roc.points"] < 1:
         raise ConfigError("roc.points must be >= 1")
+    for key in ("roc.theta_min", "roc.theta_max"):
+        if not math.isfinite(cfg[key]):
+            raise ConfigError(f"{key} = {format_value(cfg[key])}, but ROC thresholds must be "
+                              "finite (not NaN or infinite)")
+    dataset, model, chip = _load_runtime(cfg, args)
     grid = np.linspace(cfg["roc.theta_min"], cfg["roc.theta_max"], cfg["roc.points"])
     points = roc_sweep(
         dataset,

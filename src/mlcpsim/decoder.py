@@ -12,9 +12,7 @@ Per 20 ms tick the decoder computes the M+1 output values
   onset fires, else 0.
 
 Only the tracker's refractory state steps through time (``_track_steps``),
-for many (threshold, stream) pairs at once.  ``track`` runs it over a
-(streams, ticks) batch of G bits, whose window counts come from one
-cumulative sum.
+for many (threshold, stream) pairs at once.
 
 Evaluation scores movement type per trial by majority vote of the per-tick
 class over the membership plateau, and onset detection by matching G_track
@@ -161,26 +159,6 @@ def _track_steps(levels: np.ndarray, thetas, tr_ticks: float):
         cur, prev = prev, cur
 
 
-def track(g: np.ndarray, lam: int, tau: int, tr_ticks: float) -> np.ndarray:
-    """G_track for a (B, T) batch of G bit streams, one stream per row.
-
-    A tick's output is high when at least ``lam`` of the last ``tau`` G bits
-    are high and the tick is past the row's refractory deadline; each rising
-    edge pushes that deadline ``tr_ticks`` ahead.
-    """
-    if not (1 <= lam <= tau):
-        raise ValueError("need 1 <= lam <= tau")
-    g = np.asarray(g, dtype=bool)
-    n_rows, n_ticks = g.shape
-    csum = np.zeros((n_rows, tau + n_ticks), dtype=np.int64)
-    np.cumsum(g, axis=1, out=csum[:, tau:])
-    counts = np.ascontiguousarray((csum[:, tau:] - csum[:, :n_ticks]).T)
-    out = np.zeros((n_ticks, n_rows), dtype=bool)
-    for n, cur, _ in _track_steps(counts, [lam - 1], tr_ticks):  # count > lam - 1
-        out[n] = cur[0]
-    return out.T
-
-
 @dataclass
 class DecodeResult:
     """Per-tick decoder outputs for one stream."""
@@ -205,8 +183,11 @@ def decode_stream(trial: Trial, model: DecoderModel, chip: ChipInstance,
     o = hidden_stream(run_trial(model.frontend, trial), chip, model.normalize, rng) @ model.beta
     s = np.argmax(o[:, : model.m], axis=1) + 1
     g = (o[:, model.m] > model.theta).astype(np.int64)
-    tr_ticks = model.tr_ms / model.frontend.t_s_ms
-    g_track = track(g[None, :], model.lam, model.tau, tr_ticks)[0].astype(np.int64)
+    # the window test of score_onsets, for one stream at the model's theta
+    levels = _window_levels([o], model, model.theta)
+    g_track = np.zeros(len(o), dtype=np.int64)
+    for n, cur, _ in _track_steps(levels, [model.theta], model.tr_ms / model.frontend.t_s_ms):
+        g_track[n] = cur[0, 0]
     t_ms = (np.arange(len(o)) + 1) * model.frontend.t_s_ms
     return DecodeResult(t_ms, o, s, g, g_track, g_track * s)
 

@@ -12,6 +12,11 @@ integer microseconds from trial start.  Event rows are sorted non-decreasing
 in time.  ``meta.txt`` is written by :func:`write_dataset` and read when
 present; without it channel and class counts are inferred from the data.
 
+Reading is two passes: :func:`read_manifest` reads and checks the manifest
+and ``meta.txt`` without opening any event file, and ``Manifest.trial``
+reads one trial's events.  :func:`parse_dataset` reads every trial;
+:func:`read_trial` reads the one trial it is asked for.
+
 In memory a trial's events are two parallel int64 arrays, ``times_us`` and
 ``channels``.  An event file is read in one of two tiers.  A body of
 canonical rows (unsigned ASCII decimals of at most 18 digits, one comma per
@@ -71,6 +76,10 @@ class ChannelRangeError(DatasetError):
 
 class LabelRangeError(DatasetError):
     """A trial label is outside [1, class_count]."""
+
+
+class ChannelCountError(DatasetError):
+    """A dataset declares a channel count other than the one it is read for."""
 
 
 class TrialIdError(DatasetError):
@@ -398,12 +407,42 @@ def _parse_events(path: Path, q: int | None) -> tuple[np.ndarray, np.ndarray]:
     return _scan_rows(path, text.split("\n"), q)
 
 
-def parse_dataset(root_path: str | Path) -> SpikeDataset:
-    """Load and validate a dataset directory.
+@dataclass
+class Manifest:
+    """A dataset directory's trial list and ``meta.txt``, read and checked
+    without opening any event file.
 
-    Raises a distinct :class:`DatasetError` subclass naming file and line for
-    a missing manifest, unsorted or negative timestamps, channels outside the
-    channel count, and labels outside the class count.
+    ``rows`` are the manifest's (id, label, onset_us, duration_us) rows in
+    file order, blank lines skipped, so row ``i`` is trial ``i`` of the
+    dataset.  ``channel_count`` is the count events are checked against: the
+    one ``meta.txt`` declares, else the one the reader was asked for, else
+    None (inferred from the events).  ``class_count`` is the declared one or
+    None.
+    """
+
+    root: Path
+    rows: list[tuple[str, int, int, int]]
+    channel_count: int | None
+    class_count: int | None
+    metadata: dict[str, str]
+
+    def trial(self, index: int) -> Trial:
+        """Trial ``index`` with its events, read from its event file."""
+        trial_id, label, onset, duration = self.rows[index]
+        events_path = self.root / EVENTS_DIR / f"{trial_id}.csv"
+        if not events_path.is_file():
+            raise DatasetError("event file not found", events_path)
+        return Trial(trial_id, label, onset, duration,
+                     *_parse_events(events_path, self.channel_count))
+
+
+def read_manifest(root_path: str | Path, channel_count: int | None = None) -> Manifest:
+    """Read and check a dataset's manifest and ``meta.txt``.
+
+    Every row is checked: field count, trial id, integer fields, label at
+    least 1 and within a declared class count, onset within [0, duration].
+    ``channel_count``, if given, is the count the caller needs: a
+    ``meta.txt`` that declares another raises :class:`ChannelCountError`.
     """
     root = Path(root_path)
     manifest = root / MANIFEST_NAME
@@ -415,14 +454,15 @@ def parse_dataset(root_path: str | Path) -> SpikeDataset:
     metadata: dict[str, str] = {}
     if meta_path.is_file():
         q, m, metadata = _parse_meta(meta_path)
+    if channel_count is not None and q not in (None, channel_count):
+        raise ChannelCountError(
+            f"meta.txt declares {q} channels where {channel_count} are expected", meta_path)
 
     lines = _read_lines(manifest)
     if not lines or lines[0] != MANIFEST_HEADER:
         raise DatasetError(f"expected header {MANIFEST_HEADER!r}", manifest, 1)
 
-    trials = []
-    max_channel = -1
-    max_label = 0
+    rows = []
     for i, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -438,23 +478,50 @@ def parse_dataset(root_path: str | Path) -> SpikeDataset:
             raise LabelRangeError(f"label {label} outside [1, {m}]", manifest, i)
         if label < 1:
             raise LabelRangeError(f"label {label} below 1", manifest, i)
-        max_label = max(max_label, label)
+        if not (0 <= onset <= duration):
+            raise DatasetError(f"trial {trial_id!r}: onset {onset} outside [0, {duration}]",
+                               manifest, i)
+        rows.append((trial_id, label, onset, duration))
+    return Manifest(root, rows, q if q is not None else channel_count, m, metadata)
 
-        events_path = root / EVENTS_DIR / f"{trial_id}.csv"
-        if not events_path.is_file():
-            raise DatasetError("event file not found", events_path)
-        times, channels = _parse_events(events_path, q)
-        if len(channels):
-            max_channel = max(max_channel, int(channels.max()))
-        trials.append(Trial(trial_id, label, onset, duration, times, channels))
 
+def parse_dataset(root_path: str | Path, channel_count: int | None = None) -> SpikeDataset:
+    """Load and validate a dataset directory: :func:`read_manifest`, then
+    every trial's event file.
+
+    Raises a distinct :class:`DatasetError` subclass naming file and line for
+    a missing manifest, unsorted or negative timestamps, channels outside the
+    channel count, and labels outside the class count.  Without ``meta.txt``
+    the channel count is ``channel_count`` if given, else one past the
+    largest channel, and the class count is the largest label.
+    """
+    manifest = read_manifest(root_path, channel_count)
+    trials = [manifest.trial(i) for i in range(len(manifest.rows))]
+    q, m = manifest.channel_count, manifest.class_count
     if q is None:
-        q = max(max_channel + 1, 1)
+        q = max([int(t.channels.max()) + 1 for t in trials if len(t.channels)], default=1)
     if m is None:
-        m = max(max_label, 1)
-    ds = SpikeDataset(trials, channel_count=q, class_count=m, metadata=metadata)
-    ds.validate()
-    return ds
+        m = max([t.label for t in trials], default=1)
+    return SpikeDataset(trials, channel_count=q, class_count=m, metadata=manifest.metadata)
+
+
+def read_trial(root_path: str | Path, selector: str,
+               channel_count: int | None = None) -> tuple[int, Trial]:
+    """(index, trial) of the one trial that ``selector`` names by index or
+    id: the manifest pass of :func:`parse_dataset`, then that trial's event
+    file alone, with the checks :func:`parse_dataset` gives it.  The index
+    is the trial's place in ``parse_dataset(root_path).trials``."""
+    manifest = read_manifest(root_path, channel_count)
+    ids = [row[0] for row in manifest.rows]
+    if selector.lstrip("-").isdigit():
+        index = int(selector)
+        if not (0 <= index < len(ids)):
+            raise DatasetError(f"trial index {index} out of range [0, {len(ids)})")
+    elif selector in ids:
+        index = ids.index(selector)
+    else:
+        raise DatasetError(f"no trial with id {selector!r}")
+    return index, manifest.trial(index)
 
 
 def write_dataset(dataset: SpikeDataset, root_path: str | Path) -> None:

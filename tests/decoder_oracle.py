@@ -1,6 +1,9 @@
 """Per-tick, per-trial and per-threshold oracles for the batched decoder.
 
-``TrackingFsm`` is the tick-by-tick tracker that ``decoder.track`` batches,
+``TrackingFsm`` is the tick-by-tick tracker that ``track`` batches (``track``
+runs ``decoder._track_steps`` over a (streams, ticks) batch of G bits, whose
+window counts come from one cumulative sum; ``decode_stream`` used it before
+it read its window test from ``_window_levels`` as the scorer does),
 ``classify_type`` and ``onset_primary`` are the scalar per-tick ops that
 ``decode_stream`` vectorizes, and ``oracle_scores`` decodes every trial on
 its own and scores it by the per-trial rules that ``evaluate`` and
@@ -15,8 +18,28 @@ here only as references the package must match exactly.
 import numpy as np
 
 from mlcpsim.analog import hidden_layer, normalize_rows
-from mlcpsim.decoder import majority_class, track
+from mlcpsim.decoder import _track_steps, majority_class
 from mlcpsim.frontend import run_trial
+
+
+def track(g: np.ndarray, lam: int, tau: int, tr_ticks: float) -> np.ndarray:
+    """G_track for a (B, T) batch of G bit streams, one stream per row.
+
+    A tick's output is high when at least ``lam`` of the last ``tau`` G bits
+    are high and the tick is past the row's refractory deadline; each rising
+    edge pushes that deadline ``tr_ticks`` ahead.
+    """
+    if not (1 <= lam <= tau):
+        raise ValueError("need 1 <= lam <= tau")
+    g = np.asarray(g, dtype=bool)
+    n_rows, n_ticks = g.shape
+    csum = np.zeros((n_rows, tau + n_ticks), dtype=np.int64)
+    np.cumsum(g, axis=1, out=csum[:, tau:])
+    counts = np.ascontiguousarray((csum[:, tau:] - csum[:, :n_ticks]).T)
+    out = np.zeros((n_ticks, n_rows), dtype=bool)
+    for n, cur, _ in _track_steps(counts, [lam - 1], tr_ticks):  # count > lam - 1
+        out[n] = cur[0]
+    return out.T
 
 
 def classify_type(o: np.ndarray, m: int) -> int:

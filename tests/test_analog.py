@@ -1,5 +1,6 @@
 """Tests for the analog fabric model (DAC, mirror array, CCO counters, normalization)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -360,3 +361,29 @@ def test_mismatch_map_csv_export(tmp_path):
     assert len(lines) == 1 + 6
     parsed = np.array([float(line.split(",")[2]) for line in lines[1:]])
     assert np.allclose(parsed.reshape(2, 3), m)
+
+
+def test_every_float_parameter_rejects_nan_and_infinities_by_name():
+    AnalogParams().validate()
+    names = [f.name for f in dataclasses.fields(AnalogParams) if f.type == "float"]
+    assert len(names) == 13
+    for name in names:
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+                AnalogParams(**{name: value}).validate()
+            with pytest.raises(ValueError, match=name):
+                build_chip(1, AnalogParams(**{name: value}), d=2, l=2)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("u_t_mv", 0.0), ("u_t_mv", -26.0), ("sigma_vt_mv", -1.0), ("alpha_supply", 0.0),
+    ("t_cnt_s", -0.01), ("c_f_f", 0.0), ("dvdd_v", -0.6), ("jitter_rel", -1e-9),
+    ("dnl_max_lsb", -3.0), ("i_ref_na", 0.5), ("i_ref_na", 64.0), ("fmax_sel", 8),
+])
+def test_parameters_outside_their_range_are_rejected_by_name(name, value):
+    with pytest.raises(ValueError, match=name):
+        AnalogParams(**{name: value}).validate()
+    # the boundary values the ranges admit
+    AnalogParams(sigma_vt_mv=0.0, jitter_rel=0.0, dnl_max_lsb=0.0, i_ref_na=1.0).validate()
+    AnalogParams(i_ref_na=63.0, fmax_sel=0, mu_vt_mv=-5.0, b_na=-1.0,
+                 mirror_snr_db=-10.0).validate()

@@ -1,14 +1,18 @@
 """End-to-end tests of the command-line surface (in-process via main)."""
 
+import contextlib
+import dataclasses
 import importlib.util
+import io
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mlcpsim import cli, decoder
-from mlcpsim.analog import load_chip
+from mlcpsim import cli, decoder, spikeio
+from mlcpsim.analog import AnalogParams, load_chip
 from mlcpsim.cli import main
 from mlcpsim.config import parse_config_text, resolve_config
 from mlcpsim.decoder import load_model
@@ -559,3 +563,124 @@ def test_noisy_stream_outputs_are_the_ones_eval_scores(capsys, tmp_path, monkeyp
     for idx in (0, 5):
         assert np.array_equal(streamed(idx, "--set", "decoder.noise_on=true"), scored[idx])
     assert not np.array_equal(streamed(5), scored[5])  # the noise is on
+
+
+@pytest.fixture(scope="module")
+def shared_run(tmp_path_factory):
+    """The easy dataset and model, made once for the tests that only read them."""
+    root = tmp_path_factory.mktemp("shared")
+    ds, model = root / "ds", root / "model.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--out", str(ds), "--seed", "3", *EASY_GEN]) == 0
+        assert main(["train", "--data", str(ds), "--out", str(model), "--seed", "3",
+                     *SMALL_CHIP]) == 0
+    return ds, model
+
+
+def test_stream_reads_only_the_trial_it_decodes(capsys, tmp_path, monkeypatch, shared_run):
+    source, model = shared_run
+    ds = tmp_path / "ds"
+    shutil.copytree(source, ds)
+    manifest = ds / "manifest.csv"
+    header, *rows = manifest.read_text().splitlines()
+    manifest.write_text("\n".join([header, "", *rows[:3], "", "", *rows[3:]]) + "\n")
+    base = ["--data", str(ds), "--model", str(model), "--seed", "3", *SMALL_CHIP,
+            "--set", "decoder.noise_on=true"]
+    scored = []
+    score_onsets = decoder.score_onsets
+    monkeypatch.setattr(decoder, "score_onsets",
+                        lambda trials, outputs, *a: scored.extend(outputs)
+                        or score_onsets(trials, outputs, *a))
+    assert run(capsys, "eval", *base)[0] == 0
+    opened = []
+    parse_events = spikeio._parse_events
+    monkeypatch.setattr(spikeio, "_parse_events",
+                        lambda path, q: opened.append(path.name) or parse_events(path, q))
+    out = tmp_path / "stream.csv"
+
+    def stream():
+        opened.clear()
+        return run(capsys, "stream", *base, "--trial", "5", "--out", str(out), "--force")
+
+    # trial 5 is the fifth row after the blank lines, and draws trial 5's noise
+    assert stream()[0] == 0
+    assert opened == ["c02_r001.csv"]
+    header, *lines = [line.split(",") for line in out.read_text().splitlines()]
+    cols = [k for k, name in enumerate(header) if name.startswith("o_")]
+    assert np.array_equal([[float(row[k]) for k in cols] for row in lines], scored[5])
+    want = out.read_bytes()
+    # another trial's corrupt or missing event file is not read by stream ...
+    (ds / "events" / "c01_r002.csv").write_text("time_us,channel\n5,0\n3,0\n")
+    (ds / "events" / "c02_r003.csv").unlink()
+    assert stream()[0] == 0 and out.read_bytes() == want
+    # ... but eval and roc still read and check every file
+    for cmd in ("eval", "roc"):
+        code, _, err = run(capsys, cmd, *base, "--out", str(tmp_path / cmd))
+        assert code == 2 and "c01_r002.csv:3" in err
+    # the trial's own corrupt file is an error that names its line
+    (ds / "events" / "c02_r001.csv").write_text("time_us,channel\n5,0\n6,zero\n")
+    out.unlink()
+    code, _, err = run(capsys, "stream", *base, "--trial", "5", "--out", str(out))
+    assert code == 2 and "c02_r001.csv:3" in err and "channel" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["eval", "roc", "stream"])
+@pytest.mark.parametrize("q", [6, 10])
+def test_decode_commands_reject_a_dataset_of_another_channel_count(capsys, tmp_path, monkeypatch,
+                                                                  shared_run, cmd, q):
+    _, model = shared_run  # its front end takes 8 channels
+    ds, bare = tmp_path / "ds", tmp_path / "bare"
+    assert run(capsys, "gen", "--out", str(ds), "--seed", "3", *EASY_GEN,
+               "--set", f"synth.q={q}")[0] == 0
+    shutil.copytree(ds, bare)
+    (bare / "meta.txt").unlink()
+    out = tmp_path / "out"
+    argv = [cmd, "--model", str(model), "--out", str(out), "--seed", "3", *SMALL_CHIP]
+    # without meta.txt the channel count is inferred: only an event on a
+    # channel the front end does not have is an error
+    code, _, err = run(capsys, *argv, "--data", str(bare))
+    if q < 8:
+        assert code == 0, err
+        out.unlink()
+    else:
+        assert code == 2 and "front end takes 8 channels" in err
+        assert "outside [0, 8)" in err and ".csv:" in err
+    monkeypatch.setattr(decoder, "_output_streams", _fail("decoder outputs computed"))
+    monkeypatch.setattr(cli, "decode_stream", _fail("the trial decoded"))
+    code, _, err = run(capsys, *argv, "--data", str(ds))
+    assert code == 2
+    assert f"front end takes 8 channels: meta.txt declares {q} channels" in err
+    assert not out.exists()
+
+
+ANALOG_FLOATS = [f.name for f in dataclasses.fields(AnalogParams) if f.type == "float"]
+
+
+def test_non_finite_analog_settings_are_rejected_naming_their_key(capsys, tmp_path, monkeypatch,
+                                                                  shared_run):
+    ds, model = shared_run
+    monkeypatch.setattr(decoder, "_output_streams", _fail("decoder outputs computed"))
+    monkeypatch.setattr(cli, "collect_H", _fail("H collected"))
+    assert "alpha_supply" in ANALOG_FLOATS and len(ANALOG_FLOATS) == 13
+    for name in ANALOG_FLOATS:
+        for value in ("nan", "inf", "-inf"):
+            code, _, err = run(capsys, "eval", "--data", str(ds), "--model", str(model),
+                               "--seed", "3", *SMALL_CHIP, "--set", f"analog.{name}={value}")
+            assert code == 2 and f"{name} must be finite, got {value}" in err
+    code, _, err = run(capsys, "train", "--data", str(ds), "--out", str(tmp_path / "m.json"),
+                       "--seed", "3", *SMALL_CHIP, "--set", "analog.alpha_supply=nan")
+    assert code == 2 and "alpha_supply must be finite" in err
+
+
+@pytest.mark.parametrize("key", ["roc.theta_min", "roc.theta_max"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_roc_bounds_are_named_before_any_work(capsys, tmp_path, monkeypatch, key,
+                                                         value):
+    monkeypatch.setattr(cli, "_load_runtime", _fail("the model or the data read"))
+    out = tmp_path / "roc.csv"
+    code, _, err = run(capsys, "roc", "--data", str(tmp_path / "none"), "--model",
+                       str(tmp_path / "none.json"), "--out", str(out), "--set", f"{key}={value}")
+    assert code == 2
+    assert f"{key} = {value}, but ROC thresholds must be finite" in err
+    assert not out.exists()

@@ -1,6 +1,7 @@
 """Tests for runtime decoding: classifier, onset bits, tracking FSM, scoring."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from mlcpsim.decoder import (
     save_model,
     score_onsets,
     split_dataset,
-    track,
     write_roc_csv,
     write_stream_csv,
 )
@@ -33,6 +33,7 @@ from decoder_oracle import (
     oracle_onset_scores,
     oracle_scores,
     per_threshold_scores,
+    track,
 )
 
 
@@ -211,6 +212,21 @@ def test_decode_equals_composed_ops(easy_setup):
         assert result.g[k] == g
         assert result.g_track[k] == fsm.step(g)
         assert result.f[k] == result.g_track[k] * result.s[k]
+
+
+def test_decode_stream_tracks_like_the_batched_oracle(easy_setup):
+    # decode_stream reads its window test from the scorer's levels; G_track
+    # must be the tracker run on its own G bits, at whole and fractional
+    # refractories, thresholds that fire often and rarely, and lam = tau
+    ds, chip, model = easy_setup
+    for theta, lam, tau, tr_ms in [(0.75, 6, 10, 140.0), (0.2, 1, 1, 0.0), (0.4, 3, 3, 30.0),
+                                   (-5.0, 2, 7, 470.0), (0.9, 4, 12, 2000.0)]:
+        variant = replace(model, theta=theta, lam=lam, tau=tau, tr_ms=tr_ms)
+        for trial in ds.trials[::3]:
+            result = decode_stream(trial, variant, chip)
+            want = track(result.g[None, :].astype(bool), lam, tau, tr_ms / 20.0)[0]
+            assert result.g_track.dtype == np.int64
+            assert np.array_equal(result.g_track, want.astype(np.int64))
 
 
 def test_f_identity_every_tick(easy_setup):

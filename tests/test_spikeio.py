@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from mlcpsim import spikeio
 from mlcpsim.spikeio import (
+    ChannelCountError,
     ChannelRangeError,
     DatasetError,
     LabelRangeError,
@@ -18,6 +20,7 @@ from mlcpsim.spikeio import (
     TrialIdError,
     gen_synthetic,
     parse_dataset,
+    read_trial,
     tuned_peak_rate,
     write_dataset,
 )
@@ -358,3 +361,94 @@ def test_random_trials_roundtrip_byte_identical(tmp_path):
             assert np.array_equal(a.channels, b.channels)
         write_dataset(back, second)
         assert read_tree(first) == read_tree(second)
+
+
+def _small_set(root, q=4, m=3):
+    ds = gen_synthetic(SynthParams(q=q, m=m, trials_per_class=2, seed=21))
+    write_dataset(ds, root)
+    return ds
+
+
+def test_read_trial_is_the_trial_parse_dataset_reads_at_that_index(tmp_path, monkeypatch):
+    _small_set(tmp_path)
+    manifest = tmp_path / "manifest.csv"
+    lines = manifest.read_text().split("\n")
+    manifest.write_text("\n".join(lines[:3] + ["", ""] + lines[3:5] + [""] + lines[5:]))
+    full = parse_dataset(tmp_path)
+    assert len(full.trials) == 6
+    opened = []
+    parse_events = spikeio._parse_events
+    monkeypatch.setattr(spikeio, "_parse_events",
+                        lambda path, q: opened.append(path.name) or parse_events(path, q))
+    for index, trial in enumerate(full.trials):
+        for selector in (str(index), trial.id):
+            opened.clear()
+            got_index, got = read_trial(tmp_path, selector)
+            assert opened == [f"{trial.id}.csv"]  # the manifest pass opens no event file
+            assert got_index == index
+            assert (got.id, got.label, got.onset, got.duration) == (
+                trial.id, trial.label, trial.onset, trial.duration)
+            assert np.array_equal(got.times_us, trial.times_us)
+            assert np.array_equal(got.channels, trial.channels)
+    for selector, message in (("6", "trial index 6 out of range [0, 6)"),
+                              ("-1", "trial index -1 out of range [0, 6)"),
+                              ("c09_r000", "no trial with id 'c09_r000'")):
+        with pytest.raises(DatasetError, match=message.replace("[", r"\[").replace(")", r"\)")):
+            read_trial(tmp_path, selector)
+
+
+def test_read_trial_reads_no_other_event_file(tmp_path):
+    ds = _small_set(tmp_path)
+    (tmp_path / "events" / f"{ds.trials[0].id}.csv").write_text("time_us,channel\n5,x\n")
+    (tmp_path / "events" / f"{ds.trials[2].id}.csv").unlink()
+    index, trial = read_trial(tmp_path, "1")
+    assert (index, trial.id) == (1, ds.trials[1].id)
+    with pytest.raises(DatasetError, match=f"{ds.trials[0].id}.csv:2"):
+        read_trial(tmp_path, ds.trials[0].id)
+    with pytest.raises(DatasetError, match="event file not found"):
+        read_trial(tmp_path, "2")
+    with pytest.raises(DatasetError, match=f"{ds.trials[0].id}.csv:2"):
+        parse_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("row, error, message", [
+    ("z,1,3000,2000", DatasetError, "trial 'z': onset 3000 outside [0, 2000]"),
+    ("z,1,-1,2000", DatasetError, "trial 'z': onset -1 outside [0, 2000]"),
+    ("z,4,0,2000", LabelRangeError, "label 4 outside [1, 3]"),
+    ("z,0,0,2000", LabelRangeError, "label 0 outside [1, 3]"),
+    ("z/y,1,0,2000", TrialIdError, "trial id 'z/y' is empty or contains '/', '\\' or '..'"),
+    ("z,1,0", DatasetError, "expected 4 fields, got 3"),
+])
+def test_every_manifest_row_is_checked_before_any_event_file(tmp_path, row, error, message):
+    # the bad row comes last and has no event file; the one-trial read of
+    # trial 0 still names it, with its manifest line
+    _small_set(tmp_path)
+    with (tmp_path / "manifest.csv").open("a") as manifest:
+        manifest.write(row + "\n")
+    for read in (lambda: parse_dataset(tmp_path), lambda: read_trial(tmp_path, "0")):
+        with pytest.raises(error) as excinfo:
+            read()
+        assert str(excinfo.value) == f"{message} [{tmp_path / 'manifest.csv'}:8]"
+
+
+def test_a_channel_count_is_held_against_meta_and_every_event(tmp_path):
+    ds = _small_set(tmp_path / "ds", q=4)
+    root = tmp_path / "ds"
+    assert parse_dataset(root, 4).channel_count == 4
+    for wrong in (3, 5):
+        with pytest.raises(ChannelCountError, match=f"declares 4 channels where {wrong} are"):
+            parse_dataset(root, wrong)
+        with pytest.raises(ChannelCountError, match=f"declares 4 channels where {wrong} are"):
+            read_trial(root, "0", wrong)
+    # without meta.txt the count is inferred, so only the events can differ
+    (root / "meta.txt").unlink()
+    assert parse_dataset(root).channel_count == 4
+    assert parse_dataset(root, 6).channel_count == 6
+    first = next(t for t in ds.trials if (t.channels == 3).any())
+    line = 2 + int(np.flatnonzero(first.channels == 3)[0])
+    with pytest.raises(ChannelRangeError) as excinfo:
+        parse_dataset(root, 3)
+    assert str(excinfo.value).startswith("channel 3 outside [0, 3)")
+    with pytest.raises(ChannelRangeError) as excinfo:
+        read_trial(root, first.id, 3)
+    assert str(excinfo.value).endswith(f"{first.id}.csv:{line}]")
