@@ -28,15 +28,16 @@ same chip sees the same weights.
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
+from .fields import (FieldError, bounds, check_fields, check_values, read_versioned_json,
+                     write_versioned_json)
+
 MAX_DIM = 128
+FMAX_SEL_MAX = 7  # stop value selector range 0..7
 DAC_CODES = 64  # 6-bit code, 0..63
 COUNTER_BITS = 14
 CHIP_FORMAT = "mlcpsim-chip"
@@ -57,41 +58,26 @@ class AnalogParams:
     CCO frequencies (what normalization is meant to cancel).
     """
 
-    i_ref_na: float = 20.0  # DAC reference, 6-bit programmable
-    c_f_f: float = 100e-15  # CCO integration cap
-    dvdd_v: float = 0.6
-    u_t_mv: float = 26.0  # thermal voltage at body temperature
-    sigma_vt_mv: float = 16.5  # mirror threshold mismatch std
+    i_ref_na: float = bounds(20.0, ge=1.0, le=63.0)  # DAC reference, 6-bit programmable
+    c_f_f: float = bounds(100e-15, gt=0)  # CCO integration cap
+    dvdd_v: float = bounds(0.6, gt=0)
+    u_t_mv: float = bounds(26.0, gt=0)  # thermal voltage at body temperature
+    sigma_vt_mv: float = bounds(16.5, ge=0.0)  # mirror threshold mismatch std
     mu_vt_mv: float = 0.0
-    dnl_max_lsb: float = 3.0  # worst-case DAC DNL; 0 disables the table
-    t_cnt_s: float = 0.010  # counter gate window
-    fmax_sel: int = 7  # stop value selector
-    jitter_rel: float = 0.0005  # counter jitter, relative std
+    dnl_max_lsb: float = bounds(3.0, ge=0.0)  # worst-case DAC DNL; 0 disables the table
+    t_cnt_s: float = bounds(0.010, gt=0)  # counter gate window
+    fmax_sel: int = bounds(7, ge=0, le=FMAX_SEL_MAX)  # stop value selector
+    jitter_rel: float = bounds(0.0005, ge=0.0)  # counter jitter, relative std
     mirror_snr_db: float = 43.0
     b_na: float = 0.0  # per-neuron leak current added before the CCO
-    alpha_supply: float = 1.0
+    alpha_supply: float = bounds(1.0, gt=0)
     use_full_cco: bool = False  # include the reset phase in the period
-    i_rst_na: float = 1000.0
+    i_rst_na: float = 1000.0  # > 0 with use_full_cco
 
-    def validate(self) -> None:
-        """Raise ``ValueError`` naming the first field out of its domain.
-        Every float must be finite; the comparisons are false for NaN."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        if not (1.0 <= self.i_ref_na <= 63.0):
-            raise ValueError(f"i_ref_na must be in [1, 63], got {self.i_ref_na}")
-        if not (0 <= self.fmax_sel <= 7):
-            raise ValueError("fmax_sel must be in [0, 7]")
-        for name in ("jitter_rel", "dnl_max_lsb", "sigma_vt_mv"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("t_cnt_s", "c_f_f", "dvdd_v", "u_t_mv", "alpha_supply"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+    def __post_init__(self):
+        check_fields(self)
         if self.use_full_cco and not self.i_rst_na > 0:
-            raise ValueError("i_rst_na must be positive")
+            raise FieldError("i_rst_na", "> 0 when {} is true", self.i_rst_na, "use_full_cco")
 
     @property
     def stop_value(self) -> int:
@@ -107,17 +93,15 @@ class ChipInstance:
     ``dac_dnl_lsb[j, k]`` is channel j's DNL at code k+1 (codes 1..63).
     """
 
-    seed: int
+    seed: int = bounds(ge=0)
     params: AnalogParams
-    d: int
-    l: int
+    d: int = bounds(ge=1, le=MAX_DIM)
+    l: int = bounds(ge=1, le=MAX_DIM)
     delta_vt_mv: np.ndarray
     dac_dnl_lsb: np.ndarray
 
     def __post_init__(self):
-        self.params.validate()
-        if not (1 <= self.d <= MAX_DIM and 1 <= self.l <= MAX_DIM):
-            raise ValueError(f"dimensions must be in [1, {MAX_DIM}], got D={self.d}, L={self.l}")
+        check_fields(self)
         self.delta_vt_mv = np.array(self.delta_vt_mv, dtype=np.float64)
         self.dac_dnl_lsb = np.array(self.dac_dnl_lsb, dtype=np.float64)
         if self.delta_vt_mv.shape != (self.l, self.d):
@@ -162,76 +146,11 @@ def _draw_dnl(rng: np.random.Generator, bound: float) -> np.ndarray:
 
 def build_chip(seed: int, params: AnalogParams, d: int, l: int) -> ChipInstance:
     """Fabricate a chip: draw mismatch and DNL tables, deterministic in seed."""
-    params.validate()
-    if not (1 <= d <= MAX_DIM and 1 <= l <= MAX_DIM):
-        raise ValueError(f"dimensions must be in [1, {MAX_DIM}], got D={d}, L={l}")
+    check_values(ChipInstance, {"seed": seed, "d": d, "l": l})  # before drawing (L, D) tables
     rng = np.random.default_rng(seed)
     delta_vt = rng.normal(params.mu_vt_mv, params.sigma_vt_mv, size=(l, d))
     dnl = np.stack([_draw_dnl(rng, params.dnl_max_lsb) for _ in range(d)])
     return ChipInstance(seed, params, d, l, delta_vt, dnl)
-
-
-def json_array(value) -> list:
-    """``json.dumps`` default: an array as nested lists, bools as 0/1."""
-    if not isinstance(value, np.ndarray):
-        raise TypeError(f"{type(value).__name__} is not JSON serializable")
-    return (value.astype(int) if value.dtype == bool else value).tolist()
-
-
-def write_versioned_json(path: str | Path, fmt: str, version: int, obj) -> None:
-    """Write dataclass ``obj``'s fields (nested ones as objects, arrays as
-    ``json_array`` lists) beside ``format`` and ``version``: keys sorted,
-    compact, one LF-ended line, so the bytes depend on the values alone."""
-    doc = {"format": fmt, "version": version, **asdict(obj)}
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=json_array)
-    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
-
-
-#: The JSON value types a field of each scalar type takes (``bool`` is not
-#: an ``int`` here); a float field's value must also be finite.
-_SCALAR_TYPES = {bool: ("a boolean", (bool,)), int: ("an integer", (int,)),
-                 float: ("a finite number", (int, float))}
-
-
-def _field_value(hint, value, key: str):
-    """``value`` of the field ``key`` of type ``hint``: a nested dataclass
-    built from its object, a scalar checked against its type."""
-    if is_dataclass(hint):
-        return _from_fields(hint, value, f"{key}.")
-    what, types = _SCALAR_TYPES.get(hint, ("", None))
-    if types and not (type(value) in types and (hint is not float or math.isfinite(value))):
-        raise ValueError(f"{key!r} must be {what}, got {json.dumps(value)}")
-    return value
-
-
-def _from_fields(cls, doc, prefix: str = ""):
-    """Build ``cls`` from an object with exactly its fields, nested
-    dataclasses from nested objects; names the first missing or unknown key
-    and the first scalar of the wrong type (a bool for a bool, an integer
-    for an int, a finite number for a float)."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{prefix.rstrip('.')!r} is not a JSON object")
-    names, hints = [f.name for f in fields(cls)], get_type_hints(cls)
-    if bad := ([f"missing key {prefix + name!r}" for name in names if name not in doc]
-               + [f"unknown key {prefix + key!r}" for key in sorted(doc) if key not in names]):
-        raise ValueError(bad[0])
-    return cls(**{name: _field_value(hints[name], doc[name], prefix + name) for name in names})
-
-
-def read_versioned_json(path: str | Path, fmt: str, version: int, cls):
-    """The ``cls`` that ``write_versioned_json`` wrote; a ``ValueError`` that
-    names the file for any other document or a value the classes reject."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(doc, dict):
-            raise ValueError("the document is not a JSON object")
-        if (tag := doc.pop("format", None)) != fmt:
-            raise ValueError(f"not a {fmt} file (format {tag!r})")
-        if type(found := doc.pop("version", None)) is not int or found != version:
-            raise ValueError(f"unsupported {fmt} version {found!r} (expected {version})")
-        return _from_fields(cls, doc)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_chip(chip: ChipInstance, path: str | Path) -> None:

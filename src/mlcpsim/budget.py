@@ -12,51 +12,30 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
+from .fields import bounds, check_fields
+
 
 @dataclass(frozen=True)
 class BudgetInputs:
     """Dimensions, rates, and device constants for the budget arithmetic."""
 
-    d: int = 40  # input channels into the projection stage
-    l: int = 60  # hidden neurons
-    c: int = 12  # output classes (second-stage columns)
-    f_class_hz: float = 50.0  # classification rate
-    p_analog_w: float = 360e-9  # fixed analog-domain power
-    p_digital_w: float = 54e-9  # on-chip digital power
-    e_mac_digital_j: float = 11e-12  # second-stage energy per MAC
-    f_bio_hz: float = 100.0  # per-channel event rate on the telemetry link
-    f_deco_hz: float = 50.0  # decoder output rate
-    address_bits: int = 8
-    channel_count: int = 256
-    raw_channels: int = 100
-    raw_sample_rate_hz: float = 20e3
-    raw_resolution_bits: int = 10
+    d: int = bounds(40, ge=1)  # input channels into the projection stage
+    l: int = bounds(60, ge=1)  # hidden neurons
+    c: int = bounds(12, ge=2)  # output classes (second-stage columns)
+    f_class_hz: float = bounds(50.0, gt=0)  # classification rate
+    p_analog_w: float = bounds(360e-9, gt=0)  # fixed analog-domain power
+    p_digital_w: float = bounds(54e-9, gt=0)  # on-chip digital power
+    e_mac_digital_j: float = bounds(11e-12, gt=0)  # second-stage energy per MAC
+    f_bio_hz: float = bounds(100.0, gt=0)  # per-channel event rate on the telemetry link
+    f_deco_hz: float = bounds(50.0, gt=0)  # decoder output rate
+    address_bits: int = bounds(8, ge=1)
+    channel_count: int = bounds(256, ge=1)
+    raw_channels: int = bounds(100, ge=1)
+    raw_sample_rate_hz: float = bounds(20e3, gt=0)
+    raw_resolution_bits: int = bounds(10, ge=1)
 
-    def validate(self) -> None:
-        if self.d < 1 or self.l < 1:
-            raise ValueError("dimensions d and l must be >= 1")
-        if self.c < 2:
-            raise ValueError("class count c must be >= 2")
-        positive = {
-            "f_class_hz": self.f_class_hz,
-            "p_analog_w": self.p_analog_w,
-            "p_digital_w": self.p_digital_w,
-            "e_mac_digital_j": self.e_mac_digital_j,
-            "f_bio_hz": self.f_bio_hz,
-            "f_deco_hz": self.f_deco_hz,
-            "raw_sample_rate_hz": self.raw_sample_rate_hz,
-        }
-        for name, value in positive.items():
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        for name, value in [
-            ("address_bits", self.address_bits),
-            ("channel_count", self.channel_count),
-            ("raw_channels", self.raw_channels),
-            ("raw_resolution_bits", self.raw_resolution_bits),
-        ]:
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -94,7 +73,6 @@ def energy_report(inputs: BudgetInputs) -> EnergyBudget:
     its d*l MACs; the full pipeline adds c*l second-stage MACs at a fixed
     digital energy each.
     """
-    inputs.validate()
     e_stage1 = (inputs.p_analog_w + inputs.p_digital_w) / inputs.f_class_hz
     macs_stage1 = inputs.d * inputs.l
     macs_stage2 = inputs.c * inputs.l
@@ -109,7 +87,6 @@ def energy_report(inputs: BudgetInputs) -> EnergyBudget:
 
 def datarate_report(inputs: BudgetInputs) -> DataRates:
     """Telemetry bit rates: raw waveforms, address-coded events, labels."""
-    inputs.validate()
     # ceil(log2 c) bits per emitted label, exactly, via integer arithmetic
     label_bits = (inputs.c - 1).bit_length()
     return DataRates(

@@ -23,7 +23,7 @@ import itertools
 import math
 import shutil
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,6 @@ from .config import (
 )
 from .decoder import (
     DecoderModel,
-    check_decoder_keys,
     decode_stream,
     evaluate,
     load_model,
@@ -60,6 +59,7 @@ from .decoder import (
     write_roc_csv,
     write_stream_csv,
 )
+from .fields import FieldError
 from .frontend import FrontendConfig, run_trial
 from .spikeio import (
     ChannelCountError,
@@ -75,6 +75,7 @@ from .spikeio import (
 from .training import (
     ConvergenceError,
     TrainingError,
+    check_penalties,
     collect_H,
     fit_output_weights,
     hidden_streams,
@@ -182,9 +183,13 @@ def _frontend_from_cfg(cfg: dict, n_channels: int, p: int | None = None) -> Fron
     if cfg["frontend.mode"] not in ("direct", "tdbdi"):
         raise ConfigError(f"unknown frontend.mode {cfg['frontend.mode']!r} "
                           "(expected direct or tdbdi)")
-    if cfg["frontend.mode"] == "direct" or p == 1:
-        return FrontendConfig.direct(n_channels, t_s_ms=t_s)
-    return FrontendConfig.tdbdi(n_channels, p, link_delay=cfg["frontend.link_delay"], t_s_ms=t_s)
+    try:
+        if cfg["frontend.mode"] == "direct" or p == 1:
+            return FrontendConfig.direct(n_channels, t_s_ms=t_s)
+        return FrontendConfig.tdbdi(n_channels, p, link_delay=cfg["frontend.link_delay"],
+                                    t_s_ms=t_s)
+    except FieldError as exc:
+        raise exc.under("frontend.") from None
 
 
 def _chip_for(cfg: dict, d: int, seed: int | None = None, l: int | None = None):
@@ -200,55 +205,58 @@ def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: lis
                   codes: list | None = None) -> tuple:
     """(hidden, one model per training method): H is collected once
     on the chip, from ``codes`` if the trials' front-end codes are given.
-    The ``decoder.*`` model keys are checked before H is collected."""
-    decoder_keys = {name: cfg[f"decoder.{name}"] for name in DECODER_KEYS}
-    check_decoder_keys(decoder_keys)
+    The penalties, and the ``decoder.*`` model keys on a model with zero
+    weights, are checked before H is collected."""
+    l1, sparsity = cfg["train.l1_lambda"], cfg["train.target_sparsity"]
+    penalties = dict(ridge_lambda=cfg["train.ridge_lambda"], l1_lambda=None if l1 < 0 else l1,
+                     target_sparsity=None if sparsity < 0 else sparsity)
+    for method in methods:
+        check_penalties(method, **penalties, prefix="train.")
+    trap, m = section(cfg, "trap"), dataset.class_count
+    try:
+        untrained = DecoderModel(np.zeros((chip.l, m + 1)), np.zeros(chip.l, bool), m,
+                                 frontend=frontend, chip_seed=chip.seed,
+                                 fmax_sel=chip.params.fmax_sel, trap=trap,
+                                 **{name: cfg[f"decoder.{name}"] for name in DECODER_KEYS})
+    except FieldError as exc:
+        raise exc.under("decoder.") if exc.args[0] in DECODER_KEYS else exc from None
     hidden, targets = collect_H(
         dataset,
         chip,
         frontend,
         noise_on=cfg["train.noise_on"],
         sample_policy=cfg["train.sample_policy"],
-        trap=section(cfg, "trap"),
+        trap=trap,
         normalize=cfg["decoder.normalize"],
         noise_seed=cfg["train.noise_seed"],
         codes=codes,
     )
-    l1, sparsity = cfg["train.l1_lambda"], cfg["train.target_sparsity"]
     models = []
     for method in methods:
-        weights = fit_output_weights(
-            hidden,
-            targets,
-            method=method,
-            ridge_lambda=cfg["train.ridge_lambda"],
-            l1_lambda=None if l1 < 0 else l1,
-            target_sparsity=None if sparsity < 0 else sparsity,
-            refit=cfg["train.refit"],
-        )
-        models.append(DecoderModel.from_training(
-            weights,
-            m=dataset.class_count,
-            frontend=frontend,
-            chip_seed=chip.seed,
-            fmax_sel=chip.params.fmax_sel,
-            trap=section(cfg, "trap"),
-            **decoder_keys,
-        ))
+        w = fit_output_weights(hidden, targets, method=method, refit=cfg["train.refit"],
+                               **penalties)
+        models.append(replace(untrained, beta=w.beta, support=w.support, report=w.report))
     return hidden, models
 
 
-def _adopt_model_decoder_keys(cfg: dict, model: DecoderModel) -> None:
-    """Set the ``decoder.*`` model keys to the model's values, the ones it
-    decodes with, so the echo shows them.  A key configured away from its
-    default to a value other than the model's is an error."""
-    for name in DECODER_KEYS:
-        key, value = f"decoder.{name}", getattr(model, name)
-        if cfg[key] != DEFAULTS[key] and cfg[key] != value:
-            raise ConfigError(f"{key} = {format_value(cfg[key])} differs from the model's "
-                              f"{format_value(value)}; the model's value is used, so drop "
-                              "the setting or train a model with it")
-        cfg[key] = type(DEFAULTS[key])(value)
+def _adopt(cfg: dict, name: str, obj, source: str) -> None:
+    """Set each ``name.*`` key that is a field of ``obj`` (read from
+    ``source``) to its value there, the one the run uses, so the echo shows
+    it.  A key configured away from its default to another value is an error."""
+    for key in [f.name for f in fields(obj) if f"{name}.{f.name}" in DEFAULTS]:
+        full, value = f"{name}.{key}", getattr(obj, key)
+        if cfg[full] != DEFAULTS[full] and cfg[full] != value:
+            raise ConfigError(f"{full} = {format_value(cfg[full])} differs from the {source}'s "
+                              f"{format_value(value)}; the {source}'s value is used, so drop "
+                              f"the setting or make another {source} with it")
+        cfg[full] = type(DEFAULTS[full])(value)
+
+
+def _chip_file(cfg: dict, path: str):
+    """The chip in file ``path``; its parameters become the ``analog.*`` keys."""
+    chip = load_chip(path)
+    _adopt(cfg, "analog", chip.params, "chip file")
+    return chip
 
 
 def _load_runtime(cfg: dict, args, trial: str | None = None) -> tuple:
@@ -256,9 +264,9 @@ def _load_runtime(cfg: dict, args, trial: str | None = None) -> tuple:
     dataset, or with ``trial`` only the (index, Trial) it names.  The data
     must have the channel count of the model's front end."""
     model = load_model(args.model)
-    _adopt_model_decoder_keys(cfg, model)
+    _adopt(cfg, "decoder", model, "model")
     if args.chip:
-        chip = load_chip(args.chip)
+        chip = _chip_file(cfg, args.chip)
     else:
         params = replace(section(cfg, "analog"), fmax_sel=model.fmax_sel)
         chip = build_chip(model.chip_seed, params, d=model.frontend.rows, l=model.beta.shape[0])
@@ -311,7 +319,7 @@ def cmd_train(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
     dataset = parse_dataset(args.data)
     frontend = _frontend_from_cfg(cfg, dataset.channel_count)
-    chip = load_chip(args.chip) if args.chip else _chip_for(cfg, d=frontend.rows)
+    chip = _chip_file(cfg, args.chip) if args.chip else _chip_for(cfg, d=frontend.rows)
     hidden, [model] = _train_models(cfg, dataset, chip, frontend, [cfg["train.method"]])
     # an optimistic sanity figure: the evaluation vote on the training set itself
     bounds = np.searchsorted(hidden.trial_index, np.arange(1, len(dataset.trials)))

@@ -18,6 +18,7 @@ from pathlib import Path
 from .analog import AnalogParams
 from .budget import BudgetInputs
 from .decoder import DecoderModel
+from .fields import FieldError
 from .spikeio import SynthParams
 from .training import TrapezoidParams
 
@@ -83,9 +84,13 @@ DEFAULTS: dict[str, object] = {
 
 
 def section(cfg: dict[str, object], name: str):
-    """The parameter object of section ``name``, built from its keys in ``cfg``."""
+    """The parameter object of section ``name``, built from its keys in
+    ``cfg``; a value outside its field's domain is named by its key."""
     cls = SECTIONS[name]
-    return cls(**{f.name: cfg[f"{name}.{f.name}"] for f in fields(cls)})
+    try:
+        return cls(**{f.name: cfg[f"{name}.{f.name}"] for f in fields(cls)})
+    except FieldError as exc:
+        raise exc.under(f"{name}.") from None
 
 
 _TRUE = {"true", "1", "yes", "on"}

@@ -34,7 +34,9 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .analog import ChipInstance, json_array, read_versioned_json, write_versioned_json
+from .analog import FMAX_SEL_MAX, ChipInstance
+from .fields import (bounds, check_fields, check_order, json_array, read_versioned_json,
+                     write_versioned_json)
 from .frontend import FrontendConfig, run_trial
 from .spikeio import SpikeDataset, Trial
 from .training import OutputWeights, TrapezoidParams, hidden_stream, hidden_streams
@@ -54,24 +56,25 @@ class DecoderModel:
 
     beta: np.ndarray
     support: np.ndarray
-    m: int
+    m: int = bounds(ge=1)
     theta: float = 0.75
-    lam: int = 6  # required high ticks in the tracking window
-    tau: int = 10  # tracking window length, ticks
-    tr_ms: float = 140.0  # refractory after a detection
+    lam: int = bounds(6, ge=1)  # required high ticks in the tracking window
+    tau: int = bounds(10, ge=1)  # tracking window length, ticks; >= lam
+    tr_ms: float = bounds(140.0, ge=0.0)  # refractory after a detection
     normalize: bool = True
-    chip_seed: int = 0
-    fmax_sel: int = 7
+    chip_seed: int = bounds(0, ge=0)
+    fmax_sel: int = bounds(7, ge=0, le=FMAX_SEL_MAX)
     frontend: FrontendConfig = None  # type: ignore[assignment]
     trap: TrapezoidParams = field(default_factory=TrapezoidParams)
     report: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_fields(self)
+        check_order(self, "lam", "tau")
         self.beta = np.asarray(self.beta, dtype=np.float64)
         self.support = np.asarray(self.support, dtype=bool)
         if self.beta.ndim != 2 or self.beta.shape[1] != self.m + 1:
             raise ValueError(f"beta must be (L, {self.m + 1}), got {self.beta.shape}")
-        check_decoder_keys(vars(self))
         if self.frontend is None:
             raise ValueError("model needs a frontend configuration")
 
@@ -81,17 +84,6 @@ class DecoderModel:
     ) -> "DecoderModel":
         return cls(weights.beta, weights.support, m, frontend=frontend,
                    report=weights.report, **kwargs)
-
-
-def check_decoder_keys(keys: dict) -> None:
-    """Raise ``ValueError`` naming the first invalid ``decoder.*`` model key in
-    ``keys``: a model's fields, or the settings a model will be trained with."""
-    if not (1 <= keys["lam"] <= keys["tau"]):
-        raise ValueError(f"need 1 <= lam <= tau, got lam={keys['lam']}, tau={keys['tau']}")
-    if not math.isfinite(keys["theta"]):
-        raise ValueError(f"theta must be finite, got {keys['theta']}")
-    if not (math.isfinite(keys["tr_ms"]) and keys["tr_ms"] >= 0):
-        raise ValueError(f"tr_ms must be finite and >= 0, got {keys['tr_ms']}")
 
 
 def save_model(model: DecoderModel, path: str | Path) -> None:
@@ -134,8 +126,6 @@ def _track_steps(levels: np.ndarray, thetas, tr_ticks: float):
     a tick without one), for each tick at which some level exceeds the
     smallest threshold; at every other tick all outputs are low.
     """
-    if not tr_ticks >= 0:
-        raise ValueError(f"need tr_ticks >= 0, got {tr_ticks}")
     th = np.asarray(thetas, dtype=np.float64)[:, None]
     n_ticks = levels.shape[0]
     shape = (len(th), levels.shape[1])

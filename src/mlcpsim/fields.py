@@ -1,0 +1,125 @@
+"""Parameter-field domains and the versioned-JSON codec.
+
+A scalar field's annotation gives its kind: a ``float`` is a finite real
+number, an ``int`` an integral one, a ``bool`` a bool (never a number).
+``bounds`` adds limits as field metadata.  ``check_fields``, called from a
+parameter class's ``__post_init__``, tests every scalar field with
+comparisons that NaN fails, so the configuration, the Python API and the
+file reader share one check; ``FieldError.under`` adds the key's prefix.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import numbers
+import operator
+from dataclasses import MISSING, asdict, field, fields, is_dataclass
+from pathlib import Path
+from typing import get_type_hints
+
+import numpy as np
+
+#: What each annotated scalar kind admits, and how a message names it.
+_KINDS = {
+    "bool": ("a boolean", lambda v: isinstance(v, (bool, np.bool_))),
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    "float": ("a finite number", lambda v: isinstance(v, numbers.Real)
+              and not isinstance(v, bool) and abs(v) < math.inf),
+}
+_LIMITS = {"gt": (">", operator.gt), "ge": (">=", operator.ge), "le": ("<=", operator.le)}
+
+
+def bounds(default=MISSING, **limits):
+    """A field with limits ``gt``, ``ge`` or ``le`` (> , >=, <=) on its value."""
+    return field(default=default, metadata=limits)
+
+
+class FieldError(ValueError):
+    """``'<key>' must be <domain>, got <value>``.  A cross-field domain names
+    the other field at ``{}``; ``under(prefix)`` prefixes both names."""
+
+    def __str__(self) -> str:
+        key, domain, value, other = self.args
+        shown = json.dumps(value, default=repr)
+        return f"{key!r} must be {domain.format(repr(other))}, got {shown}"
+
+    def under(self, prefix: str) -> FieldError:
+        key, domain, value, other = self.args
+        return FieldError(prefix + key, domain, value, other and prefix + other)
+
+
+def check_values(cls, values: dict) -> None:
+    """Raise ``FieldError`` naming the first scalar field of dataclass ``cls``
+    whose value in ``values`` lies outside its domain (absent ones pass)."""
+    for f in fields(cls):
+        if f.type in _KINDS and f.name in values:
+            (what, admits), value = _KINDS[f.type], values[f.name]
+            limits = [(*_LIMITS[op], limit) for op, limit in f.metadata.items()]
+            if not (admits(value) and all(test(value, limit) for _, test, limit in limits)):
+                domain = " and ".join(f"{sign} {limit}" for sign, _, limit in limits)
+                raise FieldError(f.name, f"{what} {domain}".rstrip(), value, "")
+
+
+def check_fields(obj) -> None:
+    """Raise ``FieldError`` naming the first scalar field of the dataclass
+    ``obj`` whose value lies outside its domain."""
+    check_values(type(obj), vars(obj))
+
+
+def check_order(obj, *names: str) -> None:
+    """Raise ``FieldError`` naming the first of the fields ``names`` of
+    ``obj`` whose value is below the one before it."""
+    for low, name in zip(names, names[1:]):
+        if not getattr(obj, low) <= getattr(obj, name):
+            raise FieldError(name, f">= {{}} ({getattr(obj, low)})", getattr(obj, name), low)
+
+
+def json_array(value) -> list:
+    """``json.dumps`` default: an array as nested lists, bools as 0/1."""
+    if not isinstance(value, np.ndarray):
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return (value.astype(int) if value.dtype == bool else value).tolist()
+
+
+def write_versioned_json(path: str | Path, fmt: str, version: int, obj) -> None:
+    """Write dataclass ``obj``'s fields (nested ones as objects, arrays as
+    ``json_array`` lists) beside ``format`` and ``version``: keys sorted,
+    compact, one LF-ended line, so the bytes depend on the values alone."""
+    doc = {"format": fmt, "version": version, **asdict(obj)}
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=json_array)
+    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
+
+
+def _from_fields(cls, doc, prefix: str = ""):
+    """Build ``cls`` from an object with exactly its fields, nested
+    dataclasses from nested objects; names the first missing or unknown key,
+    and a value the class rejects under its key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{prefix.rstrip('.')!r} is not a JSON object")
+    names, hints = [f.name for f in fields(cls)], get_type_hints(cls)
+    if bad := ([f"missing key {prefix + name!r}" for name in names if name not in doc]
+               + [f"unknown key {prefix + key!r}" for key in sorted(doc) if key not in names]):
+        raise ValueError(bad[0])
+    values = {name: _from_fields(hints[name], doc[name], f"{prefix}{name}.")
+              if is_dataclass(hints[name]) else doc[name] for name in names}
+    try:
+        return cls(**values)
+    except FieldError as exc:
+        raise exc.under(prefix) from None
+
+
+def read_versioned_json(path: str | Path, fmt: str, version: int, cls):
+    """The ``cls`` that ``write_versioned_json`` wrote; a ``ValueError`` that
+    names the file for any other document or a value the classes reject."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError("the document is not a JSON object")
+        if (tag := doc.pop("format", None)) != fmt:
+            raise ValueError(f"not a {fmt} file (format {tag!r})")
+        if type(found := doc.pop("version", None)) is not int or found != version:
+            raise ValueError(f"unsupported {fmt} version {found!r} (expected {version})")
+        return _from_fields(cls, doc)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fields import bounds, check_fields, check_values
+
 MAX_ROWS = 128
 SUBCOUNT_MAX = 15  # 4-bit sub-window counter
 WINDOW_MAX = 63  # 6-bit window output
@@ -45,14 +47,13 @@ class FrontendConfig:
     sub-windows, 20-100 ms).  Row 0 must be external.
     """
 
-    rows: int
+    rows: int = bounds(ge=1, le=MAX_ROWS)
     s_ext: np.ndarray = field(default=None)  # type: ignore[assignment]
     sdl: np.ndarray = field(default=None)  # type: ignore[assignment]
-    t_s_ms: float = 20.0  # sub-window length
+    t_s_ms: float = bounds(20.0, gt=0)  # sub-window length
 
     def __post_init__(self):
-        if not (1 <= self.rows <= MAX_ROWS):
-            raise ValueError(f"rows must be in [1, {MAX_ROWS}], got {self.rows}")
+        check_fields(self)
         if self.s_ext is None:
             self.s_ext = np.zeros(self.rows, dtype=np.int64)
         self.s_ext = np.asarray(self.s_ext, dtype=np.int64)
@@ -67,8 +68,6 @@ class FrontendConfig:
             raise ValueError("row 0 has no previous row and must be external (S_ext=0)")
         if ((self.sdl < 0) | (self.sdl > SDL_MAX)).any():
             raise ValueError(f"sdl codes must be in [0, {SDL_MAX}]")
-        if self.t_s_ms <= 0:
-            raise ValueError("t_s_ms must be positive")
 
     @property
     def n_external(self) -> int:
@@ -103,6 +102,7 @@ class FrontendConfig:
         if not (1 <= link_delay <= SDL_MAX + 1):
             raise ValueError(f"link_delay must be in [1, {SDL_MAX + 1}]")
         rows = n_channels * p
+        check_values(cls, {"rows": rows})  # before the per-row loop
         s_ext = np.zeros(rows, dtype=np.int64)
         sdl = np.zeros(rows, dtype=np.int64)
         for j in range(n_channels):

@@ -40,6 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fields import bounds, check_fields, check_order
+
 MANIFEST_NAME = "manifest.csv"
 META_NAME = "meta.txt"
 EVENTS_DIR = "events"
@@ -173,31 +175,25 @@ class SynthParams:
     circular class distance over ``tuning_width`` classes.
     """
 
-    q: int = 30  # input channels
-    m: int = 12  # movement classes
-    baseline_rate: float = 8.0  # Hz at rest
-    peak_rate: float = 90.0  # Hz at the preferred class's peak
-    tuning_width: float = 2.0  # raised-cosine half-width, in class distance
-    ramp_start_ms: float = -300.0  # rate envelope, relative to onset
+    q: int = bounds(30, ge=1)  # input channels
+    m: int = bounds(12, ge=1)  # movement classes
+    baseline_rate: float = bounds(8.0, ge=0.0)  # Hz at rest
+    peak_rate: float = 90.0  # Hz at the preferred class's peak, >= baseline_rate
+    tuning_width: float = bounds(2.0, gt=0)  # raised-cosine half-width, in class distance
+    ramp_start_ms: float = -300.0  # rate envelope, relative to onset, in this order
     ramp_peak_ms: float = -100.0
     decay_start_ms: float = 100.0
     decay_end_ms: float = 300.0
-    onset_ms: float = 1000.0
-    trial_duration_ms: float = 2000.0
-    trials_per_class: int = 10
-    seed: int = 0
+    onset_ms: float = bounds(1000.0, ge=0.0)
+    trial_duration_ms: float = bounds(2000.0, ge=0.0)
+    trials_per_class: int = bounds(10, ge=1)
+    seed: int = bounds(0, ge=0)
 
-    def validate(self) -> None:
-        if self.q < 1 or self.m < 1:
-            raise ValueError("q and m must be >= 1")
-        if not (self.peak_rate >= self.baseline_rate >= 0.0):
-            raise ValueError("need peak_rate >= baseline_rate >= 0")
-        if self.trials_per_class < 1:
-            raise ValueError("trials_per_class must be >= 1")
-        if not (self.ramp_start_ms <= self.ramp_peak_ms <= self.decay_start_ms <= self.decay_end_ms):
-            raise ValueError("need ramp_start <= ramp_peak <= decay_start <= decay_end")
-        if self.tuning_width <= 0:
-            raise ValueError("tuning_width must be positive")
+    def __post_init__(self):
+        check_fields(self)
+        check_order(self, "baseline_rate", "peak_rate")
+        check_order(self, "ramp_start_ms", "ramp_peak_ms", "decay_start_ms", "decay_end_ms")
+        check_order(self, "onset_ms", "trial_duration_ms")
 
 
 def class_distance(a: int, b: int, m: int) -> int:
@@ -273,9 +269,9 @@ def gen_synthetic(params: SynthParams) -> SpikeDataset:
 
     Trials are generated class-major (``trials_per_class`` trials for class 1,
     then class 2, ...), neurons in index order within a trial, so the random
-    stream consumption is fixed.
+    stream consumption is fixed.  The checks on ``SynthParams`` make every
+    trial valid by construction.
     """
-    params.validate()
     rng = np.random.default_rng(params.seed)
     duration_us = int(round(params.trial_duration_ms * 1000.0))
     onset_us = int(round(params.onset_ms * 1000.0))
@@ -304,9 +300,7 @@ def gen_synthetic(params: SynthParams) -> SpikeDataset:
                 )
             )
     metadata = {"source": "synthetic", "seed": str(params.seed)}
-    ds = SpikeDataset(trials, channel_count=params.q, class_count=params.m, metadata=metadata)
-    ds.validate()
-    return ds
+    return SpikeDataset(trials, channel_count=params.q, class_count=params.m, metadata=metadata)
 
 
 def _read_lines(path: Path) -> list[str]:

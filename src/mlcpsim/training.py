@@ -23,11 +23,13 @@ membership is exactly 0 or 1, while the onset output trains on every tick.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analog import ChipInstance, hidden_layer, normalize_rows
+from .fields import check_fields, check_order
 from .frontend import FrontendConfig, run_trial, tick_count
 from .spikeio import SpikeDataset
 
@@ -58,8 +60,8 @@ class TrapezoidParams:
     t3_ms: float = 1200.0
 
     def __post_init__(self):
-        if not (self.t0_ms <= self.t1_ms <= self.t2_ms <= self.t3_ms):
-            raise ValueError("trapezoid times must satisfy t0 <= t1 <= t2 <= t3")
+        check_fields(self)
+        check_order(self, "t0_ms", "t1_ms", "t2_ms", "t3_ms")
 
 
 def trapezoid(t_ms, params: TrapezoidParams) -> np.ndarray:
@@ -127,10 +129,6 @@ class OutputWeights:
     beta: np.ndarray
     support: np.ndarray
     report: dict = field(default_factory=dict)
-
-    @property
-    def pruned_count(self) -> int:
-        return int(np.sum(~self.support))
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -383,6 +381,23 @@ def _least_squares(h: np.ndarray, t: np.ndarray, ridge_lambda: float = 0.0) -> n
     return np.linalg.solve(h.T @ h + ridge_lambda * np.eye(h.shape[1]), h.T @ t)
 
 
+def check_penalties(method: str, ridge_lambda: float = 0.0, l1_lambda: float | None = None,
+                    target_sparsity: float | None = None, prefix: str = "") -> None:
+    """Raise ``TrainingError`` unless ``fit_blocks`` can fit ``method`` with
+    these settings: the penalties given are finite and >= 0, the target
+    sparsity in [0, 1), and T2 takes exactly one of the last two.  An error
+    names a setting with ``prefix`` before it."""
+    if method not in ("T1", "T2"):
+        raise TrainingError(f"unknown training method {method!r}")
+    if method == "T2" and (l1_lambda is None) == (target_sparsity is None):
+        raise TrainingError("T2 takes exactly one of l1_lambda or target_sparsity")
+    for name, value, top in [("ridge_lambda", ridge_lambda, math.inf),
+                             ("l1_lambda", l1_lambda, math.inf),
+                             ("target_sparsity", target_sparsity, 1.0)]:
+        if value is not None and not 0 <= value < top:  # NaN fails too
+            raise TrainingError(f"'{prefix}{name}' must be in [0, {top:g}), got {value}")
+
+
 def fit_blocks(
     blocks: list,
     method: str = "T1",
@@ -411,18 +426,11 @@ def fit_blocks(
     if len(widths) != 1:
         raise TrainingError(f"blocks must share one hidden width L, got {widths}")
 
+    check_penalties(method, ridge_lambda, l1_lambda, target_sparsity)
     if method == "T1":
-        if not ridge_lambda >= 0:  # NaN too
-            raise TrainingError("ridge_lambda must be >= 0")
         beta = np.hstack([_least_squares(h, t, ridge_lambda) for h, t in blocks])
         report = {"method": "T1", "ridge_lambda": ridge_lambda}
-    elif method == "T2":
-        if (l1_lambda is None) == (target_sparsity is None):
-            raise TrainingError("T2 takes exactly one of l1_lambda or target_sparsity")
-        if l1_lambda is not None and not l1_lambda >= 0:
-            raise TrainingError("l1_lambda must be >= 0")
-        if target_sparsity is not None and not 0.0 <= target_sparsity < 1.0:
-            raise TrainingError("target_sparsity must be in [0, 1)")
+    else:
         columns = []  # one (Gram, correlations) pair per output
         for h, t in blocks:
             gram = h.T @ h
@@ -433,8 +441,6 @@ def fit_blocks(
         else:
             lam, beta = _common_penalty_search(columns, target_sparsity)
         report = {"method": "T2", "l1_lambda": float(lam), "refit": bool(refit)}
-    else:
-        raise TrainingError(f"unknown training method {method!r}")
     support = np.any(beta != 0.0, axis=1)
 
     splits = np.cumsum([t.shape[1] for _, t in blocks])[:-1]  # np.split gives views

@@ -1,6 +1,7 @@
 """Tests for the analog fabric model (DAC, mirror array, CCO counters, normalization)."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -364,13 +365,14 @@ def test_mismatch_map_csv_export(tmp_path):
 
 
 def test_every_float_parameter_rejects_nan_and_infinities_by_name():
-    AnalogParams().validate()
+    AnalogParams()
     names = [f.name for f in dataclasses.fields(AnalogParams) if f.type == "float"]
     assert len(names) == 13
     for name in names:
         for value in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
-                AnalogParams(**{name: value}).validate()
+            message = f"^'{name}' must be a finite number.*, got {json.dumps(value)}$"
+            with pytest.raises(ValueError, match=message):
+                AnalogParams(**{name: value})
             with pytest.raises(ValueError, match=name):
                 build_chip(1, AnalogParams(**{name: value}), d=2, l=2)
 
@@ -381,9 +383,8 @@ def test_every_float_parameter_rejects_nan_and_infinities_by_name():
     ("dnl_max_lsb", -3.0), ("i_ref_na", 0.5), ("i_ref_na", 64.0), ("fmax_sel", 8),
 ])
 def test_parameters_outside_their_range_are_rejected_by_name(name, value):
-    with pytest.raises(ValueError, match=name):
-        AnalogParams(**{name: value}).validate()
+    with pytest.raises(ValueError, match=f"^'{name}' must be .*, got {value}$"):
+        AnalogParams(**{name: value})
     # the boundary values the ranges admit
-    AnalogParams(sigma_vt_mv=0.0, jitter_rel=0.0, dnl_max_lsb=0.0, i_ref_na=1.0).validate()
-    AnalogParams(i_ref_na=63.0, fmax_sel=0, mu_vt_mv=-5.0, b_na=-1.0,
-                 mirror_snr_db=-10.0).validate()
+    AnalogParams(sigma_vt_mv=0.0, jitter_rel=0.0, dnl_max_lsb=0.0, i_ref_na=1.0)
+    AnalogParams(i_ref_na=63.0, fmax_sel=0, mu_vt_mv=-5.0, b_na=-1.0, mirror_snr_db=-10.0)

@@ -482,6 +482,50 @@ def test_runtime_commands_echo_and_decode_with_the_models_decoder_keys(capsys, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd", ["eval", "roc", "stream"])
+def test_runtime_commands_echo_the_chip_files_parameters(capsys, tmp_path, monkeypatch,
+                                                         easy_run, cmd):
+    ds, model = easy_run
+    chip = tmp_path / "chip.json"
+    assert run(capsys, "chip", "--out", str(chip), "--seed", "3", "--set", "synth.q=8",
+               *SMALL_CHIP, "--set", "analog.i_ref_na=5")[0] == 0
+    base = [cmd, "--data", str(ds), "--model", str(model), "--chip", str(chip), "--seed", "3",
+            *SMALL_CHIP]
+    # unset, or set to the chip file's value: the echo shows what decoding uses
+    for extra in ([], ["--set", "analog.i_ref_na=5"]):
+        code, text, _ = run(capsys, *base, "--out", str(tmp_path / "out"), "--force", *extra)
+        assert code == 0
+        echoed = parse_config_text(text)
+        assert (echoed["analog.i_ref_na"], echoed["analog.alpha_supply"]) == (5.0, 1.0)
+    # set to something else, NaN too: refused before decoding, naming the key
+    monkeypatch.setattr(decoder, "_output_streams", _fail("decoder outputs computed"))
+    monkeypatch.setattr(cli, "decode_stream", _fail("the trial decoded"))
+    out = tmp_path / "refused"
+    for setting, named in [("analog.alpha_supply=nan", "analog.alpha_supply = nan"),
+                           ("analog.i_ref_na=7", "analog.i_ref_na = 7.0")]:
+        code, _, err = run(capsys, *base, "--out", str(out), "--set", setting)
+        assert code == 2
+        assert f"{named} differs from the chip file's" in err
+        assert not out.exists()
+
+
+def test_train_with_a_chip_file_refuses_a_differing_analog_setting(capsys, tmp_path,
+                                                                   monkeypatch, easy_run):
+    ds, _ = easy_run
+    chip = tmp_path / "chip.json"
+    assert run(capsys, "chip", "--out", str(chip), "--seed", "3", "--set", "synth.q=8",
+               *SMALL_CHIP)[0] == 0
+    out = tmp_path / "m.json"
+    argv = ["train", "--data", str(ds), "--chip", str(chip), "--out", str(out), "--seed", "3",
+            *SMALL_CHIP]
+    code, text, _ = run(capsys, *argv, "--set", "analog.i_ref_na=20")  # the chip's value
+    assert code == 0 and parse_config_text(text)["analog.i_ref_na"] == 20.0
+    monkeypatch.setattr(cli, "collect_H", _fail("H collected"))
+    code, _, err = run(capsys, *argv, "--force", "--set", "analog.alpha_supply=nan")
+    assert code == 2
+    assert "analog.alpha_supply = nan differs from the chip file's 1.0" in err
+
+
 @pytest.mark.parametrize("kind, name", DEFECT_CASES)
 def test_eval_with_a_defective_model_or_chip_file_is_data_error(capsys, tmp_path, easy_run,
                                                                 kind, name):
@@ -664,13 +708,14 @@ def test_non_finite_analog_settings_are_rejected_naming_their_key(capsys, tmp_pa
     monkeypatch.setattr(cli, "collect_H", _fail("H collected"))
     assert "alpha_supply" in ANALOG_FLOATS and len(ANALOG_FLOATS) == 13
     for name in ANALOG_FLOATS:
-        for value in ("nan", "inf", "-inf"):
+        for value, shown in (("nan", "NaN"), ("inf", "Infinity"), ("-inf", "-Infinity")):
             code, _, err = run(capsys, "eval", "--data", str(ds), "--model", str(model),
                                "--seed", "3", *SMALL_CHIP, "--set", f"analog.{name}={value}")
-            assert code == 2 and f"{name} must be finite, got {value}" in err
+            assert code == 2 and f"'analog.{name}' must be a finite number" in err
+            assert err.rstrip().endswith(f"got {shown}")
     code, _, err = run(capsys, "train", "--data", str(ds), "--out", str(tmp_path / "m.json"),
                        "--seed", "3", *SMALL_CHIP, "--set", "analog.alpha_supply=nan")
-    assert code == 2 and "alpha_supply must be finite" in err
+    assert code == 2 and "'analog.alpha_supply' must be a finite number > 0, got NaN" in err
 
 
 @pytest.mark.parametrize("key", ["roc.theta_min", "roc.theta_max"])

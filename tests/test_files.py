@@ -109,14 +109,16 @@ DEFECTS = {
         "missing-frontend": (lambda doc: doc["frontend"].pop("sdl"),
                              "missing key 'frontend.sdl'"),
         "trap-list": (lambda doc: doc.update(trap=[700.0]), "'trap' is not a JSON object"),
-        "wrong-type": (lambda doc: doc.update(tau="10"), "'tau' must be an integer, got \"10\""),
+        "wrong-type": (lambda doc: doc.update(tau="10"),
+                       "'tau' must be an integer >= 1, got \"10\""),
         "string-bool": (lambda doc: doc.update(normalize="false"),
                         "'normalize' must be a boolean, got \"false\""),
-        "fractional-int": (lambda doc: doc.update(lam=2.5), "'lam' must be an integer, got 2.5"),
-        "bool-int": (lambda doc: doc.update(m=True), "'m' must be an integer, got true"),
+        "fractional-int": (lambda doc: doc.update(lam=2.5),
+                           "'lam' must be an integer >= 1, got 2.5"),
+        "bool-int": (lambda doc: doc.update(m=True), "'m' must be an integer >= 1, got true"),
         "bool-version": (lambda doc: doc.update(version=True), "mlcpsim-model version True"),
         "string-float-frontend": (lambda doc: doc["frontend"].update(t_s_ms="20"),
-                                  "'frontend.t_s_ms' must be a finite number, got \"20\""),
+                                  "'frontend.t_s_ms' must be a finite number > 0, got \"20\""),
     },
     "chip": {
         "format": (lambda doc: doc.update(format="mlcpsim-model"), "not a mlcpsim-chip file"),
@@ -128,10 +130,11 @@ DEFECTS = {
         "missing-params": (lambda doc: doc["params"].pop("u_t_mv"),
                            "missing key 'params.u_t_mv'"),
         "nan-params": (lambda doc: doc["params"].update(alpha_supply=float("nan")),
-                       "'params.alpha_supply' must be a finite number, got NaN"),
+                       "'params.alpha_supply' must be a finite number > 0, got NaN"),
         "bool-float-params": (lambda doc: doc["params"].update(i_ref_na=True),
-                              "'params.i_ref_na' must be a finite number, got true"),
-        "float-seed": (lambda doc: doc.update(seed=1.0), "'seed' must be an integer, got 1.0"),
+                              "'params.i_ref_na' must be a finite number >= 1.0 and <= 63.0, "
+                              "got true"),
+        "float-seed": (lambda doc: doc.update(seed=1.0), "'seed' must be an integer >= 0, got 1.0"),
     },
 }
 DEFECT_CASES = [(kind, name) for kind, cases in DEFECTS.items() for name in cases]

@@ -254,7 +254,7 @@ def test_t2_all_zero_h_reported_not_fatal():
     for refit in (False, True):
         w = fit_blocks([(np.zeros((50, 6)), t)], "T2", target_sparsity=0.3, refit=refit)
         assert w.beta.shape == (6, 3) and not w.beta.any()
-        assert w.pruned_count == 6
+        assert np.sum(~w.support) == 6
         assert w.report["degenerate"] is True and w.report["l1_lambda"] == 0.0
     ds = tiny_dataset(baseline_rate=0.0, peak_rate=0.0)
     hidden, targets = collect_H(ds, build_chip(42, AnalogParams(), d=6, l=8),
@@ -262,7 +262,7 @@ def test_t2_all_zero_h_reported_not_fatal():
     for method, kwargs in [("T1", {}), ("T2", {"target_sparsity": 0.3})]:
         w = fit_output_weights(hidden, targets, method=method, **kwargs)
         assert w.beta.shape == (8, 3) and not w.beta.any()
-        assert w.pruned_count == 8 and w.report["degenerate"] is True
+        assert np.sum(~w.support) == 8 and w.report["degenerate"] is True
     # a non-zero H does not carry the flag
     w = fit_blocks([(np.eye(6), np.ones(6))], "T2", target_sparsity=0.3)
     assert "degenerate" not in w.report
@@ -275,7 +275,7 @@ def test_t2_null_threshold():
     lam_max = max(lasso_lambda_max(h, t[:, k]) for k in range(2))
     w = fit_blocks([(h, t)], "T2", l1_lambda=lam_max * 1.0001)
     assert not w.beta.any()
-    assert w.pruned_count == 6
+    assert np.sum(~w.support) == 6
 
 
 def test_t2_small_penalty_approaches_t1():
@@ -340,7 +340,7 @@ def test_t2_target_sparsity_reached():
     t = rng.normal(size=(60, 3))
     w = fit_blocks([(h, t)], "T2", target_sparsity=0.5)
     assert w.report["sparsity"] >= 0.5
-    assert w.pruned_count >= 10
+    assert np.sum(~w.support) >= 10
     # pruned means the whole row is zero
     assert not w.beta[~w.support].any()
     assert np.all(w.beta[w.support].any(axis=1))
@@ -373,6 +373,8 @@ def test_t2_requires_exactly_one_penalty_setting():
     ("T2", {"l1_lambda": float("nan")}),
     ("T2", {"target_sparsity": 1.0}),
     ("T2", {"target_sparsity": float("nan")}),
+    ("T1", {"ridge_lambda": float("inf")}),
+    ("T2", {"l1_lambda": float("inf")}),
 ])
 def test_negative_nan_or_out_of_range_penalty_rejected(method, kwargs):
     rng = np.random.default_rng(61)
@@ -403,7 +405,7 @@ def test_pruned_neurons_removable_from_chip():
     cfg = FrontendConfig.direct(6)
     hidden, targets = collect_H(ds, chip, cfg, normalize=False)
     w = fit_output_weights(hidden, targets, method="T2", target_sparsity=0.4)
-    assert w.pruned_count >= 0.4 * 16
+    assert np.sum(~w.support) >= 0.4 * 16
 
     keep = w.support
     small = ChipInstance(
