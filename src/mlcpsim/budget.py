@@ -10,9 +10,10 @@ trained output layer ((M+1) x L MACs at a fixed digital energy per MAC).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields, replace
 
-from .fields import bounds, check_fields
+from .fields import FieldError, bounds, check_fields
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,21 @@ def datarate_report(inputs: BudgetInputs) -> DataRates:
 
 
 def budget_report(inputs: BudgetInputs) -> BudgetReport:
-    return BudgetReport(inputs=inputs, energy=energy_report(inputs), rates=datarate_report(inputs))
+    """The energy and data rates of ``inputs``.  Finite inputs can still
+    overflow the arithmetic: a report value that is not finite raises a
+    ``FieldError`` naming it and the input it comes from, the first one that
+    makes it finite when set back to its default."""
+    report = BudgetReport(inputs=inputs, energy=energy_report(inputs), rates=datarate_report(inputs))
+    for group, compute in (("energy", energy_report), ("rates", datarate_report)):
+        for name, value in asdict(getattr(report, group)).items():
+            if not math.isfinite(value):
+                changed = [f for f in fields(inputs) if getattr(inputs, f.name) != f.default]
+                fixes = [f.name for f in changed
+                         if math.isfinite(getattr(compute(replace(inputs, **{f.name: f.default})), name))]
+                key = (fixes or [changed[0].name])[0]
+                raise FieldError(key, f"a value that keeps the report's '{group}.{name}' finite",
+                                 getattr(inputs, key), "")
+    return report
 
 
 def _si(value: float, unit: str) -> str:

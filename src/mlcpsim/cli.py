@@ -52,6 +52,7 @@ from .decoder import (
     decode_stream,
     evaluate,
     load_model,
+    on_plateau,
     plateau_class,
     roc_sweep,
     save_model,
@@ -203,10 +204,11 @@ def _chip_for(cfg: dict, d: int, seed: int | None = None, l: int | None = None):
 
 def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: list,
                   codes: list | None = None) -> tuple:
-    """(hidden, one model per training method): H is collected once
+    """(plateau, one model per training method): H is collected once
     on the chip, from ``codes`` if the trials' front-end codes are given.
     The penalties, and the ``decoder.*`` model keys on a model with zero
-    weights, are checked before H is collected."""
+    weights, are checked before H is collected.  ``plateau`` holds each
+    trial's (H rows, ticks) on the plateau: the last fit may reorder H."""
     l1, sparsity = cfg["train.l1_lambda"], cfg["train.target_sparsity"]
     penalties = dict(ridge_lambda=cfg["train.ridge_lambda"], l1_lambda=None if l1 < 0 else l1,
                      target_sparsity=None if sparsity < 0 else sparsity)
@@ -231,12 +233,15 @@ def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: lis
         noise_seed=cfg["train.noise_seed"],
         codes=codes,
     )
+    rows = on_plateau(hidden.tick, untrained)
+    bounds = np.searchsorted(hidden.trial_index[rows], np.arange(1, len(dataset.trials)))
+    plateau = list(zip(np.split(hidden.h[rows], bounds), np.split(hidden.tick[rows], bounds)))
     models = []
-    for method in methods:
+    for i, method in enumerate(methods):  # no later fit reads H, so the last may overwrite it
         w = fit_output_weights(hidden, targets, method=method, refit=cfg["train.refit"],
-                               **penalties)
+                               overwrite_h=i == len(methods) - 1, **penalties)
         models.append(replace(untrained, beta=w.beta, support=w.support, report=w.report))
-    return hidden, models
+    return plateau, models
 
 
 def _adopt(cfg: dict, name: str, obj, source: str) -> None:
@@ -320,11 +325,10 @@ def cmd_train(args, cfg: dict) -> int:
     dataset = parse_dataset(args.data)
     frontend = _frontend_from_cfg(cfg, dataset.channel_count)
     chip = _chip_file(cfg, args.chip) if args.chip else _chip_for(cfg, d=frontend.rows)
-    hidden, [model] = _train_models(cfg, dataset, chip, frontend, [cfg["train.method"]])
+    plateau, [model] = _train_models(cfg, dataset, chip, frontend, [cfg["train.method"]])
     # an optimistic sanity figure: the evaluation vote on the training set itself
-    bounds = np.searchsorted(hidden.trial_index, np.arange(1, len(dataset.trials)))
-    scores = np.split(hidden.h @ model.beta[:, : model.m], bounds)
-    correct = sum(plateau_class(o, model) == t.label for o, t in zip(scores, dataset.trials))
+    correct = sum(plateau_class(h @ model.beta[:, : model.m], model, ticks) == t.label
+                  for (h, ticks), t in zip(plateau, dataset.trials))
     model.report["train_accuracy"] = correct / len(dataset.trials)
     save_model(model, out)
     _echo(cfg)
@@ -423,7 +427,6 @@ def cmd_sweep(args, cfg: dict) -> int:
             test_codes = [run_trial(frontend, t).astype(np.uint8) for t in sub_test.trials]
             for l, seed in itertools.product(l_grid, seeds):
                 chip = _chip_for(cfg, d=frontend.rows, seed=seed, l=l)
-                # keep no reference to H, or two chips' H would be alive at once
                 models = _train_models(cfg, sub_train, chip, frontend, methods, train_codes)[1]
                 streams = list(hidden_streams(test_codes, chip, cfg["decoder.normalize"],
                                               cfg["decoder.noise_on"], cfg["decoder.noise_seed"]))
@@ -447,7 +450,11 @@ def cmd_sweep(args, cfg: dict) -> int:
 
 
 def cmd_budget(args, cfg: dict) -> int:
-    report = budget_report(section(cfg, "budget"))
+    inputs = section(cfg, "budget")
+    try:
+        report = budget_report(inputs)
+    except FieldError as exc:
+        raise exc.under("budget.") from None
     _echo(cfg)
     for line in format_budget(report).splitlines():
         _note(line)

@@ -242,14 +242,20 @@ def majority_class(s_ticks: np.ndarray, m: int) -> int:
     return int(np.argmax(counts[1:])) + 1
 
 
-def plateau_class(outputs: np.ndarray, model: DecoderModel) -> int:
+def on_plateau(ticks: np.ndarray, model: DecoderModel) -> np.ndarray:
+    """Whether each tick's window ends on the membership plateau
+    [``trap.t1_ms``, ``trap.t2_ms``]."""
+    t_ms = (np.asarray(ticks) + 1) * model.frontend.t_s_ms
+    return (t_ms >= model.trap.t1_ms) & (t_ms <= model.trap.t2_ms)
+
+
+def plateau_class(outputs: np.ndarray, model: DecoderModel, ticks: np.ndarray | None = None) -> int:
     """Type vote of one trial: the majority class of its per-tick outputs
-    over the ticks whose window ends on the membership plateau
-    [``trap.t1_ms``, ``trap.t2_ms``].  A trial with no plateau tick (one
-    that ends before ``t1_ms``) has no vote (0), so it is scored wrong
-    whatever its label, in training as in evaluation."""
-    t_ms = (np.arange(len(outputs)) + 1) * model.frontend.t_s_ms
-    plateau = (t_ms >= model.trap.t1_ms) & (t_ms <= model.trap.t2_ms)
+    over the ticks ``on_plateau``; output row i is tick ``ticks[i]``, by
+    default tick i.  A trial with no plateau tick (one that ends before
+    ``t1_ms``) has no vote (0), so it is scored wrong whatever its label,
+    in training as in evaluation."""
+    plateau = on_plateau(np.arange(len(outputs)) if ticks is None else ticks, model)
     return majority_class(np.argmax(outputs[plateau, : model.m], axis=1) + 1, model.m)
 
 

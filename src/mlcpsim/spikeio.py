@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import bounds, check_fields, check_order
+from .fields import FieldError, bounds, check_fields, check_order
 
 MANIFEST_NAME = "manifest.csv"
 META_NAME = "meta.txt"
@@ -50,6 +50,8 @@ MANIFEST_HEADER = "trial_id,label,onset_us,duration_us"
 EVENTS_HEADER = "time_us,channel"
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+#: The largest mean ``Generator.poisson`` accepts (numpy's ``POISSON_LAM_MAX``).
+POISSON_LAM_MAX = _INT64_MAX - math.sqrt(_INT64_MAX) * 10
 
 
 class DatasetError(Exception):
@@ -194,6 +196,13 @@ class SynthParams:
         check_order(self, "baseline_rate", "peak_rate")
         check_order(self, "ramp_start_ms", "ramp_peak_ms", "decay_start_ms", "decay_end_ms")
         check_order(self, "onset_ms", "trial_duration_ms")
+        # each neuron's candidate count is one Poisson draw of this mean, as
+        # ``_candidate_times`` computes it; numpy refuses one above its limit
+        rate_max = max(tuned_peak_rate(self, 1, 1), self.baseline_rate)
+        if not rate_max * round(self.trial_duration_ms * 1000.0, 0) * 1e-6 <= POISSON_LAM_MAX:
+            raise FieldError("trial_duration_ms", f"short enough that {{}} ({rate_max:g} Hz) "
+                             f"times it is a Poisson mean numpy can draw (at most "
+                             f"{POISSON_LAM_MAX:.6g})", self.trial_duration_ms, "peak_rate")
 
 
 def class_distance(a: int, b: int, m: int) -> int:
@@ -319,7 +328,7 @@ def _parse_int(value: str, what: str, path: Path, line: int) -> int:
 
 
 def _parse_meta(path: Path) -> tuple[int | None, int | None, dict[str, str]]:
-    q = m = None
+    counts: dict[str, int] = {}
     metadata: dict[str, str] = {}
     for i, line in enumerate(_read_lines(path), start=1):
         stripped = line.strip()
@@ -329,13 +338,13 @@ def _parse_meta(path: Path) -> tuple[int | None, int | None, dict[str, str]]:
             raise DatasetError(f"bad meta line: {line!r}", path, i)
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key == "channel_count":
-            q = _parse_int(value, "channel_count", path, i)
-        elif key == "class_count":
-            m = _parse_int(value, "class_count", path, i)
+        if key in ("channel_count", "class_count"):
+            counts[key] = _parse_int(value, key, path, i)
+            if counts[key] < 1:
+                raise DatasetError(f"{key} must be >= 1, got {counts[key]}", path, i)
         else:
             metadata[key] = value
-    return q, m, metadata
+    return counts.get("channel_count"), counts.get("class_count"), metadata
 
 
 _BLANK_RUNS = re.compile(r"\n{2,}")

@@ -34,6 +34,7 @@ from .frontend import FrontendConfig, run_trial, tick_count
 from .spikeio import SpikeDataset
 
 SV_CUTOFF = 1e-10  # relative singular-value cutoff for least squares
+_GATHER_BYTES = 1 << 20  # the largest copy ``_gather_rows`` makes
 
 SAMPLE_POLICIES = ("unambiguous", "plateau", "all")
 
@@ -94,7 +95,7 @@ class HiddenMatrix:
     def __post_init__(self):
         if self.h.ndim != 2 or self.h.shape[0] < 1:
             raise TrainingError("hidden matrix must be (p, L) with p >= 1")
-        if (self.h < 0).any():
+        if self.h.min(initial=0.0) < 0:  # a reduction: no H-sized mask; NaN is not flagged
             raise TrainingError("hidden responses are counts and cannot be negative")
 
 
@@ -459,6 +460,18 @@ def fit_blocks(
     return OutputWeights(beta, support, report)
 
 
+def _gather_rows(h: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Move the rows ``rows`` marks to the front of ``h``, in order and in
+    place, and return that view.  No row moves past its own index, so a
+    forward pass in chunks of ``_GATHER_BYTES`` reads no overwritten row."""
+    index = np.flatnonzero(rows)
+    step = max(1, _GATHER_BYTES // (h.shape[1] * h.itemsize or 1))
+    for start in range(0, len(index), step):
+        part = index[start : start + step]
+        h[start : start + len(part)] = h[part]
+    return h[: len(index)]
+
+
 def fit_output_weights(
     hidden: HiddenMatrix,
     targets: TargetSet,
@@ -467,15 +480,28 @@ def fit_output_weights(
     l1_lambda: float | None = None,
     target_sparsity: float | None = None,
     refit: bool = False,
+    overwrite_h: bool = False,
 ) -> OutputWeights:
     """Train all M+1 output columns against a collected hidden matrix.
 
     Two blocks share the neurons: the type columns on the rows the sample
     policy selected, and the onset column on every row.  Under T2 one
     penalty spans both blocks, so whole-neuron pruning stays meaningful.
+
+    ``overwrite_h`` lets a T1 fit reorder the rows of ``hidden.h`` so as to
+    copy no type rows: it fits the onset column on all of H, then gathers
+    the type rows to the front and fits the type columns on that view.
     """
-    h_type = hidden.h[targets.type_rows]
-    if h_type.shape[0] == 0:
+    rows = targets.type_rows
+    if not rows.any():
         raise TrainingError("sample policy selected no rows for the type outputs")
-    blocks = [(h_type, targets.t_type[targets.type_rows]), (hidden.h, targets.t_onset)]
-    return fit_blocks(blocks, method, ridge_lambda, l1_lambda, target_sparsity, refit)
+    settings = (method, ridge_lambda, l1_lambda, target_sparsity)
+    if not (overwrite_h and method == "T1"):
+        blocks = [(hidden.h[rows], targets.t_type[rows]), (hidden.h, targets.t_onset)]
+        return fit_blocks(blocks, *settings, refit)
+    onset = fit_blocks([(hidden.h, targets.t_onset)], *settings)
+    types = fit_blocks([(_gather_rows(hidden.h, rows), targets.t_type[rows])], *settings)
+    beta = np.hstack([types.beta, onset.beta])
+    # the type rows are all zero when H is, so H's fit alone says ``degenerate``
+    report = dict(onset.report, residuals=types.report["residuals"] + onset.report["residuals"])
+    return OutputWeights(beta, np.any(beta != 0.0, axis=1), report)

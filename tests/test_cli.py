@@ -550,6 +550,59 @@ def _fail(what):
     return fail
 
 
+@pytest.mark.parametrize("trials", [0, 2], ids=["empty", "two-trials"])
+@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("key, line", [("channel_count", 2), ("class_count", 3)])
+def test_a_meta_count_below_one_names_meta_txt_and_its_line(capsys, tmp_path, monkeypatch,
+                                                             key, line, count, trials):
+    ds, out = tmp_path / "ds", tmp_path / "m.json"
+    (ds / "events").mkdir(parents=True)
+    (ds / "manifest.csv").write_text("trial_id,label,onset_us,duration_us\n"
+                                     + "".join(f"t{i},1,0,2000000\n" for i in range(trials)))
+    for i in range(trials):
+        (ds / "events" / f"t{i}.csv").write_text("time_us,channel\n10,0\n")
+    meta = {"channel_count": 4, "class_count": 2, key: count}
+    (ds / "meta.txt").write_text("# counts\n" + "".join(f"{k} = {v}\n" for k, v in meta.items()))
+    monkeypatch.setattr(cli, "collect_H", _fail("H collected"))
+    code, _, err = run(capsys, "train", "--data", str(ds), "--out", str(out), *SMALL_CHIP)
+    assert code == 2
+    assert f"{key} must be >= 1, got {count} [{ds / 'meta.txt'}:{line}]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sets, key, field", [
+    (["budget.raw_sample_rate_hz=1e308"], "raw_sample_rate_hz", "rates.r_raw_bps"),
+    (["budget.f_bio_hz=1e300", "budget.channel_count=1000000000"], "f_bio_hz",
+     "rates.r_conv_bps"),
+    (["budget.f_class_hz=1e-320"], "f_class_hz", "energy.e_per_classify_stage1"),
+    (["budget.d=10", "budget.e_mac_digital_j=1e308"], "e_mac_digital_j",
+     "energy.e_per_classify_total"),
+])
+def test_budget_that_overflows_names_the_value_and_its_input(capsys, tmp_path, sets, key, field):
+    out = tmp_path / "b.json"
+    code, _, err = run(capsys, "budget", "--out", str(out),
+                       *[arg for s in sets for arg in ("--set", s)])
+    assert code == 2
+    assert f"'budget.{key}' must be a value that keeps the report's '{field}' finite" in err
+    assert not out.exists()
+
+
+# 90 Hz over 1.03e20 ms is a mean just past numpy's 9.22e18; never run an
+# accepted duration this long, which would draw without bound
+@pytest.mark.parametrize("duration", ["1e300", "1.03e20"])
+def test_gen_refuses_a_poisson_mean_past_numpys_limit_by_name(capsys, tmp_path, monkeypatch,
+                                                             duration):
+    out = tmp_path / "ds"
+    monkeypatch.setattr(cli, "gen_synthetic", _fail("the dataset generated"))
+    code, _, err = run(capsys, "gen", "--out", str(out), "--set", "synth.q=2",
+                       "--set", "synth.m=2", "--set", "synth.trials_per_class=1",
+                       "--set", f"synth.trial_duration_ms={duration}")
+    assert code == 2
+    assert "'synth.trial_duration_ms' must be short enough that 'synth.peak_rate' (90 Hz)" in err
+    assert err.rstrip().endswith(f"got {float(duration)!r}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd, setting, named", [
     ("eval", "decoder.tol_ms=-5", "tol_ms"),
     ("roc", "decoder.tol_ms=nan", "tol_ms"),

@@ -1,14 +1,15 @@
-"""The decode commands' bytes across BLAS thread counts and versions.
+"""The CLI's output bytes across BLAS thread counts and versions.
 
 A small model is trained in a subprocess at one BLAS thread (the T1 solve
 in ``train`` is not byte-stable across thread counts).  ``eval``, ``roc``
-and ``stream`` then decode it, with noise on, in one subprocess at
+and ``stream`` then decode it, with noise on, and ``chip``, a two-point T1
+and T2 ``sweep`` and ``budget`` run, in one subprocess at
 ``OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1`` and one at 2; their outputs must
 be byte-identical.  On the platform recorded in ``bench/expected.json``
 every file must also have the sha256 in ``DIGESTS``, so a change to the
-bytes of a decode output (or of the one-thread model) shows in tier-1, not
-only in the benchmark.  A change that means to move them updates the table
-and says so.
+bytes of an output (or of the one-thread model) shows in tier-1, not only
+in the benchmark.  A change that means to move them updates the table and
+says so.
 """
 
 import hashlib
@@ -26,7 +27,7 @@ import mlcpsim
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(mlcpsim.__file__).resolve().parents[1]
 
-DECODED = ("eval.json", "roc.csv", "stream.csv")
+OUTPUTS = ("eval.json", "roc.csv", "stream.csv", "chip.json", "sweep.csv", "budget.json")
 
 #: sha256 of each file on the recorded platform.
 DIGESTS = {
@@ -34,6 +35,9 @@ DIGESTS = {
     "eval.json": "c1dc1b347a4101f6742aa31543facbc9f1b1fdfaa8a1de849e017d6d0229d7aa",
     "roc.csv": "6ce19f30e3bba3c1cfe52392b5d4c3ef0f2827b8f08f7a8b1c1deb0ba9ed4bd0",
     "stream.csv": "0da12558e5cc7a6f0b2b1b8e459902cdc84990da8985950cf36a17234fa563d4",
+    "chip.json": "d6290c591233d59227a6d73d1af4b7785ba8313884968e46cc99080a1c5873cf",
+    "sweep.csv": "00b3907bc5e0495f87fdf11b723acfb2fbc8997bf2de4c850353b3aeb5b44d37",
+    "budget.json": "6a208e39b465a4ad8d1206aa46aee5fbdc84fe4d0e4f66ae788e92aaa4663628",
 }
 
 _RUN = """
@@ -54,31 +58,36 @@ def _run_cli(commands: list, threads: int) -> None:
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-def _decode(data: Path, model: Path, out: Path) -> list:
+def _commands(data: Path, model: Path, out: Path) -> list:
     out.mkdir()
     run = ["--data", str(data), "--model", str(model), "--set", "decoder.noise_on=true",
            "--set", "decoder.noise_seed=3"]
+    sweep = ["--set", "sweep.methods=T1,T2", "--set", "train.target_sparsity=0.3",
+             "--set", "sweep.l_grid=16", "--set", "sweep.chip_seeds=2"]
     return [["eval", *run, "--out", str(out / "eval.json")],
             ["roc", *run, "--set", "roc.points=40", "--out", str(out / "roc.csv")],
-            ["stream", *run, "--trial", "c05_r001", "--out", str(out / "stream.csv")]]
+            ["stream", *run, "--trial", "c05_r001", "--out", str(out / "stream.csv")],
+            ["chip", "--seed", "7", "--set", "chip.l=16", "--out", str(out / "chip.json")],
+            ["sweep", "--data", str(data), *sweep, "--out", str(out / "sweep.csv")],
+            ["budget", "--out", str(out / "budget.json")]]
 
 
 @pytest.fixture(scope="module")
 def decoded(tmp_path_factory):
-    """{threads: directory of the decode outputs}, and the model's path."""
+    """{threads: directory of the outputs}, and the model's path."""
     root = tmp_path_factory.mktemp("threads")
     data, model = root / "data", root / "model.json"
     setup = [["gen", "--seed", "7", "--set", "synth.trials_per_class=3", "--out", str(data)],
              ["train", "--data", str(data), "--seed", "7", "--set", "frontend.mode=tdbdi",
               "--set", "train.noise_on=true", "--out", str(model)]]
-    _run_cli(setup + _decode(data, model, root / "t1"), threads=1)
-    _run_cli(_decode(data, model, root / "t2"), threads=2)
+    _run_cli(setup + _commands(data, model, root / "t1"), threads=1)
+    _run_cli(_commands(data, model, root / "t2"), threads=2)
     return {1: root / "t1", 2: root / "t2"}, model
 
 
 def test_decode_bytes_do_not_depend_on_the_blas_thread_count(decoded):
     outs, _ = decoded
-    for name in DECODED:
+    for name in OUTPUTS:
         assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 
 
@@ -98,6 +107,6 @@ def test_decode_bytes_match_the_recorded_digests(decoded):
     outs, model = decoded
     if reason := _recorded_platform_reason():
         pytest.skip(reason)
-    files = {"model.json": model, **{name: outs[1] / name for name in DECODED}}
+    files = {"model.json": model, **{name: outs[1] / name for name in OUTPUTS}}
     got = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
     assert got == DIGESTS

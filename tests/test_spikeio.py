@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mlcpsim import spikeio
+from mlcpsim.fields import FieldError
 from mlcpsim.spikeio import (
     ChannelCountError,
     ChannelRangeError,
@@ -152,6 +153,40 @@ def test_zero_rate_generator_emits_no_events():
     params = SynthParams(q=4, m=2, baseline_rate=0.0, peak_rate=0.0, trials_per_class=2, seed=1)
     ds = gen_synthetic(params)
     assert all(len(t.times_us) == 0 and len(t.channels) == 0 for t in ds.trials)
+
+
+class _CountOnlyRng:
+    """Takes the Poisson mean numpy would draw from, and draws no spikes."""
+
+    def poisson(self, lam):
+        np.random.default_rng(0).poisson(lam)  # one scalar: numpy's own limit check
+        return 0
+
+
+@pytest.mark.parametrize("peak_rate", [90.0, 0.3])
+def test_synth_params_refuse_a_poisson_mean_exactly_when_numpy_does(peak_rate):
+    # around the duration where the peak neuron's mean reaches numpy's limit;
+    # no dataset is generated, so an accepted duration draws nothing
+    params = SynthParams(baseline_rate=0.1, peak_rate=peak_rate)
+    rate = tuned_peak_rate(params, 1, 1)
+    edge_ms = spikeio.POISSON_LAM_MAX / rate * 1e3
+    verdicts = set()
+    for ms in edge_ms * (1 + np.arange(-40, 41) * 1e-17):
+        try:
+            spikeio._candidate_times(_CountOnlyRng(), params, rate, int(round(ms * 1000.0)))
+            numpy_draws = True
+        except ValueError as exc:
+            assert str(exc) == "lam value too large"
+            numpy_draws = False
+        try:
+            SynthParams(baseline_rate=0.1, peak_rate=peak_rate, trial_duration_ms=ms)
+            accepted = True
+        except FieldError as exc:
+            assert "'trial_duration_ms' must be short enough that 'peak_rate'" in str(exc)
+            accepted = False
+        assert accepted == numpy_draws, ms
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
 
 
 def test_generator_trial_count_and_labels():

@@ -1,12 +1,15 @@
 """Tests for hidden-matrix collection and T1/T2 output-weight training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mlcpsim.analog import AnalogParams, ChipInstance, build_chip, hidden_layer
 from mlcpsim.frontend import FrontendConfig, run_trial, tick_count
 from mlcpsim.spikeio import SpikeDataset, SynthParams, Trial, gen_synthetic
-from mlcpsim import training
+from mlcpsim import cli, training
+from mlcpsim.config import resolve_config
 from mlcpsim.training import (
     ConvergenceError,
     HiddenMatrix,
@@ -447,6 +450,79 @@ def test_fit_t2_common_penalty_prunes_whole_neurons():
     assert not w.beta[~w.support].any()
     again = fit_output_weights(hidden, targets, method="T2", target_sparsity=0.5)
     assert np.array_equal(w.beta, again.beta)
+
+
+def _bits(w):
+    return w.beta.tobytes(), w.support.tobytes(), list(w.report.items())
+
+
+@pytest.mark.parametrize("policy", training.SAMPLE_POLICIES)
+@pytest.mark.parametrize("ridge", [0.0, 3.0])
+def test_t1_fit_that_may_overwrite_h_gives_the_shared_fits_bits(monkeypatch, policy, ridge):
+    # a chunk of three rows, so the gather runs over many chunks
+    monkeypatch.setattr(training, "_GATHER_BYTES", 3 * 10 * 8)
+    ds = tiny_dataset(trials_per_class=3)
+    chip = build_chip(65, AnalogParams(), d=6, l=10)
+    hidden, targets = collect_H(ds, chip, FrontendConfig.direct(6), sample_policy=policy)
+    rows = targets.type_rows
+    assert rows.any() and (policy == "all") == rows.all()
+    zero = HiddenMatrix(np.zeros_like(hidden.h), hidden.trial_index, hidden.tick)
+    for h in (hidden, zero):
+        shared = fit_output_weights(h, targets, ridge_lambda=ridge)
+        own = HiddenMatrix(h.h.copy(), h.trial_index, h.tick)
+        in_place = fit_output_weights(own, targets, ridge_lambda=ridge, overwrite_h=True)
+        assert _bits(in_place) == _bits(shared)
+        assert in_place.report.get("degenerate") is (True if h is zero else None)
+        # the type rows now lead H, in order
+        assert np.array_equal(own.h[: rows.sum()], h.h[rows])
+    # T2 reads H once per block, so it never overwrites it
+    own = HiddenMatrix(hidden.h.copy(), hidden.trial_index, hidden.tick)
+    t2 = fit_output_weights(own, targets, "T2", target_sparsity=0.3, overwrite_h=True)
+    assert np.array_equal(own.h, hidden.h)
+    assert _bits(t2) == _bits(fit_output_weights(hidden, targets, "T2", target_sparsity=0.3))
+
+
+@pytest.mark.parametrize("ridge", [0.0, 3.0])
+def test_a_single_t1_fit_in_train_copies_no_type_rows(monkeypatch, ridge):
+    """The last fit of ``_train_models`` may overwrite H, so a lone T1 fit
+    gathers the type rows in place: its traced peak stays well below H's
+    bytes, where a copy of the type rows would be most of them (lstsq's
+    LAPACK buffers are not traced)."""
+    hidden, targets = search_problem(5, rows=30_000, l=64, m=3)
+    assert targets.type_rows.mean() > 0.8
+    peaks = []
+
+    def traced(hidden, *args, fit=cli.fit_output_weights, **kwargs):
+        tracemalloc.start()
+        try:
+            return fit(hidden, *args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] / hidden.h.nbytes)
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "fit_output_weights", traced)
+    monkeypatch.setattr(cli, "collect_H", lambda *args, **kwargs: (hidden, targets))
+    cfg = resolve_config(None, [f"train.ridge_lambda={ridge}"], None)
+    chip = build_chip(1, AnalogParams(), d=4, l=64)
+    cli._train_models(cfg, SpikeDataset([], 4, 3), chip, FrontendConfig.direct(4), ["T1"])
+    assert len(peaks) == 1 and peaks[0] < 0.5, peaks
+
+
+def test_hidden_matrix_rejects_a_negative_count_but_not_nan():
+    h = np.ones((1000, 64))
+    rows = np.zeros(1000, int), np.arange(1000)
+    tracemalloc.start()
+    try:
+        HiddenMatrix(h, *rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * h.nbytes  # the check makes no H-sized mask
+    h[2, 1] = -0.5
+    with pytest.raises(TrainingError, match="cannot be negative"):
+        HiddenMatrix(h, *rows)
+    h[2, 1] = np.nan  # not flagged, as a comparison with NaN is false
+    assert np.isnan(HiddenMatrix(h, *rows).h[2, 1])
 
 
 # ------------------------------------------------- common-penalty search
