@@ -203,12 +203,13 @@ def _chip_for(cfg: dict, d: int, seed: int | None = None, l: int | None = None):
 
 
 def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: list,
-                  codes: list | None = None) -> tuple:
+                  codes: list | None = None, keep_plateau: bool = False) -> tuple:
     """(plateau, one model per training method): H is collected once
     on the chip, from ``codes`` if the trials' front-end codes are given.
     The penalties, and the ``decoder.*`` model keys on a model with zero
-    weights, are checked before H is collected.  ``plateau`` holds each
-    trial's (H rows, ticks) on the plateau: the last fit may reorder H."""
+    weights, are checked before H is collected.  With ``keep_plateau``,
+    plateau holds each trial's (H rows, ticks) on the plateau, taken before
+    the last fit may reorder H; else it is None."""
     l1, sparsity = cfg["train.l1_lambda"], cfg["train.target_sparsity"]
     penalties = dict(ridge_lambda=cfg["train.ridge_lambda"], l1_lambda=None if l1 < 0 else l1,
                      target_sparsity=None if sparsity < 0 else sparsity)
@@ -233,9 +234,11 @@ def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: lis
         noise_seed=cfg["train.noise_seed"],
         codes=codes,
     )
-    rows = on_plateau(hidden.tick, untrained)
-    bounds = np.searchsorted(hidden.trial_index[rows], np.arange(1, len(dataset.trials)))
-    plateau = list(zip(np.split(hidden.h[rows], bounds), np.split(hidden.tick[rows], bounds)))
+    plateau = None
+    if keep_plateau:
+        rows = on_plateau(hidden.tick, untrained)
+        bounds = np.searchsorted(hidden.trial_index[rows], np.arange(1, len(dataset.trials)))
+        plateau = list(zip(np.split(hidden.h[rows], bounds), np.split(hidden.tick[rows], bounds)))
     models = []
     for i, method in enumerate(methods):  # no later fit reads H, so the last may overwrite it
         w = fit_output_weights(hidden, targets, method=method, refit=cfg["train.refit"],
@@ -325,7 +328,8 @@ def cmd_train(args, cfg: dict) -> int:
     dataset = parse_dataset(args.data)
     frontend = _frontend_from_cfg(cfg, dataset.channel_count)
     chip = _chip_file(cfg, args.chip) if args.chip else _chip_for(cfg, d=frontend.rows)
-    plateau, [model] = _train_models(cfg, dataset, chip, frontend, [cfg["train.method"]])
+    plateau, [model] = _train_models(cfg, dataset, chip, frontend, [cfg["train.method"]],
+                                     keep_plateau=True)
     # an optimistic sanity figure: the evaluation vote on the training set itself
     correct = sum(plateau_class(h @ model.beta[:, : model.m], model, ticks) == t.label
                   for (h, ticks), t in zip(plateau, dataset.trials))

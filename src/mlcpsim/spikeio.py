@@ -199,7 +199,7 @@ class SynthParams:
         # each neuron's candidate count is one Poisson draw of this mean, as
         # ``_candidate_times`` computes it; numpy refuses one above its limit
         rate_max = max(tuned_peak_rate(self, 1, 1), self.baseline_rate)
-        if not rate_max * round(self.trial_duration_ms * 1000.0, 0) * 1e-6 <= POISSON_LAM_MAX:
+        if not _poisson_mean(rate_max, _us(self.trial_duration_ms)) <= POISSON_LAM_MAX:
             raise FieldError("trial_duration_ms", f"short enough that {{}} ({rate_max:g} Hz) "
                              f"times it is a Poisson mean numpy can draw (at most "
                              f"{POISSON_LAM_MAX:.6g})", self.trial_duration_ms, "peak_rate")
@@ -254,6 +254,16 @@ def rate_profile(params: SynthParams, peak, t_us) -> np.ndarray:
     return rate
 
 
+def _us(ms: float) -> int:
+    """A time in milliseconds as whole microseconds."""
+    return int(round(ms * 1000.0))
+
+
+def _poisson_mean(rate_max: float, duration_us: int) -> float:
+    """Mean candidate count of a neuron at ``rate_max`` Hz over ``duration_us``."""
+    return rate_max * duration_us * 1e-6
+
+
 def _candidate_times(
     rng: np.random.Generator, params: SynthParams, peak: float, duration_us: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +275,7 @@ def _candidate_times(
     rate_max = max(peak, params.baseline_rate)
     if rate_max <= 0.0 or duration_us <= 0:
         return np.empty(0, dtype=np.int64), np.empty(0)
-    n = rng.poisson(rate_max * duration_us * 1e-6)
+    n = rng.poisson(_poisson_mean(rate_max, duration_us))
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty(0)
     times = rng.integers(0, duration_us, size=n)
@@ -282,8 +292,8 @@ def gen_synthetic(params: SynthParams) -> SpikeDataset:
     trial valid by construction.
     """
     rng = np.random.default_rng(params.seed)
-    duration_us = int(round(params.trial_duration_ms * 1000.0))
-    onset_us = int(round(params.onset_ms * 1000.0))
+    duration_us = _us(params.trial_duration_ms)
+    onset_us = _us(params.onset_ms)
     neurons = np.arange(params.q, dtype=np.int64)
 
     trials = []

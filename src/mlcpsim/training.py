@@ -5,7 +5,9 @@ chip's fixed random fabric.  Training therefore runs the full simulated
 signal chain (front end, DAC, mirrors, CCO counters, optionally noise and
 normalization) to collect the hidden matrix H, then solves for beta.  One
 trainer, ``fit_blocks``, fits (h, t) blocks that share the hidden neurons;
-``fit_output_weights`` passes it the type block and the onset block.
+``fit_output_weights`` passes it the type block and the onset block.  T1
+fits the onset block first, so a caller that owns H may let the type rows
+be gathered to the front of H in place rather than copied.
 
 * T1 - least squares: the minimum-norm solution via a rank-revealing
   decomposition (or ridge regression for ridge_lambda > 0).
@@ -399,6 +401,21 @@ def check_penalties(method: str, ridge_lambda: float = 0.0, l1_lambda: float | N
             raise TrainingError(f"'{prefix}{name}' must be in [0, {top:g}), got {value}")
 
 
+def _block(block) -> tuple:
+    """One block as float arrays (h, t), t as (n, k); built if it is a function."""
+    h, t = block() if callable(block) else block
+    h = np.asarray(h, dtype=np.float64)
+    t = np.atleast_2d(np.asarray(t, dtype=np.float64).T).T
+    if h.ndim != 2 or h.shape[0] != t.shape[0]:
+        raise TrainingError(f"shape mismatch: H {h.shape} vs T {t.shape}")
+    return h, t
+
+
+def _check_width(widths: list) -> None:
+    if len(set(widths)) != 1:
+        raise TrainingError(f"blocks must share one hidden width L, got {sorted(set(widths))}")
+
+
 def fit_blocks(
     blocks: list,
     method: str = "T1",
@@ -411,27 +428,32 @@ def fit_blocks(
 
     Each block pairs an (n, L) hidden matrix, L the same in every block,
     with (n,) or (n, k) targets; beta holds the blocks' columns in order.
-    T1 is least squares per block (ridge for ridge_lambda > 0).  T2 reads
-    every column's lasso path at one penalty: ``l1_lambda``, or the one the
-    common-penalty search picks for ``target_sparsity`` (give exactly one).
-    A neuron is pruned when its row is zero in every column, and ``refit``
-    refits each block on the surviving neurons by least squares.  The
-    report flags ``degenerate`` when every h is all zero (beta is then 0).
+    A block may also be a function that returns it.  T1 is least squares
+    per block (ridge for ridge_lambda > 0), one block at a time, the blocks
+    given as pairs first: a function is called only after they are fitted,
+    so the h it returns may overwrite theirs.  T2 builds every block first,
+    then reads every column's lasso path at one penalty: ``l1_lambda``, or
+    the one the common-penalty search picks for ``target_sparsity`` (give
+    exactly one).  A neuron is pruned when its row is zero in every column,
+    and ``refit`` refits each block on the surviving neurons by least
+    squares.  The report flags ``degenerate`` when every h is all zero
+    (beta is then 0).
     """
-    blocks = [(np.asarray(h, dtype=np.float64), np.atleast_2d(np.asarray(t, dtype=np.float64).T).T)
-              for h, t in blocks]
-    for h, t in blocks:
-        if h.ndim != 2 or h.shape[0] != t.shape[0]:
-            raise TrainingError(f"shape mismatch: H {h.shape} vs T {t.shape}")
-    widths = sorted({h.shape[1] for h, _ in blocks})
-    if len(widths) != 1:
-        raise TrainingError(f"blocks must share one hidden width L, got {widths}")
-
     check_penalties(method, ridge_lambda, l1_lambda, target_sparsity)
     if method == "T1":
-        beta = np.hstack([_least_squares(h, t, ridge_lambda) for h, t in blocks])
+        fitted = [None] * len(blocks)  # (beta, residuals, whether h is nonzero) per block
+        for k in sorted(range(len(blocks)), key=lambda k: callable(blocks[k])):
+            h, t = _block(blocks[k])
+            b = _least_squares(h, t, ridge_lambda)
+            fitted[k] = b, np.linalg.norm(h @ b - t, axis=0), h.any()
+        betas, residuals, nonzero = zip(*fitted)
+        _check_width([b.shape[0] for b in betas])
+        beta = np.hstack(betas)
+        support = np.any(beta != 0.0, axis=1)
         report = {"method": "T1", "ridge_lambda": ridge_lambda}
     else:
+        blocks = [_block(block) for block in blocks]
+        _check_width([h.shape[1] for h, _ in blocks])
         columns = []  # one (Gram, correlations) pair per output
         for h, t in blocks:
             gram = h.T @ h
@@ -441,21 +463,19 @@ def fit_blocks(
             beta = np.stack([_PathWalk(gram, corr, lam).at(lam) for gram, corr in columns], axis=1)
         else:
             lam, beta = _common_penalty_search(columns, target_sparsity)
-        report = {"method": "T2", "l1_lambda": float(lam), "refit": bool(refit)}
-    support = np.any(beta != 0.0, axis=1)
-
-    splits = np.cumsum([t.shape[1] for _, t in blocks])[:-1]  # np.split gives views
-    if method == "T2":
-        report.update(pruned=int(np.sum(~support)), sparsity=float(np.mean(~support)))
+        support = np.any(beta != 0.0, axis=1)
+        report = {"method": "T2", "l1_lambda": float(lam), "refit": bool(refit),
+                  "pruned": int(np.sum(~support)), "sparsity": float(np.mean(~support))}
+        splits = np.cumsum([t.shape[1] for _, t in blocks])[:-1]  # np.split gives views
         if refit and support.any():
             beta = np.zeros_like(beta)
             for (h, t), b in zip(blocks, np.split(beta, splits, axis=1)):
                 b[support] = _least_squares(h[:, support], t)
-    report["residuals"] = np.concatenate([
-        np.linalg.norm(h @ b - t, axis=0)
-        for (h, t), b in zip(blocks, np.split(beta, splits, axis=1))
-    ]).tolist()
-    if not any(h.any() for h, _ in blocks):
+        betas = np.split(beta, splits, axis=1)
+        residuals = [np.linalg.norm(h @ b - t, axis=0) for (h, t), b in zip(blocks, betas)]
+        nonzero = [h.any() for h, _ in blocks]
+    report["residuals"] = np.concatenate(residuals).tolist()
+    if not any(nonzero):
         report["degenerate"] = True
     return OutputWeights(beta, support, report)
 
@@ -488,20 +508,18 @@ def fit_output_weights(
     policy selected, and the onset column on every row.  Under T2 one
     penalty spans both blocks, so whole-neuron pruning stays meaningful.
 
-    ``overwrite_h`` lets a T1 fit reorder the rows of ``hidden.h`` so as to
-    copy no type rows: it fits the onset column on all of H, then gathers
-    the type rows to the front and fits the type columns on that view.
+    ``overwrite_h`` lets a T1 fit take the type rows out of ``hidden.h``
+    itself: T1 fits the onset column on all of H first, so the type rows can
+    then be gathered to the front of H in place instead of copied.  T2 reads
+    H once per block and ignores it.
     """
     rows = targets.type_rows
     if not rows.any():
         raise TrainingError("sample policy selected no rows for the type outputs")
-    settings = (method, ridge_lambda, l1_lambda, target_sparsity)
-    if not (overwrite_h and method == "T1"):
-        blocks = [(hidden.h[rows], targets.t_type[rows]), (hidden.h, targets.t_onset)]
-        return fit_blocks(blocks, *settings, refit)
-    onset = fit_blocks([(hidden.h, targets.t_onset)], *settings)
-    types = fit_blocks([(_gather_rows(hidden.h, rows), targets.t_type[rows])], *settings)
-    beta = np.hstack([types.beta, onset.beta])
-    # the type rows are all zero when H is, so H's fit alone says ``degenerate``
-    report = dict(onset.report, residuals=types.report["residuals"] + onset.report["residuals"])
-    return OutputWeights(beta, np.any(beta != 0.0, axis=1), report)
+
+    def type_block():  # under T1, built after the onset fit
+        own = overwrite_h and method == "T1"
+        return _gather_rows(hidden.h, rows) if own else hidden.h[rows], targets.t_type[rows]
+
+    blocks = [type_block, (hidden.h, targets.t_onset)]
+    return fit_blocks(blocks, method, ridge_lambda, l1_lambda, target_sparsity, refit)

@@ -173,7 +173,7 @@ def test_synth_params_refuse_a_poisson_mean_exactly_when_numpy_does(peak_rate):
     verdicts = set()
     for ms in edge_ms * (1 + np.arange(-40, 41) * 1e-17):
         try:
-            spikeio._candidate_times(_CountOnlyRng(), params, rate, int(round(ms * 1000.0)))
+            spikeio._candidate_times(_CountOnlyRng(), params, rate, spikeio._us(ms))
             numpy_draws = True
         except ValueError as exc:
             assert str(exc) == "lam value too large"

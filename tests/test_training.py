@@ -504,8 +504,10 @@ def test_a_single_t1_fit_in_train_copies_no_type_rows(monkeypatch, ridge):
     monkeypatch.setattr(cli, "collect_H", lambda *args, **kwargs: (hidden, targets))
     cfg = resolve_config(None, [f"train.ridge_lambda={ridge}"], None)
     chip = build_chip(1, AnalogParams(), d=4, l=64)
-    cli._train_models(cfg, SpikeDataset([], 4, 3), chip, FrontendConfig.direct(4), ["T1"])
+    plateau, _ = cli._train_models(cfg, SpikeDataset([], 4, 3), chip, FrontendConfig.direct(4),
+                                   ["T1"])
     assert len(peaks) == 1 and peaks[0] < 0.5, peaks
+    assert plateau is None  # only train, which scores on them, keeps the plateau rows
 
 
 def test_hidden_matrix_rejects_a_negative_count_but_not_nan():
