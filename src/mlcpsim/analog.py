@@ -122,9 +122,7 @@ class ChipInstance:
         codes = np.asarray(codes, dtype=np.int64)
         if codes.min(initial=0) < 0 or codes.max(initial=0) >= DAC_CODES:
             raise ValueError("codes must be in [0, 63]")
-        if codes.ndim == 1:
-            return self.current_lut[np.arange(self.d), codes]
-        return self.current_lut[np.arange(self.d)[None, :], codes]
+        return self.current_lut[np.arange(self.d), codes]
 
 
 def _draw_dnl(rng: np.random.Generator, bound: float) -> np.ndarray:

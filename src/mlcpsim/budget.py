@@ -16,24 +16,29 @@ from dataclasses import asdict, dataclass, fields, replace
 from .fields import FieldError, bounds, check_fields
 
 
+#: The largest integer input.  A float holds every integer up to it exactly,
+#: so the arithmetic never meets an integer too large to convert to a float.
+INT_MAX = 2**53
+
+
 @dataclass(frozen=True)
 class BudgetInputs:
     """Dimensions, rates, and device constants for the budget arithmetic."""
 
-    d: int = bounds(40, ge=1)  # input channels into the projection stage
-    l: int = bounds(60, ge=1)  # hidden neurons
-    c: int = bounds(12, ge=2)  # output classes (second-stage columns)
+    d: int = bounds(40, ge=1, le=INT_MAX)  # input channels into the projection stage
+    l: int = bounds(60, ge=1, le=INT_MAX)  # hidden neurons
+    c: int = bounds(12, ge=2, le=INT_MAX)  # output classes (second-stage columns)
     f_class_hz: float = bounds(50.0, gt=0)  # classification rate
     p_analog_w: float = bounds(360e-9, gt=0)  # fixed analog-domain power
     p_digital_w: float = bounds(54e-9, gt=0)  # on-chip digital power
     e_mac_digital_j: float = bounds(11e-12, gt=0)  # second-stage energy per MAC
     f_bio_hz: float = bounds(100.0, gt=0)  # per-channel event rate on the telemetry link
     f_deco_hz: float = bounds(50.0, gt=0)  # decoder output rate
-    address_bits: int = bounds(8, ge=1)
-    channel_count: int = bounds(256, ge=1)
-    raw_channels: int = bounds(100, ge=1)
+    address_bits: int = bounds(8, ge=1, le=INT_MAX)
+    channel_count: int = bounds(256, ge=1, le=INT_MAX)
+    raw_channels: int = bounds(100, ge=1, le=INT_MAX)
     raw_sample_rate_hz: float = bounds(20e3, gt=0)
-    raw_resolution_bits: int = bounds(10, ge=1)
+    raw_resolution_bits: int = bounds(10, ge=1, le=INT_MAX)
 
     def __post_init__(self):
         check_fields(self)

@@ -28,60 +28,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .analog import (
-    build_chip,
-    load_chip,
-    mismatch_map,
-    save_chip,
-    write_mismatch_map,
-)
+from .analog import (ChipInstance, build_chip, load_chip, mismatch_map, save_chip,
+                     write_mismatch_map)
 from .budget import budget_json, budget_report, format_budget
-from .config import (
-    DECODER_KEYS,
-    DEFAULTS,
-    ConfigError,
-    echo_config,
-    format_value,
-    parse_int_list,
-    parse_str_list,
-    resolve_config,
-    section,
-)
-from .decoder import (
-    DecoderModel,
-    decode_stream,
-    evaluate,
-    load_model,
-    on_plateau,
-    plateau_class,
-    roc_sweep,
-    save_model,
-    split_dataset,
-    write_roc_csv,
-    write_stream_csv,
-)
-from .fields import FieldError
+from .config import (DECODER_KEYS, DEFAULTS, ConfigError, echo_config, format_value,
+                     parse_int_list, parse_str_list, resolve_config, section)
+from .decoder import (DecoderModel, decode_stream, evaluate, load_model, plateau_class, roc_sweep,
+                      save_model, split_dataset, write_roc_csv, write_stream_csv)
+from .fields import FieldError, check_values
 from .frontend import FrontendConfig, run_trial
-from .spikeio import (
-    ChannelCountError,
-    ChannelRangeError,
-    DatasetError,
-    SpikeDataset,
-    Trial,
-    gen_synthetic,
-    parse_dataset,
-    read_trial,
-    write_dataset,
-)
-from .training import (
-    ConvergenceError,
-    TrainingError,
-    check_penalties,
-    collect_H,
-    fit_output_weights,
-    hidden_streams,
-    trial_rng,
-)
+from .spikeio import (ChannelCountError, ChannelRangeError, DatasetError, SpikeDataset, Trial,
+                      gen_synthetic, parse_dataset, read_trial, write_dataset)
+from .training import (ConvergenceError, TrainingError, check_penalties, collect_H,
+                       fit_output_weights, hidden_streams, trial_rng)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -128,21 +87,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", required=True, help="dataset directory")
     p_train.add_argument("--chip", help="chip file (default: build from chip.seed)")
 
-    p_eval = sub.add_parser("eval", parents=[common], help="score a model on a dataset")
-    p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--model", required=True)
-    p_eval.add_argument("--chip", help="chip file (default: rebuild from the model's seed)")
-
-    p_stream = sub.add_parser("stream", parents=[common], help="per-tick decode of one trial")
-    p_stream.add_argument("--data", required=True)
-    p_stream.add_argument("--model", required=True)
-    p_stream.add_argument("--chip")
-    p_stream.add_argument("--trial", help="trial index or id (default: stream.trial)")
-
-    p_roc = sub.add_parser("roc", parents=[common], help="onset-threshold ROC sweep")
-    p_roc.add_argument("--data", required=True)
-    p_roc.add_argument("--model", required=True)
-    p_roc.add_argument("--chip")
+    decode = {"eval": "score a model on a dataset", "stream": "per-tick decode of one trial",
+              "roc": "onset-threshold ROC sweep"}
+    for name, text in decode.items():
+        p_decode = sub.add_parser(name, parents=[common], help=text)
+        p_decode.add_argument("--data", required=True)
+        p_decode.add_argument("--model", required=True)
+        p_decode.add_argument("--chip", help="chip file (default: rebuild from the model's seed)")
+        if name == "stream":
+            p_decode.add_argument("--trial", help="trial index or id (default: stream.trial)")
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="accuracy over parameter grids")
     p_sweep.add_argument("--data", required=True)
@@ -193,13 +146,38 @@ def _frontend_from_cfg(cfg: dict, n_channels: int, p: int | None = None) -> Fron
         raise exc.under("frontend.") from None
 
 
+def _checked(key: str, value, cls, name: str):
+    """``value``, in the domain of field ``name`` of ``cls`` or refused by ``key``."""
+    try:
+        check_values(cls, {name: value})
+    except FieldError as exc:
+        raise FieldError(key, *exc.args[1:]) from None
+    return value
+
+
+def _seed(key: str, value: int) -> int:
+    """A seed (numpy takes none below 0), refused by ``key`` when negative."""
+    if value < 0:
+        raise FieldError(key, "an integer >= 0", value, "")
+    return value
+
+
+def _noise_seed(cfg: dict, name: str) -> int | None:
+    """``name.noise_seed`` (train or decoder) if ``name.noise_on``, else None
+    (noise off); a negative seed is refused either way."""
+    seed = _seed(f"{name}.noise_seed", cfg[f"{name}.noise_seed"])
+    return seed if cfg[f"{name}.noise_on"] else None
+
+
 def _chip_for(cfg: dict, d: int, seed: int | None = None, l: int | None = None):
-    return build_chip(
-        cfg["chip.seed"] if seed is None else seed,
-        section(cfg, "analog"),
-        d=d,
-        l=cfg["chip.l"] if l is None else l,
-    )
+    """The chip of the ``analog.*`` keys and ``chip.seed``/``chip.l``, or
+    ``seed``/``l`` when given (checked by their own keys beforehand)."""
+    params = section(cfg, "analog")
+    try:
+        return build_chip(cfg["chip.seed"] if seed is None else seed, params,
+                          d=d, l=cfg["chip.l"] if l is None else l)
+    except FieldError as exc:
+        raise exc.under("chip.") from None
 
 
 def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: list,
@@ -215,6 +193,7 @@ def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: lis
                      target_sparsity=None if sparsity < 0 else sparsity)
     for method in methods:
         check_penalties(method, **penalties, prefix="train.")
+    noise_seed = _noise_seed(cfg, "train")
     trap, m = section(cfg, "trap"), dataset.class_count
     try:
         untrained = DecoderModel(np.zeros((chip.l, m + 1)), np.zeros(chip.l, bool), m,
@@ -223,20 +202,12 @@ def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: lis
                                  **{name: cfg[f"decoder.{name}"] for name in DECODER_KEYS})
     except FieldError as exc:
         raise exc.under("decoder.") if exc.args[0] in DECODER_KEYS else exc from None
-    hidden, targets = collect_H(
-        dataset,
-        chip,
-        frontend,
-        noise_on=cfg["train.noise_on"],
-        sample_policy=cfg["train.sample_policy"],
-        trap=trap,
-        normalize=cfg["decoder.normalize"],
-        noise_seed=cfg["train.noise_seed"],
-        codes=codes,
-    )
+    hidden, targets = collect_H(dataset, chip, frontend, noise_seed=noise_seed,
+                                sample_policy=cfg["train.sample_policy"], trap=trap,
+                                normalize=cfg["decoder.normalize"], codes=codes)
     plateau = None
     if keep_plateau:
-        rows = on_plateau(hidden.tick, untrained)
+        rows = trap.on_plateau(frontend.tick_end_ms(hidden.tick))
         bounds = np.searchsorted(hidden.trial_index[rows], np.arange(1, len(dataset.trials)))
         plateau = list(zip(np.split(hidden.h[rows], bounds), np.split(hidden.tick[rows], bounds)))
     models = []
@@ -268,23 +239,27 @@ def _chip_file(cfg: dict, path: str):
 
 
 def _load_runtime(cfg: dict, args, trial: str | None = None) -> tuple:
-    """(data, model, chip) for the eval/stream/roc commands: the data is the
-    dataset, or with ``trial`` only the (index, Trial) it names.  The data
-    must have the channel count of the model's front end."""
+    """(data, model, chip, noise seed) for the eval/stream/roc commands: the
+    data is the dataset, or with ``trial`` only the (index, Trial) it names,
+    and must have the channel count of the model's front end.  The keys the
+    model fixes (``decoder.*``, ``trap.*``, and without a chip file
+    ``analog.fmax_sel``) take the model's values."""
+    noise_seed = _noise_seed(cfg, "decoder")
     model = load_model(args.model)
     _adopt(cfg, "decoder", model, "model")
+    _adopt(cfg, "trap", model.trap, "model")
     if args.chip:
         chip = _chip_file(cfg, args.chip)
     else:
-        params = replace(section(cfg, "analog"), fmax_sel=model.fmax_sel)
-        chip = build_chip(model.chip_seed, params, d=model.frontend.rows, l=model.beta.shape[0])
+        _adopt(cfg, "analog", model, "model")  # fmax_sel, the one analog field of a model
+        chip = _chip_for(cfg, model.frontend.rows, model.chip_seed, model.beta.shape[0])
     channels = model.frontend.n_external
     try:
         data = (parse_dataset(args.data, channels) if trial is None
                 else read_trial(args.data, trial, channels))
     except (ChannelCountError, ChannelRangeError) as exc:
         raise ChannelCountError(f"the model's front end takes {channels} channels: {exc}") from exc
-    return data, model, chip
+    return data, model, chip, noise_seed
 
 
 def _restrict_channels(dataset: SpikeDataset, n: int) -> SpikeDataset:
@@ -311,7 +286,7 @@ def cmd_gen(args, cfg: dict) -> int:
 
 def cmd_chip(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
-    d = cfg["chip.d"] or cfg["synth.q"]
+    d = cfg["chip.d"] or _checked("synth.q", cfg["synth.q"], ChipInstance, "d")
     chip = _chip_for(cfg, d=d)
     save_chip(chip, out)
     _echo(cfg)
@@ -344,15 +319,8 @@ def cmd_train(args, cfg: dict) -> int:
 
 
 def cmd_eval(args, cfg: dict) -> int:
-    dataset, model, chip = _load_runtime(cfg, args)
-    report = evaluate(
-        dataset,
-        model,
-        chip,
-        noise_on=cfg["decoder.noise_on"],
-        noise_seed=cfg["decoder.noise_seed"],
-        tol_ms=cfg["decoder.tol_ms"],
-    )
+    dataset, model, chip, noise_seed = _load_runtime(cfg, args)
+    report = evaluate(dataset, model, chip, noise_seed=noise_seed, tol_ms=cfg["decoder.tol_ms"])
     _echo(cfg)
     _note(f"accuracy = {report.accuracy:.4f} over {report.n_trials} trials")
     _note(f"onset tpr = {report.tpr:.4f}, fp/trial = {report.fp_per_trial:.4f}")
@@ -368,9 +336,8 @@ def cmd_eval(args, cfg: dict) -> int:
 def cmd_stream(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
     selector = args.trial if args.trial is not None else cfg["stream.trial"]
-    (idx, trial), model, chip = _load_runtime(cfg, args, selector)
-    rng = trial_rng(cfg["decoder.noise_seed"], idx) if cfg["decoder.noise_on"] else None
-    result = decode_stream(trial, model, chip, rng=rng)
+    (idx, trial), model, chip, noise_seed = _load_runtime(cfg, args, selector)
+    result = decode_stream(trial, model, chip, rng=trial_rng(noise_seed, idx))
     write_stream_csv(out, result)
     _echo(cfg)
     _note(f"streamed trial {trial.id} ({len(result.t_ms)} ticks) to {out}")
@@ -385,17 +352,10 @@ def cmd_roc(args, cfg: dict) -> int:
         if not math.isfinite(cfg[key]):
             raise ConfigError(f"{key} = {format_value(cfg[key])}, but ROC thresholds must be "
                               "finite (not NaN or infinite)")
-    dataset, model, chip = _load_runtime(cfg, args)
+    dataset, model, chip, noise_seed = _load_runtime(cfg, args)
     grid = np.linspace(cfg["roc.theta_min"], cfg["roc.theta_max"], cfg["roc.points"])
-    points = roc_sweep(
-        dataset,
-        model,
-        chip,
-        theta_grid=grid,
-        noise_on=cfg["decoder.noise_on"],
-        noise_seed=cfg["decoder.noise_seed"],
-        tol_ms=cfg["decoder.tol_ms"],
-    )
+    points = roc_sweep(dataset, model, chip, theta_grid=grid, noise_seed=noise_seed,
+                       tol_ms=cfg["decoder.tol_ms"])
     write_roc_csv(out, points)
     _echo(cfg)
     _note(f"wrote {len(points)} ROC points to {out}")
@@ -405,14 +365,21 @@ def cmd_roc(args, cfg: dict) -> int:
 def cmd_sweep(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
     dataset = parse_dataset(args.data)
-    train_set, test_set = split_dataset(dataset, cfg["split.test_fraction"], cfg["split.seed"])
+    train_set, test_set = split_dataset(dataset, cfg["split.test_fraction"],
+                                        _seed("split.seed", cfg["split.seed"]))
     methods = parse_str_list(cfg["sweep.methods"])
-    l_grid = parse_int_list(cfg["sweep.l_grid"])
+    l_grid = [_checked("sweep.l_grid", l, ChipInstance, "l")
+              for l in parse_int_list(cfg["sweep.l_grid"])]
     n_grid = parse_int_list(cfg["sweep.n_grid"])
     p_grid = parse_int_list(cfg["sweep.p_grid"])
-    seeds = parse_int_list(cfg["sweep.chip_seeds"])
+    seeds = [_seed("sweep.chip_seeds", seed) for seed in parse_int_list(cfg["sweep.chip_seeds"])]
     if not (methods and l_grid and n_grid and p_grid and seeds):
         raise ConfigError("sweep grids must be non-empty")
+    for n in n_grid:  # 0 = every channel
+        if not 0 <= n <= dataset.channel_count:
+            raise FieldError("sweep.n_grid", f"an integer >= 0 and <= {dataset.channel_count}",
+                             n, "")
+    noise_seed = _noise_seed(cfg, "decoder")
     if cfg["frontend.mode"] == "direct" and max(p_grid) > 1:
         raise ConfigError(f"sweep.p_grid has p={max(p_grid)}, but frontend.mode=direct builds "
                           "one row per channel; set frontend.mode=tdbdi or sweep.p_grid=1")
@@ -433,7 +400,7 @@ def cmd_sweep(args, cfg: dict) -> int:
                 chip = _chip_for(cfg, d=frontend.rows, seed=seed, l=l)
                 models = _train_models(cfg, sub_train, chip, frontend, methods, train_codes)[1]
                 streams = list(hidden_streams(test_codes, chip, cfg["decoder.normalize"],
-                                              cfg["decoder.noise_on"], cfg["decoder.noise_seed"]))
+                                              noise_seed))
                 for method, model in zip(methods, models):
                     report = evaluate(sub_test, model, chip, tol_ms=cfg["decoder.tol_ms"],
                                       outputs=[h @ model.beta for h in streams])

@@ -78,6 +78,11 @@ class DecoderModel:
         if self.frontend is None:
             raise ValueError("model needs a frontend configuration")
 
+    @property
+    def tr_ticks(self) -> float:
+        """The refractory length in ticks (not rounded)."""
+        return self.tr_ms / self.frontend.t_s_ms
+
     @classmethod
     def from_training(
         cls, weights: OutputWeights, m: int, frontend: FrontendConfig, **kwargs
@@ -176,9 +181,9 @@ def decode_stream(trial: Trial, model: DecoderModel, chip: ChipInstance,
     # the window test of score_onsets, for one stream at the model's theta
     levels = _window_levels([o], model, model.theta)
     g_track = np.zeros(len(o), dtype=np.int64)
-    for n, cur, _ in _track_steps(levels, [model.theta], model.tr_ms / model.frontend.t_s_ms):
+    for n, cur, _ in _track_steps(levels, [model.theta], model.tr_ticks):
         g_track[n] = cur[0, 0]
-    t_ms = (np.arange(len(o)) + 1) * model.frontend.t_s_ms
+    t_ms = model.frontend.tick_end_ms(np.arange(len(o)))
     return DecodeResult(t_ms, o, s, g, g_track, g_track * s)
 
 
@@ -227,11 +232,9 @@ def split_dataset(dataset: SpikeDataset, test_fraction: float, seed: int
         n_test = max(1, int(round(test_fraction * len(members)))) if members else 0
         for pos, k in enumerate(order):
             (test_idx if pos < n_test else train_idx).append(members[k])
-    train = SpikeDataset([dataset.trials[i] for i in sorted(train_idx)],
-                         dataset.channel_count, dataset.class_count, dict(dataset.metadata))
-    test = SpikeDataset([dataset.trials[i] for i in sorted(test_idx)],
-                        dataset.channel_count, dataset.class_count, dict(dataset.metadata))
-    return train, test
+    return tuple(SpikeDataset([dataset.trials[i] for i in sorted(idx)], dataset.channel_count,
+                              dataset.class_count, dict(dataset.metadata))
+                 for idx in (train_idx, test_idx))
 
 
 def majority_class(s_ticks: np.ndarray, m: int) -> int:
@@ -242,33 +245,28 @@ def majority_class(s_ticks: np.ndarray, m: int) -> int:
     return int(np.argmax(counts[1:])) + 1
 
 
-def on_plateau(ticks: np.ndarray, model: DecoderModel) -> np.ndarray:
-    """Whether each tick's window ends on the membership plateau
-    [``trap.t1_ms``, ``trap.t2_ms``]."""
-    t_ms = (np.asarray(ticks) + 1) * model.frontend.t_s_ms
-    return (t_ms >= model.trap.t1_ms) & (t_ms <= model.trap.t2_ms)
-
-
 def plateau_class(outputs: np.ndarray, model: DecoderModel, ticks: np.ndarray | None = None) -> int:
     """Type vote of one trial: the majority class of its per-tick outputs
-    over the ticks ``on_plateau``; output row i is tick ``ticks[i]``, by
+    over the ticks whose window ends on the trapezoid plateau
+    (``model.trap.on_plateau``); output row i is tick ``ticks[i]``, by
     default tick i.  A trial with no plateau tick (one that ends before
     ``t1_ms``) has no vote (0), so it is scored wrong whatever its label,
     in training as in evaluation."""
-    plateau = on_plateau(np.arange(len(outputs)) if ticks is None else ticks, model)
+    ticks = np.arange(len(outputs)) if ticks is None else ticks
+    plateau = model.trap.on_plateau(model.frontend.tick_end_ms(ticks))
     return majority_class(np.argmax(outputs[plateau, : model.m], axis=1) + 1, model.m)
 
 
 def _output_streams(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
-                    noise_on: bool, noise_seed: int) -> list[np.ndarray]:
-    """(T, M+1) decoder outputs per trial; with noise on, trial ``i`` draws
-    from ``trial_rng(noise_seed, i)``, so outputs do not depend on order."""
+                    noise_seed: int | None) -> list[np.ndarray]:
+    """(T, M+1) decoder outputs per trial; trial ``i`` draws its noise from
+    ``trial_rng(noise_seed, i)`` (None: noise off), so outputs do not depend
+    on order."""
     if not dataset.trials:
         raise ValueError("cannot evaluate an empty test set")
     _check_chip(model, chip)
     codes = (run_trial(model.frontend, trial) for trial in dataset.trials)
-    return [h @ model.beta for h in hidden_streams(codes, chip, model.normalize, noise_on,
-                                                   noise_seed)]
+    return [h @ model.beta for h in hidden_streams(codes, chip, model.normalize, noise_seed)]
 
 
 def _window_levels(outputs: list[np.ndarray], model: DecoderModel, floor: float) -> np.ndarray:
@@ -325,16 +323,15 @@ def score_onsets(trials: list[Trial], outputs: list[np.ndarray], model: DecoderM
     levels = _window_levels(outputs, model, thetas.min(initial=np.inf))
     n_ticks, n_trials = levels.shape
     onsets_ms = np.array([trial.onset / 1000.0 for trial in trials])
-    t_ms = (np.arange(n_ticks) + 1) * model.frontend.t_s_ms
+    t_ms = model.frontend.tick_end_ms(np.arange(n_ticks))
     in_window = np.abs(t_ms[:, None] - onsets_ms) <= tol_ms  # (T, B)
-    tr_ticks = model.tr_ms / model.frontend.t_s_ms
     group = max(1, _TRACK_CELLS // n_trials)
     scores = []
     for lo in range(0, len(thetas), group):
         chunk = thetas[lo:lo + group]
         fps = np.zeros((len(chunk), n_trials), dtype=np.int64)
         first = np.full(fps.shape, -1)  # tick of the first edge in the trial's window
-        for n, _, rise in _track_steps(levels, chunk, tr_ticks):
+        for n, _, rise in _track_steps(levels, chunk, model.tr_ticks):
             if rise is None:
                 continue
             hit = rise & in_window[n]
@@ -348,21 +345,22 @@ def score_onsets(trials: list[Trial], outputs: list[np.ndarray], model: DecoderM
 
 
 def evaluate(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
-             noise_on: bool = False, noise_seed: int = 0,
-             tol_ms: float = 150.0, outputs: list | None = None) -> EvalReport:
+             noise_seed: int | None = None, tol_ms: float = 150.0,
+             outputs: list | None = None) -> EvalReport:
     """Score a test set.
 
     Type accuracy is the fraction of trials whose ``plateau_class`` vote
     matches the label (a trial with no vote is wrong and stays out of the
     confusion matrix); TPR the fraction with a detection within ``tol_ms``
     of the true onset; detections outside that window count as false
-    positives.  With noise on, each trial uses its own counter-derived
-    stream, so scores are independent of evaluation order.  ``outputs``, if
-    given, are the trials' (T, M+1) decoder outputs, already computed.
+    positives.  With a ``noise_seed`` (None: noise off), each trial uses
+    its own counter-derived stream, so scores are independent of
+    evaluation order.  ``outputs``, if given, are the trials' (T, M+1)
+    decoder outputs, already computed.
     """
     _check_scoring([model.theta], tol_ms)
     if outputs is None:
-        outputs = _output_streams(dataset, model, chip, noise_on, noise_seed)
+        outputs = _output_streams(dataset, model, chip, noise_seed)
     confusion = np.zeros((dataset.class_count, dataset.class_count), dtype=np.int64)
     for trial, o in zip(dataset.trials, outputs):
         if vote := plateau_class(o, model):
@@ -381,7 +379,7 @@ def evaluate(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
 
 
 def roc_sweep(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
-              theta_grid: np.ndarray, noise_on: bool = False, noise_seed: int = 0,
+              theta_grid: np.ndarray, noise_seed: int | None = None,
               tol_ms: float = 150.0) -> list[tuple[float, float, float]]:
     """(theta, TPR, FP/trial) over a threshold grid, sorted by theta.
 
@@ -392,7 +390,7 @@ def roc_sweep(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
     if not thetas:
         raise ValueError("theta grid is empty")
     _check_scoring(thetas, tol_ms)
-    outputs = _output_streams(dataset, model, chip, noise_on, noise_seed)
+    outputs = _output_streams(dataset, model, chip, noise_seed)
     scores = score_onsets(dataset.trials, outputs, model, thetas, tol_ms)
     n = len(dataset.trials)
     return [(theta, hits / n, fps / n) for theta, (hits, fps, _) in zip(thetas, scores)]

@@ -82,6 +82,11 @@ class FrontendConfig:
         """Decoded delay of a delayed row, in sub-windows (1..5)."""
         return int(self.sdl[row]) + 1
 
+    def tick_end_ms(self, ticks) -> np.ndarray:
+        """Time (ms from trial start) at which each tick's window output is
+        read: the end of its most recent sub-window, ``(tick + 1) * t_s_ms``."""
+        return (np.asarray(ticks) + 1) * self.t_s_ms
+
     @classmethod
     def direct(cls, n_channels: int, t_s_ms: float = 20.0) -> "FrontendConfig":
         """All-external configuration: one row per input channel."""
@@ -102,14 +107,9 @@ class FrontendConfig:
         if not (1 <= link_delay <= SDL_MAX + 1):
             raise ValueError(f"link_delay must be in [1, {SDL_MAX + 1}]")
         rows = n_channels * p
-        check_values(cls, {"rows": rows})  # before the per-row loop
-        s_ext = np.zeros(rows, dtype=np.int64)
-        sdl = np.zeros(rows, dtype=np.int64)
-        for j in range(n_channels):
-            for l in range(1, p):
-                s_ext[j * p + l] = 1
-                sdl[j * p + l] = link_delay - 1
-        return cls(rows=rows, s_ext=s_ext, sdl=sdl, t_s_ms=t_s_ms)
+        check_values(cls, {"rows": rows})  # before the per-row arrays
+        s_ext = (np.arange(rows) % p != 0).astype(np.int64)
+        return cls(rows=rows, s_ext=s_ext, sdl=s_ext * (link_delay - 1), t_s_ms=t_s_ms)
 
 
 def bin_events(

@@ -66,6 +66,12 @@ class TrapezoidParams:
         check_fields(self)
         check_order(self, "t0_ms", "t1_ms", "t2_ms", "t3_ms")
 
+    def on_plateau(self, t_ms) -> np.ndarray:
+        """Whether each time ``t_ms`` lies on the plateau [t1, t2]: the
+        ticks the type vote reads, in training as in decoding."""
+        t = np.asarray(t_ms)
+        return (t >= self.t1_ms) & (t <= self.t2_ms)
+
 
 def trapezoid(t_ms, params: TrapezoidParams) -> np.ndarray:
     """Membership values in [0, 1] at the times ``t_ms`` (array-like).
@@ -77,7 +83,7 @@ def trapezoid(t_ms, params: TrapezoidParams) -> np.ndarray:
     t = np.asarray(t_ms, dtype=np.float64)
     out = np.zeros(t.shape)
     inside = (t > p.t0_ms) & (t < p.t3_ms)
-    plateau = inside & (t >= p.t1_ms) & (t <= p.t2_ms)
+    plateau = inside & p.on_plateau(t)
     rise = inside & (t < p.t1_ms)
     fall = inside & ~plateau & ~rise
     out[plateau] = 1.0
@@ -148,38 +154,37 @@ def hidden_stream(codes: np.ndarray, chip: ChipInstance, normalize: bool,
     return normalize_rows(h, codes) if normalize else h
 
 
-def trial_rng(noise_seed: int, index: int) -> np.random.Generator:
-    """The noise stream of the trial at ``index``, whatever else runs."""
-    return np.random.default_rng([noise_seed, index])
+def trial_rng(noise_seed: int | None, index: int) -> np.random.Generator | None:
+    """The noise stream of the trial at ``index``, whatever else runs; None
+    (noise off) when ``noise_seed`` is None."""
+    return None if noise_seed is None else np.random.default_rng([noise_seed, index])
 
 
-def hidden_streams(codes, chip: ChipInstance, normalize: bool, noise_on: bool = False,
-                   noise_seed: int = 0):
-    """``hidden_stream`` of each trial's codes in turn; with noise on, trial
-    ``i`` draws from ``trial_rng(noise_seed, i)``."""
+def hidden_streams(codes, chip: ChipInstance, normalize: bool, noise_seed: int | None = None):
+    """``hidden_stream`` of each trial's codes in turn; trial ``i`` draws
+    its noise from ``trial_rng(noise_seed, i)`` (None: noise off)."""
     for idx, trial_codes in enumerate(codes):
-        yield hidden_stream(trial_codes, chip, normalize,
-                            trial_rng(noise_seed, idx) if noise_on else None)
+        yield hidden_stream(trial_codes, chip, normalize, trial_rng(noise_seed, idx))
 
 
 def collect_H(
     dataset: SpikeDataset,
     chip: ChipInstance,
     frontend_cfg: FrontendConfig,
-    noise_on: bool = False,
+    noise_seed: int | None = None,
     sample_policy: str = "unambiguous",
     trap: TrapezoidParams | None = None,
     normalize: bool = True,
-    noise_seed: int = 0,
     codes: list | None = None,
 ) -> tuple[HiddenMatrix, TargetSet]:
     """Run the simulated chain over a dataset and assemble (H, targets).
 
-    One row per tick per trial; with noise on, each trial draws from its own
-    counter-derived stream ``trial_rng(noise_seed, trial_index)`` so
-    results do not depend on evaluation order.  Row timestamps are the end
-    of the tick's most recent sub-window.  ``codes``, when given, are the
-    trials' front-end codes computed beforehand with ``frontend_cfg``.
+    One row per tick per trial; with a ``noise_seed`` (None: noise off),
+    each trial draws from its own counter-derived stream
+    ``trial_rng(noise_seed, trial_index)`` so results do not depend on
+    evaluation order.  Row timestamps are ``frontend_cfg.tick_end_ms``.
+    ``codes``, when given, are the trials' front-end codes computed
+    beforehand with ``frontend_cfg``.
 
     ``sample_policy`` selects the rows the type outputs train on:
     "unambiguous" (membership exactly 0 or 1), "plateau" (membership 1),
@@ -205,12 +210,12 @@ def collect_H(
     n_ticks = np.array([tick_count(frontend_cfg, trial) for trial in dataset.trials])
     starts = np.cumsum(n_ticks) - n_ticks
     h_all = np.empty((int(n_ticks.sum()), chip.l))
-    for h, start, n in zip(hidden_streams(codes, chip, normalize, noise_on, noise_seed),
+    for h, start, n in zip(hidden_streams(codes, chip, normalize, noise_seed),
                            starts, n_ticks):
         h_all[start : start + n] = h
     trial_index = np.repeat(np.arange(len(n_ticks)), n_ticks)
     tick = np.arange(len(trial_index)) - np.repeat(starts, n_ticks)
-    membership = trapezoid((tick + 1) * frontend_cfg.t_s_ms, trap)
+    membership = trapezoid(frontend_cfg.tick_end_ms(tick), trap)
     labels = np.array([trial.label for trial in dataset.trials])[trial_index]
     if sample_policy == "unambiguous":
         type_rows = (membership == 0.0) | (membership == 1.0)

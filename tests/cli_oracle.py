@@ -48,13 +48,15 @@ def oracle_sweep(cfg: dict, data) -> tuple[str, list[str]]:
         for seed in parse_int_list(cfg["sweep.chip_seeds"]):
             chip = _chip_for(cfg, d=frontend.rows, seed=seed, l=l)
             hidden, targets = collect_H(
-                sub_train, chip, frontend, noise_on=cfg["train.noise_on"],
+                sub_train, chip, frontend,
+                noise_seed=cfg["train.noise_seed"] if cfg["train.noise_on"] else None,
                 sample_policy=cfg["train.sample_policy"], trap=section(cfg, "trap"),
-                normalize=cfg["decoder.normalize"], noise_seed=cfg["train.noise_seed"])
+                normalize=cfg["decoder.normalize"])
             model = _point_model(cfg, method, hidden, targets, frontend,
                                  dataset.class_count, chip)
-            report = evaluate(sub_test, model, chip, noise_on=cfg["decoder.noise_on"],
-                              noise_seed=cfg["decoder.noise_seed"], tol_ms=cfg["decoder.tol_ms"])
+            noise_seed = cfg["decoder.noise_seed"] if cfg["decoder.noise_on"] else None
+            report = evaluate(sub_test, model, chip, noise_seed=noise_seed,
+                              tol_ms=cfg["decoder.tol_ms"])
             accs.append(report.accuracy)
         mean, std = float(np.mean(accs)), float(np.std(accs))
         lines.append(f"{method},{l},{n_eff},{p},{mean!r},{std!r}")

@@ -113,6 +113,16 @@ def test_dac_measured_dnl_within_bound():
     assert (chip.current_lut >= 0.0).all()
 
 
+def test_dac_currents_of_a_batch_are_its_rows_one_by_one():
+    chip = build_chip(11, AnalogParams(), d=5, l=3)
+    codes = np.random.default_rng(11).integers(0, 64, size=(7, 5))
+    batch = chip.dac_currents(codes)
+    assert batch.shape == (7, 5)
+    assert np.array_equal(batch, np.stack([chip.dac_currents(row) for row in codes]))
+    assert np.array_equal(chip.dac_currents(codes[2]),
+                          [dac_current(chip, int(c), j) for j, c in enumerate(codes[2])])
+
+
 def test_dac_code_range_checked():
     chip = build_chip(10, AnalogParams(), d=2, l=2)
     with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mlcpsim import cli, decoder, spikeio
-from mlcpsim.analog import AnalogParams, load_chip
+from mlcpsim.analog import AnalogParams, build_chip, load_chip
 from mlcpsim.cli import main
 from mlcpsim.config import parse_config_text, resolve_config
 from mlcpsim.decoder import load_model
@@ -483,6 +483,89 @@ def test_runtime_commands_echo_and_decode_with_the_models_decoder_keys(capsys, t
 
 
 @pytest.mark.parametrize("cmd", ["eval", "roc", "stream"])
+def test_runtime_commands_adopt_the_models_trap_and_stop_value(capsys, tmp_path, monkeypatch,
+                                                               shared_run, cmd):
+    ds, _ = shared_run
+    model = tmp_path / "m.json"
+    assert run(capsys, "train", "--data", str(ds), "--out", str(model), "--seed", "3",
+               *SMALL_CHIP, "--set", "trap.t1_ms=850", "--set", "analog.fmax_sel=3")[0] == 0
+    base = [cmd, "--data", str(ds), "--model", str(model), "--seed", "3", *SMALL_CHIP]
+    # unset, or set to the model's values: the echo shows what decoding uses,
+    # and the outputs are the same bytes
+    outputs = []
+    for extra in ([], ["--set", "trap.t1_ms=850", "--set", "analog.fmax_sel=3"]):
+        out = tmp_path / f"out{len(outputs)}"
+        code, text, _ = run(capsys, *base, "--out", str(out), *extra)
+        assert code == 0
+        echoed = parse_config_text(text)
+        assert (echoed["trap.t1_ms"], echoed["analog.fmax_sel"]) == (850.0, 3)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    if cmd == "eval":  # decoded on the model's stop value and plateau
+        m = load_model(model)
+        chip = build_chip(m.chip_seed, AnalogParams(fmax_sel=3), d=m.frontend.rows, l=16)
+        want = decoder.evaluate(spikeio.parse_dataset(ds), m, chip)
+        assert outputs[0] == want.to_json().encode()
+    # set to something else: refused before decoding, naming the key
+    monkeypatch.setattr(decoder, "_output_streams", _fail("decoder outputs computed"))
+    monkeypatch.setattr(cli, "decode_stream", _fail("the trial decoded"))
+    out = tmp_path / "refused"
+    for setting, named in [("analog.fmax_sel=6", "analog.fmax_sel = 6 differs from the model's 3"),
+                           ("trap.t1_ms=880", "trap.t1_ms = 880.0 differs from the model's 850.0")]:
+        code, _, err = run(capsys, *base, "--out", str(out), "--set", setting)
+        assert code == 2 and named in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd, key", [("train", "train.noise_seed"),
+                                      ("sweep", "train.noise_seed"),
+                                      ("sweep", "decoder.noise_seed"),
+                                      ("eval", "decoder.noise_seed"),
+                                      ("roc", "decoder.noise_seed"),
+                                      ("stream", "decoder.noise_seed")])
+@pytest.mark.parametrize("noise_on", ["true", "false"])
+def test_a_negative_noise_seed_is_refused_by_its_key(capsys, tmp_path, monkeypatch, shared_run,
+                                                     cmd, key, noise_on):
+    ds, model = shared_run
+    monkeypatch.setattr(cli, "collect_H", _fail("H collected"))
+    monkeypatch.setattr(decoder, "_output_streams", _fail("decoder outputs computed"))
+    monkeypatch.setattr(cli, "decode_stream", _fail("the trial decoded"))
+    out = tmp_path / "out"
+    runtime = ["--model", str(model)] if cmd in ("eval", "roc", "stream") else []
+    section = key.split(".")[0]
+    code, _, err = run(capsys, cmd, "--data", str(ds), *runtime, "--out", str(out),
+                       "--seed", "3", *SMALL_CHIP, "--set", f"{section}.noise_on={noise_on}",
+                       "--set", f"{key}=-3")
+    assert code == 2
+    assert f"'{key}' must be an integer >= 0, got -3" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd, setting, key", [
+    ("chip", "chip.seed=-1", "chip.seed"),
+    ("chip", "chip.d=200", "chip.d"),
+    ("chip", "synth.q=200", "synth.q"),  # the chip's D when chip.d is 0
+    ("train", "chip.l=0", "chip.l"),
+    ("train", "chip.seed=-1", "chip.seed"),
+    ("sweep", "sweep.chip_seeds=2,-1", "sweep.chip_seeds"),
+    ("sweep", "sweep.l_grid=8,0", "sweep.l_grid"),
+    ("sweep", "sweep.n_grid=-1", "sweep.n_grid"),
+    ("sweep", "sweep.n_grid=9", "sweep.n_grid"),  # the dataset has 8 channels
+    ("sweep", "split.seed=-1", "split.seed"),
+])
+def test_chip_sweep_and_split_values_are_named_by_their_key(capsys, tmp_path, monkeypatch,
+                                                           shared_run, cmd, setting, key):
+    ds, _ = shared_run
+    monkeypatch.setattr(cli, "collect_H", _fail("H collected"))
+    out = tmp_path / "out"
+    data = [] if cmd == "chip" else ["--data", str(ds)]
+    code, _, err = run(capsys, cmd, *data, "--out", str(out), *SMALL_CHIP, "--set", setting)
+    assert code == 2
+    assert err.startswith(f"error: '{key}' must be an integer >= ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["eval", "roc", "stream"])
 def test_runtime_commands_echo_the_chip_files_parameters(capsys, tmp_path, monkeypatch,
                                                          easy_run, cmd):
     ds, model = easy_run
@@ -570,20 +653,28 @@ def test_a_meta_count_below_one_names_meta_txt_and_its_line(capsys, tmp_path, mo
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sets, key, field", [
-    (["budget.raw_sample_rate_hz=1e308"], "raw_sample_rate_hz", "rates.r_raw_bps"),
+def _keeps_finite(value: str) -> str:
+    return f"a value that keeps the report's '{value}' finite"
+
+
+@pytest.mark.parametrize("sets, key, domain", [
+    (["budget.raw_sample_rate_hz=1e308"], "raw_sample_rate_hz", _keeps_finite("rates.r_raw_bps")),
     (["budget.f_bio_hz=1e300", "budget.channel_count=1000000000"], "f_bio_hz",
-     "rates.r_conv_bps"),
-    (["budget.f_class_hz=1e-320"], "f_class_hz", "energy.e_per_classify_stage1"),
+     _keeps_finite("rates.r_conv_bps")),
+    (["budget.f_class_hz=1e-320"], "f_class_hz", _keeps_finite("energy.e_per_classify_stage1")),
     (["budget.d=10", "budget.e_mac_digital_j=1e308"], "e_mac_digital_j",
-     "energy.e_per_classify_total"),
+     _keeps_finite("energy.e_per_classify_total")),
+    # an integer past what a float holds exactly never reaches the arithmetic
+    ([f"budget.d={10 ** 400}"], "d", f"an integer >= 1 and <= {2 ** 53}"),
+    (["budget.d=10", f"budget.raw_channels={2 ** 53 + 1}"], "raw_channels",
+     f"an integer >= 1 and <= {2 ** 53}"),
 ])
-def test_budget_that_overflows_names_the_value_and_its_input(capsys, tmp_path, sets, key, field):
+def test_budget_that_overflows_names_the_value_and_its_input(capsys, tmp_path, sets, key, domain):
     out = tmp_path / "b.json"
     code, _, err = run(capsys, "budget", "--out", str(out),
                        *[arg for s in sets for arg in ("--set", s)])
     assert code == 2
-    assert f"'budget.{key}' must be a value that keeps the report's '{field}' finite" in err
+    assert f"'budget.{key}' must be {domain}, got " in err
     assert not out.exists()
 
 

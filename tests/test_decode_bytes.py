@@ -1,11 +1,11 @@
 """The CLI's output bytes across BLAS thread counts and versions.
 
-A small model is trained in a subprocess at one BLAS thread (the T1 solve
-in ``train`` is not byte-stable across thread counts).  ``eval``, ``roc``
-and ``stream`` then decode it, with noise on, and ``chip``, a two-point T1
-and T2 ``sweep`` and ``budget`` run, in one subprocess at
-``OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1`` and one at 2; their outputs must
-be byte-identical.  On the platform recorded in ``bench/expected.json``
+A small T1 model is trained in a subprocess at one BLAS thread (the T1
+solve in ``train`` is not byte-stable across thread counts).  ``eval``,
+``roc`` and ``stream`` then decode it, with noise on, and a noisy T2
+``train``, ``chip``, a two-point T1 and T2 ``sweep`` and ``budget`` run, in
+one subprocess at ``OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1`` and one at 2;
+their outputs must be byte-identical.  On the platform recorded in ``bench/expected.json``
 every file must also have the sha256 in ``DIGESTS``, so a change to the
 bytes of an output (or of the one-thread model) shows in tier-1, not only
 in the benchmark.  A change that means to move them updates the table and
@@ -27,7 +27,8 @@ import mlcpsim
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(mlcpsim.__file__).resolve().parents[1]
 
-OUTPUTS = ("eval.json", "roc.csv", "stream.csv", "chip.json", "sweep.csv", "budget.json")
+OUTPUTS = ("eval.json", "roc.csv", "stream.csv", "model_t2.json", "chip.json", "sweep.csv",
+           "budget.json")
 
 #: sha256 of each file on the recorded platform.
 DIGESTS = {
@@ -35,6 +36,7 @@ DIGESTS = {
     "eval.json": "c1dc1b347a4101f6742aa31543facbc9f1b1fdfaa8a1de849e017d6d0229d7aa",
     "roc.csv": "6ce19f30e3bba3c1cfe52392b5d4c3ef0f2827b8f08f7a8b1c1deb0ba9ed4bd0",
     "stream.csv": "0da12558e5cc7a6f0b2b1b8e459902cdc84990da8985950cf36a17234fa563d4",
+    "model_t2.json": "d80ba18dc1f1db40f8825d5bf01536e70c0b4ca4d3f25643be982466136339ae",
     "chip.json": "d6290c591233d59227a6d73d1af4b7785ba8313884968e46cc99080a1c5873cf",
     "sweep.csv": "00b3907bc5e0495f87fdf11b723acfb2fbc8997bf2de4c850353b3aeb5b44d37",
     "budget.json": "6a208e39b465a4ad8d1206aa46aee5fbdc84fe4d0e4f66ae788e92aaa4663628",
@@ -67,6 +69,9 @@ def _commands(data: Path, model: Path, out: Path) -> list:
     return [["eval", *run, "--out", str(out / "eval.json")],
             ["roc", *run, "--set", "roc.points=40", "--out", str(out / "roc.csv")],
             ["stream", *run, "--trial", "c05_r001", "--out", str(out / "stream.csv")],
+            ["train", "--data", str(data), "--seed", "7", "--set", "frontend.mode=tdbdi",
+             "--set", "train.noise_on=true", "--set", "train.method=T2",
+             "--set", "train.target_sparsity=0.3", "--out", str(out / "model_t2.json")],
             ["chip", "--seed", "7", "--set", "chip.l=16", "--out", str(out / "chip.json")],
             ["sweep", "--data", str(data), *sweep, "--out", str(out / "sweep.csv")],
             ["budget", "--out", str(out / "budget.json")]]

@@ -335,8 +335,8 @@ def test_constant_class_predictor_chance_level(easy_setup):
 
 def test_evaluate_deterministic_with_noise(easy_setup):
     ds, chip, model = easy_setup
-    r1 = evaluate(ds, model, chip, noise_on=True, noise_seed=9)
-    r2 = evaluate(ds, model, chip, noise_on=True, noise_seed=9)
+    r1 = evaluate(ds, model, chip, noise_seed=9)
+    r2 = evaluate(ds, model, chip, noise_seed=9)
     assert r1.accuracy == r2.accuracy
     assert np.array_equal(r1.confusion, r2.confusion)
     assert r1.latencies_ms == r2.latencies_ms

@@ -179,6 +179,26 @@ def test_tdbdi_feature_layout():
         assert np.array_equal(codes[delay:, j * p + 1], direct[:-delay, j])
 
 
+def test_tdbdi_rows_follow_the_per_row_rule():
+    # row j*p is channel j's external row; each of the next p-1 rows delays
+    # its predecessor by link_delay sub-windows (delay code link_delay - 1)
+    for n, p, delay in [(1, 1, 1), (3, 1, 5), (4, 3, 2), (2, 5, 5), (64, 2, 3)]:
+        config = FrontendConfig.tdbdi(n, p, link_delay=delay)
+        for r in range(n * p):
+            assert (config.s_ext[r], config.sdl[r]) == ((0, 0) if r % p == 0 else (1, delay - 1))
+        assert config.s_ext.dtype == config.sdl.dtype == np.int64
+
+
+def test_tick_end_ms_is_the_end_of_each_ticks_sub_window():
+    config = FrontendConfig.direct(2, t_s_ms=12.5)
+    assert np.array_equal(config.tick_end_ms(np.arange(4)), [12.5, 25.0, 37.5, 50.0])
+    assert config.tick_end_ms(7) == 100.0
+    # a window read at its end holds the events binned up to that time
+    trial = Trial("t", 1, 0, 50_000, [12_499, 12_500], [0, 0])
+    codes = run_trial(config, trial)
+    assert codes[:, 0].tolist() == [1, 2, 2, 2]
+
+
 def test_all_quiet_stream_gives_zero_vector():
     codes = stateful_run(FrontendConfig.direct(5), np.zeros((12, 5), dtype=int))
     assert (codes == 0).all()

@@ -97,6 +97,27 @@ def test_trapezoid_array_matches_scalar_oracle():
         assert np.array_equal(got, want)
 
 
+def test_the_plateau_test_is_the_closed_interval_where_membership_is_one():
+    for p in [TrapezoidParams(), TrapezoidParams(810, 905.5, 1013, 1187.25),
+              TrapezoidParams(800, 850, 850, 900)]:
+        edges = np.array([p.t1_ms, p.t2_ms])
+        t = np.concatenate([np.arange(0.0, 2000.0, 2.5), edges, np.nextafter(edges, -np.inf),
+                            np.nextafter(edges, np.inf)])
+        on = p.on_plateau(t)
+        assert np.array_equal(on, (t >= p.t1_ms) & (t <= p.t2_ms))
+        assert np.array_equal(on, trapezoid(t, p) == 1.0)
+
+
+def test_plateau_policy_rows_are_the_plateau_ticks_on_the_clock():
+    ds = tiny_dataset(trials_per_class=1)
+    chip = build_chip(46, AnalogParams(), d=6, l=4)
+    cfg = FrontendConfig.direct(6, t_s_ms=15.0)
+    trap = TrapezoidParams(805, 900, 1005, 1100)
+    hidden, targets = collect_H(ds, chip, cfg, sample_policy="plateau", trap=trap)
+    assert np.array_equal(targets.type_rows, trap.on_plateau(cfg.tick_end_ms(hidden.tick)))
+    assert targets.type_rows.sum() == 2 * 8  # ticks 59..66 end at 900..1005 ms
+
+
 def test_trapezoid_ordering_enforced():
     with pytest.raises(ValueError):
         TrapezoidParams(900, 800, 1100, 1200)
@@ -128,14 +149,14 @@ def test_collect_fills_H_like_a_stack_of_per_trial_streams():
     n_ticks = [tick_count(cfg, trial) for trial in trials]
     assert n_ticks[2:4] == [0, 2]
     assert n_ticks == [len(run_trial(cfg, trial)) for trial in trials]
-    for noise_on in (False, True):
+    for noise_seed in (None, 5):
         want = np.vstack([
             hidden_stream(run_trial(cfg, trial), chip, True,
-                          np.random.default_rng([5, idx]) if noise_on else None)
+                          None if noise_seed is None else np.random.default_rng([5, idx]))
             for idx, trial in enumerate(trials)
         ])
         for codes in (None, [run_trial(cfg, trial).astype(np.uint8) for trial in trials]):
-            hidden, _ = collect_H(ds, chip, cfg, noise_on=noise_on, noise_seed=5, codes=codes)
+            hidden, _ = collect_H(ds, chip, cfg, noise_seed=noise_seed, codes=codes)
             assert np.array_equal(hidden.h, want)
             assert np.array_equal(hidden.trial_index, np.repeat(np.arange(len(trials)), n_ticks))
             assert np.array_equal(hidden.tick, np.concatenate([np.arange(n) for n in n_ticks]))
@@ -152,9 +173,9 @@ def test_collect_deterministic_with_noise():
     ds = tiny_dataset()
     chip = build_chip(43, AnalogParams(), d=6, l=8)
     cfg = FrontendConfig.direct(6)
-    h1, _ = collect_H(ds, chip, cfg, noise_on=True, noise_seed=5)
-    h2, _ = collect_H(ds, chip, cfg, noise_on=True, noise_seed=5)
-    h3, _ = collect_H(ds, chip, cfg, noise_on=True, noise_seed=6)
+    h1, _ = collect_H(ds, chip, cfg, noise_seed=5)
+    h2, _ = collect_H(ds, chip, cfg, noise_seed=5)
+    h3, _ = collect_H(ds, chip, cfg, noise_seed=6)
     assert np.array_equal(h1.h, h2.h)
     assert not np.array_equal(h1.h, h3.h)
 
