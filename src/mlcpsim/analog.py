@@ -247,8 +247,8 @@ def mismatch_map(chip: ChipInstance, probe_code: int = 8) -> np.ndarray:
     ``probe_code``; the map is normalized to its median, so a mismatch-free
     chip gives all ones and a real one a lognormal spread.
     """
-    if not (1 <= probe_code < DAC_CODES):
-        raise ValueError("probe_code must be in [1, 63]")
+    if not 1 <= probe_code < DAC_CODES:
+        raise FieldError("probe_code", f"an integer >= 1 and <= {DAC_CODES - 1}", probe_code, "")
     x = np.zeros((chip.d, chip.d), dtype=np.int64)
     np.fill_diagonal(x, probe_code)
     counts = hidden_layer(x, chip).T.astype(np.float64)

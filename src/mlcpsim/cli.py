@@ -12,8 +12,8 @@ Conventions:
   be saved and passed back via ``--config`` to reproduce the run.
 * Primary outputs (files) are byte-deterministic: same command, config, and
   seeds give identical bytes.  No timestamps are embedded anywhere.
-* Exit codes: 0 success, 1 usage error, 2 data/validation error,
-  3 numerical failure.
+* Exit codes: 0 success, 1 usage error, 2 data/validation error (or a run
+  too large for memory), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import itertools
 import math
 import shutil
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,14 +33,15 @@ from .analog import (ChipInstance, build_chip, load_chip, mismatch_map, save_chi
 from .budget import budget_json, budget_report, format_budget
 from .config import (DECODER_KEYS, DEFAULTS, ConfigError, echo_config, format_value,
                      parse_int_list, parse_str_list, resolve_config, section)
-from .decoder import (DecoderModel, decode_stream, evaluate, load_model, plateau_class, roc_sweep,
-                      save_model, split_dataset, write_roc_csv, write_stream_csv)
-from .fields import FieldError, check_values
-from .frontend import FrontendConfig, run_trial
+from .decoder import (DecoderModel, check_scoring, decode_stream, evaluate, load_model,
+                      majority_class, roc_sweep, save_model, split_dataset, write_roc_csv,
+                      write_stream_csv)
+from .fields import FieldError, check_values, under
+from .frontend import MAX_ROWS, FrontendConfig, run_trial
 from .spikeio import (ChannelCountError, ChannelRangeError, DatasetError, SpikeDataset, Trial,
                       gen_synthetic, parse_dataset, read_trial, write_dataset)
-from .training import (ConvergenceError, TrainingError, check_penalties, collect_H,
-                       fit_output_weights, hidden_streams, trial_rng)
+from .training import (METHODS, SAMPLE_POLICIES, ConvergenceError, TrainingError,
+                       check_penalties, collect_H, fit_output_weights, hidden_streams, trial_rng)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,20 +61,11 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="config file of key = value lines")
-    common.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override one configuration key (repeatable)",
-    )
-    common.add_argument(
-        "--seed", type=int, help="set synth.seed and chip.seed in one stroke"
-    )
+    common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="override one configuration key (repeatable)")
+    common.add_argument("--seed", type=int, help="set synth.seed and chip.seed in one stroke")
     common.add_argument("--out", help="primary output path")
-    common.add_argument(
-        "--force", action="store_true", help="overwrite an existing output"
-    )
+    common.add_argument("--force", action="store_true", help="overwrite an existing output")
 
     parser = _Parser(prog="mlcpsim", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="cmd")
@@ -131,18 +123,21 @@ def _fresh_path(path: Path, force: bool, directory: bool = False) -> Path:
     return path
 
 
-def _frontend_from_cfg(cfg: dict, n_channels: int, p: int | None = None) -> FrontendConfig:
-    t_s = cfg["frontend.t_s_ms"]
-    p = cfg["frontend.p"] if p is None else p
-    if cfg["frontend.mode"] not in ("direct", "tdbdi"):
-        raise ConfigError(f"unknown frontend.mode {cfg['frontend.mode']!r} "
-                          "(expected direct or tdbdi)")
+def _frontend_from_cfg(cfg: dict, n_channels: int, p: int | None = None,
+                       p_key: str = "frontend.p") -> FrontendConfig:
+    """The ``frontend.*`` front end on ``n_channels`` channels: under tdbdi
+    ``p`` rows per channel (default: the ``frontend.p`` setting), refused by
+    ``p_key``; direct mode is tdbdi with one row per channel."""
+    _one_of("frontend.mode", cfg["frontend.mode"], ("direct", "tdbdi"))
+    p = _at_least(p_key, cfg[p_key] if p is None else p, 1)
+    per_channel = p if cfg["frontend.mode"] == "tdbdi" else 1
     try:
-        if cfg["frontend.mode"] == "direct" or p == 1:
-            return FrontendConfig.direct(n_channels, t_s_ms=t_s)
-        return FrontendConfig.tdbdi(n_channels, p, link_delay=cfg["frontend.link_delay"],
-                                    t_s_ms=t_s)
+        return FrontendConfig.tdbdi(n_channels, per_channel, link_delay=cfg["frontend.link_delay"],
+                                    t_s_ms=cfg["frontend.t_s_ms"])
     except FieldError as exc:
+        if exc.args[0] == "rows" and per_channel > 1:  # p rows per channel are too many
+            raise FieldError(p_key, f"an integer >= 1 and <= {MAX_ROWS // n_channels} on "
+                             f"{n_channels} channels", p, "") from None
         raise exc.under("frontend.") from None
 
 
@@ -155,17 +150,24 @@ def _checked(key: str, value, cls, name: str):
     return value
 
 
-def _seed(key: str, value: int) -> int:
-    """A seed (numpy takes none below 0), refused by ``key`` when negative."""
-    if value < 0:
-        raise FieldError(key, "an integer >= 0", value, "")
+def _at_least(key: str, value: int, low: int = 0) -> int:
+    """``value``, refused by ``key`` below ``low`` (0: numpy takes no seed below)."""
+    if value < low:
+        raise FieldError(key, f"an integer >= {low}", value, "")
+    return value
+
+
+def _one_of(key: str, value: str, choices: tuple) -> str:
+    """``value``, refused by ``key`` unless it is one of ``choices``."""
+    if value not in choices:
+        raise FieldError(key, "one of " + ", ".join(choices), value, "")
     return value
 
 
 def _noise_seed(cfg: dict, name: str) -> int | None:
     """``name.noise_seed`` (train or decoder) if ``name.noise_on``, else None
     (noise off); a negative seed is refused either way."""
-    seed = _seed(f"{name}.noise_seed", cfg[f"{name}.noise_seed"])
+    seed = _at_least(f"{name}.noise_seed", cfg[f"{name}.noise_seed"])
     return seed if cfg[f"{name}.noise_on"] else None
 
 
@@ -173,27 +175,24 @@ def _chip_for(cfg: dict, d: int, seed: int | None = None, l: int | None = None):
     """The chip of the ``analog.*`` keys and ``chip.seed``/``chip.l``, or
     ``seed``/``l`` when given (checked by their own keys beforehand)."""
     params = section(cfg, "analog")
-    try:
+    with under("chip."):
         return build_chip(cfg["chip.seed"] if seed is None else seed, params,
                           d=d, l=cfg["chip.l"] if l is None else l)
-    except FieldError as exc:
-        raise exc.under("chip.") from None
 
 
 def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: list,
-                  codes: list | None = None, keep_plateau: bool = False) -> tuple:
-    """(plateau, one model per training method): H is collected once
-    on the chip, from ``codes`` if the trials' front-end codes are given.
-    The penalties, and the ``decoder.*`` model keys on a model with zero
-    weights, are checked before H is collected.  With ``keep_plateau``,
-    plateau holds each trial's (H rows, ticks) on the plateau, taken before
-    the last fit may reorder H; else it is None."""
+                  codes: list | None = None, score: bool = False) -> list:
+    """One model per training method, fitted on one H collected on the chip
+    (from ``codes``, the trials' front-end codes, if given) after every
+    setting is checked.  ``score`` adds ``train_accuracy`` to each report:
+    the evaluation vote on the training set itself, an optimistic figure."""
     l1, sparsity = cfg["train.l1_lambda"], cfg["train.target_sparsity"]
     penalties = dict(ridge_lambda=cfg["train.ridge_lambda"], l1_lambda=None if l1 < 0 else l1,
                      target_sparsity=None if sparsity < 0 else sparsity)
     for method in methods:
         check_penalties(method, **penalties, prefix="train.")
     noise_seed = _noise_seed(cfg, "train")
+    policy = _one_of("train.sample_policy", cfg["train.sample_policy"], SAMPLE_POLICIES)
     trap, m = section(cfg, "trap"), dataset.class_count
     try:
         untrained = DecoderModel(np.zeros((chip.l, m + 1)), np.zeros(chip.l, bool), m,
@@ -203,27 +202,32 @@ def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: lis
     except FieldError as exc:
         raise exc.under("decoder.") if exc.args[0] in DECODER_KEYS else exc from None
     hidden, targets = collect_H(dataset, chip, frontend, noise_seed=noise_seed,
-                                sample_policy=cfg["train.sample_policy"], trap=trap,
+                                sample_policy=policy, trap=trap,
                                 normalize=cfg["decoder.normalize"], codes=codes)
-    plateau = None
-    if keep_plateau:
-        rows = trap.on_plateau(frontend.tick_end_ms(hidden.tick))
-        bounds = np.searchsorted(hidden.trial_index[rows], np.arange(1, len(dataset.trials)))
-        plateau = list(zip(np.split(hidden.h[rows], bounds), np.split(hidden.tick[rows], bounds)))
+    if score:  # each trial's plateau rows, before the last fit may reorder H
+        on = trap.on_plateau(frontend.tick_end_ms(np.arange(hidden.n_ticks.max())))
+        plateau = [hidden.h[end - n : end][on[:n]]
+                   for end, n in zip(np.cumsum(hidden.n_ticks), hidden.n_ticks)]
     models = []
     for i, method in enumerate(methods):  # no later fit reads H, so the last may overwrite it
         w = fit_output_weights(hidden, targets, method=method, refit=cfg["train.refit"],
                                overwrite_h=i == len(methods) - 1, **penalties)
+        if score:
+            w.report["train_accuracy"] = sum(
+                majority_class(np.argmax(h @ w.beta[:, :m], axis=1) + 1, m) == trial.label
+                for h, trial in zip(plateau, dataset.trials)) / len(dataset.trials)
         models.append(replace(untrained, beta=w.beta, support=w.support, report=w.report))
-    return plateau, models
+    return models
 
 
 def _adopt(cfg: dict, name: str, obj, source: str) -> None:
-    """Set each ``name.*`` key that is a field of ``obj`` (read from
-    ``source``) to its value there, the one the run uses, so the echo shows
-    it.  A key configured away from its default to another value is an error."""
-    for key in [f.name for f in fields(obj) if f"{name}.{f.name}" in DEFAULTS]:
-        full, value = f"{name}.{key}", getattr(obj, key)
+    """Set each ``name.*`` key that is a field of dataclass ``obj`` or a key
+    of dict ``obj`` (read from ``source``) to its value there, the one the run
+    uses, so the echo shows it.  Configuring it to another value is an error."""
+    for key, value in (obj if isinstance(obj, dict) else vars(obj)).items():
+        full = f"{name}.{key}"
+        if full not in DEFAULTS:
+            continue
         if cfg[full] != DEFAULTS[full] and cfg[full] != value:
             raise ConfigError(f"{full} = {format_value(cfg[full])} differs from the {source}'s "
                               f"{format_value(value)}; the {source}'s value is used, so drop "
@@ -243,7 +247,8 @@ def _load_runtime(cfg: dict, args, trial: str | None = None) -> tuple:
     data is the dataset, or with ``trial`` only the (index, Trial) it names,
     and must have the channel count of the model's front end.  The keys the
     model fixes (``decoder.*``, ``trap.*``, and without a chip file
-    ``analog.fmax_sel``) take the model's values."""
+    ``analog.fmax_sel``, ``chip.seed`` and ``chip.l``) take the model's
+    values."""
     noise_seed = _noise_seed(cfg, "decoder")
     model = load_model(args.model)
     _adopt(cfg, "decoder", model, "model")
@@ -252,7 +257,8 @@ def _load_runtime(cfg: dict, args, trial: str | None = None) -> tuple:
         chip = _chip_file(cfg, args.chip)
     else:
         _adopt(cfg, "analog", model, "model")  # fmax_sel, the one analog field of a model
-        chip = _chip_for(cfg, model.frontend.rows, model.chip_seed, model.beta.shape[0])
+        _adopt(cfg, "chip", {"seed": model.chip_seed, "l": model.beta.shape[0]}, "model")
+        chip = _chip_for(cfg, model.frontend.rows)
     channels = model.frontend.n_external
     try:
         data = (parse_dataset(args.data, channels) if trial is None
@@ -266,10 +272,8 @@ def _restrict_channels(dataset: SpikeDataset, n: int) -> SpikeDataset:
     """Keep only channels < n (the synthetic layout spreads classes evenly)."""
     if n >= dataset.channel_count:
         return dataset
-    trials = []
-    for t in dataset.trials:
-        keep = t.channels < n
-        trials.append(Trial(t.id, t.label, t.onset, t.duration, t.times_us[keep], t.channels[keep]))
+    trials = [Trial(t.id, t.label, t.onset, t.duration, t.times_us[t.channels < n],
+                    t.channels[t.channels < n]) for t in dataset.trials]
     return SpikeDataset(trials, n, dataset.class_count, dataset.metadata)
 
 
@@ -286,32 +290,33 @@ def cmd_gen(args, cfg: dict) -> int:
 
 def cmd_chip(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
+    dump = args.dump and _fresh_path(Path(args.dump), args.force)
     d = cfg["chip.d"] or _checked("synth.q", cfg["synth.q"], ChipInstance, "d")
     chip = _chip_for(cfg, d=d)
+    with under("chip."):  # the map, if asked for, before anything is written
+        values = mismatch_map(chip, probe_code=cfg["chip.probe_code"]) if dump else None
     save_chip(chip, out)
     _echo(cfg)
     _note(f"wrote chip (D={chip.d}, L={chip.l}, seed={chip.seed}) to {out}")
-    if args.dump:
-        dump = _fresh_path(Path(args.dump), args.force)
-        write_mismatch_map(dump, mismatch_map(chip, probe_code=cfg["chip.probe_code"]))
+    if dump:
+        write_mismatch_map(dump, values)
         _note(f"wrote mismatch map to {dump}")
     return EXIT_OK
 
 
 def cmd_train(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
+    method = _one_of("train.method", cfg["train.method"], METHODS)
     dataset = parse_dataset(args.data)
     frontend = _frontend_from_cfg(cfg, dataset.channel_count)
+    if cfg["chip.d"] not in (0, frontend.rows):
+        raise FieldError("chip.d", f"0 or the front end's row count {frontend.rows}",
+                         cfg["chip.d"], "")
     chip = _chip_file(cfg, args.chip) if args.chip else _chip_for(cfg, d=frontend.rows)
-    plateau, [model] = _train_models(cfg, dataset, chip, frontend, [cfg["train.method"]],
-                                     keep_plateau=True)
-    # an optimistic sanity figure: the evaluation vote on the training set itself
-    correct = sum(plateau_class(h @ model.beta[:, : model.m], model, ticks) == t.label
-                  for (h, ticks), t in zip(plateau, dataset.trials))
-    model.report["train_accuracy"] = correct / len(dataset.trials)
+    [model] = _train_models(cfg, dataset, chip, frontend, [method], score=True)
     save_model(model, out)
     _echo(cfg)
-    _note(f"trained {cfg['train.method']} on {len(dataset.trials)} trials")
+    _note(f"trained {method} on {len(dataset.trials)} trials")
     _note(f"train_accuracy = {model.report['train_accuracy']:.4f}")
     _note(f"pruned = {int(np.sum(~model.support))} of {model.support.size} neurons")
     _note(f"wrote model to {out}")
@@ -319,6 +324,8 @@ def cmd_train(args, cfg: dict) -> int:
 
 
 def cmd_eval(args, cfg: dict) -> int:
+    with under("decoder."):
+        check_scoring((), cfg["decoder.tol_ms"])
     dataset, model, chip, noise_seed = _load_runtime(cfg, args)
     report = evaluate(dataset, model, chip, noise_seed=noise_seed, tol_ms=cfg["decoder.tol_ms"])
     _echo(cfg)
@@ -346,12 +353,13 @@ def cmd_stream(args, cfg: dict) -> int:
 
 def cmd_roc(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
-    if cfg["roc.points"] < 1:
-        raise ConfigError("roc.points must be >= 1")
+    _at_least("roc.points", cfg["roc.points"], 1)
     for key in ("roc.theta_min", "roc.theta_max"):
         if not math.isfinite(cfg[key]):
             raise ConfigError(f"{key} = {format_value(cfg[key])}, but ROC thresholds must be "
                               "finite (not NaN or infinite)")
+    with under("decoder."):
+        check_scoring((), cfg["decoder.tol_ms"])
     dataset, model, chip, noise_seed = _load_runtime(cfg, args)
     grid = np.linspace(cfg["roc.theta_min"], cfg["roc.theta_max"], cfg["roc.points"])
     points = roc_sweep(dataset, model, chip, theta_grid=grid, noise_seed=noise_seed,
@@ -364,15 +372,17 @@ def cmd_roc(args, cfg: dict) -> int:
 
 def cmd_sweep(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
+    with under("decoder."):
+        check_scoring((), cfg["decoder.tol_ms"])
+    methods = [_one_of("sweep.methods", m, METHODS) for m in parse_str_list(cfg["sweep.methods"])]
     dataset = parse_dataset(args.data)
-    train_set, test_set = split_dataset(dataset, cfg["split.test_fraction"],
-                                        _seed("split.seed", cfg["split.seed"]))
-    methods = parse_str_list(cfg["sweep.methods"])
-    l_grid = [_checked("sweep.l_grid", l, ChipInstance, "l")
-              for l in parse_int_list(cfg["sweep.l_grid"])]
-    n_grid = parse_int_list(cfg["sweep.n_grid"])
-    p_grid = parse_int_list(cfg["sweep.p_grid"])
-    seeds = [_seed("sweep.chip_seeds", seed) for seed in parse_int_list(cfg["sweep.chip_seeds"])]
+    split_seed = _at_least("split.seed", cfg["split.seed"])
+    with under("split."):
+        train_set, test_set = split_dataset(dataset, cfg["split.test_fraction"], split_seed)
+    l_grid, n_grid, p_grid, seeds = (parse_int_list(cfg[f"sweep.{key}"], f"sweep.{key}")
+                                     for key in ("l_grid", "n_grid", "p_grid", "chip_seeds"))
+    l_grid = [_checked("sweep.l_grid", l, ChipInstance, "l") for l in l_grid]
+    seeds = [_at_least("sweep.chip_seeds", seed) for seed in seeds]
     if not (methods and l_grid and n_grid and p_grid and seeds):
         raise ConfigError("sweep grids must be non-empty")
     for n in n_grid:  # 0 = every channel
@@ -383,6 +393,8 @@ def cmd_sweep(args, cfg: dict) -> int:
     if cfg["frontend.mode"] == "direct" and max(p_grid) > 1:
         raise ConfigError(f"sweep.p_grid has p={max(p_grid)}, but frontend.mode=direct builds "
                           "one row per channel; set frontend.mode=tdbdi or sweep.p_grid=1")
+    frontends = {(n, p): _frontend_from_cfg(cfg, n or dataset.channel_count, p, "sweep.p_grid")
+                 for n, p in itertools.product(n_grid, p_grid)}
 
     # H depends on the data, the front end and the chip, never on the trainer:
     # codes are computed once per (n, p) and hidden streams once per chip
@@ -392,13 +404,13 @@ def cmd_sweep(args, cfg: dict) -> int:
         sub_train = _restrict_channels(train_set, n_eff)
         sub_test = _restrict_channels(test_set, n_eff)
         for p in p_grid:
-            frontend = _frontend_from_cfg(cfg, n_eff, p=p)
+            frontend = frontends[n, p]
             # codes are 0..63, so uint8 holds them exactly
             train_codes = [run_trial(frontend, t).astype(np.uint8) for t in sub_train.trials]
             test_codes = [run_trial(frontend, t).astype(np.uint8) for t in sub_test.trials]
             for l, seed in itertools.product(l_grid, seeds):
                 chip = _chip_for(cfg, d=frontend.rows, seed=seed, l=l)
-                models = _train_models(cfg, sub_train, chip, frontend, methods, train_codes)[1]
+                models = _train_models(cfg, sub_train, chip, frontend, methods, train_codes)
                 streams = list(hidden_streams(test_codes, chip, cfg["decoder.normalize"],
                                               noise_seed))
                 for method, model in zip(methods, models):
@@ -422,10 +434,8 @@ def cmd_sweep(args, cfg: dict) -> int:
 
 def cmd_budget(args, cfg: dict) -> int:
     inputs = section(cfg, "budget")
-    try:
+    with under("budget."):
         report = budget_report(inputs)
-    except FieldError as exc:
-        raise exc.under("budget.") from None
     _echo(cfg)
     for line in format_budget(report).splitlines():
         _note(line)
@@ -462,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     except (np.linalg.LinAlgError, ConvergenceError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, DatasetError, TrainingError, OSError, ValueError) as exc:
+    except (ConfigError, DatasetError, TrainingError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from .analog import AnalogParams
 from .budget import BudgetInputs
 from .decoder import DecoderModel
-from .fields import FieldError
+from .fields import under
 from .spikeio import SynthParams
 from .training import TrapezoidParams
 
@@ -87,10 +87,8 @@ def section(cfg: dict[str, object], name: str):
     """The parameter object of section ``name``, built from its keys in
     ``cfg``; a value outside its field's domain is named by its key."""
     cls = SECTIONS[name]
-    try:
+    with under(f"{name}."):
         return cls(**{f.name: cfg[f"{name}.{f.name}"] for f in fields(cls)})
-    except FieldError as exc:
-        raise exc.under(f"{name}.") from None
 
 
 _TRUE = {"true", "1", "yes", "on"}
@@ -179,13 +177,14 @@ def echo_config(cfg: dict[str, object]) -> str:
     return "\n".join(f"{key} = {format_value(cfg[key])}" for key in sorted(cfg))
 
 
-def parse_int_list(raw: str) -> list[int]:
-    """Comma-separated integers; empty string means the empty list."""
+def parse_int_list(raw: str, key: str = "") -> list[int]:
+    """Comma-separated integers; empty string means the empty list.  An
+    error names ``key``, the setting ``raw`` came from, if given."""
     items = [part.strip() for part in raw.split(",") if part.strip()]
     try:
         return [int(item) for item in items]
     except ValueError as exc:
-        raise ConfigError(f"bad integer list {raw!r}: {exc}") from exc
+        raise ConfigError(f"bad integer list {raw!r}{key and f' for {key!r}'}: {exc}") from exc
 
 
 def parse_str_list(raw: str) -> list[str]:

@@ -35,8 +35,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .analog import FMAX_SEL_MAX, ChipInstance
-from .fields import (bounds, check_fields, check_order, json_array, read_versioned_json,
-                     write_versioned_json)
+from .fields import (FieldError, bounds, check_fields, check_order, json_array,
+                     read_versioned_json, write_versioned_json)
 from .frontend import FrontendConfig, run_trial
 from .spikeio import SpikeDataset, Trial
 from .training import OutputWeights, TrapezoidParams, hidden_stream, hidden_streams
@@ -222,8 +222,8 @@ class EvalReport:
 def split_dataset(dataset: SpikeDataset, test_fraction: float, seed: int
                   ) -> tuple[SpikeDataset, SpikeDataset]:
     """Deterministic stratified train/test split (per-class shuffle)."""
-    if not (0.0 < test_fraction < 1.0):
-        raise ValueError("test_fraction must be in (0, 1)")
+    if not 0.0 < test_fraction < 1.0:  # NaN fails too
+        raise FieldError("test_fraction", "a number > 0 and < 1", test_fraction, "")
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
     for cls in range(1, dataset.class_count + 1):
@@ -245,15 +245,12 @@ def majority_class(s_ticks: np.ndarray, m: int) -> int:
     return int(np.argmax(counts[1:])) + 1
 
 
-def plateau_class(outputs: np.ndarray, model: DecoderModel, ticks: np.ndarray | None = None) -> int:
-    """Type vote of one trial: the majority class of its per-tick outputs
-    over the ticks whose window ends on the trapezoid plateau
-    (``model.trap.on_plateau``); output row i is tick ``ticks[i]``, by
-    default tick i.  A trial with no plateau tick (one that ends before
-    ``t1_ms``) has no vote (0), so it is scored wrong whatever its label,
-    in training as in evaluation."""
-    ticks = np.arange(len(outputs)) if ticks is None else ticks
-    plateau = model.trap.on_plateau(model.frontend.tick_end_ms(ticks))
+def plateau_class(outputs: np.ndarray, model: DecoderModel) -> int:
+    """Type vote of one trial: the ``majority_class`` of its per-tick outputs
+    (row i is tick i) over the ticks whose window ends on the trapezoid
+    plateau (``model.trap.on_plateau``).  A trial with no plateau tick has
+    no vote (0), so it is scored wrong, in training as in evaluation."""
+    plateau = model.trap.on_plateau(model.frontend.tick_end_ms(np.arange(len(outputs))))
     return majority_class(np.argmax(outputs[plateau, : model.m], axis=1) + 1, model.m)
 
 
@@ -298,10 +295,11 @@ def _window_levels(outputs: list[np.ndarray], model: DecoderModel, floor: float)
     return levels
 
 
-def _check_scoring(thetas, tol_ms: float) -> None:
-    """Raise ``ValueError`` for a negative or NaN ``tol_ms`` or a NaN threshold."""
-    if not tol_ms >= 0:
-        raise ValueError(f"tol_ms must be >= 0, got {tol_ms}")
+def check_scoring(thetas, tol_ms: float) -> None:
+    """Raise ``ValueError`` for a NaN threshold, and ``FieldError`` for a
+    ``tol_ms`` that is negative, NaN or infinite."""
+    if not 0 <= tol_ms < math.inf:
+        raise FieldError("tol_ms", "a finite number >= 0", tol_ms, "")
     if np.isnan(thetas).any():
         raise ValueError("onset thresholds must not be NaN")
 
@@ -317,7 +315,7 @@ def score_onsets(trials: list[Trial], outputs: list[np.ndarray], model: DecoderM
     through the ticks tracks every (threshold, trial) pair, in groups of at
     most ``_TRACK_CELLS`` pairs; hits and false positives are counted at the
     ticks that have a rising edge.  ``evaluate`` and ``roc_sweep`` check
-    ``thetas`` and ``tol_ms`` (``_check_scoring``) before any work.
+    ``thetas`` and ``tol_ms`` (``check_scoring``) before any work.
     """
     thetas = np.asarray(thetas, dtype=np.float64).ravel()
     levels = _window_levels(outputs, model, thetas.min(initial=np.inf))
@@ -358,7 +356,7 @@ def evaluate(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
     evaluation order.  ``outputs``, if given, are the trials' (T, M+1)
     decoder outputs, already computed.
     """
-    _check_scoring([model.theta], tol_ms)
+    check_scoring([model.theta], tol_ms)
     if outputs is None:
         outputs = _output_streams(dataset, model, chip, noise_seed)
     confusion = np.zeros((dataset.class_count, dataset.class_count), dtype=np.int64)
@@ -389,7 +387,7 @@ def roc_sweep(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
     thetas = sorted(float(t) for t in np.asarray(theta_grid).ravel())
     if not thetas:
         raise ValueError("theta grid is empty")
-    _check_scoring(thetas, tol_ms)
+    check_scoring(thetas, tol_ms)
     outputs = _output_streams(dataset, model, chip, noise_seed)
     scores = score_onsets(dataset.trials, outputs, model, thetas, tol_ms)
     n = len(dataset.trials)

@@ -5,7 +5,8 @@ number, an ``int`` an integral one, a ``bool`` a bool (never a number).
 ``bounds`` adds limits as field metadata.  ``check_fields``, called from a
 parameter class's ``__post_init__``, tests every scalar field with
 comparisons that NaN fails, so the configuration, the Python API and the
-file reader share one check; ``FieldError.under`` adds the key's prefix.
+file reader share one check; ``FieldError.under`` adds the key's prefix,
+and ``under`` adds it to any ``FieldError`` raised in a block.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import math
 import numbers
 import operator
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -47,6 +49,15 @@ class FieldError(ValueError):
     def under(self, prefix: str) -> FieldError:
         key, domain, value, other = self.args
         return FieldError(prefix + key, domain, value, other and prefix + other)
+
+
+@contextmanager
+def under(prefix: str):
+    """Re-raise a ``FieldError`` from the block with ``prefix`` before its names."""
+    try:
+        yield
+    except FieldError as exc:
+        raise exc.under(prefix) from None
 
 
 def check_values(cls, values: dict) -> None:
@@ -103,10 +114,8 @@ def _from_fields(cls, doc, prefix: str = ""):
         raise ValueError(bad[0])
     values = {name: _from_fields(hints[name], doc[name], f"{prefix}{name}.")
               if is_dataclass(hints[name]) else doc[name] for name in names}
-    try:
+    with under(prefix):
         return cls(**values)
-    except FieldError as exc:
-        raise exc.under(prefix) from None
 
 
 def read_versioned_json(path: str | Path, fmt: str, version: int, cls):

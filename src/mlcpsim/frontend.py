@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import bounds, check_fields, check_values
+from .fields import FieldError, bounds, check_fields, check_values
 
 MAX_ROWS = 128
 SUBCOUNT_MAX = 15  # 4-bit sub-window counter
@@ -50,10 +50,15 @@ class FrontendConfig:
     rows: int = bounds(ge=1, le=MAX_ROWS)
     s_ext: np.ndarray = field(default=None)  # type: ignore[assignment]
     sdl: np.ndarray = field(default=None)  # type: ignore[assignment]
-    t_s_ms: float = bounds(20.0, gt=0)  # sub-window length
+    t_s_ms: float = bounds(20.0, gt=0)  # sub-window length, a whole number of µs
 
     def __post_init__(self):
         check_fields(self)
+        us = self.t_s_ms * 1000.0  # a decimal ms value is whole in µs up to float noise
+        if not (1.0 <= us < 9e15 and abs(us - round(us)) <= 1e-9 * us):  # 9e15 < 2**53
+            raise FieldError("t_s_ms", "a multiple of 0.001 (whole microseconds) >= 0.001 and "
+                             "< 9e12", self.t_s_ms, "")
+        self.t_s_us = round(us)  # the one tick length ``bin_events`` and ``tick_count`` read
         if self.s_ext is None:
             self.s_ext = np.zeros(self.rows, dtype=np.int64)
         self.s_ext = np.asarray(self.s_ext, dtype=np.int64)
@@ -93,9 +98,8 @@ class FrontendConfig:
         return cls(rows=n_channels, t_s_ms=t_s_ms)
 
     @classmethod
-    def tdbdi(
-        cls, n_channels: int, p: int, link_delay: int = 5, t_s_ms: float = 20.0
-    ) -> "FrontendConfig":
+    def tdbdi(cls, n_channels: int, p: int, link_delay: int = 5,
+              t_s_ms: float = 20.0) -> "FrontendConfig":
         """Dimension-increase configuration: ``p`` rows per channel.
 
         Row ``j*p`` is external (channel j); the following ``p-1`` rows each
@@ -103,19 +107,18 @@ class FrontendConfig:
         ``j*p + l`` carries channel j delayed by ``l*link_delay``.
         """
         if p < 1:
-            raise ValueError("p must be >= 1")
-        if not (1 <= link_delay <= SDL_MAX + 1):
-            raise ValueError(f"link_delay must be in [1, {SDL_MAX + 1}]")
+            raise FieldError("p", "an integer >= 1", p, "")
+        if not 1 <= link_delay <= SDL_MAX + 1:
+            raise FieldError("link_delay", f"an integer >= 1 and <= {SDL_MAX + 1}", link_delay, "")
         rows = n_channels * p
         check_values(cls, {"rows": rows})  # before the per-row arrays
         s_ext = (np.arange(rows) % p != 0).astype(np.int64)
         return cls(rows=rows, s_ext=s_ext, sdl=s_ext * (link_delay - 1), t_s_ms=t_s_ms)
 
 
-def bin_events(
-    times_us: np.ndarray, channels: np.ndarray, n_channels: int, t_s_ms: float, n_ticks: int
-) -> np.ndarray:
-    """Bin spike events into per-tick per-channel counts.
+def bin_events(times_us: np.ndarray, channels: np.ndarray, n_channels: int, t_s_us: int,
+               n_ticks: int) -> np.ndarray:
+    """Bin spike events into per-tick per-channel counts, ``t_s_us`` µs per tick.
 
     Sub-windows are half-open: an event exactly on a tick boundary belongs to
     the later sub-window.  Events at or past ``n_ticks`` sub-windows are
@@ -124,8 +127,7 @@ def bin_events(
     counts = np.zeros((n_ticks, n_channels), dtype=np.int64)
     if len(times_us) == 0:
         return counts
-    t_s_us = t_s_ms * 1000.0
-    ticks = (np.asarray(times_us, dtype=np.int64) // int(round(t_s_us))).astype(np.int64)
+    ticks = np.asarray(times_us, dtype=np.int64) // t_s_us
     keep = ticks < n_ticks
     np.add.at(counts, (ticks[keep], np.asarray(channels)[keep]), 1)
     return counts
@@ -152,12 +154,12 @@ def run_counts(config: FrontendConfig, channel_counts: np.ndarray) -> np.ndarray
 
 def tick_count(config: FrontendConfig, trial) -> int:
     """Sub-windows that cover a trial: the number of rows ``run_trial`` returns."""
-    return int(np.ceil(trial.duration / (config.t_s_ms * 1000.0)))
+    return -(-int(trial.duration) // config.t_s_us)
 
 
 def run_trial(config: FrontendConfig, trial) -> np.ndarray:
     """Codes for one spike trial: (n_ticks, rows), one tick per sub-window."""
     n_ticks = tick_count(config, trial)
-    counts = bin_events(trial.times_us, trial.channels, config.n_external, config.t_s_ms, n_ticks)
+    counts = bin_events(trial.times_us, trial.channels, config.n_external, config.t_s_us, n_ticks)
     return run_counts(config, counts)
 

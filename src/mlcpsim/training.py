@@ -39,6 +39,7 @@ SV_CUTOFF = 1e-10  # relative singular-value cutoff for least squares
 _GATHER_BYTES = 1 << 20  # the largest copy ``_gather_rows`` makes
 
 SAMPLE_POLICIES = ("unambiguous", "plateau", "all")
+METHODS = ("T1", "T2")
 
 
 class TrainingError(Exception):
@@ -94,35 +95,34 @@ def trapezoid(t_ms, params: TrapezoidParams) -> np.ndarray:
 
 @dataclass
 class HiddenMatrix:
-    """Hidden responses, one row per sampled tick: h (p, L) plus row provenance."""
+    """Hidden responses h (p, L): every trial's ticks in trial order,
+    ``n_ticks[i]`` rows for trial i."""
 
     h: np.ndarray
-    trial_index: np.ndarray  # dataset trial index per row
-    tick: np.ndarray  # tick within its trial per row
+    n_ticks: np.ndarray
 
     def __post_init__(self):
-        if self.h.ndim != 2 or self.h.shape[0] < 1:
-            raise TrainingError("hidden matrix must be (p, L) with p >= 1")
+        if self.h.ndim != 2 or not 1 <= self.h.shape[0] == np.sum(self.n_ticks):
+            raise TrainingError("hidden matrix must be (p, L) with p = sum(n_ticks) >= 1")
         if self.h.min(initial=0.0) < 0:  # a reduction: no H-sized mask; NaN is not flagged
             raise TrainingError("hidden responses are counts and cannot be negative")
 
 
 @dataclass
 class TargetSet:
-    """Training targets aligned with the hidden-matrix rows.
+    """Training targets aligned with the hidden-matrix rows: each row's
+    class ``labels`` (1..m), whose one-hot rows the type outputs fit on the
+    rows ``type_rows`` marks, and the trapezoid membership ``t_onset`` the
+    onset output fits on every row."""
 
-    ``t_type`` holds one-hot class rows, ``t_onset`` the trapezoid
-    membership, and ``type_rows`` marks the rows the type outputs train on
-    (the onset output always uses every row).
-    """
-
-    t_type: np.ndarray
+    labels: np.ndarray
+    m: int
     t_onset: np.ndarray
     type_rows: np.ndarray
 
     def __post_init__(self):
-        if not np.allclose(self.t_type.sum(axis=1), 1.0):
-            raise TrainingError("each type-target row must be one-hot")
+        if not 1 <= self.labels.min(initial=1) <= self.labels.max(initial=1) <= self.m:
+            raise TrainingError(f"class labels must lie in 1..{self.m}")
         if ((self.t_onset < 0) | (self.t_onset > 1)).any():
             raise TrainingError("onset targets must lie in [0, 1]")
 
@@ -138,12 +138,6 @@ class OutputWeights:
     beta: np.ndarray
     support: np.ndarray
     report: dict = field(default_factory=dict)
-
-
-def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((len(labels), n_classes))
-    out[np.arange(len(labels)), np.asarray(labels) - 1] = 1.0
-    return out
 
 
 def hidden_stream(codes: np.ndarray, chip: ChipInstance, normalize: bool,
@@ -167,22 +161,17 @@ def hidden_streams(codes, chip: ChipInstance, normalize: bool, noise_seed: int |
         yield hidden_stream(trial_codes, chip, normalize, trial_rng(noise_seed, idx))
 
 
-def collect_H(
-    dataset: SpikeDataset,
-    chip: ChipInstance,
-    frontend_cfg: FrontendConfig,
-    noise_seed: int | None = None,
-    sample_policy: str = "unambiguous",
-    trap: TrapezoidParams | None = None,
-    normalize: bool = True,
-    codes: list | None = None,
-) -> tuple[HiddenMatrix, TargetSet]:
+def collect_H(dataset: SpikeDataset, chip: ChipInstance, frontend_cfg: FrontendConfig,
+              noise_seed: int | None = None, sample_policy: str = "unambiguous",
+              trap: TrapezoidParams | None = None, normalize: bool = True,
+              codes: list | None = None) -> tuple[HiddenMatrix, TargetSet]:
     """Run the simulated chain over a dataset and assemble (H, targets).
 
-    One row per tick per trial; with a ``noise_seed`` (None: noise off),
-    each trial draws from its own counter-derived stream
-    ``trial_rng(noise_seed, trial_index)`` so results do not depend on
-    evaluation order.  Row timestamps are ``frontend_cfg.tick_end_ms``.
+    One row per tick, every trial's ticks in trial order (``n_ticks``
+    rows each); with a ``noise_seed`` (None: noise off), trial i draws
+    from its own counter-derived stream ``trial_rng(noise_seed, i)`` so
+    results do not depend on evaluation order.  Row timestamps are
+    ``frontend_cfg.tick_end_ms``.
     ``codes``, when given, are the trials' front-end codes computed
     beforehand with ``frontend_cfg``.
 
@@ -195,38 +184,29 @@ def collect_H(
     if not dataset.trials:
         raise TrainingError("dataset has no trials")
     if frontend_cfg.n_external != dataset.channel_count:
-        raise TrainingError(
-            f"front end expects {frontend_cfg.n_external} channels, "
-            f"dataset has {dataset.channel_count}"
-        )
+        raise TrainingError(f"front end expects {frontend_cfg.n_external} channels, "
+                            f"dataset has {dataset.channel_count}")
     if frontend_cfg.rows != chip.d:
-        raise TrainingError(
-            f"front end produces {frontend_cfg.rows} rows, chip takes {chip.d}"
-        )
+        raise TrainingError(f"front end produces {frontend_cfg.rows} rows, chip takes {chip.d}")
     trap = trap or TrapezoidParams()
 
     if codes is None:
         codes = (run_trial(frontend_cfg, trial) for trial in dataset.trials)
     n_ticks = np.array([tick_count(frontend_cfg, trial) for trial in dataset.trials])
-    starts = np.cumsum(n_ticks) - n_ticks
     h_all = np.empty((int(n_ticks.sum()), chip.l))
-    for h, start, n in zip(hidden_streams(codes, chip, normalize, noise_seed),
-                           starts, n_ticks):
-        h_all[start : start + n] = h
-    trial_index = np.repeat(np.arange(len(n_ticks)), n_ticks)
-    tick = np.arange(len(trial_index)) - np.repeat(starts, n_ticks)
-    membership = trapezoid(frontend_cfg.tick_end_ms(tick), trap)
-    labels = np.array([trial.label for trial in dataset.trials])[trial_index]
+    for h, end, n in zip(hidden_streams(codes, chip, normalize, noise_seed),
+                         np.cumsum(n_ticks), n_ticks):
+        h_all[end - n : end] = h
+    # tick k of every trial ends at the same time, so one trial's worth of
+    # memberships, as long as the longest, serves every trial
+    ticks_membership = trapezoid(frontend_cfg.tick_end_ms(np.arange(n_ticks.max())), trap)
+    membership = np.concatenate([ticks_membership[:n] for n in n_ticks])
+    labels = np.repeat([trial.label for trial in dataset.trials], n_ticks)
+    type_rows = np.ones(len(membership), bool) if sample_policy == "all" else membership == 1.0
     if sample_policy == "unambiguous":
-        type_rows = (membership == 0.0) | (membership == 1.0)
-    elif sample_policy == "plateau":
-        type_rows = membership == 1.0
-    else:
-        type_rows = np.ones(len(membership), dtype=bool)
-
-    hidden = HiddenMatrix(h_all, trial_index, tick)
-    targets = TargetSet(one_hot(labels, dataset.class_count), membership, type_rows)
-    return hidden, targets
+        type_rows |= membership == 0.0
+    return (HiddenMatrix(h_all, n_ticks),
+            TargetSet(labels, dataset.class_count, membership, type_rows))
 
 
 # ----------------------------------------------------------- lasso path
@@ -395,7 +375,7 @@ def check_penalties(method: str, ridge_lambda: float = 0.0, l1_lambda: float | N
     these settings: the penalties given are finite and >= 0, the target
     sparsity in [0, 1), and T2 takes exactly one of the last two.  An error
     names a setting with ``prefix`` before it."""
-    if method not in ("T1", "T2"):
+    if method not in METHODS:
         raise TrainingError(f"unknown training method {method!r}")
     if method == "T2" and (l1_lambda is None) == (target_sparsity is None):
         raise TrainingError("T2 takes exactly one of l1_lambda or target_sparsity")
@@ -524,7 +504,8 @@ def fit_output_weights(
 
     def type_block():  # under T1, built after the onset fit
         own = overwrite_h and method == "T1"
-        return _gather_rows(hidden.h, rows) if own else hidden.h[rows], targets.t_type[rows]
+        h = _gather_rows(hidden.h, rows) if own else hidden.h[rows]
+        return h, np.eye(targets.m)[targets.labels[rows] - 1]  # one-hot class rows
 
     blocks = [type_block, (hidden.h, targets.t_onset)]
     return fit_blocks(blocks, method, ridge_lambda, l1_lambda, target_sparsity, refit)

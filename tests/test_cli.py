@@ -398,7 +398,7 @@ def test_misspelled_frontend_mode_rejected_at_p_one(capsys, tmp_path, easy_run, 
     code, _, err = run(capsys, cmd, "--data", str(ds), "--out", str(out), "--seed", "3",
                        *SMALL_CHIP, "--set", "frontend.mode=tdbd", *extra)
     assert code == 2
-    assert "frontend.mode" in err and "'tdbd'" in err
+    assert "'frontend.mode' must be one of direct, tdbdi, got \"tdbd\"" in err
     assert not out.exists()
 
 
@@ -515,6 +515,49 @@ def test_runtime_commands_adopt_the_models_trap_and_stop_value(capsys, tmp_path,
         code, _, err = run(capsys, *base, "--out", str(out), "--set", setting)
         assert code == 2 and named in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["eval", "roc", "stream"])
+def test_runtime_commands_without_a_chip_file_adopt_the_models_chip_seed_and_l(
+        capsys, tmp_path, monkeypatch, shared_run, cmd):
+    ds, model = shared_run  # trained with --seed 3 on chip.l = 16
+    base = [cmd, "--data", str(ds), "--model", str(model)]
+    code, text, _ = run(capsys, *base, "--out", str(tmp_path / "out"))
+    assert code == 0
+    echoed = parse_config_text(text)
+    assert (echoed["chip.seed"], echoed["chip.l"]) == (3, 16)
+    monkeypatch.setattr(decoder, "_output_streams", _fail("decoder outputs computed"))
+    monkeypatch.setattr(cli, "decode_stream", _fail("the trial decoded"))
+    out = tmp_path / "refused"
+    for setting, named in [("chip.seed=5", "chip.seed = 5 differs from the model's 3"),
+                           ("chip.l=40", "chip.l = 40 differs from the model's 16")]:
+        code, _, err = run(capsys, *base, "--out", str(out), "--set", setting)
+        assert code == 2 and named in err
+        assert not out.exists()
+
+
+def test_train_takes_chip_d_only_as_the_front_ends_row_count(capsys, tmp_path, shared_run):
+    ds, _ = shared_run  # 8 channels, so a direct front end has 8 rows
+    out = tmp_path / "model.json"
+    base = ["train", "--data", str(ds), "--out", str(out), "--seed", "3", *SMALL_CHIP]
+    code, _, err = run(capsys, *base, "--set", "chip.d=100")
+    assert code == 2 and "'chip.d' must be 0 or the front end's row count 8, got 100" in err
+    assert not out.exists()
+    assert run(capsys, *base, "--set", "chip.d=8")[0] == 0
+    assert len(load_model(out).frontend.s_ext) == 8
+
+
+def test_a_run_too_large_for_memory_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
+                                                          shared_run):
+    ds, _ = shared_run
+
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 268. GiB for an array with shape (35913941, 1000)")
+
+    monkeypatch.setattr(cli, "collect_H", too_large)
+    code, _, err = run(capsys, "train", "--data", str(ds), "--out", str(tmp_path / "m.json"))
+    assert code == 2
+    assert err == "error: Unable to allocate 268. GiB for an array with shape (35913941, 1000)\n"
 
 
 @pytest.mark.parametrize("cmd, key", [("train", "train.noise_seed"),

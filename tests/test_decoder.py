@@ -517,6 +517,12 @@ def test_scorer_rejects_a_negative_or_nan_tolerance(easy_setup, tol_ms):
         roc_sweep(ds, model, chip, theta_grid=[0.5], tol_ms=tol_ms)
 
 
+def test_scorer_rejects_an_infinite_tolerance_by_name(easy_setup):
+    ds, chip, model = easy_setup
+    with pytest.raises(ValueError, match="^'tol_ms' must be a finite number >= 0, got Infinity$"):
+        evaluate(ds, model, chip, tol_ms=np.inf)
+
+
 def test_scorer_rejects_nan_thresholds(easy_setup):
     ds, chip, model = easy_setup
     with pytest.raises(ValueError, match="NaN"):

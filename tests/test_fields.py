@@ -30,8 +30,9 @@ def above(x: float) -> str:
     return repr(math.nextafter(x, math.inf))
 
 
-#: Every checked key: the command that reads it, and the values just past
-#: its domain's edges (each key also gets NaN and both infinities).  The
+#: Every checked key: the command that reads it, and values outside its
+#: domain, just past its edges where it has them (each key also gets NaN
+#: and both infinities).  The
 #: edges of the ordered fields are their neighbours' defaults.
 EDGES = {
     "synth.q": ("gen", ["0"]),
@@ -85,8 +86,19 @@ EDGES = {
     "decoder.tau": ("train", ["0", "5"]),
     "decoder.tr_ms": ("train", [below(0.0)]),
     "decoder.normalize": ("train", ["2"]),
-    "frontend.t_s_ms": ("train", ["0.0", below(0.0)]),
+    "frontend.t_s_ms": ("train", ["0.0", below(0.0), "0.0004", "19.9996", "1e300"]),
+    "frontend.mode": ("train", ["tdbd"]),
+    "frontend.p": ("train", ["0"]),
+    "frontend.link_delay": ("train", ["0", "6"]),
+    "chip.d": ("train", ["-1", "5"]),
+    "chip.probe_code": ("chip", ["0", "64"]),
     "train.ridge_lambda": ("train", [below(0.0)]),
+    "train.method": ("train", ["T3"]),
+    "train.sample_policy": ("train", ["every"]),
+    "split.test_fraction": ("sweep", ["0.0", "1.0", "1.5"]),
+    "sweep.p_grid": ("sweep", ["0", "1,0"]),
+    "sweep.methods": ("sweep", ["T1,T3"]),
+    "decoder.tol_ms": ("sweep", [below(0.0)]),
 }
 #: ``train`` settings whose domain depends on another key, or that leave
 #: the setting unset when negative: (key, settings).
@@ -96,6 +108,7 @@ TRAIN_ONLY = [
     ("train.l1_lambda", ["train.l1_lambda=nan"]),
     ("train.l1_lambda", ["train.method=T2", "train.l1_lambda=inf"]),
     ("train.target_sparsity", ["train.method=T2", "train.target_sparsity=1.0"]),
+    ("frontend.p", ["frontend.mode=tdbdi", "frontend.p=200"]),
 ]
 CASES = ([(command, key, [f"{key}={value}"]) for key, (command, values) in EDGES.items()
           for value in ["nan", "inf", "-inf", *values]]
@@ -127,8 +140,10 @@ def test_each_setting_outside_its_domain_exits_2_naming_its_key(capsys, tmp_path
     for name in ("gen_synthetic", "collect_H", "budget_report"):
         monkeypatch.setattr(cli, name, _fail)
     out = tmp_path / "out"
-    argv = [command, "--out", str(out)] + (["--data", str(tiny_dataset)] if command == "train"
-                                           else [])
+    argv = [command, "--out", str(out)] + {"train": ["--data", str(tiny_dataset)],
+                                           "sweep": ["--data", str(tiny_dataset)],
+                                           "chip": ["--dump", str(tmp_path / "map.csv")]
+                                           }.get(command, [])
     for setting in settings:
         argv += ["--set", setting]
     code = main(argv)

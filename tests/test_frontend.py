@@ -8,7 +8,9 @@ from mlcpsim.frontend import (
     bin_events,
     run_counts,
     run_trial,
+    tick_count,
 )
+from mlcpsim.fields import FieldError
 from mlcpsim.spikeio import Trial
 
 from frontend_oracle import Frontend, saturate_count
@@ -234,8 +236,39 @@ def test_bin_events_half_open_boundaries():
     # An event exactly on a tick boundary belongs to the later sub-window.
     times = np.array([0, 19999, 20000, 39999, 40000])
     channels = np.zeros(5, dtype=int)
-    counts = bin_events(times, channels, 1, 20.0, 3)
+    counts = bin_events(times, channels, 1, 20_000, 3)
     assert counts[:, 0].tolist() == [2, 2, 1]
+
+
+@pytest.mark.parametrize("t_s_ms", [19.9996, 0.0004, 0.0, 1e300])
+def test_a_tick_length_off_the_microsecond_grid_is_refused_by_name(t_s_ms):
+    # 19.9996 ms would count ticks of 19,999.6 us but bin events in 20,000 us
+    with pytest.raises(FieldError, match="^'t_s_ms' must be "):
+        FrontendConfig.direct(2, t_s_ms=t_s_ms)
+
+
+def test_the_default_tick_length_counts_ticks_as_the_float_formula_did():
+    config = FrontendConfig.direct(1)
+    assert config.t_s_us == 20_000
+    durations = np.random.default_rng(5).integers(0, 10**8, size=2000).tolist()
+    for d in durations + [0, 1, 19_999, 20_000, 20_001, 2_000_000]:
+        assert tick_count(config, Trial("t", 1, 0, d)) == int(np.ceil(d / (20.0 * 1000.0)))
+    times = np.random.default_rng(6).integers(0, 10**6, size=5000)
+    counts = bin_events(times, np.zeros(5000, int), 1, config.t_s_us, 50)
+    assert np.array_equal(counts[:, 0], np.bincount(times // int(round(20.0 * 1000.0)),
+                                                    minlength=50))
+
+
+@pytest.mark.parametrize("t_s_ms, t_s_us", [(20.0, 20_000), (12.5, 12_500), (0.001, 1),
+                                            (0.007, 7), (0.1 + 0.2, 300)])
+def test_tick_count_and_binning_share_one_whole_microsecond_tick(t_s_ms, t_s_us):
+    config = FrontendConfig.direct(1, t_s_ms=t_s_ms)
+    assert config.t_s_us == t_s_us and type(config.t_s_us) is int
+    # a trial one microsecond past three ticks: four ticks, its last event in the fourth
+    trial = Trial("t", 1, 0, 3 * t_s_us + 1, [3 * t_s_us - 1, 3 * t_s_us], [0, 0])
+    assert tick_count(config, trial) == 4
+    counts = bin_events(trial.times_us, trial.channels, 1, config.t_s_us, 4)
+    assert counts[:, 0].tolist() == [0, 0, 1, 1]
 
 
 def test_run_trial_codes():

@@ -21,7 +21,6 @@ from mlcpsim.training import (
     fit_blocks,
     fit_output_weights,
     hidden_stream,
-    one_hot,
     trapezoid,
 )
 from training_oracle import (
@@ -33,6 +32,7 @@ from training_oracle import (
     lasso_lambda_max,
     lasso_path,
     trapezoid_scalar,
+    type_targets,
 )
 
 
@@ -61,6 +61,11 @@ def cd_lasso(h, t, lam, iters=5000, tol=1e-13):
 
 def lasso_objective(h, t, beta, lam):
     return 0.5 * np.sum((h @ beta - t) ** 2) + lam * np.sum(np.abs(beta))
+
+
+def row_ticks(hidden):
+    """The tick within its trial of each row of H."""
+    return np.concatenate([np.arange(n) for n in hidden.n_ticks])
 
 
 def tiny_dataset(**overrides):
@@ -114,7 +119,7 @@ def test_plateau_policy_rows_are_the_plateau_ticks_on_the_clock():
     cfg = FrontendConfig.direct(6, t_s_ms=15.0)
     trap = TrapezoidParams(805, 900, 1005, 1100)
     hidden, targets = collect_H(ds, chip, cfg, sample_policy="plateau", trap=trap)
-    assert np.array_equal(targets.type_rows, trap.on_plateau(cfg.tick_end_ms(hidden.tick)))
+    assert np.array_equal(targets.type_rows, trap.on_plateau(cfg.tick_end_ms(row_ticks(hidden))))
     assert targets.type_rows.sum() == 2 * 8  # ticks 59..66 end at 900..1005 ms
 
 
@@ -131,10 +136,10 @@ def test_collect_row_count_every_tick():
     hidden, targets = collect_H(ds, chip, FrontendConfig.direct(6), sample_policy="all")
     # 4 trials x 2 s / 20 ms = 100 ticks each
     assert hidden.h.shape == (400, 8)
-    assert targets.t_type.shape == (400, 2)
-    assert targets.type_rows.all()
-    assert np.array_equal(hidden.trial_index, np.repeat(np.arange(4), 100))
-    assert np.array_equal(hidden.tick, np.tile(np.arange(100), 4))
+    assert hidden.n_ticks.tolist() == [100] * 4
+    assert targets.m == 2 and targets.type_rows.all()
+    assert np.array_equal(targets.labels, np.repeat([t.label for t in ds.trials], 100))
+    assert np.array_equal(row_ticks(hidden), np.tile(np.arange(100), 4))
 
 
 def test_collect_fills_H_like_a_stack_of_per_trial_streams():
@@ -156,10 +161,13 @@ def test_collect_fills_H_like_a_stack_of_per_trial_streams():
             for idx, trial in enumerate(trials)
         ])
         for codes in (None, [run_trial(cfg, trial).astype(np.uint8) for trial in trials]):
-            hidden, _ = collect_H(ds, chip, cfg, noise_seed=noise_seed, codes=codes)
+            hidden, targets = collect_H(ds, chip, cfg, noise_seed=noise_seed, codes=codes)
             assert np.array_equal(hidden.h, want)
-            assert np.array_equal(hidden.trial_index, np.repeat(np.arange(len(trials)), n_ticks))
-            assert np.array_equal(hidden.tick, np.concatenate([np.arange(n) for n in n_ticks]))
+            assert hidden.n_ticks.tolist() == n_ticks
+            assert np.array_equal(targets.labels, np.repeat([t.label for t in trials], n_ticks))
+            ticks = np.concatenate([np.arange(n) for n in n_ticks])
+            assert np.array_equal(targets.t_onset, trapezoid(cfg.tick_end_ms(ticks),
+                                                             TrapezoidParams()))
 
 
 def test_collect_zero_spikes_gives_zero_h():
@@ -456,8 +464,7 @@ def test_fit_output_weights_shapes_and_blocks():
     assert w.beta.shape == (10, 3)  # 2 type columns + onset
     # type columns fit on the unambiguous rows only: residual orthogonality
     # holds there, not on all rows
-    h_type = hidden.h[targets.type_rows]
-    t_type = targets.t_type[targets.type_rows]
+    h_type, t_type = hidden.h[targets.type_rows], type_targets(targets)
     resid = h_type.T @ (h_type @ w.beta[:, :2] - t_type)
     assert np.linalg.norm(resid) <= 1e-6 * np.linalg.norm(h_type.T @ t_type)
 
@@ -487,17 +494,17 @@ def test_t1_fit_that_may_overwrite_h_gives_the_shared_fits_bits(monkeypatch, pol
     hidden, targets = collect_H(ds, chip, FrontendConfig.direct(6), sample_policy=policy)
     rows = targets.type_rows
     assert rows.any() and (policy == "all") == rows.all()
-    zero = HiddenMatrix(np.zeros_like(hidden.h), hidden.trial_index, hidden.tick)
+    zero = HiddenMatrix(np.zeros_like(hidden.h), hidden.n_ticks)
     for h in (hidden, zero):
         shared = fit_output_weights(h, targets, ridge_lambda=ridge)
-        own = HiddenMatrix(h.h.copy(), h.trial_index, h.tick)
+        own = HiddenMatrix(h.h.copy(), h.n_ticks)
         in_place = fit_output_weights(own, targets, ridge_lambda=ridge, overwrite_h=True)
         assert _bits(in_place) == _bits(shared)
         assert in_place.report.get("degenerate") is (True if h is zero else None)
         # the type rows now lead H, in order
         assert np.array_equal(own.h[: rows.sum()], h.h[rows])
     # T2 reads H once per block, so it never overwrites it
-    own = HiddenMatrix(hidden.h.copy(), hidden.trial_index, hidden.tick)
+    own = HiddenMatrix(hidden.h.copy(), hidden.n_ticks)
     t2 = fit_output_weights(own, targets, "T2", target_sparsity=0.3, overwrite_h=True)
     assert np.array_equal(own.h, hidden.h)
     assert _bits(t2) == _bits(fit_output_weights(hidden, targets, "T2", target_sparsity=0.3))
@@ -525,27 +532,54 @@ def test_a_single_t1_fit_in_train_copies_no_type_rows(monkeypatch, ridge):
     monkeypatch.setattr(cli, "collect_H", lambda *args, **kwargs: (hidden, targets))
     cfg = resolve_config(None, [f"train.ridge_lambda={ridge}"], None)
     chip = build_chip(1, AnalogParams(), d=4, l=64)
-    plateau, _ = cli._train_models(cfg, SpikeDataset([], 4, 3), chip, FrontendConfig.direct(4),
-                                   ["T1"])
+    [model] = cli._train_models(cfg, SpikeDataset([], 4, 3), chip, FrontendConfig.direct(4),
+                                ["T1"])
     assert len(peaks) == 1 and peaks[0] < 0.5, peaks
-    assert plateau is None  # only train, which scores on them, keeps the plateau rows
+    assert "train_accuracy" not in model.report  # only train keeps plateau rows to score on
+
+
+def test_collect_H_holds_H_and_three_small_per_row_arrays():
+    """Beyond H, each row holds its onset target, class label and type-row
+    flag (17 bytes) and passing temporaries: no all-rows one-hot (here 64
+    bytes a row) and no per-row trial or tick arrays."""
+    ds = tiny_dataset(q=4, m=8, trials_per_class=10)
+    chip = build_chip(66, AnalogParams(), d=4, l=16)
+    tracemalloc.start()
+    try:
+        hidden, targets = collect_H(ds, chip, FrontendConfig.direct(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = hidden.h.shape[0]
+    assert rows == 8000 and targets.m == 8
+    assert peak < hidden.h.nbytes + 32 * rows, (peak - hidden.h.nbytes) / rows
 
 
 def test_hidden_matrix_rejects_a_negative_count_but_not_nan():
     h = np.ones((1000, 64))
-    rows = np.zeros(1000, int), np.arange(1000)
+    n_ticks = np.array([1000])
     tracemalloc.start()
     try:
-        HiddenMatrix(h, *rows)
+        HiddenMatrix(h, n_ticks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 0.01 * h.nbytes  # the check makes no H-sized mask
     h[2, 1] = -0.5
     with pytest.raises(TrainingError, match="cannot be negative"):
-        HiddenMatrix(h, *rows)
+        HiddenMatrix(h, n_ticks)
     h[2, 1] = np.nan  # not flagged, as a comparison with NaN is false
-    assert np.isnan(HiddenMatrix(h, *rows).h[2, 1])
+    assert np.isnan(HiddenMatrix(h, n_ticks).h[2, 1])
+    with pytest.raises(TrainingError, match=r"p = sum\(n_ticks\) >= 1"):
+        HiddenMatrix(h, np.array([600, 300]))
+
+
+def test_target_set_rejects_a_label_outside_its_classes():
+    onset, rows = np.zeros(3), np.ones(3, bool)
+    TargetSet(np.array([1, 3, 2]), 3, onset, rows)
+    for bad in ([0, 1, 2], [1, 4, 2]):
+        with pytest.raises(TrainingError, match="labels must lie in 1..3"):
+            TargetSet(np.array(bad), 3, onset, rows)
 
 
 # ------------------------------------------------- common-penalty search
@@ -558,8 +592,8 @@ def search_problem(seed, rows=70, l=14, m=3):
     tick = np.arange(rows) % 35
     membership = trapezoid((tick + 1) * 40.0, TrapezoidParams())
     type_rows = (membership == 0.0) | (membership == 1.0)
-    hidden = HiddenMatrix(h, np.arange(rows) // 35, tick)
-    return hidden, TargetSet(one_hot(labels, m), membership, type_rows)
+    hidden = HiddenMatrix(h, np.bincount(np.arange(rows) // 35))
+    return hidden, TargetSet(labels, m, membership, type_rows)
 
 
 @pytest.mark.parametrize("target", [0.0, 0.3, 0.5, 0.9])
@@ -639,7 +673,7 @@ def counting_events(monkeypatch, **kwargs):
 
 def output_columns(hidden, targets):
     """One (h, t) problem per output, as ``fit_output_weights`` poses them."""
-    h_type, t_type = hidden.h[targets.type_rows], targets.t_type[targets.type_rows]
+    h_type, t_type = hidden.h[targets.type_rows], type_targets(targets)
     return [(h_type, t_type[:, k]) for k in range(t_type.shape[1])] + [
         (hidden.h, targets.t_onset)]
 

@@ -9,7 +9,8 @@ block and ``fit_output_weights`` ran before the common-penalty search walked
 each homotopy lazily: they build every column's full ``lasso_path`` first,
 then read it on the 80-point grid with ``lasso_interp``.
 ``lasso_lambda_max`` and ``lasso_kkt_violation`` are checks on a lasso
-solution.  They live here only as references the package must match exactly.
+solution, and ``type_targets`` the one-hot type targets of a ``TargetSet``.
+They live here only as references the package must match exactly.
 """
 
 import numpy as np
@@ -77,6 +78,11 @@ def lasso_kkt_violation(h: np.ndarray, t: np.ndarray, beta: np.ndarray, lam: flo
     return viol
 
 
+def type_targets(targets) -> np.ndarray:
+    """One-hot rows of the type rows' class labels: what the type outputs fit."""
+    return np.eye(targets.m)[targets.labels[targets.type_rows] - 1]
+
+
 def eager_search(columns, target_sparsity):
     """(lam, beta) of the grid search over full paths, one (h, t) per output."""
     lam_max = max(lasso_lambda_max(h, t) for h, t in columns)
@@ -110,8 +116,7 @@ def eager_block_T2(h, t, target_sparsity, refit=False):
 
 def eager_fit_T2(hidden, targets, target_sparsity, refit=False):
     """(l1_lambda, beta) that ``fit_output_weights(method="T2", ...)`` must give."""
-    h_type = hidden.h[targets.type_rows]
-    t_type = targets.t_type[targets.type_rows]
+    h_type, t_type = hidden.h[targets.type_rows], type_targets(targets)
     h_all, t_onset = hidden.h, targets.t_onset
     columns = [(h_type, t_type[:, k]) for k in range(t_type.shape[1])]
     lam, beta = eager_search(columns + [(h_all, t_onset)], target_sparsity)
@@ -121,8 +126,7 @@ def eager_fit_T2(hidden, targets, target_sparsity, refit=False):
 def two_block_refit(hidden, targets, beta):
     """``beta`` refit on its nonzero rows as ``fit_output_weights`` refits it:
     type columns on the type rows, the onset column on every row."""
-    h_type = hidden.h[targets.type_rows]
-    t_type = targets.t_type[targets.type_rows]
+    h_type, t_type = hidden.h[targets.type_rows], type_targets(targets)
     support = np.any(beta != 0.0, axis=1)
     if not support.any():
         return beta
