@@ -23,7 +23,7 @@ import itertools
 import math
 import shutil
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +33,9 @@ from .analog import (ChipInstance, build_chip, load_chip, mismatch_map, save_chi
 from .budget import budget_json, budget_report, format_budget
 from .config import (DECODER_KEYS, DEFAULTS, ConfigError, echo_config, format_value,
                      parse_int_list, parse_str_list, resolve_config, section)
-from .decoder import (DecoderModel, check_scoring, decode_stream, evaluate, load_model,
-                      majority_class, roc_sweep, save_model, split_dataset, write_roc_csv,
-                      write_stream_csv)
+from .decoder import (DecoderModel, check_chip, check_scoring, decode_stream, evaluate,
+                      load_model, majority_class, roc_sweep, save_model, split_dataset,
+                      write_roc_csv, write_stream_csv)
 from .fields import FieldError, check_values, under
 from .frontend import MAX_ROWS, FrontendConfig, run_trial
 from .spikeio import (ChannelCountError, ChannelRangeError, DatasetError, SpikeDataset, Trial,
@@ -171,15 +171,6 @@ def _noise_seed(cfg: dict, name: str) -> int | None:
     return seed if cfg[f"{name}.noise_on"] else None
 
 
-def _chip_for(cfg: dict, d: int, seed: int | None = None, l: int | None = None):
-    """The chip of the ``analog.*`` keys and ``chip.seed``/``chip.l``, or
-    ``seed``/``l`` when given (checked by their own keys beforehand)."""
-    params = section(cfg, "analog")
-    with under("chip."):
-        return build_chip(cfg["chip.seed"] if seed is None else seed, params,
-                          d=d, l=cfg["chip.l"] if l is None else l)
-
-
 def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: list,
                   codes: list | None = None, score: bool = False) -> list:
     """One model per training method, fitted on one H collected on the chip
@@ -220,45 +211,62 @@ def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: lis
     return models
 
 
-def _adopt(cfg: dict, name: str, obj, source: str) -> None:
-    """Set each ``name.*`` key that is a field of dataclass ``obj`` or a key
-    of dict ``obj`` (read from ``source``) to its value there, the one the run
-    uses, so the echo shows it.  Configuring it to another value is an error."""
-    for key, value in (obj if isinstance(obj, dict) else vars(obj)).items():
-        full = f"{name}.{key}"
-        if full not in DEFAULTS:
-            continue
-        if cfg[full] != DEFAULTS[full] and cfg[full] != value:
-            raise ConfigError(f"{full} = {format_value(cfg[full])} differs from the {source}'s "
-                              f"{format_value(value)}; the {source}'s value is used, so drop "
-                              f"the setting or make another {source} with it")
-        cfg[full] = type(DEFAULTS[full])(value)
+def _resolve(cfg: dict, sources: dict) -> None:
+    """Set each key that a source fixes (``sources`` is ``{source: {key:
+    value}}``, chip file first) to its value there, the one the run uses, so
+    the echo shows it.  A setting other than the key's default and that
+    value, or two sources that disagree, is an error."""
+    fixed = {}  # key -> the source that set it
+    for source, values in sources.items():
+        for key, value in values.items():
+            if key in fixed and cfg[key] != value:
+                raise ConfigError(f"the {fixed[key]}'s {key} = {format_value(cfg[key])} differs "
+                                  f"from the {source}'s {format_value(value)}")
+            if key not in fixed and cfg[key] not in (DEFAULTS[key], value):
+                if source == "front end":  # its one key, chip.d, whose default 0 defers to it
+                    _at_least(key, cfg[key])
+                    raise FieldError(key, f"0 or the front end's row count {value}", cfg[key], "")
+                raise ConfigError(f"{key} = {format_value(cfg[key])} differs from the {source}'s "
+                                  f"{format_value(value)}; the {source}'s value is used, so drop "
+                                  f"the setting or make another {source} with it")
+            cfg[key], fixed[key] = type(DEFAULTS[key])(value), source
 
 
-def _chip_file(cfg: dict, path: str):
-    """The chip in file ``path``; its parameters become the ``analog.*`` keys."""
-    chip = load_chip(path)
-    _adopt(cfg, "analog", chip.params, "chip file")
-    return chip
+def _chip(cfg: dict, path: str | None, d: int, model: DecoderModel | None = None):
+    """The run's chip: the chip file at ``path``, else the chip of the
+    ``analog.*`` and ``chip.*`` keys, built after ``_resolve`` has set the
+    keys that the chip file, the ``model`` and a front end of ``d`` rows fix."""
+    chip, sources = load_chip(path) if path else None, {}
+    if chip:
+        if model:  # a chip of another shape is named by both D or both L
+            check_chip(model, chip)
+        sources["chip file"] = {**{f"analog.{k}": v for k, v in asdict(chip.params).items()},
+                                "chip.seed": chip.seed, "chip.d": chip.d, "chip.l": chip.l}
+    if model:
+        fe = model.frontend
+        p = fe.rows // fe.n_external
+        sources["model"] = {
+            **{f"decoder.{k}": getattr(model, k) for k in DECODER_KEYS},
+            **{f"trap.{k}": v for k, v in asdict(model.trap).items()},
+            "analog.fmax_sel": model.fmax_sel, "chip.seed": model.chip_seed,
+            "chip.l": model.beta.shape[0], "frontend.p": p, "frontend.t_s_ms": fe.t_s_ms,
+            **({"frontend.mode": "tdbdi", "frontend.link_delay": fe.delay_of(1)} if p > 1 else {})}
+    _resolve(cfg, {**sources, "front end": {"chip.d": d}})
+    if chip:
+        return chip
+    params = section(cfg, "analog")
+    with under("chip."):
+        return build_chip(cfg["chip.seed"], params, d=cfg["chip.d"], l=cfg["chip.l"])
 
 
 def _load_runtime(cfg: dict, args, trial: str | None = None) -> tuple:
     """(data, model, chip, noise seed) for the eval/stream/roc commands: the
     data is the dataset, or with ``trial`` only the (index, Trial) it names,
-    and must have the channel count of the model's front end.  The keys the
-    model fixes (``decoder.*``, ``trap.*``, and without a chip file
-    ``analog.fmax_sel``, ``chip.seed`` and ``chip.l``) take the model's
-    values."""
+    and must have the channel count of the model's front end.  The chip is
+    the ``--chip`` file or the model's (``_chip``)."""
     noise_seed = _noise_seed(cfg, "decoder")
     model = load_model(args.model)
-    _adopt(cfg, "decoder", model, "model")
-    _adopt(cfg, "trap", model.trap, "model")
-    if args.chip:
-        chip = _chip_file(cfg, args.chip)
-    else:
-        _adopt(cfg, "analog", model, "model")  # fmax_sel, the one analog field of a model
-        _adopt(cfg, "chip", {"seed": model.chip_seed, "l": model.beta.shape[0]}, "model")
-        chip = _chip_for(cfg, model.frontend.rows)
+    chip = _chip(cfg, args.chip, model.frontend.rows, model)
     channels = model.frontend.n_external
     try:
         data = (parse_dataset(args.data, channels) if trial is None
@@ -292,7 +300,7 @@ def cmd_chip(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
     dump = args.dump and _fresh_path(Path(args.dump), args.force)
     d = cfg["chip.d"] or _checked("synth.q", cfg["synth.q"], ChipInstance, "d")
-    chip = _chip_for(cfg, d=d)
+    chip = _chip(cfg, None, d)
     with under("chip."):  # the map, if asked for, before anything is written
         values = mismatch_map(chip, probe_code=cfg["chip.probe_code"]) if dump else None
     save_chip(chip, out)
@@ -309,10 +317,7 @@ def cmd_train(args, cfg: dict) -> int:
     method = _one_of("train.method", cfg["train.method"], METHODS)
     dataset = parse_dataset(args.data)
     frontend = _frontend_from_cfg(cfg, dataset.channel_count)
-    if cfg["chip.d"] not in (0, frontend.rows):
-        raise FieldError("chip.d", f"0 or the front end's row count {frontend.rows}",
-                         cfg["chip.d"], "")
-    chip = _chip_file(cfg, args.chip) if args.chip else _chip_for(cfg, d=frontend.rows)
+    chip = _chip(cfg, args.chip, frontend.rows)
     [model] = _train_models(cfg, dataset, chip, frontend, [method], score=True)
     save_model(model, out)
     _echo(cfg)
@@ -395,6 +400,8 @@ def cmd_sweep(args, cfg: dict) -> int:
                           "one row per channel; set frontend.mode=tdbdi or sweep.p_grid=1")
     frontends = {(n, p): _frontend_from_cfg(cfg, n or dataset.channel_count, p, "sweep.p_grid")
                  for n, p in itertools.product(n_grid, p_grid)}
+    for frontend in frontends.values():  # every grid point's chip has its front end's rows
+        _resolve(dict(cfg), {"front end": {"chip.d": frontend.rows}})
 
     # H depends on the data, the front end and the chip, never on the trainer:
     # codes are computed once per (n, p) and hidden streams once per chip
@@ -409,7 +416,7 @@ def cmd_sweep(args, cfg: dict) -> int:
             train_codes = [run_trial(frontend, t).astype(np.uint8) for t in sub_train.trials]
             test_codes = [run_trial(frontend, t).astype(np.uint8) for t in sub_test.trials]
             for l, seed in itertools.product(l_grid, seeds):
-                chip = _chip_for(cfg, d=frontend.rows, seed=seed, l=l)
+                chip = _chip({**cfg, "chip.seed": seed, "chip.l": l}, None, frontend.rows)
                 models = _train_models(cfg, sub_train, chip, frontend, methods, train_codes)
                 streams = list(hidden_streams(test_codes, chip, cfg["decoder.normalize"],
                                               noise_seed))

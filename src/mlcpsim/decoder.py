@@ -39,7 +39,7 @@ from .fields import (FieldError, bounds, check_fields, check_order, json_array,
                      read_versioned_json, write_versioned_json)
 from .frontend import FrontendConfig, run_trial
 from .spikeio import SpikeDataset, Trial
-from .training import OutputWeights, TrapezoidParams, hidden_stream, hidden_streams
+from .training import TrapezoidParams, hidden_stream, hidden_streams
 
 MODEL_FORMAT = "mlcpsim-model"
 MODEL_VERSION = 1
@@ -83,13 +83,6 @@ class DecoderModel:
         """The refractory length in ticks (not rounded)."""
         return self.tr_ms / self.frontend.t_s_ms
 
-    @classmethod
-    def from_training(
-        cls, weights: OutputWeights, m: int, frontend: FrontendConfig, **kwargs
-    ) -> "DecoderModel":
-        return cls(weights.beta, weights.support, m, frontend=frontend,
-                   report=weights.report, **kwargs)
-
 
 def save_model(model: DecoderModel, path: str | Path) -> None:
     """Write a decoder model to a versioned JSON file (byte-deterministic)."""
@@ -106,7 +99,7 @@ class ChipMismatchError(ValueError):
     """The chip does not have the shape the model was trained against."""
 
 
-def _check_chip(model: DecoderModel, chip: ChipInstance) -> None:
+def check_chip(model: DecoderModel, chip: ChipInstance) -> None:
     """Raise ``ChipMismatchError`` unless the chip's D and L match the model."""
     d, l = model.frontend.rows, model.beta.shape[0]
     if (d, l) != (chip.d, chip.l):
@@ -174,7 +167,7 @@ class DecodeResult:
 def decode_stream(trial: Trial, model: DecoderModel, chip: ChipInstance,
                   rng: np.random.Generator | None = None) -> DecodeResult:
     """Decode one spike trial end to end; noise is on when ``rng`` is given."""
-    _check_chip(model, chip)
+    check_chip(model, chip)
     o = hidden_stream(run_trial(model.frontend, trial), chip, model.normalize, rng) @ model.beta
     s = np.argmax(o[:, : model.m], axis=1) + 1
     g = (o[:, model.m] > model.theta).astype(np.int64)
@@ -261,7 +254,7 @@ def _output_streams(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstan
     on order."""
     if not dataset.trials:
         raise ValueError("cannot evaluate an empty test set")
-    _check_chip(model, chip)
+    check_chip(model, chip)
     codes = (run_trial(model.frontend, trial) for trial in dataset.trials)
     return [h @ model.beta for h in hidden_streams(codes, chip, model.normalize, noise_seed)]
 

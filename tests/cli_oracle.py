@@ -12,7 +12,8 @@ import itertools
 
 import numpy as np
 
-from mlcpsim.cli import _chip_for, _frontend_from_cfg, _restrict_channels
+from mlcpsim.analog import build_chip
+from mlcpsim.cli import _frontend_from_cfg, _restrict_channels
 from mlcpsim.config import parse_int_list, parse_str_list, section
 from mlcpsim.decoder import DecoderModel, evaluate, split_dataset
 from mlcpsim.spikeio import parse_dataset
@@ -25,9 +26,10 @@ def _point_model(cfg, method, hidden, targets, frontend, m, chip):
         hidden, targets, method=method, ridge_lambda=cfg["train.ridge_lambda"],
         l1_lambda=None if l1 < 0 else l1,
         target_sparsity=None if sparsity < 0 else sparsity, refit=cfg["train.refit"])
-    return DecoderModel.from_training(
-        weights, m=m, frontend=frontend, theta=cfg["decoder.theta"], lam=cfg["decoder.lam"],
-        tau=cfg["decoder.tau"], tr_ms=cfg["decoder.tr_ms"], normalize=cfg["decoder.normalize"],
+    return DecoderModel(
+        weights.beta, weights.support, m, frontend=frontend, report=weights.report,
+        theta=cfg["decoder.theta"], lam=cfg["decoder.lam"], tau=cfg["decoder.tau"],
+        tr_ms=cfg["decoder.tr_ms"], normalize=cfg["decoder.normalize"],
         chip_seed=chip.seed, fmax_sel=chip.params.fmax_sel, trap=section(cfg, "trap"))
 
 
@@ -46,7 +48,7 @@ def oracle_sweep(cfg: dict, data) -> tuple[str, list[str]]:
         frontend = _frontend_from_cfg(cfg, n_eff, p=p)
         accs = []
         for seed in parse_int_list(cfg["sweep.chip_seeds"]):
-            chip = _chip_for(cfg, d=frontend.rows, seed=seed, l=l)
+            chip = build_chip(seed, section(cfg, "analog"), frontend.rows, l)
             hidden, targets = collect_H(
                 sub_train, chip, frontend,
                 noise_seed=cfg["train.noise_seed"] if cfg["train.noise_on"] else None,

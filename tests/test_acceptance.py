@@ -137,7 +137,7 @@ def test_c07_supply_sweep_normalization_invariance():
     chip = build_chip(701, base, d=12, l=24)
     hidden, targets = collect_H(ds, chip, cfg)
     w = fit_output_weights(hidden, targets, method="T1", ridge_lambda=30.0)
-    model = DecoderModel.from_training(w, m=3, frontend=cfg, chip_seed=701)
+    model = DecoderModel(w.beta, w.support, 3, report=w.report, frontend=cfg, chip_seed=701)
 
     from mlcpsim.frontend import run_trial
 
@@ -248,7 +248,8 @@ def test_c09_decoding_trends_on_synthetic_data():
         chip = build_chip(seed, AnalogParams(), d=fe.rows, l=l)
         hidden, targets = collect_H(tr, chip, fe)
         w = fit_output_weights(hidden, targets, method=method, **fit_kw)
-        model = DecoderModel.from_training(w, m=ds.class_count, frontend=fe, chip_seed=seed)
+        model = DecoderModel(w.beta, w.support, ds.class_count, frontend=fe, chip_seed=seed,
+                             report=w.report)
         return evaluate(te, model, chip).accuracy, int(w.support.sum())
 
     # (a) more hidden neurons help: L=60 beats L=10 by >= 5 points (mean of 5 chips)
@@ -323,7 +324,7 @@ def test_c11_roc_sweep_sanity():
     chip = build_chip(1101, AnalogParams(), d=8, l=16)
     hidden, targets = collect_H(ds, chip, cfg)
     w = fit_output_weights(hidden, targets, method="T1")
-    model = DecoderModel.from_training(w, m=2, frontend=cfg, chip_seed=1101)
+    model = DecoderModel(w.beta, w.support, 2, report=w.report, frontend=cfg, chip_seed=1101)
 
     grid = [1e9, 0.9, 0.6, 0.3, 0.0]
     points = roc_sweep(ds, model, chip, theta_grid=grid)

@@ -23,6 +23,9 @@ from mlcpsim.analog import (
     write_mismatch_map,
 )
 
+from mlcpsim.frontend import FrontendConfig, run_trial
+from mlcpsim.spikeio import SynthParams, gen_synthetic
+
 from analog_oracle import DegenerateInputError, dac_current, normalize_hidden
 
 
@@ -343,6 +346,43 @@ def test_supply_sweep_normalization_cancels():
     assert np.allclose(ratio, 2.5 / 0.6, rtol=2e-3)
     for dvdd in [1.0, 2.5]:
         assert np.max(np.abs(results[dvdd][1] / n06 - 1.0)) < 1e-3
+
+
+def test_normalized_counts_do_not_depend_on_alpha_supply_on_random_chips():
+    # alpha_supply scales every count before the counter's floor, so on each
+    # tick where no counter stops, the normalized row is the same up to that
+    # floor: per neuron, counts/alpha and the alpha = 1 counts differ by less
+    # than e = max(1, 1/alpha).  The same noise draws hold it with noise on.
+    rng = np.random.default_rng(2016)
+    for case in range(16):
+        q = int(rng.integers(2, 10))
+        data = gen_synthetic(SynthParams(q=q, m=2, trials_per_class=1, trial_duration_ms=1500.0,
+                                         seed=int(rng.integers(1 << 30))))
+        frontend = FrontendConfig.tdbdi(q, int(rng.integers(1, 3)),
+                                        link_delay=int(rng.integers(1, 6)))
+        codes = np.concatenate([run_trial(frontend, trial) for trial in data.trials])
+        params = AnalogParams(i_ref_na=rng.uniform(1.0, 8.0), fmax_sel=int(rng.integers(5, 8)),
+                              b_na=rng.uniform(0.0, 2.0), sigma_vt_mv=rng.uniform(0.0, 30.0))
+        chip = build_chip(int(rng.integers(1 << 30)), params, d=frontend.rows,
+                          l=int(rng.integers(4, 40)))
+        alpha = float(rng.choice([rng.uniform(0.3, 1.0), rng.uniform(1.0, 3.0)]))
+        scaled = dataclasses.replace(chip, params=dataclasses.replace(params, alpha_supply=alpha))
+        seed = int(rng.integers(1 << 30))  # odd cases: noise on, the same draws for both
+        h1, h_alpha = (hidden_layer(codes, c, np.random.default_rng(seed) if case % 2 else None)
+                       for c in (chip, scaled))
+        live = ~((h1 == params.stop_value) | (h_alpha == params.stop_value)).any(axis=1)
+        live &= (h1.sum(axis=1) > 0) & (h_alpha.sum(axis=1) > 0) & (codes.sum(axis=1) > 0)
+        assert live.sum() >= len(codes) // 2
+        # with a = h_alpha / alpha, b = h1 and S a row's sum over its L neurons,
+        # ||a/S(a) - b/S(b)|| <= sqrt(L) e / S(a) + ||b|| L e / (S(a) S(b));
+        # normalizing multiplies both by the row's code sum
+        a, b, x = h_alpha[live] / alpha, h1[live].astype(np.float64), codes[live]
+        e = max(1.0, 1.0 / alpha)
+        s_a, s_b = a.sum(axis=1), b.sum(axis=1)
+        bound = x.sum(axis=1) * e * (math.sqrt(chip.l) / s_a
+                                     + np.linalg.norm(b, axis=1) * chip.l / (s_a * s_b))
+        dev = np.linalg.norm(normalize_rows(h_alpha[live], x) - normalize_rows(b, x), axis=1)
+        assert np.all(dev <= bound * (1 + 1e-9)), case
 
 
 # ------------------------------------------------------------ mismatch map

@@ -112,6 +112,24 @@ def test_echo_is_reusable_config(capsys, tmp_path):
     assert read_tree(tmp_path / "ds") == read_tree(tmp_path / "ds2")
 
 
+@pytest.mark.parametrize("cmd", ["train", "eval", "roc", "stream"])
+def test_echo_of_a_chip_train_or_decode_run_is_reusable_config(capsys, tmp_path, shared_run, cmd):
+    ds, model = shared_run
+    chip = tmp_path / "chip.json"  # the row count of 8 channels under tdbdi, p = 2
+    assert run(capsys, "chip", "--out", str(chip), "--seed", "5", "--set", "chip.d=16",
+               "--set", "chip.l=12")[0] == 0
+    argv = (["train", "--data", str(ds), "--chip", str(chip), "--set", "frontend.mode=tdbdi"]
+            if cmd == "train" else [cmd, "--data", str(ds), "--model", str(model)])
+    code, echo, _ = run(capsys, *argv, "--out", str(tmp_path / "a"))
+    assert code == 0
+    cfg_file = tmp_path / "echo.cfg"
+    cfg_file.write_text(echo)
+    code, again, _ = run(capsys, *argv[:5], "--config", str(cfg_file), "--out", str(tmp_path / "b"))
+    assert code == 0
+    assert again.replace(str(tmp_path / "b"), "") == echo.replace(str(tmp_path / "a"), "")
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
 def test_chip_dump_and_roundtrip(capsys, tmp_path):
     chip_file, mm = tmp_path / "chip.json", tmp_path / "mm.csv"
     code, _, _ = run(capsys, "chip", "--out", str(chip_file), "--dump", str(mm),
@@ -337,6 +355,24 @@ def test_sweep_p_above_one_in_direct_mode_is_rejected(capsys, tmp_path, easy_run
     assert not out.exists()
 
 
+def test_sweep_takes_chip_d_only_as_every_grid_points_row_count(capsys, tmp_path, monkeypatch,
+                                                                shared_run):
+    ds, _ = shared_run  # 8 channels
+    base = ["sweep", "--data", str(ds), "--set", "sweep.l_grid=8", "--set", "sweep.chip_seeds=1"]
+    outs = [tmp_path / "auto.csv", tmp_path / "eight.csv"]
+    for out, d in zip(outs, [0, 8]):
+        assert run(capsys, *base, "--out", str(out), "--set", f"chip.d={d}")[0] == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    monkeypatch.setattr(cli, "collect_H", _fail("H collected"))
+    out = tmp_path / "refused.csv"
+    for extra, rows in [(["--set", "chip.d=100"], 8),
+                        (["--set", "chip.d=8", "--set", "frontend.mode=tdbdi",
+                          "--set", "sweep.p_grid=1,2"], 16)]:
+        code, _, err = run(capsys, *base, "--out", str(out), *extra)
+        assert code == 2 and f"'chip.d' must be 0 or the front end's row count {rows}" in err
+        assert not out.exists()
+
+
 BOTH_T2_PENALTIES = ["--set", "train.l1_lambda=0.5", "--set", "train.target_sparsity=0.3"]
 
 
@@ -526,11 +562,18 @@ def test_runtime_commands_without_a_chip_file_adopt_the_models_chip_seed_and_l(
     assert code == 0
     echoed = parse_config_text(text)
     assert (echoed["chip.seed"], echoed["chip.l"]) == (3, 16)
+    # the row count of the model's direct front end, one row per channel
+    assert (echoed["chip.d"], echoed["frontend.p"], echoed["frontend.t_s_ms"]) == (8, 1, 20.0)
     monkeypatch.setattr(decoder, "_output_streams", _fail("decoder outputs computed"))
     monkeypatch.setattr(cli, "decode_stream", _fail("the trial decoded"))
     out = tmp_path / "refused"
     for setting, named in [("chip.seed=5", "chip.seed = 5 differs from the model's 3"),
-                           ("chip.l=40", "chip.l = 40 differs from the model's 16")]:
+                           ("chip.l=40", "chip.l = 40 differs from the model's 16"),
+                           ("chip.d=100", "'chip.d' must be 0 or the front end's row count 8, "
+                                          "got 100"),
+                           ("frontend.p=3", "frontend.p = 3 differs from the model's 1"),
+                           ("frontend.t_s_ms=10",
+                            "frontend.t_s_ms = 10.0 differs from the model's 20.0")]:
         code, _, err = run(capsys, *base, "--out", str(out), "--set", setting)
         assert code == 2 and named in err
         assert not out.exists()
@@ -595,6 +638,7 @@ def test_a_negative_noise_seed_is_refused_by_its_key(capsys, tmp_path, monkeypat
     ("sweep", "sweep.n_grid=-1", "sweep.n_grid"),
     ("sweep", "sweep.n_grid=9", "sweep.n_grid"),  # the dataset has 8 channels
     ("sweep", "split.seed=-1", "split.seed"),
+    ("sweep", "chip.d=-1", "chip.d"),
 ])
 def test_chip_sweep_and_split_values_are_named_by_their_key(capsys, tmp_path, monkeypatch,
                                                            shared_run, cmd, setting, key):
@@ -623,6 +667,10 @@ def test_runtime_commands_echo_the_chip_files_parameters(capsys, tmp_path, monke
         assert code == 0
         echoed = parse_config_text(text)
         assert (echoed["analog.i_ref_na"], echoed["analog.alpha_supply"]) == (5.0, 1.0)
+    # without --seed and chip.l set, the echo shows the chip file's die
+    code, text, _ = run(capsys, *base[:7], "--out", str(tmp_path / "out"), "--force")
+    echoed = parse_config_text(text)
+    assert code == 0 and (echoed["chip.seed"], echoed["chip.d"], echoed["chip.l"]) == (3, 8, 16)
     # set to something else, NaN too: refused before decoding, naming the key
     monkeypatch.setattr(decoder, "_output_streams", _fail("decoder outputs computed"))
     monkeypatch.setattr(cli, "decode_stream", _fail("the trial decoded"))
@@ -632,6 +680,16 @@ def test_runtime_commands_echo_the_chip_files_parameters(capsys, tmp_path, monke
         code, _, err = run(capsys, *base, "--out", str(out), "--set", setting)
         assert code == 2
         assert f"{named} differs from the chip file's" in err
+        assert not out.exists()
+    # a chip file of another die than the model's (trained on seed 3, fmax_sel 7)
+    other = tmp_path / "other.json"
+    for chip_set, named in [(["--seed", "4"], "chip.seed = 4 differs from the model's 3"),
+                            (["--seed", "3", "--set", "analog.fmax_sel=3"],
+                             "analog.fmax_sel = 3 differs from the model's 7")]:
+        assert run(capsys, "chip", "--out", str(other), "--force", "--set", "synth.q=8",
+                   *SMALL_CHIP, *chip_set)[0] == 0
+        code, _, err = run(capsys, *base[:5], "--chip", str(other), "--out", str(out))
+        assert code == 2 and f"the chip file's {named}" in err
         assert not out.exists()
 
 
@@ -646,10 +704,26 @@ def test_train_with_a_chip_file_refuses_a_differing_analog_setting(capsys, tmp_p
             *SMALL_CHIP]
     code, text, _ = run(capsys, *argv, "--set", "analog.i_ref_na=20")  # the chip's value
     assert code == 0 and parse_config_text(text)["analog.i_ref_na"] == 20.0
+    # without --seed and chip.l set, the echo shows the chip file's die
+    code, text, _ = run(capsys, *argv[:7], "--force")
+    echoed = parse_config_text(text)
+    assert code == 0 and (echoed["chip.seed"], echoed["chip.d"], echoed["chip.l"]) == (3, 8, 16)
     monkeypatch.setattr(cli, "collect_H", _fail("H collected"))
     code, _, err = run(capsys, *argv, "--force", "--set", "analog.alpha_supply=nan")
     assert code == 2
     assert "analog.alpha_supply = nan differs from the chip file's 1.0" in err
+    for setting, named in [("chip.seed=9", "chip.seed = 9 differs from the chip file's 3"),
+                           ("chip.l=40", "chip.l = 40 differs from the chip file's 16")]:
+        code, _, err = run(capsys, *argv[:7], "--force", "--set", setting)
+        assert code == 2 and named in err
+    # a chip file whose D is not the row count of the 8-channel direct front end
+    wide, refused = tmp_path / "wide.json", tmp_path / "refused.json"
+    assert run(capsys, "chip", "--out", str(wide), "--seed", "3", "--set", "chip.d=9",
+               *SMALL_CHIP)[0] == 0
+    code, _, err = run(capsys, "train", "--data", str(ds), "--chip", str(wide),
+                       "--out", str(refused))
+    assert code == 2 and "the chip file's chip.d = 9 differs from the front end's 8" in err
+    assert not refused.exists()
 
 
 @pytest.mark.parametrize("kind, name", DEFECT_CASES)

@@ -62,7 +62,7 @@ def easy_setup():
     chip = build_chip(71, AnalogParams(), d=12, l=24)
     hidden, targets = collect_H(ds, chip, cfg)
     w = fit_output_weights(hidden, targets, method="T1")
-    model = DecoderModel.from_training(w, m=3, frontend=cfg, chip_seed=71)
+    model = DecoderModel(w.beta, w.support, 3, report=w.report, frontend=cfg, chip_seed=71)
     return ds, chip, model
 
 
@@ -303,7 +303,8 @@ def test_perfect_predictor_scores():
     hidden, targets = collect_H(ds, chip, cfg)
     w = fit_output_weights(hidden, targets, method="T1")
     # long refractory: one detection per trial even though the burst outlives Tr=140
-    model = DecoderModel.from_training(w, m=3, frontend=cfg, chip_seed=81, tr_ms=400.0)
+    model = DecoderModel(w.beta, w.support, 3, frontend=cfg, chip_seed=81, tr_ms=400.0,
+                         report=w.report)
     # establish that this predictor really is perfect, trial by trial ...
     for trial in ds.trials:
         res = decode_stream(trial, model, chip)
@@ -644,7 +645,7 @@ def test_supply_factor_does_not_move_predictions():
     # a little ridge keeps ||beta|| small, so the class margin dwarfs the
     # o-perturbation the counter floor can induce
     w = fit_output_weights(hidden, targets, method="T1", ridge_lambda=30.0)
-    model = DecoderModel.from_training(w, m=3, frontend=cfg, chip_seed=85)
+    model = DecoderModel(w.beta, w.support, 3, report=w.report, frontend=cfg, chip_seed=85)
 
     for trial in [ds.trials[1], ds.trials[5], ds.trials[9]]:  # one per class
         codes = run_trial(cfg, trial)
