@@ -171,10 +171,8 @@ def decode_stream(trial: Trial, model: DecoderModel, chip: ChipInstance,
     o = hidden_stream(run_trial(model.frontend, trial), chip, model.normalize, rng) @ model.beta
     s = np.argmax(o[:, : model.m], axis=1) + 1
     g = (o[:, model.m] > model.theta).astype(np.int64)
-    # the window test of score_onsets, for one stream at the model's theta
-    levels = _window_levels([o], model, model.theta)
-    g_track = np.zeros(len(o), dtype=np.int64)
-    for n, cur, _ in _track_steps(levels, [model.theta], model.tr_ticks):
+    g_track = np.zeros(len(o), dtype=np.int64)  # by the window test of score_onsets
+    for n, cur, _ in _track_steps(_window_levels([o], model), [model.theta], model.tr_ticks):
         g_track[n] = cur[0, 0]
     t_ms = model.frontend.tick_end_ms(np.arange(len(o)))
     return DecodeResult(t_ms, o, s, g, g_track, g_track * s)
@@ -259,32 +257,28 @@ def _output_streams(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstan
     return [h @ model.beta for h in hidden_streams(codes, chip, model.normalize, noise_seed)]
 
 
-def _window_levels(outputs: list[np.ndarray], model: DecoderModel, floor: float) -> np.ndarray:
-    """(T, B) levels of a trial batch, -inf where at most ``floor``.
-
-    A trial's level at a tick is the ``lam``-th largest of its last ``tau``
-    onset outputs (-inf before its first tick, past its last and for NaN),
-    so at least ``lam`` of those outputs exceed theta exactly when the level
-    does, whatever theta is.  Only the windows whose level exceeds ``floor``
-    (at least ``lam`` outputs above it, one cumulative sum) are ranked.
+def _window_levels(outputs: list[np.ndarray], model: DecoderModel) -> np.ndarray:
+    """(T, B) levels of a trial batch: a trial's level at a tick is the
+    ``lam``-th largest of its last ``tau`` onset outputs (-inf before its
+    first tick, past its last and for NaN), so at least ``lam`` of those
+    outputs exceed theta exactly when the level does, whatever theta is.
+    Every window is ranked, whole trials at a time, at most ``_TRACK_CELLS``
+    window values (or one trial's) at once.
     """
-    lam, tau = model.lam, model.tau
+    tau, k = model.tau, model.tau - model.lam  # the lam-th largest, at index k when sorted
     lengths = np.array([len(o) for o in outputs])
     n_trials, n_ticks = len(outputs), int(lengths.max())
     valid = np.arange(n_ticks) < lengths[:, None]
     onset = np.full((n_trials, tau - 1 + n_ticks), -np.inf)
     onset[:, tau - 1:][valid] = np.concatenate([o[:, model.m] for o in outputs])
     onset[np.isnan(onset)] = -np.inf
-    csum = np.zeros((n_trials, tau + n_ticks), dtype=np.int64)
-    np.cumsum(onset > floor, axis=1, out=csum[:, 1:])
-    rows, ticks = np.nonzero((csum[:, tau:] - csum[:, :n_ticks] >= lam) & valid)
     levels = np.full((n_ticks, n_trials), -np.inf)
-    if len(rows):
+    if n_ticks:  # a window longer than the padded row has no view
         windows = sliding_window_view(onset, tau, axis=1)  # (B, T, tau), a view
-        step = max(1, _TRACK_CELLS // tau)
-        for lo in range(0, len(rows), step):
-            b, n = rows[lo:lo + step], ticks[lo:lo + step]
-            levels[n, b] = np.partition(windows[b, n], tau - lam, axis=1)[:, tau - lam]
+        step = max(1, _TRACK_CELLS // (n_ticks * tau))
+        for lo in range(0, n_trials, step):
+            levels[:, lo:lo + step] = np.partition(windows[lo:lo + step], k, axis=2)[..., k].T
+        levels[~valid.T] = -np.inf
     return levels
 
 
@@ -311,7 +305,7 @@ def score_onsets(trials: list[Trial], outputs: list[np.ndarray], model: DecoderM
     ``thetas`` and ``tol_ms`` (``check_scoring``) before any work.
     """
     thetas = np.asarray(thetas, dtype=np.float64).ravel()
-    levels = _window_levels(outputs, model, thetas.min(initial=np.inf))
+    levels = _window_levels(outputs, model)
     n_ticks, n_trials = levels.shape
     onsets_ms = np.array([trial.onset / 1000.0 for trial in trials])
     t_ms = model.frontend.tick_end_ms(np.arange(n_ticks))
@@ -336,8 +330,7 @@ def score_onsets(trials: list[Trial], outputs: list[np.ndarray], model: DecoderM
 
 
 def evaluate(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
-             noise_seed: int | None = None, tol_ms: float = 150.0,
-             outputs: list | None = None) -> EvalReport:
+             noise_seed: int | None = None, tol_ms: float = 150.0) -> EvalReport:
     """Score a test set.
 
     Type accuracy is the fraction of trials whose ``plateau_class`` vote
@@ -346,12 +339,11 @@ def evaluate(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
     of the true onset; detections outside that window count as false
     positives.  With a ``noise_seed`` (None: noise off), each trial uses
     its own counter-derived stream, so scores are independent of
-    evaluation order.  ``outputs``, if given, are the trials' (T, M+1)
-    decoder outputs, already computed.
+    evaluation order.  The trials are decoded here (``_output_streams``);
+    ``sweep`` scores type alone, by ``plateau_class`` on its own outputs.
     """
     check_scoring([model.theta], tol_ms)
-    if outputs is None:
-        outputs = _output_streams(dataset, model, chip, noise_seed)
+    outputs = _output_streams(dataset, model, chip, noise_seed)
     confusion = np.zeros((dataset.class_count, dataset.class_count), dtype=np.int64)
     for trial, o in zip(dataset.trials, outputs):
         if vote := plateau_class(o, model):

@@ -93,11 +93,6 @@ class FrontendConfig:
         return (np.asarray(ticks) + 1) * self.t_s_ms
 
     @classmethod
-    def direct(cls, n_channels: int, t_s_ms: float = 20.0) -> "FrontendConfig":
-        """All-external configuration: one row per input channel."""
-        return cls(rows=n_channels, t_s_ms=t_s_ms)
-
-    @classmethod
     def tdbdi(cls, n_channels: int, p: int, link_delay: int = 5,
               t_s_ms: float = 20.0) -> "FrontendConfig":
         """Dimension-increase configuration: ``p`` rows per channel.

@@ -66,7 +66,7 @@ def test_c03_window_counter_equals_brute_force():
     sliding = sum(padded[k : k + n_ticks] for k in range(5))
     expected = np.minimum(sliding, 63)
 
-    fe = Frontend(FrontendConfig.direct(rows))
+    fe = Frontend(FrontendConfig.tdbdi(rows, 1))
     got = np.stack([fe.step(counts[t]) for t in range(n_ticks)])
     assert np.array_equal(got, expected)
 
@@ -132,7 +132,7 @@ def test_c07_supply_sweep_normalization_invariance():
             trials_per_class=4, seed=700,
         )
     )
-    cfg = FrontendConfig.direct(12)
+    cfg = FrontendConfig.tdbdi(12, 1)
     base = AnalogParams(i_ref_na=6.0)
     chip = build_chip(701, base, d=12, l=24)
     hidden, targets = collect_H(ds, chip, cfg)
@@ -244,7 +244,7 @@ def test_c09_decoding_trends_on_synthetic_data():
 
     def accuracy(l, n, p, seed, method="T1", **fit_kw):
         tr, te = _restrict_channels(train_set, n), _restrict_channels(test_set, n)
-        fe = FrontendConfig.direct(n) if p == 1 else FrontendConfig.tdbdi(n, p)
+        fe = FrontendConfig.tdbdi(n, 1) if p == 1 else FrontendConfig.tdbdi(n, p)
         chip = build_chip(seed, AnalogParams(), d=fe.rows, l=l)
         hidden, targets = collect_H(tr, chip, fe)
         w = fit_output_weights(hidden, targets, method=method, **fit_kw)
@@ -320,7 +320,7 @@ def test_c11_roc_sweep_sanity():
         SynthParams(q=8, m=2, baseline_rate=4.0, peak_rate=100.0, tuning_width=1.0,
                     trials_per_class=4, seed=1100)
     )
-    cfg = FrontendConfig.direct(8)
+    cfg = FrontendConfig.tdbdi(8, 1)
     chip = build_chip(1101, AnalogParams(), d=8, l=16)
     hidden, targets = collect_H(ds, chip, cfg)
     w = fit_output_weights(hidden, targets, method="T1")

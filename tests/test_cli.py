@@ -112,15 +112,18 @@ def test_echo_is_reusable_config(capsys, tmp_path):
     assert read_tree(tmp_path / "ds") == read_tree(tmp_path / "ds2")
 
 
-@pytest.mark.parametrize("cmd", ["train", "eval", "roc", "stream"])
-def test_echo_of_a_chip_train_or_decode_run_is_reusable_config(capsys, tmp_path, shared_run, cmd):
+@pytest.mark.parametrize("cmd, extra", [("train", []), ("eval", []), ("roc", []), ("stream", []),
+                                        ("stream", ["--trial", "1"])],
+                         ids=["train", "eval", "roc", "stream", "stream --trial 1"])
+def test_echo_of_a_chip_train_or_decode_run_is_reusable_config(capsys, tmp_path, shared_run, cmd,
+                                                               extra):
     ds, model = shared_run
     chip = tmp_path / "chip.json"  # the row count of 8 channels under tdbdi, p = 2
     assert run(capsys, "chip", "--out", str(chip), "--seed", "5", "--set", "chip.d=16",
                "--set", "chip.l=12")[0] == 0
     argv = (["train", "--data", str(ds), "--chip", str(chip), "--set", "frontend.mode=tdbdi"]
             if cmd == "train" else [cmd, "--data", str(ds), "--model", str(model)])
-    code, echo, _ = run(capsys, *argv, "--out", str(tmp_path / "a"))
+    code, echo, _ = run(capsys, *argv, *extra, "--out", str(tmp_path / "a"))
     assert code == 0
     cfg_file = tmp_path / "echo.cfg"
     cfg_file.write_text(echo)
@@ -371,6 +374,48 @@ def test_sweep_takes_chip_d_only_as_every_grid_points_row_count(capsys, tmp_path
         code, _, err = run(capsys, *base, "--out", str(out), *extra)
         assert code == 2 and f"'chip.d' must be 0 or the front end's row count {rows}" in err
         assert not out.exists()
+
+
+def test_sweep_scores_the_type_vote_alone(capsys, tmp_path, monkeypatch, shared_run):
+    # sweep writes type accuracy only: no onset is scored, so it takes any
+    # decoder.tol_ms, which only eval and roc read
+    def scored(*args, **kwargs):
+        raise AssertionError("sweep scored onsets")
+    for module, name in [(cli, "evaluate"), (cli, "check_scoring"), (decoder, "score_onsets")]:
+        monkeypatch.setattr(module, name, scored)
+    ds, _ = shared_run
+    out = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, "sweep", "--data", str(ds), "--out", str(out),
+                       "--set", "sweep.l_grid=8", "--set", "sweep.chip_seeds=1",
+                       "--set", "decoder.tol_ms=-1")
+    assert code == 0, err
+    assert out.read_text().startswith("method,l,n,p,accuracy_mean,accuracy_std\nT1,8,8,1,")
+
+
+@pytest.mark.parametrize("mode", ["direct", "tdbdi"])
+def test_more_channels_than_chip_rows_are_refused_by_the_channel_count(capsys, tmp_path,
+                                                                      monkeypatch, mode):
+    ds, out = tmp_path / "ds", tmp_path / "out"
+    assert run(capsys, "gen", "--out", str(ds), "--set", "synth.q=129", "--set", "synth.m=2",
+               "--set", "synth.trials_per_class=2")[0] == 0
+    monkeypatch.setattr(cli, "collect_H", _fail("H collected"))
+    for cmd, source in [("train", "the dataset"), ("sweep", "sweep.n_grid")]:
+        code, _, err = run(capsys, cmd, "--data", str(ds), "--out", str(out),
+                           "--set", f"frontend.mode={mode}", "--set", "sweep.n_grid=100,0")
+        assert code == 2
+        assert f"{source} gives 129 channels, but a chip has at most 128 rows" in err, err
+        assert not out.exists()
+
+
+def test_sweep_refuses_a_split_that_leaves_no_training_trial(capsys, tmp_path, monkeypatch):
+    ds, out = tmp_path / "ds", tmp_path / "sweep.csv"  # one trial per class, kept for test
+    assert run(capsys, "gen", "--out", str(ds), "--set", "synth.q=4", "--set", "synth.m=2",
+               "--set", "synth.trials_per_class=1")[0] == 0
+    monkeypatch.setattr(cli, "collect_H", _fail("H collected"))
+    code, _, err = run(capsys, "sweep", "--data", str(ds), "--out", str(out))
+    assert code == 2
+    assert "split.test_fraction = 0.3 leaves no training trials" in err, err
+    assert not out.exists()
 
 
 BOTH_T2_PENALTIES = ["--set", "train.l1_lambda=0.5", "--set", "train.target_sparsity=0.3"]

@@ -11,6 +11,7 @@ from mlcpsim.analog import AnalogParams, build_chip, hidden_layer, normalize_row
 from mlcpsim.decoder import (
     ChipMismatchError,
     DecoderModel,
+    _window_levels,
     decode_stream,
     evaluate,
     load_model,
@@ -58,7 +59,7 @@ def easy_setup():
     ds = gen_synthetic(
         SynthParams(q=12, m=3, baseline_rate=4.0, peak_rate=100.0, trials_per_class=6, seed=70)
     )
-    cfg = FrontendConfig.direct(12)
+    cfg = FrontendConfig.tdbdi(12, 1)
     chip = build_chip(71, AnalogParams(), d=12, l=24)
     hidden, targets = collect_H(ds, chip, cfg)
     w = fit_output_weights(hidden, targets, method="T1")
@@ -298,7 +299,7 @@ def _clockwork_dataset():
 
 def test_perfect_predictor_scores():
     ds = _clockwork_dataset()
-    cfg = FrontendConfig.direct(6)
+    cfg = FrontendConfig.tdbdi(6, 1)
     chip = build_chip(81, AnalogParams(), d=6, l=12)
     hidden, targets = collect_H(ds, chip, cfg)
     w = fit_output_weights(hidden, targets, method="T1")
@@ -324,7 +325,7 @@ def test_perfect_predictor_scores():
 
 def test_constant_class_predictor_chance_level(easy_setup):
     ds, chip, _ = easy_setup
-    cfg = FrontendConfig.direct(12)
+    cfg = FrontendConfig.tdbdi(12, 1)
     beta = np.zeros((24, 4))
     beta[:, 0] = 1.0  # o_1 = sum(h) > 0 = all others -> always class 1
     model = DecoderModel(beta, np.ones(24, bool), m=3, frontend=cfg)
@@ -384,7 +385,7 @@ def test_ragged_trials_score_like_per_trial_oracle():
     chip = build_chip(5, AnalogParams(), d=4, l=8)
     beta = np.column_stack([np.random.default_rng(6).normal(size=(8, 2)), np.ones(8)])
     model = DecoderModel(beta, np.ones(8, bool), m=2, theta=20.0, lam=3, tau=6, tr_ms=140.0,
-                         frontend=FrontendConfig.direct(4))
+                         frontend=FrontendConfig.tdbdi(4, 1))
     # the tail trial's refractory runs out in the padding while its window
     # count is still >= lam, so an unmasked batch would detect there
     g = decode_stream(trials[2], model, chip).g
@@ -410,7 +411,7 @@ def _onset_model(lam=6, tau=10, tr_ms=140.0, theta=0.75):
     """A model whose scoring depends only on its tracker settings: m = 1, so
     column 1 of a (T, 2) output is the onset output."""
     return DecoderModel(np.zeros((2, 2)), np.ones(2, bool), m=1, theta=theta, lam=lam, tau=tau,
-                        tr_ms=tr_ms, frontend=FrontendConfig.direct(2))
+                        tr_ms=tr_ms, frontend=FrontendConfig.tdbdi(2, 1))
 
 
 def _random_onset_batch(rng, n_trials, max_ticks, all_empty=False):
@@ -463,6 +464,29 @@ def test_one_pass_scorer_matches_per_threshold_and_per_trial_oracles(monkeypatch
     assert cases >= 20  # most batches detect something
 
 
+@pytest.mark.parametrize("cells", [None, 7])  # whole-batch ranking, and one trial at a time
+def test_window_levels_are_the_lam_th_largest_of_every_window(monkeypatch, cells):
+    if cells is not None:
+        monkeypatch.setattr(decoder, "_TRACK_CELLS", cells)
+    rng = np.random.default_rng(93)
+    # lam == tau three times; tau = 60 is longer than every trial
+    for lam, tau in [(1, 1), (3, 3), (2, 5), (6, 10), (4, 4), (5, 60)]:
+        model = _onset_model(lam, tau)
+        for all_empty in (False, True):
+            _, outputs = _random_onset_batch(rng, 12, 40, all_empty)
+            levels = _window_levels(outputs, model)
+            n_ticks = max(len(o) for o in outputs)
+            assert levels.shape == (n_ticks, len(outputs))
+            for b, o in enumerate(outputs):
+                # NaN never exceeds a threshold, and ticks before the first pad with -inf
+                onset = np.concatenate([np.full(tau - 1, -np.inf), o[:, 1]])
+                onset[np.isnan(onset)] = -np.inf
+                for n in range(len(o)):
+                    want = sorted(onset[n:n + tau], reverse=True)[lam - 1]
+                    assert levels[n, b] == want, (lam, tau, b, n)
+                assert (levels[len(o):, b] == -np.inf).all()  # past its last tick
+
+
 def test_scorer_threshold_equal_to_every_output_is_strict():
     # every onset output is 0.5: theta = 0.5 sees G = 0 throughout, just below it G = 1
     model = _onset_model(lam=2, tau=3, tr_ms=0.0)
@@ -498,7 +522,7 @@ def test_roc_sweep_memory_does_not_grow_with_thresholds_times_ticks():
     ds = gen_synthetic(SynthParams(q=4, m=2, trials_per_class=240, seed=92))
     chip = build_chip(93, AnalogParams(), d=4, l=8)
     beta = np.column_stack([np.zeros((8, 2)), np.ones(8)])
-    model = DecoderModel(beta, np.ones(8, bool), m=2, frontend=FrontendConfig.direct(4))
+    model = DecoderModel(beta, np.ones(8, bool), m=2, frontend=FrontendConfig.tdbdi(4, 1))
     tracemalloc.start()
     try:
         points = roc_sweep(ds, model, chip, theta_grid=np.linspace(0.0, 60.0, 2000))
@@ -601,7 +625,7 @@ def test_model_roundtrip(tmp_path, easy_setup):
 
 
 def test_model_validation():
-    cfg = FrontendConfig.direct(4)
+    cfg = FrontendConfig.tdbdi(4, 1)
     with pytest.raises(ValueError):
         DecoderModel(np.zeros((8, 3)), np.ones(8, bool), m=3, frontend=cfg)  # beta too narrow
     with pytest.raises(ValueError):
@@ -638,7 +662,7 @@ def test_supply_factor_does_not_move_predictions():
             seed=77,
         )
     )
-    cfg = FrontendConfig.direct(12)
+    cfg = FrontendConfig.tdbdi(12, 1)
     base_params = AnalogParams(i_ref_na=6.0)
     chip = build_chip(85, base_params, d=12, l=24)
     hidden, targets = collect_H(ds, chip, cfg)

@@ -98,7 +98,7 @@ EDGES = {
     "split.test_fraction": ("sweep", ["0.0", "1.0", "1.5"]),
     "sweep.p_grid": ("sweep", ["0", "1,0"]),
     "sweep.methods": ("sweep", ["T1,T3"]),
-    "decoder.tol_ms": ("sweep", [below(0.0)]),
+    "decoder.tol_ms": ("eval", [below(0.0)]),
 }
 #: ``train`` settings whose domain depends on another key, or that leave
 #: the setting unset when negative: (key, settings).
@@ -129,19 +129,28 @@ def tiny_dataset(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def tiny_model(tiny_dataset, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fields") / "model.json"
+    assert main(["train", "--data", str(tiny_dataset), "--out", str(path)]) == 0
+    return path
+
+
 def _fail(*args, **kwargs):
     raise AssertionError("expensive work started before the settings were checked")
 
 
 @pytest.mark.parametrize("command, key, settings", CASES, ids=[" ".join(s) for *_, s in CASES])
 def test_each_setting_outside_its_domain_exits_2_naming_its_key(capsys, tmp_path, monkeypatch,
-                                                                 tiny_dataset, command, key,
-                                                                 settings):
-    for name in ("gen_synthetic", "collect_H", "budget_report"):
+                                                                 tiny_dataset, tiny_model,
+                                                                 command, key, settings):
+    for name in ("gen_synthetic", "collect_H", "budget_report", "evaluate"):
         monkeypatch.setattr(cli, name, _fail)
     out = tmp_path / "out"
     argv = [command, "--out", str(out)] + {"train": ["--data", str(tiny_dataset)],
                                            "sweep": ["--data", str(tiny_dataset)],
+                                           "eval": ["--data", str(tiny_dataset),
+                                                    "--model", str(tiny_model)],
                                            "chip": ["--dump", str(tmp_path / "map.csv")]
                                            }.get(command, [])
     for setting in settings:

@@ -40,7 +40,7 @@ def test_subwindow_counter_saturates():
 
 def test_window_update_arithmetic():
     # Q_{n-1}=10, incoming D=3, outgoing D=1 -> 12
-    config = FrontendConfig.direct(1)
+    config = FrontendConfig.tdbdi(1, 1)
     fe = Frontend(config)
     for d in [1, 2, 3, 4]:  # Q = 10 after these
         fe.step(np.array([d]))
@@ -54,7 +54,7 @@ def test_window_update_arithmetic():
 
 def test_saturated_ramp_reaches_63_in_five_ticks():
     # Sustained saturated sub-windows: Q climbs 15,30,45,60,63 and holds
-    config = FrontendConfig.direct(1)
+    config = FrontendConfig.tdbdi(1, 1)
     fe = Frontend(config)
     seen = [int(fe.step(np.array([99]))[0]) for _ in range(8)]
     assert seen == [15, 30, 45, 60, 63, 63, 63, 63]
@@ -63,7 +63,7 @@ def test_saturated_ramp_reaches_63_in_five_ticks():
 def test_single_spike_visible_for_exactly_five_ticks():
     counts = np.zeros((20, 3), dtype=int)
     counts[6, 1] = 1
-    codes = stateful_run(FrontendConfig.direct(3), counts)
+    codes = stateful_run(FrontendConfig.tdbdi(3, 1), counts)
     assert (codes[:, [0, 2]] == 0).all()
     assert codes[:, 1].tolist() == [0] * 6 + [1] * 5 + [0] * 9
 
@@ -75,7 +75,7 @@ def test_incremental_equals_brute_force_random_streams():
         n_ticks = int(rng.integers(5, 60))
         # heavy-tailed counts so the 4-bit and 6-bit clamps are both exercised
         counts = rng.poisson(rng.uniform(0.2, 12.0), size=(n_ticks, rows))
-        codes = stateful_run(FrontendConfig.direct(rows), counts)
+        codes = stateful_run(FrontendConfig.tdbdi(rows, 1), counts)
         d = np.minimum(15, counts)
         assert np.array_equal(codes, brute_force_codes(d))
 
@@ -110,21 +110,21 @@ def test_batch_matches_stateful_on_trials_shorter_than_the_window_or_delay():
     # 0 ticks (a zero-duration trial) and trials shorter than the 5-tick
     # window or than a delayed row's accumulated delay
     rng = np.random.default_rng(18)
-    for config in [FrontendConfig.direct(4), FrontendConfig.tdbdi(4, 3, link_delay=5)]:
+    for config in [FrontendConfig.tdbdi(4, 1), FrontendConfig.tdbdi(4, 3, link_delay=5)]:
         for n_ticks in range(0, 13):
             counts = rng.poisson(3.0, size=(n_ticks, 4))
             codes = run_counts(config, counts)
             assert codes.shape == (n_ticks, config.rows) and codes.dtype == np.int64
             want = stateful_run(config, counts).reshape(n_ticks, config.rows)
             assert np.array_equal(codes, want)
-    empty = run_trial(FrontendConfig.direct(4), Trial("z", 1, 0, 0))
+    empty = run_trial(FrontendConfig.tdbdi(4, 1), Trial("z", 1, 0, 0))
     assert empty.shape == (0, 4) and empty.dtype == np.int64
 
 
 def test_monotone_saturation():
     # Adding spikes to any one sub-window never decreases any output code.
     rng = np.random.default_rng(13)
-    config = FrontendConfig.direct(2)
+    config = FrontendConfig.tdbdi(2, 1)
     base = rng.poisson(4.0, size=(30, 2))
     q_base = run_counts(config, base)
     for _ in range(25):
@@ -175,7 +175,7 @@ def test_tdbdi_feature_layout():
     assert config.rows == 30
     counts = rng.poisson(2.0, size=(80, n))
     codes = run_counts(config, counts)
-    direct = run_counts(FrontendConfig.direct(n), counts)
+    direct = run_counts(FrontendConfig.tdbdi(n, 1), counts)
     for j in range(n):
         assert np.array_equal(codes[:, j * p], direct[:, j])
         assert np.array_equal(codes[delay:, j * p + 1], direct[:-delay, j])
@@ -192,7 +192,7 @@ def test_tdbdi_rows_follow_the_per_row_rule():
 
 
 def test_tick_end_ms_is_the_end_of_each_ticks_sub_window():
-    config = FrontendConfig.direct(2, t_s_ms=12.5)
+    config = FrontendConfig.tdbdi(2, 1, t_s_ms=12.5)
     assert np.array_equal(config.tick_end_ms(np.arange(4)), [12.5, 25.0, 37.5, 50.0])
     assert config.tick_end_ms(7) == 100.0
     # a window read at its end holds the events binned up to that time
@@ -202,7 +202,7 @@ def test_tick_end_ms_is_the_end_of_each_ticks_sub_window():
 
 
 def test_all_quiet_stream_gives_zero_vector():
-    codes = stateful_run(FrontendConfig.direct(5), np.zeros((12, 5), dtype=int))
+    codes = stateful_run(FrontendConfig.tdbdi(5, 1), np.zeros((12, 5), dtype=int))
     assert (codes == 0).all()
 
 
@@ -244,11 +244,11 @@ def test_bin_events_half_open_boundaries():
 def test_a_tick_length_off_the_microsecond_grid_is_refused_by_name(t_s_ms):
     # 19.9996 ms would count ticks of 19,999.6 us but bin events in 20,000 us
     with pytest.raises(FieldError, match="^'t_s_ms' must be "):
-        FrontendConfig.direct(2, t_s_ms=t_s_ms)
+        FrontendConfig.tdbdi(2, 1, t_s_ms=t_s_ms)
 
 
 def test_the_default_tick_length_counts_ticks_as_the_float_formula_did():
-    config = FrontendConfig.direct(1)
+    config = FrontendConfig.tdbdi(1, 1)
     assert config.t_s_us == 20_000
     durations = np.random.default_rng(5).integers(0, 10**8, size=2000).tolist()
     for d in durations + [0, 1, 19_999, 20_000, 20_001, 2_000_000]:
@@ -262,7 +262,7 @@ def test_the_default_tick_length_counts_ticks_as_the_float_formula_did():
 @pytest.mark.parametrize("t_s_ms, t_s_us", [(20.0, 20_000), (12.5, 12_500), (0.001, 1),
                                             (0.007, 7), (0.1 + 0.2, 300)])
 def test_tick_count_and_binning_share_one_whole_microsecond_tick(t_s_ms, t_s_us):
-    config = FrontendConfig.direct(1, t_s_ms=t_s_ms)
+    config = FrontendConfig.tdbdi(1, 1, t_s_ms=t_s_ms)
     assert config.t_s_us == t_s_us and type(config.t_s_us) is int
     # a trial one microsecond past three ticks: four ticks, its last event in the fourth
     trial = Trial("t", 1, 0, 3 * t_s_us + 1, [3 * t_s_us - 1, 3 * t_s_us], [0, 0])
@@ -273,7 +273,7 @@ def test_tick_count_and_binning_share_one_whole_microsecond_tick(t_s_ms, t_s_us)
 
 def test_run_trial_codes():
     trial = Trial("t", 1, 50000, 100000, [5000, 25000, 25500], [0, 1, 1])
-    codes = run_trial(FrontendConfig.direct(2), trial)
+    codes = run_trial(FrontendConfig.tdbdi(2, 1), trial)
     assert codes.shape == (5, 2)
     assert codes[0].tolist() == [1, 0]
     assert codes[1].tolist() == [1, 2]

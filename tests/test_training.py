@@ -116,7 +116,7 @@ def test_the_plateau_test_is_the_closed_interval_where_membership_is_one():
 def test_plateau_policy_rows_are_the_plateau_ticks_on_the_clock():
     ds = tiny_dataset(trials_per_class=1)
     chip = build_chip(46, AnalogParams(), d=6, l=4)
-    cfg = FrontendConfig.direct(6, t_s_ms=15.0)
+    cfg = FrontendConfig.tdbdi(6, 1, t_s_ms=15.0)
     trap = TrapezoidParams(805, 900, 1005, 1100)
     hidden, targets = collect_H(ds, chip, cfg, sample_policy="plateau", trap=trap)
     assert np.array_equal(targets.type_rows, trap.on_plateau(cfg.tick_end_ms(row_ticks(hidden))))
@@ -133,7 +133,7 @@ def test_trapezoid_ordering_enforced():
 def test_collect_row_count_every_tick():
     ds = tiny_dataset()
     chip = build_chip(41, AnalogParams(), d=6, l=8)
-    hidden, targets = collect_H(ds, chip, FrontendConfig.direct(6), sample_policy="all")
+    hidden, targets = collect_H(ds, chip, FrontendConfig.tdbdi(6, 1), sample_policy="all")
     # 4 trials x 2 s / 20 ms = 100 ticks each
     assert hidden.h.shape == (400, 8)
     assert hidden.n_ticks.tolist() == [100] * 4
@@ -173,14 +173,14 @@ def test_collect_fills_H_like_a_stack_of_per_trial_streams():
 def test_collect_zero_spikes_gives_zero_h():
     ds = tiny_dataset(baseline_rate=0.0, peak_rate=0.0)
     chip = build_chip(42, AnalogParams(), d=6, l=8)
-    hidden, _ = collect_H(ds, chip, FrontendConfig.direct(6))
+    hidden, _ = collect_H(ds, chip, FrontendConfig.tdbdi(6, 1))
     assert not hidden.h.any()
 
 
 def test_collect_deterministic_with_noise():
     ds = tiny_dataset()
     chip = build_chip(43, AnalogParams(), d=6, l=8)
-    cfg = FrontendConfig.direct(6)
+    cfg = FrontendConfig.tdbdi(6, 1)
     h1, _ = collect_H(ds, chip, cfg, noise_seed=5)
     h2, _ = collect_H(ds, chip, cfg, noise_seed=5)
     h3, _ = collect_H(ds, chip, cfg, noise_seed=6)
@@ -192,22 +192,22 @@ def test_collect_dimension_mismatch_rejected():
     ds = tiny_dataset()
     chip = build_chip(44, AnalogParams(), d=7, l=8)
     with pytest.raises(TrainingError):
-        collect_H(ds, chip, FrontendConfig.direct(6))
+        collect_H(ds, chip, FrontendConfig.tdbdi(6, 1))
     with pytest.raises(TrainingError):
-        collect_H(ds, chip, FrontendConfig.direct(7))
+        collect_H(ds, chip, FrontendConfig.tdbdi(7, 1))
 
 
 def test_collect_empty_dataset_rejected():
     ds = SpikeDataset(trials=[], channel_count=4, class_count=2)
     chip = build_chip(45, AnalogParams(), d=4, l=4)
     with pytest.raises(TrainingError):
-        collect_H(ds, chip, FrontendConfig.direct(4))
+        collect_H(ds, chip, FrontendConfig.tdbdi(4, 1))
 
 
 def test_sample_policies_select_expected_rows():
     ds = tiny_dataset(trials_per_class=1)
     chip = build_chip(46, AnalogParams(), d=6, l=4)
-    cfg = FrontendConfig.direct(6)
+    cfg = FrontendConfig.tdbdi(6, 1)
     _, t_unamb = collect_H(ds, chip, cfg, sample_policy="unambiguous")
     _, t_plateau = collect_H(ds, chip, cfg, sample_policy="plateau")
     _, t_all = collect_H(ds, chip, cfg, sample_policy="all")
@@ -290,7 +290,7 @@ def test_t2_all_zero_h_reported_not_fatal():
         assert w.report["degenerate"] is True and w.report["l1_lambda"] == 0.0
     ds = tiny_dataset(baseline_rate=0.0, peak_rate=0.0)
     hidden, targets = collect_H(ds, build_chip(42, AnalogParams(), d=6, l=8),
-                                FrontendConfig.direct(6))
+                                FrontendConfig.tdbdi(6, 1))
     for method, kwargs in [("T1", {}), ("T2", {"target_sparsity": 0.3})]:
         w = fit_output_weights(hidden, targets, method=method, **kwargs)
         assert w.beta.shape == (8, 3) and not w.beta.any()
@@ -434,7 +434,7 @@ def test_pruned_neurons_removable_from_chip():
     ds = tiny_dataset()
     params = AnalogParams(jitter_rel=0.0)
     chip = build_chip(61, params, d=6, l=16)
-    cfg = FrontendConfig.direct(6)
+    cfg = FrontendConfig.tdbdi(6, 1)
     hidden, targets = collect_H(ds, chip, cfg, normalize=False)
     w = fit_output_weights(hidden, targets, method="T2", target_sparsity=0.4)
     assert np.sum(~w.support) >= 0.4 * 16
@@ -459,7 +459,7 @@ def test_pruned_neurons_removable_from_chip():
 def test_fit_output_weights_shapes_and_blocks():
     ds = tiny_dataset()
     chip = build_chip(63, AnalogParams(), d=6, l=10)
-    hidden, targets = collect_H(ds, chip, FrontendConfig.direct(6))
+    hidden, targets = collect_H(ds, chip, FrontendConfig.tdbdi(6, 1))
     w = fit_output_weights(hidden, targets, method="T1")
     assert w.beta.shape == (10, 3)  # 2 type columns + onset
     # type columns fit on the unambiguous rows only: residual orthogonality
@@ -472,7 +472,7 @@ def test_fit_output_weights_shapes_and_blocks():
 def test_fit_t2_common_penalty_prunes_whole_neurons():
     ds = tiny_dataset()
     chip = build_chip(64, AnalogParams(), d=6, l=12)
-    hidden, targets = collect_H(ds, chip, FrontendConfig.direct(6))
+    hidden, targets = collect_H(ds, chip, FrontendConfig.tdbdi(6, 1))
     w = fit_output_weights(hidden, targets, method="T2", target_sparsity=0.5)
     assert w.report["sparsity"] >= 0.5
     assert not w.beta[~w.support].any()
@@ -491,7 +491,7 @@ def test_t1_fit_that_may_overwrite_h_gives_the_shared_fits_bits(monkeypatch, pol
     monkeypatch.setattr(training, "_GATHER_BYTES", 3 * 10 * 8)
     ds = tiny_dataset(trials_per_class=3)
     chip = build_chip(65, AnalogParams(), d=6, l=10)
-    hidden, targets = collect_H(ds, chip, FrontendConfig.direct(6), sample_policy=policy)
+    hidden, targets = collect_H(ds, chip, FrontendConfig.tdbdi(6, 1), sample_policy=policy)
     rows = targets.type_rows
     assert rows.any() and (policy == "all") == rows.all()
     zero = HiddenMatrix(np.zeros_like(hidden.h), hidden.n_ticks)
@@ -532,7 +532,7 @@ def test_a_single_t1_fit_in_train_copies_no_type_rows(monkeypatch, ridge):
     monkeypatch.setattr(cli, "collect_H", lambda *args, **kwargs: (hidden, targets))
     cfg = resolve_config(None, [f"train.ridge_lambda={ridge}"], None)
     chip = build_chip(1, AnalogParams(), d=4, l=64)
-    [model] = cli._train_models(cfg, SpikeDataset([], 4, 3), chip, FrontendConfig.direct(4),
+    [model] = cli._train_models(cfg, SpikeDataset([], 4, 3), chip, FrontendConfig.tdbdi(4, 1),
                                 ["T1"])
     assert len(peaks) == 1 and peaks[0] < 0.5, peaks
     assert "train_accuracy" not in model.report  # only train keeps plateau rows to score on
@@ -546,7 +546,7 @@ def test_collect_H_holds_H_and_three_small_per_row_arrays():
     chip = build_chip(66, AnalogParams(), d=4, l=16)
     tracemalloc.start()
     try:
-        hidden, targets = collect_H(ds, chip, FrontendConfig.direct(4))
+        hidden, targets = collect_H(ds, chip, FrontendConfig.tdbdi(4, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
