@@ -117,13 +117,6 @@ class ChipInstance:
         for arr in (self.delta_vt_mv, self.dac_dnl_lsb, self.weights, self.current_lut):
             arr.setflags(write=False)
 
-    def dac_currents(self, codes: np.ndarray) -> np.ndarray:
-        """Currents (nA) for a full code vector or a (T, D) batch of them."""
-        codes = np.asarray(codes, dtype=np.int64)
-        if codes.min(initial=0) < 0 or codes.max(initial=0) >= DAC_CODES:
-            raise ValueError("codes must be in [0, 63]")
-        return self.current_lut[np.arange(self.d), codes]
-
 
 def _draw_dnl(rng: np.random.Generator, bound: float) -> np.ndarray:
     """Per-step DNL for one channel: uniform draws rescaled to the worst-case bound.
@@ -160,84 +153,82 @@ def load_chip(path: str | Path) -> ChipInstance:
     return read_versioned_json(path, CHIP_FORMAT, CHIP_VERSION, ChipInstance)
 
 
-def mirror_multiply(
-    i_dac_na: np.ndarray,
-    chip: ChipInstance,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Mirror each row current into all neurons: I_in = b + W @ I_dac (nA).
+def draw_noise(chip: ChipInstance, rng: np.random.Generator, n_rows: int) -> tuple:
+    """The multiplicative noise of ``n_rows`` ticks, drawn from ``rng``:
+    mirror factors ``1 + N(0, 10^(-SNR/20))``, then counter-jitter factors
+    ``1 + N(0, jitter_rel)``, each (n_rows, L).  The jitter is None (no draw)
+    when ``jitter_rel`` is 0."""
+    shape = (n_rows, chip.l)
+    mirror = rng.normal(0.0, 10.0 ** (-chip.params.mirror_snr_db / 20.0), size=shape)
+    mirror += 1.0
+    if chip.params.jitter_rel == 0:
+        return mirror, None
+    jitter = rng.normal(0.0, chip.params.jitter_rel, size=shape)
+    jitter += 1.0
+    return mirror, jitter
 
-    Given an ``rng`` (noise on), the mirrored sum gets multiplicative
-    Gaussian error at the configured SNR (the leak is not mirrored, so it is
-    noise-free here).  Accepts a (D,) vector or a (T, D) batch; returns (L,)
-    or (T, L).
+
+def hidden_layer(x_codes: np.ndarray, chip: ChipInstance, noise: tuple | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Hidden-layer counts h, as floats, for one code vector (D,) or a batch (T, D).
+
+    One pass DAC -> mirror array -> CCO counter over ``out`` (a new array
+    when None): the DAC currents ``I`` of the codes, ``I_in = max(0, b +
+    (W @ I) * mirror)``, then the count ``min(stop, floor(max(0, alpha * f *
+    t_cnt * jitter) + eps))`` of the frequency ``f = I_in / (C_f * DVDD)`` (or
+    the full form with its reset phase, which requires ``I_in < I_rst``).
+    A count at or past the stop value, inf included, is the stop value.
+    ``noise`` is None (noise off: a pure function of x and the chip) or the
+    (mirror, jitter) factors of ``draw_noise``, a row for each row of x.
     """
-    summed = np.asarray(i_dac_na) @ chip.weights.T
-    if rng is not None:
-        rel = 10.0 ** (-chip.params.mirror_snr_db / 20.0)
-        summed = summed * (1.0 + rng.normal(0.0, rel, size=summed.shape))
-    return np.maximum(0.0, chip.params.b_na + summed)
-
-
-def cco_frequency(i_in_na: np.ndarray, params: AnalogParams) -> np.ndarray:
-    """Oscillation frequency (Hz) for input current (nA), before jitter.
-
-    Default is the large-reset-current approximation f = I/(C_f*DVDD); the
-    full form adds the reset phase and requires I_in < I_rst.
-    """
-    i_a = np.asarray(i_in_na, dtype=np.float64) * 1e-9
+    x = np.asarray(x_codes)
+    if x.min(initial=0) < 0 or x.max(initial=0) >= DAC_CODES:
+        raise ValueError("codes must be in [0, 63]")
+    i_dac = np.take(chip.current_lut.ravel(), x + DAC_CODES * np.arange(chip.d))
+    if out is None:
+        out = np.empty(x.shape[:-1] + (chip.l,))
+    np.matmul(i_dac, chip.weights.T, out=out)
+    params = chip.params
+    if noise is not None:
+        out *= noise[0]
+    out += params.b_na
+    np.maximum(out, 0.0, out=out)
+    out *= 1e-9  # nA -> A
     tau = params.c_f_f * params.dvdd_v
-    if not params.use_full_cco:
-        return i_a / tau
-    i_rst_a = params.i_rst_na * 1e-9
-    if np.any(i_a >= i_rst_a):
+    if params.use_full_cco and np.any(out >= params.i_rst_na * 1e-9):
         raise ValueError("full CCO model requires I_in < I_rst (oscillation stalls)")
-    with np.errstate(divide="ignore"):
-        period = np.where(i_a > 0, tau / np.where(i_a > 0, i_a, 1.0) + tau / (i_rst_a - i_a), np.inf)
-    return np.where(np.isinf(period), 0.0, 1.0 / period)
-
-
-def cco_count(
-    i_in_na: np.ndarray,
-    params: AnalogParams,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Gated-counter output: min(stop, floor(alpha * f * t_cnt)), with jitter
-    drawn from ``rng`` when one is given."""
-    value = params.alpha_supply * cco_frequency(i_in_na, params) * params.t_cnt_s
-    if rng is not None and params.jitter_rel > 0:
-        value = value * (1.0 + rng.normal(0.0, params.jitter_rel, size=np.shape(value)))
-    counts = np.floor(np.maximum(0.0, value) + _FLOOR_EPS).astype(np.int64)
-    return np.minimum(params.stop_value, counts)
-
-
-def hidden_layer(
-    x_codes: np.ndarray,
-    chip: ChipInstance,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Hidden-layer counts h for one code vector (D,) or a batch (T, D).
-
-    Composition DAC -> mirror array -> CCO counter; noise is on exactly when
-    an ``rng`` is given, and without one this is a pure function of (x, chip).
-    """
-    i_dac = chip.dac_currents(x_codes)
-    i_in = mirror_multiply(i_dac, chip, rng)
-    return cco_count(i_in, chip.params, rng)
+    with np.errstate(divide="ignore", over="ignore"):  # an infinite count is the stop value
+        if params.use_full_cco:
+            live = out > 0
+            period = np.where(live, tau / np.where(live, out, 1.0)
+                              + tau / (params.i_rst_na * 1e-9 - out), np.inf)
+            np.divide(1.0, period, out=out)
+            out[np.isinf(period)] = 0.0
+        else:
+            out /= tau
+        out *= params.alpha_supply
+        out *= params.t_cnt_s
+        if noise is not None and noise[1] is not None:
+            out *= noise[1]
+    np.maximum(out, 0.0, out=out)
+    out += _FLOOR_EPS
+    np.minimum(out, params.stop_value, out=out)
+    return np.floor(out, out=out)
 
 
 def normalize_rows(h_rows: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
-    """Row-wise normalization for (T, L) counts against (T, D) codes.
+    """Row-wise normalization, in place, of (T, L) float counts against
+    (T, D) codes; returns ``h_rows``.
 
     Degenerate rows (all-quiet input or all-zero counts) pass through as
     zeros rather than erroring: a silent window carries no scale to restore.
     """
-    h_rows = np.asarray(h_rows, dtype=np.float64)
     sum_h = h_rows.sum(axis=1)
     sum_x = np.asarray(x_rows).sum(axis=1).astype(np.float64)
     ok = (sum_h > 0) & (sum_x > 0)
     factor = np.where(ok, sum_x / np.where(sum_h > 0, sum_h, 1.0), 0.0)
-    return h_rows * factor[:, None]
+    h_rows *= factor[:, None]
+    return h_rows
 
 
 def mismatch_map(chip: ChipInstance, probe_code: int = 8) -> np.ndarray:
@@ -251,7 +242,7 @@ def mismatch_map(chip: ChipInstance, probe_code: int = 8) -> np.ndarray:
         raise FieldError("probe_code", f"an integer >= 1 and <= {DAC_CODES - 1}", probe_code, "")
     x = np.zeros((chip.d, chip.d), dtype=np.int64)
     np.fill_diagonal(x, probe_code)
-    counts = hidden_layer(x, chip).T.astype(np.float64)
+    counts = hidden_layer(x, chip).T
     median = float(np.median(counts))
     if median <= 0:
         raise ValueError("probe too weak: median count is zero")

@@ -34,14 +34,14 @@ from .budget import budget_json, budget_report, format_budget
 from .config import (DECODER_KEYS, DEFAULTS, ConfigError, echo_config, format_value,
                      parse_int_list, parse_str_list, resolve_config, section)
 from .decoder import (DecoderModel, check_chip, check_scoring, decode_stream, evaluate,
-                      load_model, majority_class, plateau_class, roc_sweep, save_model,
+                      load_model, plateau_votes, roc_sweep, save_model,
                       split_dataset, write_roc_csv, write_stream_csv)
 from .fields import FieldError, check_values, under
-from .frontend import MAX_ROWS, FrontendConfig, run_trial
+from .frontend import MAX_ROWS, FrontendConfig, run_trial, tick_count
 from .spikeio import (ChannelCountError, ChannelRangeError, DatasetError, SpikeDataset, Trial,
                       gen_synthetic, parse_dataset, read_trial, write_dataset)
 from .training import (METHODS, SAMPLE_POLICIES, ConvergenceError, TrainingError,
-                       check_penalties, collect_H, fit_output_weights, hidden_streams, trial_rng)
+                       check_penalties, collect_H, fit_output_weights, hidden_rows, trial_rng)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -174,12 +174,16 @@ def _noise_seed(cfg: dict, name: str) -> int | None:
     return seed if cfg[f"{name}.noise_on"] else None
 
 
-def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: list,
-                  codes: list | None = None, score: bool = False) -> list:
-    """One model per training method, fitted on one H collected on the chip
-    (from ``codes``, the trials' front-end codes, if given) after every
-    setting is checked.  ``score`` adds ``train_accuracy`` to each report:
-    the evaluation vote on the training set itself, an optimistic figure."""
+def _trainer(cfg: dict, dataset: SpikeDataset, frontend, methods: list,
+             codes: list | None = None, score: bool = False, out: np.ndarray | None = None):
+    """Check every training setting, then return ``train(chip)``: one model
+    per training method, fitted on one H collected on the chip (from
+    ``codes``, the trials' front-end codes, if given) after the decoder
+    settings are checked too.  Every chip shares the training targets,
+    built on the first, and ``out`` (None: a new H per chip), the buffer
+    each H is written into.  ``score`` adds ``train_accuracy`` to each
+    report: the evaluation vote on the training set itself, an optimistic
+    figure."""
     l1, sparsity = cfg["train.l1_lambda"], cfg["train.target_sparsity"]
     penalties = dict(ridge_lambda=cfg["train.ridge_lambda"], l1_lambda=None if l1 < 0 else l1,
                      target_sparsity=None if sparsity < 0 else sparsity)
@@ -187,31 +191,38 @@ def _train_models(cfg: dict, dataset: SpikeDataset, chip, frontend, methods: lis
         check_penalties(method, **penalties, prefix="train.")
     noise_seed = _noise_seed(cfg, "train")
     policy = _one_of("train.sample_policy", cfg["train.sample_policy"], SAMPLE_POLICIES)
-    trap, m = section(cfg, "trap"), dataset.class_count
-    try:
-        untrained = DecoderModel(np.zeros((chip.l, m + 1)), np.zeros(chip.l, bool), m,
-                                 frontend=frontend, chip_seed=chip.seed,
-                                 fmax_sel=chip.params.fmax_sel, trap=trap,
-                                 **{name: cfg[f"decoder.{name}"] for name in DECODER_KEYS})
-    except FieldError as exc:
-        raise exc.under("decoder.") if exc.args[0] in DECODER_KEYS else exc from None
-    hidden, targets = collect_H(dataset, chip, frontend, noise_seed=noise_seed,
-                                sample_policy=policy, trap=trap,
-                                normalize=cfg["decoder.normalize"], codes=codes)
-    if score:  # each trial's plateau rows, before the last fit may reorder H
-        on = trap.on_plateau(frontend.tick_end_ms(np.arange(hidden.n_ticks.max())))
-        plateau = [hidden.h[end - n : end][on[:n]]
-                   for end, n in zip(np.cumsum(hidden.n_ticks), hidden.n_ticks)]
-    models = []
-    for i, method in enumerate(methods):  # no later fit reads H, so the last may overwrite it
-        w = fit_output_weights(hidden, targets, method=method, refit=cfg["train.refit"],
-                               overwrite_h=i == len(methods) - 1, **penalties)
-        if score:
-            w.report["train_accuracy"] = sum(
-                majority_class(np.argmax(h @ w.beta[:, :m], axis=1) + 1, m) == trial.label
-                for h, trial in zip(plateau, dataset.trials)) / len(dataset.trials)
-        models.append(replace(untrained, beta=w.beta, support=w.support, report=w.report))
-    return models
+    trap, m, targets = section(cfg, "trap"), dataset.class_count, None
+
+    def train(chip) -> list:
+        nonlocal targets
+        try:
+            untrained = DecoderModel(np.zeros((chip.l, m + 1)), np.zeros(chip.l, bool), m,
+                                     frontend=frontend, chip_seed=chip.seed,
+                                     fmax_sel=chip.params.fmax_sel, trap=trap,
+                                     **{name: cfg[f"decoder.{name}"] for name in DECODER_KEYS})
+        except FieldError as exc:
+            raise exc.under("decoder.") if exc.args[0] in DECODER_KEYS else exc from None
+        hidden, targets = collect_H(dataset, chip, frontend, noise_seed=noise_seed,
+                                    sample_policy=policy, trap=trap,
+                                    normalize=cfg["decoder.normalize"], codes=codes,
+                                    targets=targets, out=out)
+        if score:  # each trial's plateau rows, before the last fit may reorder H
+            labels = np.array([trial.label for trial in dataset.trials])
+            on = trap.on_plateau(frontend.tick_end_ms(np.arange(hidden.n_ticks.max())))
+            plateau = [hidden.h[end - n : end][on[:n]]
+                       for end, n in zip(np.cumsum(hidden.n_ticks), hidden.n_ticks)]
+        models = []
+        for i, method in enumerate(methods):  # no later fit reads H, so the last may overwrite it
+            w = fit_output_weights(hidden, targets, method=method, refit=cfg["train.refit"],
+                                   overwrite_h=i == len(methods) - 1, **penalties)
+            if score:
+                votes = plateau_votes(np.concatenate([h @ w.beta[:, :m] for h in plateau]),
+                                      [len(h) for h in plateau], m)
+                w.report["train_accuracy"] = np.count_nonzero(votes == labels) / len(labels)
+            models.append(replace(untrained, beta=w.beta, support=w.support, report=w.report))
+        return models
+
+    return train
 
 
 def _resolve(cfg: dict, sources: dict) -> None:
@@ -321,7 +332,7 @@ def cmd_train(args, cfg: dict) -> int:
     dataset = parse_dataset(args.data)
     frontend = _frontend_from_cfg(cfg, dataset.channel_count)
     chip = _chip(cfg, args.chip, frontend.rows)
-    [model] = _train_models(cfg, dataset, chip, frontend, [method], score=True)
+    [model] = _trainer(cfg, dataset, frontend, [method], score=True)(chip)
     save_model(model, out)
     _echo(cfg)
     _note(f"trained {method} on {len(dataset.trials)} trials")
@@ -410,8 +421,12 @@ def cmd_sweep(args, cfg: dict) -> int:
                           "training trials: the split keeps at least one test trial per class")
 
     # H depends on the data, the front end and the chip, never on the trainer:
-    # codes are computed once per (n, p) and hidden streams once per chip
-    accuracy = {}
+    # codes, targets and the test trials' plateau codes are made once per
+    # (n, p), and hidden rows once per chip, each H into one buffer.  The
+    # type vote reads only plateau ticks, so only those test rows are made.
+    accuracy, buffer = {}, None
+    labels = np.array([trial.label for trial in test_set.trials])
+    m = dataset.class_count
     for n in n_grid:
         sub_train = _restrict_channels(train_set, n)
         sub_test = _restrict_channels(test_set, n)
@@ -419,17 +434,23 @@ def cmd_sweep(args, cfg: dict) -> int:
             frontend = frontends[n, p]
             # codes are 0..63, so uint8 holds them exactly
             train_codes = [run_trial(frontend, t).astype(np.uint8) for t in sub_train.trials]
-            test_codes = [run_trial(frontend, t).astype(np.uint8) for t in sub_test.trials]
+            if buffer is None:  # every front end has the same training rows
+                buffer = np.empty(sum(map(len, train_codes)) * max(l_grid))
+            train = _trainer(cfg, sub_train, frontend, methods, train_codes, out=buffer)
+            test_ticks = np.array([tick_count(frontend, t) for t in sub_test.trials])
+            on = section(cfg, "trap").on_plateau(frontend.tick_end_ms(np.arange(test_ticks.max())))
+            test_codes = [run_trial(frontend, t)[on[:k]].astype(np.uint8)
+                          for t, k in zip(sub_test.trials, test_ticks)]
+            n_votes = [len(c) for c in test_codes]
             for l, seed in itertools.product(l_grid, seeds):
                 chip = _chip({**cfg, "chip.seed": seed, "chip.l": l}, None, frontend.rows)
-                models = _train_models(cfg, sub_train, chip, frontend, methods, train_codes)
-                streams = list(hidden_streams(test_codes, chip, cfg["decoder.normalize"],
-                                              noise_seed))
+                models = train(chip)
+                h = hidden_rows(test_codes, test_ticks, chip, cfg["decoder.normalize"],
+                                noise_seed, ticks=on)
                 for method, model in zip(methods, models):  # the type vote alone
-                    accuracy[method, l, n, p, seed] = sum(
-                        plateau_class(h @ model.beta, model) == trial.label
-                        for h, trial in zip(streams, sub_test.trials)) / len(sub_test.trials)
-                del streams  # before the next chip's
+                    right = plateau_votes(h @ model.beta, n_votes, m) == labels
+                    accuracy[method, l, n, p, seed] = np.count_nonzero(right) / len(labels)
+                del h, models  # before the next chip's
 
     lines = ["method,l,n,p,accuracy_mean,accuracy_std"]
     for method, l, n, p in itertools.product(methods, l_grid, n_grid, p_grid):

@@ -228,21 +228,26 @@ def split_dataset(dataset: SpikeDataset, test_fraction: float, seed: int
                  for idx in (train_idx, test_idx))
 
 
-def majority_class(s_ticks: np.ndarray, m: int) -> int:
-    """Majority vote with lowest-class tie-break; 0 (no vote) if no ticks."""
-    if len(s_ticks) == 0:
-        return 0
-    counts = np.bincount(s_ticks, minlength=m + 1)
-    return int(np.argmax(counts[1:])) + 1
-
-
 def plateau_class(outputs: np.ndarray, model: DecoderModel) -> int:
-    """Type vote of one trial: the ``majority_class`` of its per-tick outputs
-    (row i is tick i) over the ticks whose window ends on the trapezoid
-    plateau (``model.trap.on_plateau``).  A trial with no plateau tick has
-    no vote (0), so it is scored wrong, in training as in evaluation."""
+    """Type vote of one trial: the ``plateau_votes`` vote of its per-tick
+    outputs (row i is tick i) at the ticks whose window ends on the
+    trapezoid plateau (``model.trap.on_plateau``).  A trial with no plateau
+    tick has no vote (0), so it is scored wrong, in training as in
+    evaluation."""
     plateau = model.trap.on_plateau(model.frontend.tick_end_ms(np.arange(len(outputs))))
-    return majority_class(np.argmax(outputs[plateau, : model.m], axis=1) + 1, model.m)
+    return int(plateau_votes(outputs[plateau], [np.count_nonzero(plateau)], model.m)[0])
+
+
+def plateau_votes(outputs: np.ndarray, n_ticks, m: int) -> np.ndarray:
+    """Type votes of trials from their outputs at the ticks on the plateau:
+    trial i owns the next ``n_ticks[i]`` rows of ``outputs``, and votes for
+    the class 1..m that most of them rank first (the lowest on a tie), or 0
+    (no vote) if it owns none."""
+    n_ticks = np.asarray(n_ticks, dtype=np.int64)
+    trial = np.repeat(np.arange(len(n_ticks)), n_ticks)
+    counts = np.bincount(trial * m + np.argmax(outputs[:, :m], axis=1),
+                         minlength=len(n_ticks) * m)
+    return np.where(n_ticks > 0, np.argmax(counts.reshape(-1, m), axis=1) + 1, 0)
 
 
 def _output_streams(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
@@ -340,7 +345,7 @@ def evaluate(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
     positives.  With a ``noise_seed`` (None: noise off), each trial uses
     its own counter-derived stream, so scores are independent of
     evaluation order.  The trials are decoded here (``_output_streams``);
-    ``sweep`` scores type alone, by ``plateau_class`` on its own outputs.
+    ``sweep`` scores type alone, by ``plateau_votes`` on the plateau rows.
     """
     check_scoring([model.theta], tol_ms)
     outputs = _output_streams(dataset, model, chip, noise_seed)

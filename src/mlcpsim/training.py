@@ -30,13 +30,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analog import ChipInstance, hidden_layer, normalize_rows
+from .analog import ChipInstance, draw_noise, hidden_layer, normalize_rows
 from .fields import check_fields, check_order
 from .frontend import FrontendConfig, run_trial, tick_count
 from .spikeio import SpikeDataset
 
 SV_CUTOFF = 1e-10  # relative singular-value cutoff for least squares
 _GATHER_BYTES = 1 << 20  # the largest copy ``_gather_rows`` makes
+#: Cells, per row D codes plus L counts, that one hidden-layer pass of
+#: ``hidden_rows`` covers: whole trials at a time (or one longer trial), so
+#: the pass's temporaries stay small whatever the dataset.
+_PASS_CELLS = 1 << 15
 
 SAMPLE_POLICIES = ("unambiguous", "plateau", "all")
 METHODS = ("T1", "T2")
@@ -144,7 +148,7 @@ def hidden_stream(codes: np.ndarray, chip: ChipInstance, normalize: bool,
                   rng: np.random.Generator | None = None) -> np.ndarray:
     """(T, L) hidden responses to one trial's (T, D) front-end codes, row
     normalized if asked; noise is on when ``rng`` is given."""
-    h = hidden_layer(codes, chip, rng).astype(np.float64)
+    h = hidden_layer(codes, chip, None if rng is None else draw_noise(chip, rng, len(codes)))
     return normalize_rows(h, codes) if normalize else h
 
 
@@ -161,19 +165,63 @@ def hidden_streams(codes, chip: ChipInstance, normalize: bool, noise_seed: int |
         yield hidden_stream(trial_codes, chip, normalize, trial_rng(noise_seed, idx))
 
 
+def hidden_rows(codes, n_ticks: np.ndarray, chip: ChipInstance, normalize: bool,
+                noise_seed: int | None = None, ticks: np.ndarray | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """The ``hidden_stream`` rows of trials, in trial order, written into
+    ``out`` (a new array when None).
+
+    ``codes`` yields each trial's front-end codes: all ``n_ticks[i]`` ticks
+    of trial i, or with ``ticks``, a mask over tick numbers, only the ticks
+    it marks.  Trial i draws noise for all of its ticks from
+    ``trial_rng(noise_seed, i)`` (None: noise off), so a row holds the noise
+    it has in the trial's stream.  The rows are made whole trials at a time,
+    at most ``_PASS_CELLS`` cells (or one trial) per ``hidden_layer`` pass.
+    BLAS may round a mirror sum in its last bit differently with the number
+    of rows in the product; the counter's floor removes that difference
+    unless the sum lies within that bit of a count boundary.
+    """
+    n_ticks = np.asarray(n_ticks)
+    rows = n_ticks if ticks is None else np.concatenate([[0], np.cumsum(ticks)])[n_ticks]
+    if out is None:
+        out = np.empty((int(rows.sum()), chip.l))
+    codes, ends, per_pass = iter(codes), np.cumsum(rows), _PASS_CELLS // (chip.d + chip.l)
+    lo = start = 0  # the first trial of a pass, and its first row
+    while lo < len(rows):  # trials lo..hi-1 in one pass
+        hi = max(lo + 1, int(np.searchsorted(ends, start + per_pass, side="right")))
+        x = np.concatenate([next(codes) for _ in range(lo, hi)])
+        noise = None
+        if noise_seed is not None:
+            draws = [draw_noise(chip, trial_rng(noise_seed, i), n_ticks[i]) for i in range(lo, hi)]
+            if ticks is not None:  # each trial's marked ticks
+                draws = [[None if f is None else f[ticks[:len(f)]] for f in pair] for pair in draws]
+            noise = tuple(None if parts[0] is None else np.concatenate(parts)
+                          for parts in zip(*draws))
+        h = hidden_layer(x, chip, noise, out=out[start : ends[hi - 1]])
+        if normalize:
+            normalize_rows(h, x)
+        lo, start = hi, ends[hi - 1]
+    return out
+
+
 def collect_H(dataset: SpikeDataset, chip: ChipInstance, frontend_cfg: FrontendConfig,
               noise_seed: int | None = None, sample_policy: str = "unambiguous",
               trap: TrapezoidParams | None = None, normalize: bool = True,
-              codes: list | None = None) -> tuple[HiddenMatrix, TargetSet]:
+              codes: list | None = None, targets: TargetSet | None = None,
+              out: np.ndarray | None = None) -> tuple[HiddenMatrix, TargetSet]:
     """Run the simulated chain over a dataset and assemble (H, targets).
 
     One row per tick, every trial's ticks in trial order (``n_ticks``
-    rows each); with a ``noise_seed`` (None: noise off), trial i draws
-    from its own counter-derived stream ``trial_rng(noise_seed, i)`` so
-    results do not depend on evaluation order.  Row timestamps are
-    ``frontend_cfg.tick_end_ms``.
+    rows each), the rows ``hidden_rows`` makes: with a ``noise_seed``
+    (None: noise off), trial i draws from its own counter-derived stream
+    ``trial_rng(noise_seed, i)`` so results do not depend on evaluation
+    order.  Row timestamps are ``frontend_cfg.tick_end_ms``.
     ``codes``, when given, are the trials' front-end codes computed
-    beforehand with ``frontend_cfg``.
+    beforehand with ``frontend_cfg``; ``targets``, when given, the targets
+    an earlier call returned for this dataset, front end, policy and trap,
+    which depend on no chip; ``out``, when given, a float64 buffer whose
+    first rows x L values become H, so H can be collected again on another
+    chip without a new allocation.
 
     ``sample_policy`` selects the rows the type outputs train on:
     "unambiguous" (membership exactly 0 or 1), "plateau" (membership 1),
@@ -193,20 +241,21 @@ def collect_H(dataset: SpikeDataset, chip: ChipInstance, frontend_cfg: FrontendC
     if codes is None:
         codes = (run_trial(frontend_cfg, trial) for trial in dataset.trials)
     n_ticks = np.array([tick_count(frontend_cfg, trial) for trial in dataset.trials])
-    h_all = np.empty((int(n_ticks.sum()), chip.l))
-    for h, end, n in zip(hidden_streams(codes, chip, normalize, noise_seed),
-                         np.cumsum(n_ticks), n_ticks):
-        h_all[end - n : end] = h
-    # tick k of every trial ends at the same time, so one trial's worth of
-    # memberships, as long as the longest, serves every trial
-    ticks_membership = trapezoid(frontend_cfg.tick_end_ms(np.arange(n_ticks.max())), trap)
-    membership = np.concatenate([ticks_membership[:n] for n in n_ticks])
-    labels = np.repeat([trial.label for trial in dataset.trials], n_ticks)
-    type_rows = np.ones(len(membership), bool) if sample_policy == "all" else membership == 1.0
-    if sample_policy == "unambiguous":
-        type_rows |= membership == 0.0
-    return (HiddenMatrix(h_all, n_ticks),
-            TargetSet(labels, dataset.class_count, membership, type_rows))
+    rows = int(n_ticks.sum())
+    if out is not None:
+        out = out[: rows * chip.l].reshape(rows, chip.l)
+    h = hidden_rows(codes, n_ticks, chip, normalize, noise_seed, out=out)
+    if targets is None:
+        # tick k of every trial ends at the same time, so one trial's worth of
+        # memberships, as long as the longest, serves every trial
+        ticks_membership = trapezoid(frontend_cfg.tick_end_ms(np.arange(n_ticks.max())), trap)
+        membership = np.concatenate([ticks_membership[:n] for n in n_ticks])
+        labels = np.repeat([trial.label for trial in dataset.trials], n_ticks)
+        type_rows = np.ones(len(membership), bool) if sample_policy == "all" else membership == 1.0
+        if sample_policy == "unambiguous":
+            type_rows |= membership == 0.0
+        targets = TargetSet(labels, dataset.class_count, membership, type_rows)
+    return HiddenMatrix(h, n_ticks), targets
 
 
 # ----------------------------------------------------------- lasso path

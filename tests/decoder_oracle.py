@@ -11,15 +11,25 @@ its own and scores it by the per-trial rules that ``evaluate`` and
 (``oracle_onset_scores`` is its onset half, on given outputs).
 ``per_threshold_scores`` is the scorer that tracked all trials as one batch
 but made one pass through the ticks per threshold, before
-``decoder.score_onsets`` tracked every threshold in one pass.  They live
-here only as references the package must match exactly.
+``decoder.score_onsets`` tracked every threshold in one pass, and
+``majority_class`` the one-trial vote that ``decoder.plateau_votes`` casts
+for many trials at once.  They live here only as references the package
+must match exactly.
 """
 
 import numpy as np
 
 from mlcpsim.analog import hidden_layer, normalize_rows
-from mlcpsim.decoder import _track_steps, majority_class
+from mlcpsim.decoder import _track_steps
 from mlcpsim.frontend import run_trial
+
+
+def majority_class(s_ticks: np.ndarray, m: int) -> int:
+    """Majority vote with lowest-class tie-break; 0 (no vote) if no ticks."""
+    if len(s_ticks) == 0:
+        return 0
+    counts = np.bincount(s_ticks, minlength=m + 1)
+    return int(np.argmax(counts[1:])) + 1
 
 
 def track(g: np.ndarray, lam: int, tau: int, tr_ticks: float) -> np.ndarray:

@@ -12,21 +12,22 @@ from mlcpsim.analog import (
     AnalogParams,
     ChipInstance,
     build_chip,
-    cco_count,
-    cco_frequency,
+    draw_noise,
     hidden_layer,
     load_chip,
-    mirror_multiply,
     mismatch_map,
     normalize_rows,
     save_chip,
     write_mismatch_map,
 )
 
+from mlcpsim import training
 from mlcpsim.frontend import FrontendConfig, run_trial
 from mlcpsim.spikeio import SynthParams, gen_synthetic
+from mlcpsim.training import hidden_rows, hidden_stream, trial_rng
 
-from analog_oracle import DegenerateInputError, dac_current, normalize_hidden
+from analog_oracle import (DegenerateInputError, cco_count, cco_frequency, dac_current,
+                           dac_currents, hidden_counts, mirror_multiply, normalize_hidden)
 
 
 def ideal_params(**overrides):
@@ -119,10 +120,10 @@ def test_dac_measured_dnl_within_bound():
 def test_dac_currents_of_a_batch_are_its_rows_one_by_one():
     chip = build_chip(11, AnalogParams(), d=5, l=3)
     codes = np.random.default_rng(11).integers(0, 64, size=(7, 5))
-    batch = chip.dac_currents(codes)
+    batch = dac_currents(chip, codes)
     assert batch.shape == (7, 5)
-    assert np.array_equal(batch, np.stack([chip.dac_currents(row) for row in codes]))
-    assert np.array_equal(chip.dac_currents(codes[2]),
+    assert np.array_equal(batch, np.stack([dac_currents(chip, row) for row in codes]))
+    assert np.array_equal(dac_currents(chip, codes[2]),
                           [dac_current(chip, int(c), j) for j, c in enumerate(codes[2])])
 
 
@@ -131,7 +132,10 @@ def test_dac_code_range_checked():
     with pytest.raises(ValueError):
         dac_current(chip, 64, 0)
     with pytest.raises(ValueError):
-        chip.dac_currents(np.array([1, -1]))
+        dac_currents(chip, np.array([1, -1]))
+    for bad in ([1, -1], [64, 0], [[0, 0], [0, 64]]):
+        with pytest.raises(ValueError, match=r"codes must be in \[0, 63\]"):
+            hidden_layer(np.array(bad), chip)
 
 
 # -------------------------------------------------------------- mirror array
@@ -158,7 +162,7 @@ def test_mirror_noise_matches_snr():
     # 43 dB SNR -> relative error std 10^(-43/20) = 0.708%
     chip = build_chip(12, AnalogParams(), d=8, l=8)
     rng = np.random.default_rng(120)
-    i_dac = chip.dac_currents(np.full(8, 40))
+    i_dac = dac_currents(chip, np.full(8, 40))
     clean = mirror_multiply(i_dac, chip)
     rel = []
     for _ in range(1000):
@@ -186,6 +190,22 @@ def test_cco_saturates_at_stop_value():
         assert params.stop_value == 2 ** (7 + sel)
         counts = cco_count(np.array([1e6]), params)
         assert int(counts[0]) == params.stop_value
+
+
+def test_cco_counts_past_the_int64_range_saturate():
+    # floor(1e30) and inf do not fit an int64: a cast before the clamp made
+    # them -2**63, a negative count
+    params = AnalogParams()
+    assert cco_count(np.array([1e30, np.inf]), params).tolist() == [params.stop_value] * 2
+    # in the pass: counts near 1e290 (C_f = 1e-300 F) and inf (the smallest
+    # subnormal C_f, where the frequency overflows, with no warning)
+    for c_f_f in (1e-300, 5e-324):
+        chip = build_chip(3, AnalogParams(c_f_f=c_f_f), d=4, l=6)
+        x = np.array([[40, 3, 0, 63], [0, 0, 0, 1]])
+        h = hidden_layer(x, chip)
+        assert (h == params.stop_value).all()
+        with np.errstate(over="ignore"):
+            assert np.array_equal(h, hidden_counts(x, chip))
 
 
 def test_cco_jitter_bounded():
@@ -286,6 +306,101 @@ def test_alpha_supply_scales_counts():
         assert np.all((diff >= 0) & (diff <= 1))
 
 
+# ------------------------------------------- the one pass against the stages
+
+def _random_chip(rng, case: int):
+    """A chip of random size whose settings cycle through ``case``: every
+    ``fmax_sel``, the full CCO form, a leak, a supply factor, and jitter on
+    and off."""
+    params = AnalogParams(i_ref_na=rng.uniform(1.0, 40.0), fmax_sel=case % 8,
+                          b_na=rng.uniform(0.1, 3.0) if case % 3 else 0.0,
+                          alpha_supply=rng.uniform(0.3, 3.0) if case % 5 else 1.0,
+                          use_full_cco=case % 5 == 2, i_rst_na=1e4,
+                          mirror_snr_db=rng.uniform(10.0, 50.0),
+                          jitter_rel=0.0 if case % 6 == 5 else rng.uniform(1e-4, 1e-2))
+    return build_chip(int(rng.integers(1 << 30)), params, d=int(rng.integers(1, 20)),
+                      l=int(rng.integers(1, 30)))
+
+
+def _stage_rows(codes, chip, normalize, noise_seed):
+    """The oracle: each trial's stages, cast to float and normalized if asked."""
+    rows = []
+    for i, x in enumerate(codes):
+        h = hidden_counts(x, chip, trial_rng(noise_seed, i)).astype(np.float64)
+        rows.append(normalize_rows(h, x) if normalize else h)
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_the_hidden_pass_equals_the_stages_bit_for_bit(monkeypatch, case):
+    # trials of 0 and 1 ticks among longer ones, uint8 and int64 codes,
+    # noise on and off, normalization on and off; a small pass budget puts
+    # several trials in some passes and leaves others longer than a pass
+    rng = np.random.default_rng(1900 + case)
+    chip = _random_chip(rng, case)
+    noise_seed, normalize = (case if case % 2 else None), case % 4 < 2
+    dtype = np.uint8 if case % 3 else np.int64
+    lengths = rng.permutation([0, 1, *rng.integers(2, 60, size=6)])
+    codes = [rng.integers(0, 64, size=(n, chip.d)).astype(dtype) for n in lengths]
+    codes[0][:1] = 0  # a silent row, if the trial has one
+    want = _stage_rows(codes, chip, normalize, noise_seed)
+    monkeypatch.setattr(training, "_PASS_CELLS", int(rng.integers(1, 80)) * (chip.d + chip.l))
+    got = hidden_rows(codes, lengths, chip, normalize, noise_seed)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    streams = [hidden_stream(x, chip, normalize, trial_rng(noise_seed, i))
+               for i, x in enumerate(codes)]
+    assert np.concatenate(streams).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("l", [8, 10, 12])
+def test_whole_trials_in_one_pass_keep_the_bits_of_their_streams(l):
+    # several 100-tick trials share one product with the mirror weights; at
+    # 60 rows and few neurons BLAS may round its sums in the last bit apart
+    # from a 100-row product's, which the counter's floor removes
+    rng = np.random.default_rng(1940 + l)
+    chip = build_chip(l, AnalogParams(), d=60, l=l)
+    codes = [rng.integers(0, 40, size=(100, 60), dtype=np.uint8) for _ in range(8)]
+    assert training._PASS_CELLS // (60 + l) > 300  # three trials or more per pass
+    got = hidden_rows(codes, [100] * 8, chip, True)
+    want = np.concatenate([hidden_stream(x, chip, True) for x in codes])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("noise_seed", [None, 7])
+def test_a_trial_longer_than_a_pass_is_made_in_one_pass(noise_seed):
+    rng = np.random.default_rng(1950)
+    chip = _random_chip(rng, 2)
+    n = training._PASS_CELLS // (chip.d + chip.l) + 25
+    codes = [rng.integers(0, 64, size=(k, chip.d)) for k in (3, n, 2)]
+    want = _stage_rows(codes, chip, True, noise_seed)
+    got = hidden_rows(codes, [3, n, 2], chip, True, noise_seed)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("noise_seed", [None, 11])
+def test_marked_ticks_hold_their_stream_rows(noise_seed):
+    # noise is drawn for every tick of a trial, so a marked tick's row has
+    # the noise it has in the stream
+    rng = np.random.default_rng(1960)
+    chip = build_chip(19, AnalogParams(), d=6, l=9)
+    lengths = np.array([30, 0, 12, 30, 5])
+    ticks = rng.random(30) < 0.4
+    codes = [rng.integers(0, 64, size=(n, chip.d)) for n in lengths]
+    got = hidden_rows([x[ticks[:len(x)]] for x in codes], lengths, chip, True, noise_seed,
+                      ticks=ticks)
+    want = _stage_rows(codes, chip, True, noise_seed)[np.concatenate([ticks[:n] for n in lengths])]
+    assert got.tobytes() == want.tobytes()
+
+
+def test_the_full_cco_stall_is_refused_by_the_pass_and_the_stages():
+    params = ideal_params(use_full_cco=True, i_rst_na=20.0)
+    chip = build_chip(5, params, d=2, l=3)
+    x = np.array([[1, 1], [63, 63]])  # the second row sums about 39 nA
+    for make in (hidden_layer, hidden_counts):
+        with pytest.raises(ValueError, match="requires I_in < I_rst"):
+            make(x, chip)
+
+
 # ------------------------------------------------------------ normalization
 
 def test_normalize_direct_example():
@@ -322,7 +437,7 @@ def test_normalize_rows_matches_single_window_oracle():
     h = rng.integers(0, 200, size=(40, 12)).astype(np.float64)
     x = rng.integers(0, 64, size=(40, 8))
     h[3], x[5], h[7], x[7] = 0.0, 0, 0.0, 0
-    out = normalize_rows(h, x)
+    out = normalize_rows(h.copy(), x)  # scaled in place
     for h_row, x_row, got in zip(h, x, out):
         if h_row.sum() > 0 and x_row.sum() > 0:
             assert np.allclose(got, normalize_hidden(h_row, x_row), rtol=1e-13, atol=0)
@@ -368,7 +483,8 @@ def test_normalized_counts_do_not_depend_on_alpha_supply_on_random_chips():
         alpha = float(rng.choice([rng.uniform(0.3, 1.0), rng.uniform(1.0, 3.0)]))
         scaled = dataclasses.replace(chip, params=dataclasses.replace(params, alpha_supply=alpha))
         seed = int(rng.integers(1 << 30))  # odd cases: noise on, the same draws for both
-        h1, h_alpha = (hidden_layer(codes, c, np.random.default_rng(seed) if case % 2 else None)
+        h1, h_alpha = (hidden_layer(codes, c, draw_noise(c, np.random.default_rng(seed), len(codes))
+                                    if case % 2 else None)
                        for c in (chip, scaled))
         live = ~((h1 == params.stop_value) | (h_alpha == params.stop_value)).any(axis=1)
         live &= (h1.sum(axis=1) > 0) & (h_alpha.sum(axis=1) > 0) & (codes.sum(axis=1) > 0)

@@ -1,0 +1,53 @@
+"""The benchmark's span tracer still finds every function it wraps.
+
+``bench/spans.py`` wraps package functions by name from outside the
+package and skips, listing in ``Tracer.missing``, any it cannot find; the
+metrics such a target feeds then read zero instead of failing.  This test
+imports the tracer as the benchmark does, without changing it, so a rename
+or move in the package shows here first.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import mlcpsim.cli  # noqa: F401  (every package module, as the benchmark worker imports them)
+from mlcpsim import analog, training
+from mlcpsim.analog import AnalogParams, build_chip
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _target(module: str, attr: str):
+    return getattr(importlib.import_module(f"mlcpsim.{module}"), attr)
+
+
+def test_every_span_target_resolves_and_is_restored():
+    spans = _spans()
+    originals = {(module, attr): _target(module, attr) for module, attr, *_ in spans.TARGETS}
+    tracer = spans.Tracer()
+    tracer.begin("check")
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        # the hidden-layer counters read the pass that training runs
+        chip = build_chip(1, AnalogParams(), d=3, l=4)
+        codes = [np.full((5, 3), 9, np.uint8), np.zeros((2, 3), np.uint8)]
+        training.hidden_rows(codes, [5, 2], chip, normalize=True)
+        assert tracer.counts["analog.macs"] == 7 * 3 * 4
+        assert tracer.counts["analog.cco_cells"] == 7 * 4
+        assert tracer.counts["analog.zero_rows"] == 2
+    finally:
+        tracer.uninstall()
+    for (module, attr), original in originals.items():
+        assert _target(module, attr) is original
+    assert training.hidden_layer is analog.hidden_layer

@@ -279,6 +279,25 @@ def test_train_t2_on_a_silent_dataset_is_degenerate_not_an_error(capsys, tmp_pat
     assert saved.report["degenerate"] is True
 
 
+@pytest.mark.parametrize("normalize", ["true", "false"])
+def test_train_on_counts_past_the_int64_range_saturates_every_counter(capsys, tmp_path,
+                                                                      normalize):
+    """At C_f = 1e-300 F every count is near 1e290, past what an int64
+    holds: each saturates at the stop value 16384, so no neuron is pruned
+    and no count is negative."""
+    ds, model = tmp_path / "ds", tmp_path / "m.json"
+    assert run(capsys, "gen", "--out", str(ds), "--seed", "3", "--set", "synth.q=8",
+               "--set", "synth.m=2", "--set", "synth.trials_per_class=4")[0] == 0
+    code, text, err = run(capsys, "train", "--data", str(ds), "--out", str(model),
+                          *SMALL_CHIP, "--set", "analog.c_f_f=1e-300",
+                          "--set", f"decoder.normalize={normalize}")
+    assert code == 0, err
+    assert "# pruned = 0 of 16 neurons" in text.splitlines()
+    beta = load_model(model).beta
+    if normalize == "false":  # H is 16384 everywhere: the minimum-norm beta has equal rows
+        assert np.allclose(beta, beta[0], rtol=1e-9, atol=0)
+
+
 def test_train_accuracy_votes_like_eval_when_no_trial_reaches_the_plateau(capsys, tmp_path):
     """Trials of 880 ms end before trap.t1_ms = 900 ms: with no plateau tick
     no trial has a vote, so every one is wrong, in training as in evaluation."""

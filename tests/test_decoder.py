@@ -15,7 +15,8 @@ from mlcpsim.decoder import (
     decode_stream,
     evaluate,
     load_model,
-    majority_class,
+    plateau_class,
+    plateau_votes,
     roc_sweep,
     save_model,
     score_onsets,
@@ -25,11 +26,12 @@ from mlcpsim.decoder import (
 )
 from mlcpsim.frontend import FrontendConfig, run_trial
 from mlcpsim.spikeio import SpikeDataset, SynthParams, Trial, gen_synthetic
-from mlcpsim.training import collect_H, fit_output_weights
+from mlcpsim.training import collect_H, fit_output_weights, hidden_rows
 
 from decoder_oracle import (
     TrackingFsm,
     classify_type,
+    majority_class,
     onset_primary,
     oracle_onset_scores,
     oracle_scores,
@@ -555,8 +557,63 @@ def test_scorer_rejects_nan_thresholds(easy_setup):
 
 
 def test_majority_vote_tie_break():
-    assert majority_class(np.array([2, 2, 3, 3]), m=4) == 2
-    assert majority_class(np.array([], dtype=int), m=4) == 0  # no ticks, no vote
+    outputs = np.eye(5)[[1, 1, 2, 2]]  # classes 2, 2, 3, 3 of 4, and the onset column
+    assert plateau_votes(outputs, [4, 0], m=4).tolist() == [2, 0]  # no ticks, no vote
+
+
+def test_plateau_votes_are_each_trials_majority_class():
+    # random runs of classes, many tied and some empty
+    rng = np.random.default_rng(560)
+    m = 4
+    n_ticks = rng.integers(0, 7, size=400)
+    s = rng.integers(1, m + 1, size=n_ticks.sum())
+    outputs = np.hstack([np.eye(m)[s - 1], rng.normal(size=(len(s), 1))])  # s ranks first
+    votes = plateau_votes(outputs, n_ticks, m)
+    ties = 0
+    for vote, end, n in zip(votes, np.cumsum(n_ticks), n_ticks):
+        counts = np.bincount(s[end - n : end], minlength=m + 1)[1:]
+        ties += n > 0 and (counts == counts.max()).sum() > 1
+        assert vote == majority_class(s[end - n : end], m)
+    assert ties > 50 and (n_ticks == 0).sum() > 20
+    assert plateau_votes(np.zeros((0, m + 1)), [], m).shape == (0,)
+
+
+def test_plateau_votes_equal_plateau_class_on_a_tie_and_without_a_plateau(easy_setup):
+    _, _, model = easy_setup  # 3 classes; ticks 44..54 end on the plateau
+    streams = []
+    for n, classes in [(100, [3] * 5 + [2] * 5 + [1]),  # 2 and 3 tie: the vote is 2
+                       (100, [1, 3, 3] + [2] * 8),
+                       (40, [])]:  # the trial ends before trap.t1_ms: no vote
+        o = np.zeros((n, model.m + 1))
+        o[np.arange(n), np.arange(n) % model.m] = 1.0  # off the plateau, every class
+        o[44:44 + len(classes)] = 0.0
+        o[np.arange(44, 44 + len(classes)), np.array(classes, dtype=int) - 1] = 1.0
+        streams.append(o)
+    on = model.trap.on_plateau(model.frontend.tick_end_ms(np.arange(100)))
+    plateau = [o[on[:len(o)]] for o in streams]
+    votes = plateau_votes(np.concatenate(plateau), [len(o) for o in plateau], model.m)
+    assert votes.tolist() == [plateau_class(o, model) for o in streams] == [2, 2, 0]
+
+
+@pytest.mark.parametrize("noise_seed", [None, 9])
+def test_plateau_rows_vote_like_plateau_class_on_full_streams(easy_setup, noise_seed):
+    """The sweep's vote: the hidden rows of each test trial's plateau ticks
+    alone (noise drawn for every tick), one product, one vectorized vote; a
+    trial shorter than trap.t1_ms has no vote."""
+    ds, chip, model = easy_setup
+    short = Trial("short", 2, 0, 880_000, ds.trials[4].times_us, ds.trials[4].channels)
+    trials = [ds.trials[0], short, *ds.trials[1:]]
+    data = SpikeDataset(trials, ds.channel_count, ds.class_count, ds.metadata)
+    codes = [run_trial(model.frontend, trial) for trial in trials]
+    on = model.trap.on_plateau(model.frontend.tick_end_ms(np.arange(100)))
+    plateau_codes = [x[on[:len(x)]] for x in codes]
+    h = hidden_rows(plateau_codes, [len(x) for x in codes], chip, model.normalize, noise_seed,
+                    ticks=on)
+    votes = plateau_votes(h @ model.beta, [len(x) for x in plateau_codes], model.m)
+    want = [plateau_class(o, model) for o in decoder._output_streams(data, model, chip,
+                                                                       noise_seed)]
+    assert votes.tolist() == want
+    assert want[1] == 0 and all(want[:1] + want[2:]) and len(set(want)) == model.m + 1
 
 
 def test_trial_without_a_plateau_tick_is_wrong_whatever_its_label(easy_setup):
@@ -680,7 +737,7 @@ def test_supply_factor_does_not_move_predictions():
             results[alpha] = decode_stream(trial, model, alt_chip)
             h_raw[alpha] = hidden_layer(codes, alt_chip)
         ref = results[1.0]
-        ref_norm = normalize_rows(h_raw[1.0], codes)
+        ref_norm = normalize_rows(h_raw[1.0].copy(), codes)  # scaled in place
         for alpha in [0.5, 2.0]:
             clamped = (h_raw[alpha] == base_params.stop_value).any(axis=1) | (
                 h_raw[1.0] == base_params.stop_value

@@ -512,7 +512,7 @@ def test_t1_fit_that_may_overwrite_h_gives_the_shared_fits_bits(monkeypatch, pol
 
 @pytest.mark.parametrize("ridge", [0.0, 3.0])
 def test_a_single_t1_fit_in_train_copies_no_type_rows(monkeypatch, ridge):
-    """The last fit of ``_train_models`` may overwrite H, so a lone T1 fit
+    """The last fit of a ``_trainer`` may overwrite H, so a lone T1 fit
     gathers the type rows in place: its traced peak stays well below H's
     bytes, where a copy of the type rows would be most of them (lstsq's
     LAPACK buffers are not traced)."""
@@ -532,8 +532,7 @@ def test_a_single_t1_fit_in_train_copies_no_type_rows(monkeypatch, ridge):
     monkeypatch.setattr(cli, "collect_H", lambda *args, **kwargs: (hidden, targets))
     cfg = resolve_config(None, [f"train.ridge_lambda={ridge}"], None)
     chip = build_chip(1, AnalogParams(), d=4, l=64)
-    [model] = cli._train_models(cfg, SpikeDataset([], 4, 3), chip, FrontendConfig.tdbdi(4, 1),
-                                ["T1"])
+    [model] = cli._trainer(cfg, SpikeDataset([], 4, 3), FrontendConfig.tdbdi(4, 1), ["T1"])(chip)
     assert len(peaks) == 1 and peaks[0] < 0.5, peaks
     assert "train_accuracy" not in model.report  # only train keeps plateau rows to score on
 
