@@ -175,15 +175,18 @@ def _noise_seed(cfg: dict, name: str) -> int | None:
 
 
 def _trainer(cfg: dict, dataset: SpikeDataset, frontend, methods: list,
-             codes: list | None = None, score: bool = False, out: np.ndarray | None = None):
+             codes: list | None = None, score: bool = False, out: np.ndarray | None = None,
+             type_only: bool = False):
     """Check every training setting, then return ``train(chip)``: one model
-    per training method, fitted on one H collected on the chip (from
-    ``codes``, the trials' front-end codes, if given) after the decoder
-    settings are checked too.  Every chip shares the training targets,
-    built on the first, and ``out`` (None: a new H per chip), the buffer
-    each H is written into.  ``score`` adds ``train_accuracy`` to each
-    report: the evaluation vote on the training set itself, an optimistic
-    figure."""
+    per training method, in ``methods`` order, fitted on one H collected on
+    the chip (from ``codes``, the trials' front-end codes, if given) after
+    the decoder settings are checked too.  Every chip shares the training
+    targets, built on the first, and ``out`` (None: a new H per chip), the
+    buffer each H is written into.  T2 fits first, so the last fit, which
+    may overwrite H, is a T1 fit whenever there is one.  ``score`` adds
+    ``train_accuracy`` to each report: the evaluation vote on the training
+    set itself, an optimistic figure.  ``type_only`` leaves a T1 model's
+    onset column zero (``fit_output_weights``)."""
     l1, sparsity = cfg["train.l1_lambda"], cfg["train.target_sparsity"]
     penalties = dict(ridge_lambda=cfg["train.ridge_lambda"], l1_lambda=None if l1 < 0 else l1,
                      target_sparsity=None if sparsity < 0 else sparsity)
@@ -211,15 +214,16 @@ def _trainer(cfg: dict, dataset: SpikeDataset, frontend, methods: list,
             on = trap.on_plateau(frontend.tick_end_ms(np.arange(hidden.n_ticks.max())))
             plateau = [hidden.h[end - n : end][on[:n]]
                        for end, n in zip(np.cumsum(hidden.n_ticks), hidden.n_ticks)]
-        models = []
-        for i, method in enumerate(methods):  # no later fit reads H, so the last may overwrite it
-            w = fit_output_weights(hidden, targets, method=method, refit=cfg["train.refit"],
-                                   overwrite_h=i == len(methods) - 1, **penalties)
+        models = [None] * len(methods)
+        order = sorted(range(len(methods)), key=lambda i: methods[i] == "T1")
+        for i in order:  # no later fit reads H, so the last may overwrite it
+            w = fit_output_weights(hidden, targets, method=methods[i], refit=cfg["train.refit"],
+                                   overwrite_h=i == order[-1], type_only=type_only, **penalties)
             if score:
                 votes = plateau_votes(np.concatenate([h @ w.beta[:, :m] for h in plateau]),
                                       [len(h) for h in plateau], m)
                 w.report["train_accuracy"] = np.count_nonzero(votes == labels) / len(labels)
-            models.append(replace(untrained, beta=w.beta, support=w.support, report=w.report))
+            models[i] = replace(untrained, beta=w.beta, support=w.support, report=w.report)
         return models
 
     return train
@@ -393,6 +397,8 @@ def cmd_roc(args, cfg: dict) -> int:
 def cmd_sweep(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
     methods = [_one_of("sweep.methods", m, METHODS) for m in parse_str_list(cfg["sweep.methods"])]
+    with under("decoder."):  # unread here, but echoed: held to eval's rule
+        check_scoring((), cfg["decoder.tol_ms"])
     dataset = parse_dataset(args.data)
     split_seed = _at_least("split.seed", cfg["split.seed"])
     with under("split."):
@@ -436,7 +442,8 @@ def cmd_sweep(args, cfg: dict) -> int:
             train_codes = [run_trial(frontend, t).astype(np.uint8) for t in sub_train.trials]
             if buffer is None:  # every front end has the same training rows
                 buffer = np.empty(sum(map(len, train_codes)) * max(l_grid))
-            train = _trainer(cfg, sub_train, frontend, methods, train_codes, out=buffer)
+            train = _trainer(cfg, sub_train, frontend, methods, train_codes, out=buffer,
+                             type_only=True)
             test_ticks = np.array([tick_count(frontend, t) for t in sub_test.trials])
             on = section(cfg, "trap").on_plateau(frontend.tick_end_ms(np.arange(test_ticks.max())))
             test_codes = [run_trial(frontend, t)[on[:k]].astype(np.uint8)

@@ -228,16 +228,6 @@ def split_dataset(dataset: SpikeDataset, test_fraction: float, seed: int
                  for idx in (train_idx, test_idx))
 
 
-def plateau_class(outputs: np.ndarray, model: DecoderModel) -> int:
-    """Type vote of one trial: the ``plateau_votes`` vote of its per-tick
-    outputs (row i is tick i) at the ticks whose window ends on the
-    trapezoid plateau (``model.trap.on_plateau``).  A trial with no plateau
-    tick has no vote (0), so it is scored wrong, in training as in
-    evaluation."""
-    plateau = model.trap.on_plateau(model.frontend.tick_end_ms(np.arange(len(outputs))))
-    return int(plateau_votes(outputs[plateau], [np.count_nonzero(plateau)], model.m)[0])
-
-
 def plateau_votes(outputs: np.ndarray, n_ticks, m: int) -> np.ndarray:
     """Type votes of trials from their outputs at the ticks on the plateau:
     trial i owns the next ``n_ticks[i]`` rows of ``outputs``, and votes for
@@ -338,21 +328,25 @@ def evaluate(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
              noise_seed: int | None = None, tol_ms: float = 150.0) -> EvalReport:
     """Score a test set.
 
-    Type accuracy is the fraction of trials whose ``plateau_class`` vote
-    matches the label (a trial with no vote is wrong and stays out of the
-    confusion matrix); TPR the fraction with a detection within ``tol_ms``
-    of the true onset; detections outside that window count as false
-    positives.  With a ``noise_seed`` (None: noise off), each trial uses
-    its own counter-derived stream, so scores are independent of
-    evaluation order.  The trials are decoded here (``_output_streams``);
-    ``sweep`` scores type alone, by ``plateau_votes`` on the plateau rows.
+    Type accuracy is the fraction of trials whose ``plateau_votes`` vote,
+    over the ticks whose window ends on the trapezoid plateau
+    (``model.trap.on_plateau``), matches the label (a trial with no such
+    tick has no vote, is wrong and stays out of the confusion matrix); TPR
+    the fraction with a detection within ``tol_ms`` of the true onset;
+    detections outside that window count as false positives.  With a
+    ``noise_seed`` (None: noise off), each trial uses its own
+    counter-derived stream, so scores are independent of evaluation order.
+    The trials are decoded here (``_output_streams``); ``sweep`` scores type
+    alone, by ``plateau_votes`` on the plateau rows.
     """
     check_scoring([model.theta], tol_ms)
     outputs = _output_streams(dataset, model, chip, noise_seed)
+    on = model.trap.on_plateau(model.frontend.tick_end_ms(np.arange(max(map(len, outputs)))))
+    plateau = [o[on[:len(o)]] for o in outputs]
+    votes = plateau_votes(np.concatenate(plateau), list(map(len, plateau)), model.m)
+    labels, voted = np.array([trial.label for trial in dataset.trials]), votes > 0
     confusion = np.zeros((dataset.class_count, dataset.class_count), dtype=np.int64)
-    for trial, o in zip(dataset.trials, outputs):
-        if vote := plateau_class(o, model):
-            confusion[trial.label - 1, vote - 1] += 1
+    np.add.at(confusion, (labels[voted] - 1, votes[voted] - 1), 1)
     [(hits, fps, latencies)] = score_onsets(dataset.trials, outputs, model, [model.theta], tol_ms)
     n = len(dataset.trials)
     return EvalReport(

@@ -7,7 +7,8 @@ normalization) to collect the hidden matrix H, then solves for beta.  One
 trainer, ``fit_blocks``, fits (h, t) blocks that share the hidden neurons;
 ``fit_output_weights`` passes it the type block and the onset block.  T1
 fits the onset block first, so a caller that owns H may let the type rows
-be gathered to the front of H in place rather than copied.
+be gathered to the front of H in place rather than copied; a caller that
+reads only the type columns may have T1 fit the type block alone.
 
 * T1 - least squares: the minimum-norm solution via a rank-revealing
   decomposition (or ridge regression for ridge_lambda > 0).
@@ -535,6 +536,7 @@ def fit_output_weights(
     target_sparsity: float | None = None,
     refit: bool = False,
     overwrite_h: bool = False,
+    type_only: bool = False,
 ) -> OutputWeights:
     """Train all M+1 output columns against a collected hidden matrix.
 
@@ -544,17 +546,23 @@ def fit_output_weights(
 
     ``overwrite_h`` lets a T1 fit take the type rows out of ``hidden.h``
     itself: T1 fits the onset column on all of H first, so the type rows can
-    then be gathered to the front of H in place instead of copied.  T2 reads
-    H once per block and ignores it.
+    then be gathered to the front of H in place instead of copied.
+    ``type_only`` lets a T1 fit solve the type block alone and leave the
+    onset column zero: T1 fits each block on its own, so the type columns
+    keep their bits, and the residuals and ``degenerate`` cover the type
+    block only.  T2 reads H once per block and ignores both.
     """
     rows = targets.type_rows
     if not rows.any():
         raise TrainingError("sample policy selected no rows for the type outputs")
+    t1 = method == "T1"
 
     def type_block():  # under T1, built after the onset fit
-        own = overwrite_h and method == "T1"
-        h = _gather_rows(hidden.h, rows) if own else hidden.h[rows]
+        h = _gather_rows(hidden.h, rows) if overwrite_h and t1 else hidden.h[rows]
         return h, np.eye(targets.m)[targets.labels[rows] - 1]  # one-hot class rows
 
-    blocks = [type_block, (hidden.h, targets.t_onset)]
-    return fit_blocks(blocks, method, ridge_lambda, l1_lambda, target_sparsity, refit)
+    blocks = [type_block] if type_only and t1 else [type_block, (hidden.h, targets.t_onset)]
+    w = fit_blocks(blocks, method, ridge_lambda, l1_lambda, target_sparsity, refit)
+    if len(blocks) == 1:  # a zero onset column
+        w.beta = np.pad(w.beta, ((0, 0), (0, 1)))
+    return w

@@ -13,8 +13,9 @@ its own and scores it by the per-trial rules that ``evaluate`` and
 but made one pass through the ticks per threshold, before
 ``decoder.score_onsets`` tracked every threshold in one pass, and
 ``majority_class`` the one-trial vote that ``decoder.plateau_votes`` casts
-for many trials at once.  They live here only as references the package
-must match exactly.
+for many trials at once (``plateau_class`` casts it over one decoded
+trial's plateau ticks, as ``evaluate`` did trial by trial).  They live here
+only as references the package must match exactly.
 """
 
 import numpy as np
@@ -30,6 +31,16 @@ def majority_class(s_ticks: np.ndarray, m: int) -> int:
         return 0
     counts = np.bincount(s_ticks, minlength=m + 1)
     return int(np.argmax(counts[1:])) + 1
+
+
+def plateau_class(outputs: np.ndarray, model) -> int:
+    """Type vote of one trial from its per-tick outputs (row i is tick i):
+    the majority class over the ticks whose window ends on the trapezoid
+    plateau, 0 (no vote) if it has none."""
+    t_ms = (np.arange(len(outputs)) + 1) * model.frontend.t_s_ms
+    s = np.array([classify_type(row, model.m) for row in outputs], dtype=np.int64)
+    plateau = (t_ms >= model.trap.t1_ms) & (t_ms <= model.trap.t2_ms)
+    return majority_class(s[plateau], model.m)
 
 
 def track(g: np.ndarray, lam: int, tau: int, tr_ticks: float) -> np.ndarray:
@@ -135,11 +146,7 @@ def oracle_scores(dataset, model, chip, theta, tol_ms=150.0):
             h = normalize_rows(h, codes)
         o = h @ model.beta
         outputs.append(o)
-        t_ms = (np.arange(len(o)) + 1) * model.frontend.t_s_ms
-        s = np.array([classify_type(row, model.m) for row in o], dtype=np.int64)
-        plateau = (t_ms >= model.trap.t1_ms) & (t_ms <= model.trap.t2_ms)
-        vote = majority_class(s[plateau], model.m)
-        if vote:  # a trial with no plateau tick has no vote
+        if vote := plateau_class(o, model):  # a trial with no plateau tick has no vote
             confusion[trial.label - 1, vote - 1] += 1
     return (confusion, *oracle_onset_scores(dataset.trials, outputs, model, theta, tol_ms))
 

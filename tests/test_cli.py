@@ -396,19 +396,44 @@ def test_sweep_takes_chip_d_only_as_every_grid_points_row_count(capsys, tmp_path
 
 
 def test_sweep_scores_the_type_vote_alone(capsys, tmp_path, monkeypatch, shared_run):
-    # sweep writes type accuracy only: no onset is scored, so it takes any
-    # decoder.tol_ms, which only eval and roc read
+    # sweep writes type accuracy only: no onset is scored
     def scored(*args, **kwargs):
         raise AssertionError("sweep scored onsets")
-    for module, name in [(cli, "evaluate"), (cli, "check_scoring"), (decoder, "score_onsets")]:
+    for module, name in [(cli, "evaluate"), (decoder, "score_onsets")]:
         monkeypatch.setattr(module, name, scored)
     ds, _ = shared_run
     out = tmp_path / "sweep.csv"
     code, _, err = run(capsys, "sweep", "--data", str(ds), "--out", str(out),
-                       "--set", "sweep.l_grid=8", "--set", "sweep.chip_seeds=1",
-                       "--set", "decoder.tol_ms=-1")
+                       "--set", "sweep.l_grid=8", "--set", "sweep.chip_seeds=1")
     assert code == 0, err
     assert out.read_text().startswith("method,l,n,p,accuracy_mean,accuracy_std\nT1,8,8,1,")
+
+
+def test_sweep_solves_one_least_squares_per_t1_point_whatever_the_method_order(
+        capsys, tmp_path, monkeypatch, shared_run):
+    """Only the type columns feed the score, so a T1 point solves the type
+    block alone: one ``lstsq`` per T1 point, none for T2 (no refit).  The
+    order of ``sweep.methods`` moves no method's row."""
+    calls, lstsq = [], np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    ds, _ = shared_run
+    rows = {}
+    for methods in ("T1,T2", "T2,T1"):
+        out = tmp_path / f"{methods}.csv"
+        calls.clear()
+        code, _, err = run(capsys, "sweep", "--data", str(ds), "--out", str(out),
+                           "--set", f"sweep.methods={methods}", "--set", "sweep.l_grid=8",
+                           "--set", "sweep.chip_seeds=1", "--set", "train.target_sparsity=0.3")
+        assert code == 0, err
+        assert len(calls) == 1, calls
+        _, *lines = out.read_text().splitlines()
+        rows[methods] = dict(line.split(",", 1) for line in lines)
+    assert rows["T1,T2"] == rows["T2,T1"] and set(rows["T1,T2"]) == {"T1", "T2"}
 
 
 @pytest.mark.parametrize("mode", ["direct", "tdbdi"])

@@ -3,7 +3,8 @@
 A small T1 model is trained in a subprocess at one BLAS thread (the T1
 solve in ``train`` is not byte-stable across thread counts).  ``eval``,
 ``roc`` and ``stream`` then decode it, with noise on, and a noisy T2
-``train``, ``chip``, a two-point T1 and T2 ``sweep`` and ``budget`` run, in
+``train``, ``chip``, a two-point T1 and T2 ``sweep`` (also with the methods
+in the other order), a ridge T1 ``sweep`` and ``budget`` run, in
 one subprocess at ``OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1`` and one at 2;
 their outputs must be byte-identical.  On the platform recorded in ``bench/expected.json``
 every file must also have the sha256 in ``DIGESTS``, so a change to the
@@ -28,7 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(mlcpsim.__file__).resolve().parents[1]
 
 OUTPUTS = ("eval.json", "roc.csv", "stream.csv", "model_t2.json", "chip.json", "sweep.csv",
-           "budget.json")
+           "sweep_ridge.csv", "sweep_t2_t1.csv", "budget.json")
 
 #: sha256 of each file on the recorded platform.
 DIGESTS = {
@@ -39,6 +40,8 @@ DIGESTS = {
     "model_t2.json": "d80ba18dc1f1db40f8825d5bf01536e70c0b4ca4d3f25643be982466136339ae",
     "chip.json": "d6290c591233d59227a6d73d1af4b7785ba8313884968e46cc99080a1c5873cf",
     "sweep.csv": "00b3907bc5e0495f87fdf11b723acfb2fbc8997bf2de4c850353b3aeb5b44d37",
+    "sweep_ridge.csv": "789a27cee1c9a216fc6385cb74e698b5daa0e0b6a136ec40b26f52cbc4bd2961",
+    "sweep_t2_t1.csv": "bcb9bec10664061f5f1f16b8221d760830685af7a6daafa26e667ffe1f4fe2e6",
     "budget.json": "6a208e39b465a4ad8d1206aa46aee5fbdc84fe4d0e4f66ae788e92aaa4663628",
 }
 
@@ -74,6 +77,10 @@ def _commands(data: Path, model: Path, out: Path) -> list:
              "--set", "train.target_sparsity=0.3", "--out", str(out / "model_t2.json")],
             ["chip", "--seed", "7", "--set", "chip.l=16", "--out", str(out / "chip.json")],
             ["sweep", "--data", str(data), *sweep, "--out", str(out / "sweep.csv")],
+            ["sweep", "--data", str(data), *sweep, "--set", "sweep.methods=T1",
+             "--set", "train.ridge_lambda=3", "--out", str(out / "sweep_ridge.csv")],
+            ["sweep", "--data", str(data), *sweep, "--set", "sweep.methods=T2,T1",
+             "--out", str(out / "sweep_t2_t1.csv")],
             ["budget", "--out", str(out / "budget.json")]]
 
 

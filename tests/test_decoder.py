@@ -15,7 +15,6 @@ from mlcpsim.decoder import (
     decode_stream,
     evaluate,
     load_model,
-    plateau_class,
     plateau_votes,
     roc_sweep,
     save_model,
@@ -36,6 +35,7 @@ from decoder_oracle import (
     oracle_onset_scores,
     oracle_scores,
     per_threshold_scores,
+    plateau_class,
     track,
 )
 

@@ -30,10 +30,10 @@ def above(x: float) -> str:
     return repr(math.nextafter(x, math.inf))
 
 
-#: Every checked key: the command that reads it, and values outside its
-#: domain, just past its edges where it has them (each key also gets NaN
-#: and both infinities).  The
-#: edges of the ordered fields are their neighbours' defaults.
+#: Every checked key: the command (or commands) that read it, and values
+#: outside its domain, just past its edges where it has them (each key also
+#: gets NaN and both infinities).  The edges of the ordered fields are their
+#: neighbours' defaults.
 EDGES = {
     "synth.q": ("gen", ["0"]),
     "synth.m": ("gen", ["0"]),
@@ -98,7 +98,7 @@ EDGES = {
     "split.test_fraction": ("sweep", ["0.0", "1.0", "1.5"]),
     "sweep.p_grid": ("sweep", ["0", "1,0"]),
     "sweep.methods": ("sweep", ["T1,T3"]),
-    "decoder.tol_ms": ("eval", [below(0.0)]),
+    "decoder.tol_ms": (("eval", "sweep"), [below(0.0)]),  # sweep echoes it
 }
 #: ``train`` settings whose domain depends on another key, or that leave
 #: the setting unset when negative: (key, settings).
@@ -110,9 +110,15 @@ TRAIN_ONLY = [
     ("train.target_sparsity", ["train.method=T2", "train.target_sparsity=1.0"]),
     ("frontend.p", ["frontend.mode=tdbdi", "frontend.p=200"]),
 ]
-CASES = ([(command, key, [f"{key}={value}"]) for key, (command, values) in EDGES.items()
+#: (command, key, settings), each named by its settings, after its command
+#: when that is not the first of an ``EDGES`` key read by two.
+CASES = ([pytest.param(command, key, [f"{key}={value}"],
+                       id=f"{key}={value}" if i == 0 else f"{command} {key}={value}")
+          for key, (commands, values) in EDGES.items()
+          for i, command in enumerate([commands] if isinstance(commands, str) else commands)
           for value in ["nan", "inf", "-inf", *values]]
-         + [("train", key, settings) for key, settings in TRAIN_ONLY])
+         + [pytest.param("train", key, settings, id=" ".join(settings))
+            for key, settings in TRAIN_ONLY])
 
 
 def test_the_sweep_covers_every_section_and_decoder_key():
@@ -140,7 +146,7 @@ def _fail(*args, **kwargs):
     raise AssertionError("expensive work started before the settings were checked")
 
 
-@pytest.mark.parametrize("command, key, settings", CASES, ids=[" ".join(s) for *_, s in CASES])
+@pytest.mark.parametrize("command, key, settings", CASES)
 def test_each_setting_outside_its_domain_exits_2_naming_its_key(capsys, tmp_path, monkeypatch,
                                                                  tiny_dataset, tiny_model,
                                                                  command, key, settings):

@@ -510,6 +510,62 @@ def test_t1_fit_that_may_overwrite_h_gives_the_shared_fits_bits(monkeypatch, pol
     assert _bits(t2) == _bits(fit_output_weights(hidden, targets, "T2", target_sparsity=0.3))
 
 
+@pytest.mark.parametrize("policy", training.SAMPLE_POLICIES)
+@pytest.mark.parametrize("ridge", [0.0, 3.0])
+def test_type_only_t1_fit_gives_the_full_fits_type_columns(policy, ridge):
+    """T1 fits each block on its own, so a fit of the type block alone has
+    the type columns of the full fit bit for bit, also when it gathers the
+    type rows in place; the onset column is zero.  T2 ignores ``type_only``."""
+    ds = tiny_dataset(trials_per_class=3)
+    chip = build_chip(65, AnalogParams(), d=6, l=10)
+    hidden, targets = collect_H(ds, chip, FrontendConfig.tdbdi(6, 1), sample_policy=policy)
+    m = targets.m
+    full = fit_output_weights(hidden, targets, ridge_lambda=ridge)
+    assert full.beta[:, m].any()
+    for overwrite_h in (False, True):
+        own = HiddenMatrix(hidden.h.copy(), hidden.n_ticks)
+        typed = fit_output_weights(own, targets, ridge_lambda=ridge, overwrite_h=overwrite_h,
+                                   type_only=True)
+        assert typed.beta.shape == full.beta.shape
+        assert typed.beta[:, :m].tobytes() == full.beta[:, :m].tobytes()
+        assert not typed.beta[:, m].any()
+        assert typed.report["residuals"] == full.report["residuals"][:m]
+        if overwrite_h:  # the type rows now lead H, in order
+            assert np.array_equal(own.h[: targets.type_rows.sum()], hidden.h[targets.type_rows])
+        else:
+            assert np.array_equal(own.h, hidden.h)
+    t2 = fit_output_weights(hidden, targets, "T2", target_sparsity=0.3, type_only=True)
+    assert _bits(t2) == _bits(fit_output_weights(hidden, targets, "T2", target_sparsity=0.3))
+
+
+@pytest.mark.parametrize("ridge", [0.0, 3.0])
+def test_a_sweep_trainer_fits_t2_first_and_t1_type_rows_in_place(monkeypatch, ridge):
+    """With both methods, T2 fits first and T1 last, so T1 may gather its
+    type rows in place; the models still come back in ``methods`` order."""
+    hidden, targets = search_problem(5, rows=30_000, l=64, m=3)
+    fits = []
+
+    def traced(hidden, *args, fit=cli.fit_output_weights, **kwargs):
+        tracemalloc.start()
+        try:
+            return fit(hidden, *args, **kwargs)
+        finally:
+            fits.append((kwargs["method"], kwargs["overwrite_h"],
+                         tracemalloc.get_traced_memory()[1] / hidden.h.nbytes))
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "fit_output_weights", traced)
+    monkeypatch.setattr(cli, "collect_H", lambda *args, **kwargs: (hidden, targets))
+    cfg = resolve_config(None, [f"train.ridge_lambda={ridge}", "train.target_sparsity=0.3"], None)
+    chip = build_chip(1, AnalogParams(), d=4, l=64)
+    models = cli._trainer(cfg, SpikeDataset([], 4, 3), FrontendConfig.tdbdi(4, 1),
+                          ["T1", "T2"], type_only=True)(chip)
+    assert [(method, overwrite) for method, overwrite, _ in fits] == [("T2", False), ("T1", True)]
+    assert fits[1][2] < 0.5, fits
+    assert [model.report["method"] for model in models] == ["T1", "T2"]
+    assert models[0].beta[:, :3].any() and not models[0].beta[:, 3].any()
+
+
 @pytest.mark.parametrize("ridge", [0.0, 3.0])
 def test_a_single_t1_fit_in_train_copies_no_type_rows(monkeypatch, ridge):
     """The last fit of a ``_trainer`` may overwrite H, so a lone T1 fit
