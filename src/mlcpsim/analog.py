@@ -33,8 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import (FieldError, bounds, check_fields, check_values, read_versioned_json,
-                     write_versioned_json)
+from .fields import (FieldError, bounds, check_fields, check_values,
+                     read_versioned_json, write_versioned_json)
 
 MAX_DIM = 128
 FMAX_SEL_MAX = 7  # stop value selector range 0..7
@@ -116,6 +116,16 @@ class ChipInstance:
         self.current_lut = np.maximum(0.0, self.params.i_ref_na * effective / DAC_CODES)
         for arr in (self.delta_vt_mv, self.dac_dnl_lsb, self.weights, self.current_lut):
             arr.setflags(write=False)
+
+
+@dataclass
+class ChipSettings:
+    """The ``chip.*`` keys: the die to build, and ``mismatch_map``'s probe code."""
+
+    seed: int = bounds(1, like=(ChipInstance, "seed"))
+    d: int = bounds(0, ge=0, le=MAX_DIM)  # 0: the front end's row count (or synth.q standalone)
+    l: int = bounds(60, like=(ChipInstance, "l"))
+    probe_code: int = bounds(8, ge=1, le=DAC_CODES - 1)  # diagonal DAC code
 
 
 def _draw_dnl(rng: np.random.Generator, bound: float) -> np.ndarray:
@@ -238,8 +248,7 @@ def mismatch_map(chip: ChipInstance, probe_code: int = 8) -> np.ndarray:
     ``probe_code``; the map is normalized to its median, so a mismatch-free
     chip gives all ones and a real one a lognormal spread.
     """
-    if not 1 <= probe_code < DAC_CODES:
-        raise FieldError("probe_code", f"an integer >= 1 and <= {DAC_CODES - 1}", probe_code, "")
+    check_values(ChipSettings, {"probe_code": probe_code})
     x = np.zeros((chip.d, chip.d), dtype=np.int64)
     np.fill_diagonal(x, probe_code)
     counts = hidden_layer(x, chip).T

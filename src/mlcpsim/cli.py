@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import shutil
 import sys
 from dataclasses import asdict, replace
@@ -33,15 +32,15 @@ from .analog import (ChipInstance, build_chip, load_chip, mismatch_map, save_chi
 from .budget import budget_json, budget_report, format_budget
 from .config import (DECODER_KEYS, DEFAULTS, ConfigError, echo_config, format_value,
                      parse_int_list, parse_str_list, resolve_config, section)
-from .decoder import (DecoderModel, check_chip, check_scoring, decode_stream, evaluate,
-                      load_model, plateau_votes, roc_sweep, save_model,
-                      split_dataset, write_roc_csv, write_stream_csv)
+from .decoder import (DecoderModel, check_chip, decode_stream, evaluate, load_model,
+                      plateau_votes, roc_sweep, save_model, split_dataset, write_roc_csv,
+                      write_stream_csv)
 from .fields import FieldError, check_values, under
 from .frontend import MAX_ROWS, FrontendConfig, run_trial, tick_count
 from .spikeio import (ChannelCountError, ChannelRangeError, DatasetError, SpikeDataset, Trial,
                       gen_synthetic, parse_dataset, read_trial, write_dataset)
-from .training import (METHODS, SAMPLE_POLICIES, ConvergenceError, TrainingError,
-                       check_penalties, collect_H, fit_output_weights, hidden_rows, trial_rng)
+from .training import (ConvergenceError, TrainingError, check_penalties, collect_H,
+                       fit_output_weights, hidden_rows, trial_rng)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -127,12 +126,11 @@ def _frontend_from_cfg(cfg: dict, n_channels: int, p: int | None = None,
                        p_key: str = "frontend.p", source: str = "the dataset") -> FrontendConfig:
     """The ``frontend.*`` front end on ``n_channels`` channels (over ``MAX_ROWS``
     refused as ``source``'s): under tdbdi ``p`` rows per channel (default: the
-    ``frontend.p`` setting), refused by ``p_key``; direct mode has one."""
-    _one_of("frontend.mode", cfg["frontend.mode"], ("direct", "tdbdi"))
+    ``frontend.p`` setting; too many refused by ``p_key``), in direct mode one."""
     if n_channels > MAX_ROWS:  # too many at one row per channel
         raise ConfigError(f"{source} gives {n_channels} channels, but a chip has at most "
                           f"{MAX_ROWS} rows, one or more per channel")
-    p = _at_least(p_key, cfg[p_key] if p is None else p, 1)
+    p = cfg[p_key] if p is None else p
     per_channel = p if cfg["frontend.mode"] == "tdbdi" else 1
     try:
         return FrontendConfig.tdbdi(n_channels, per_channel, link_delay=cfg["frontend.link_delay"],
@@ -144,56 +142,29 @@ def _frontend_from_cfg(cfg: dict, n_channels: int, p: int | None = None,
         raise exc.under("frontend.") from None
 
 
-def _checked(key: str, value, cls, name: str):
-    """``value``, in the domain of field ``name`` of ``cls`` or refused by ``key``."""
-    try:
-        check_values(cls, {name: value})
-    except FieldError as exc:
-        raise FieldError(key, *exc.args[1:]) from None
-    return value
-
-
-def _at_least(key: str, value: int, low: int = 0) -> int:
-    """``value``, refused by ``key`` below ``low`` (0: numpy takes no seed below)."""
-    if value < low:
-        raise FieldError(key, f"an integer >= {low}", value, "")
-    return value
-
-
-def _one_of(key: str, value: str, choices: tuple) -> str:
-    """``value``, refused by ``key`` unless it is one of ``choices``."""
-    if value not in choices:
-        raise FieldError(key, "one of " + ", ".join(choices), value, "")
-    return value
-
-
 def _noise_seed(cfg: dict, name: str) -> int | None:
-    """``name.noise_seed`` (train or decoder) if ``name.noise_on``, else None
-    (noise off); a negative seed is refused either way."""
-    seed = _at_least(f"{name}.noise_seed", cfg[f"{name}.noise_seed"])
-    return seed if cfg[f"{name}.noise_on"] else None
+    """``name.noise_seed`` (train or decoder) if ``name.noise_on``, else None."""
+    return cfg[f"{name}.noise_seed"] if cfg[f"{name}.noise_on"] else None
 
 
 def _trainer(cfg: dict, dataset: SpikeDataset, frontend, methods: list,
              codes: list | None = None, score: bool = False, out: np.ndarray | None = None,
              type_only: bool = False):
-    """Check every training setting, then return ``train(chip)``: one model
-    per training method, in ``methods`` order, fitted on one H collected on
-    the chip (from ``codes``, the trials' front-end codes, if given) after
-    the decoder settings are checked too.  Every chip shares the training
-    targets, built on the first, and ``out`` (None: a new H per chip), the
-    buffer each H is written into.  T2 fits first, so the last fit, which
-    may overwrite H, is a T1 fit whenever there is one.  ``score`` adds
-    ``train_accuracy`` to each report: the evaluation vote on the training
-    set itself, an optimistic figure.  ``type_only`` leaves a T1 model's
-    onset column zero (``fit_output_weights``)."""
-    l1, sparsity = cfg["train.l1_lambda"], cfg["train.target_sparsity"]
-    penalties = dict(ridge_lambda=cfg["train.ridge_lambda"], l1_lambda=None if l1 < 0 else l1,
-                     target_sparsity=None if sparsity < 0 else sparsity)
+    """Check the T2 penalties, then return ``train(chip)``: one model per
+    training method, in ``methods`` order, fitted on one H collected on the
+    chip (from ``codes``, the trials' front-end codes, if given) after the
+    model's ``lam`` and ``tau`` are checked together.  Every chip shares the
+    training targets, built on the first, and ``out`` (None: a new H per
+    chip), the buffer each H is written into.  T2 fits first, so the last
+    fit, which may overwrite H, is a T1 fit whenever there is one.
+    ``score`` adds ``train_accuracy`` to each report: the evaluation vote on
+    the training set itself, an optimistic figure.  ``type_only`` leaves a
+    T1 model's onset column zero (``fit_output_weights``)."""
+    penalties = {name: cfg[f"train.{name}"]
+                 for name in ("ridge_lambda", "l1_lambda", "target_sparsity")}
     for method in methods:
-        check_penalties(method, **penalties, prefix="train.")
-    noise_seed = _noise_seed(cfg, "train")
-    policy = _one_of("train.sample_policy", cfg["train.sample_policy"], SAMPLE_POLICIES)
+        check_penalties(method, **penalties)
+    noise_seed, policy = _noise_seed(cfg, "train"), cfg["train.sample_policy"]
     trap, m, targets = section(cfg, "trap"), dataset.class_count, None
 
     def train(chip) -> list:
@@ -242,7 +213,6 @@ def _resolve(cfg: dict, sources: dict) -> None:
                                   f"from the {source}'s {format_value(value)}")
             if key not in fixed and cfg[key] not in (DEFAULTS[key], value):
                 if source == "front end":  # its one key, chip.d, whose default 0 defers to it
-                    _at_least(key, cfg[key])
                     raise FieldError(key, f"0 or the front end's row count {value}", cfg[key], "")
                 raise ConfigError(f"{key} = {format_value(cfg[key])} differs from the {source}'s "
                                   f"{format_value(value)}; the {source}'s value is used, so drop "
@@ -282,7 +252,6 @@ def _load_runtime(cfg: dict, args, trial: str | None = None) -> tuple:
     data is the dataset, or with ``trial`` only the (index, Trial) it names,
     and must have the channel count of the model's front end.  The chip is
     the ``--chip`` file or the model's (``_chip``)."""
-    noise_seed = _noise_seed(cfg, "decoder")
     model = load_model(args.model)
     chip = _chip(cfg, args.chip, model.frontend.rows, model)
     channels = model.frontend.n_external
@@ -291,7 +260,7 @@ def _load_runtime(cfg: dict, args, trial: str | None = None) -> tuple:
                 else read_trial(args.data, trial, channels))
     except (ChannelCountError, ChannelRangeError) as exc:
         raise ChannelCountError(f"the model's front end takes {channels} channels: {exc}") from exc
-    return data, model, chip, noise_seed
+    return data, model, chip, _noise_seed(cfg, "decoder")
 
 
 def _restrict_channels(dataset: SpikeDataset, n: int) -> SpikeDataset:
@@ -317,10 +286,13 @@ def cmd_gen(args, cfg: dict) -> int:
 def cmd_chip(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
     dump = args.dump and _fresh_path(Path(args.dump), args.force)
-    d = cfg["chip.d"] or _checked("synth.q", cfg["synth.q"], ChipInstance, "d")
-    chip = _chip(cfg, None, d)
-    with under("chip."):  # the map, if asked for, before anything is written
-        values = mismatch_map(chip, probe_code=cfg["chip.probe_code"]) if dump else None
+    try:  # synth.q sets the chip's D when chip.d is 0
+        check_values(ChipInstance, {"d": cfg["chip.d"] or cfg["synth.q"]})
+    except FieldError as exc:
+        raise FieldError("synth.q", *exc.args[1:]) from None
+    chip = _chip(cfg, None, cfg["chip.d"] or cfg["synth.q"])
+    # the map, if asked for, before anything is written
+    values = mismatch_map(chip, probe_code=cfg["chip.probe_code"]) if dump else None
     save_chip(chip, out)
     _echo(cfg)
     _note(f"wrote chip (D={chip.d}, L={chip.l}, seed={chip.seed}) to {out}")
@@ -332,14 +304,13 @@ def cmd_chip(args, cfg: dict) -> int:
 
 def cmd_train(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
-    method = _one_of("train.method", cfg["train.method"], METHODS)
     dataset = parse_dataset(args.data)
     frontend = _frontend_from_cfg(cfg, dataset.channel_count)
     chip = _chip(cfg, args.chip, frontend.rows)
-    [model] = _trainer(cfg, dataset, frontend, [method], score=True)(chip)
+    [model] = _trainer(cfg, dataset, frontend, [cfg["train.method"]], score=True)(chip)
     save_model(model, out)
     _echo(cfg)
-    _note(f"trained {method} on {len(dataset.trials)} trials")
+    _note(f"trained {cfg['train.method']} on {len(dataset.trials)} trials")
     _note(f"train_accuracy = {model.report['train_accuracy']:.4f}")
     _note(f"pruned = {int(np.sum(~model.support))} of {model.support.size} neurons")
     _note(f"wrote model to {out}")
@@ -347,8 +318,6 @@ def cmd_train(args, cfg: dict) -> int:
 
 
 def cmd_eval(args, cfg: dict) -> int:
-    with under("decoder."):
-        check_scoring((), cfg["decoder.tol_ms"])
     dataset, model, chip, noise_seed = _load_runtime(cfg, args)
     report = evaluate(dataset, model, chip, noise_seed=noise_seed, tol_ms=cfg["decoder.tol_ms"])
     _echo(cfg)
@@ -377,13 +346,6 @@ def cmd_stream(args, cfg: dict) -> int:
 
 def cmd_roc(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
-    _at_least("roc.points", cfg["roc.points"], 1)
-    for key in ("roc.theta_min", "roc.theta_max"):
-        if not math.isfinite(cfg[key]):
-            raise ConfigError(f"{key} = {format_value(cfg[key])}, but ROC thresholds must be "
-                              "finite (not NaN or infinite)")
-    with under("decoder."):
-        check_scoring((), cfg["decoder.tol_ms"])
     dataset, model, chip, noise_seed = _load_runtime(cfg, args)
     grid = np.linspace(cfg["roc.theta_min"], cfg["roc.theta_max"], cfg["roc.points"])
     points = roc_sweep(dataset, model, chip, theta_grid=grid, noise_seed=noise_seed,
@@ -396,23 +358,18 @@ def cmd_roc(args, cfg: dict) -> int:
 
 def cmd_sweep(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
-    methods = [_one_of("sweep.methods", m, METHODS) for m in parse_str_list(cfg["sweep.methods"])]
-    with under("decoder."):  # unread here, but echoed: held to eval's rule
-        check_scoring((), cfg["decoder.tol_ms"])
-    dataset = parse_dataset(args.data)
-    split_seed = _at_least("split.seed", cfg["split.seed"])
-    with under("split."):
-        train_set, test_set = split_dataset(dataset, cfg["split.test_fraction"], split_seed)
-    l_grid, n_grid, p_grid, seeds = (parse_int_list(cfg[f"sweep.{key}"], f"sweep.{key}")
+    for key, grid in (("chip.l", "sweep.l_grid"), ("frontend.p", "sweep.p_grid")):
+        if cfg[key] != DEFAULTS[key]:  # every point takes it from the grid instead
+            raise FieldError(key, f"{DEFAULTS[key]} in a sweep, which runs every point of {{}}",
+                             cfg[key], grid)
+    methods = parse_str_list(cfg["sweep.methods"])
+    l_grid, n_grid, p_grid, seeds = (parse_int_list(cfg[f"sweep.{key}"])
                                      for key in ("l_grid", "n_grid", "p_grid", "chip_seeds"))
-    l_grid = [_checked("sweep.l_grid", l, ChipInstance, "l") for l in l_grid]
-    seeds = [_at_least("sweep.chip_seeds", seed) for seed in seeds]
-    if not (methods and l_grid and n_grid and p_grid and seeds):
-        raise ConfigError("sweep grids must be non-empty")
-    for n in n_grid:  # 0 = every channel
-        if not 0 <= n <= dataset.channel_count:
-            raise FieldError("sweep.n_grid", f"an integer >= 0 and <= {dataset.channel_count}",
-                             n, "")
+    dataset = parse_dataset(args.data)
+    train_set, test_set = split_dataset(dataset, cfg["split.test_fraction"], cfg["split.seed"])
+    if max(n_grid) > dataset.channel_count:  # 0 = every channel
+        raise FieldError("sweep.n_grid", f"an integer >= 0 and <= {dataset.channel_count}",
+                         max(n_grid), "")
     n_grid = [n or dataset.channel_count for n in n_grid]
     noise_seed = _noise_seed(cfg, "decoder")
     if cfg["frontend.mode"] == "direct" and max(p_grid) > 1:
@@ -485,16 +442,8 @@ def cmd_budget(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-COMMANDS = {
-    "gen": cmd_gen,
-    "chip": cmd_chip,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "stream": cmd_stream,
-    "roc": cmd_roc,
-    "sweep": cmd_sweep,
-    "budget": cmd_budget,
-}
+COMMANDS = {"gen": cmd_gen, "chip": cmd_chip, "train": cmd_train, "eval": cmd_eval,
+            "stream": cmd_stream, "roc": cmd_roc, "sweep": cmd_sweep, "budget": cmd_budget}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,86 +1,88 @@
-"""Flat ``key = value`` run configuration with typed defaults.
+"""Flat ``key = value`` run configuration with typed, checked defaults.
 
 Every tunable across the package has a namespaced key; a config file (or
 ``--set`` override) may only assign known keys, and values are coerced to
-the default's type.  The ``synth.*``, ``analog.*``, ``trap.*`` and
-``budget.*`` keys are the fields of their parameter classes, and the model
-``decoder.*`` keys are fields of ``DecoderModel``: their defaults live on
-those dataclasses, and ``section`` builds a parameter object from its keys.
+the default's type.  Every key is a field of a dataclass, declared once with
+its default and its domain (``fields.bounds``): each section's keys are the
+fields of its class in ``SECTIONS``, and the model ``decoder.*`` keys
+(``DECODER_KEYS``) are fields of ``DecoderModel``.  ``resolve_config``
+refuses a value outside its field's domain by its key, before a command
+reads any file; ``section`` builds a parameter object from its keys.
 ``echo_config`` renders a resolved configuration as config-file text, so a
 run's echoed configuration can be fed straight back in to reproduce it.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .analog import AnalogParams
+from .analog import AnalogParams, ChipInstance, ChipSettings
 from .budget import BudgetInputs
-from .decoder import DecoderModel
-from .fields import under
+from .decoder import DecoderModel, ScoringSettings, SplitSettings
+from .fields import bounds, check_values, parse_str_list, under
+from .frontend import FrontendSettings
 from .spikeio import SynthParams
-from .training import TrapezoidParams
+from .training import TrainSettings, TrapezoidParams
 
 
 class ConfigError(ValueError):
     """Unknown key, malformed line, or a value of the wrong type."""
 
 
-#: Config sections that are parameter classes: one ``section.field`` key per field.
+@dataclass
+class StreamSettings:
+    """The ``stream.*`` key: the trial ``stream`` decodes, by index or id."""
+
+    trial: str = "0"
+
+
+@dataclass
+class RocSettings:
+    """The ``roc.*`` keys: ``points`` thresholds from ``theta_min`` to ``theta_max``."""
+
+    theta_min: float = 0.0
+    theta_max: float = 1.5
+    points: int = bounds(20, ge=1)
+
+
+@dataclass
+class SweepSettings:
+    """The ``sweep.*`` grids, each a comma-separated list of distinct items."""
+
+    l_grid: str = bounds("10,20,40,60", grid="int", like=(ChipInstance, "l"))
+    n_grid: str = bounds("0", grid="int", ge=0)  # 0 = all dataset channels
+    p_grid: str = bounds("1", grid="int", like=(FrontendSettings, "p"))
+    methods: str = bounds("T1", grid="str", like=(TrainSettings, "method"))
+    chip_seeds: str = bounds("1,2,3,4,5", grid="int", like=(ChipInstance, "seed"))
+
+
+#: Config sections, each a dataclass: one ``section.field`` key per field.
 SECTIONS = {
     "synth": SynthParams,  # synthetic dataset generator
     "analog": AnalogParams,  # analog fabric
     "trap": TrapezoidParams,  # onset-membership trapezoid, ms from trial start
     "budget": BudgetInputs,  # power/energy/data-rate budget
+    "frontend": FrontendSettings,  # front-end layout
+    "chip": ChipSettings,  # chip instantiation
+    "train": TrainSettings,  # training
+    "decoder": ScoringSettings,  # runtime decoder scoring and noise
+    "split": SplitSettings,  # train/test splitting (sweep)
+    "stream": StreamSettings,  # streaming decode
+    "roc": RocSettings,  # ROC sweep
+    "sweep": SweepSettings,  # accuracy sweep grids
 }
 
 #: The ``DecoderModel`` fields that ``decoder.<name>`` keys set.
 DECODER_KEYS = ("theta", "lam", "tau", "tr_ms", "normalize")
 
+#: (prefix, dataclass, fields) of every key: the sections and the model keys.
+_DECLARED = [(name, cls, fields(cls)) for name, cls in SECTIONS.items()] + [
+    ("decoder", DecoderModel, [f for f in fields(DecoderModel) if f.name in DECODER_KEYS])]
+
 #: Every supported key with its default value; types are taken from here.
-DEFAULTS: dict[str, object] = {
-    **{f"{name}.{f.name}": f.default for name, cls in SECTIONS.items() for f in fields(cls)},
-    **{f"decoder.{f.name}": f.default for f in fields(DecoderModel) if f.name in DECODER_KEYS},
-    # front end layout
-    "frontend.mode": "direct",  # direct | tdbdi
-    "frontend.p": 2,  # rows per channel under tdbdi
-    "frontend.link_delay": 5,  # sub-windows per delay link
-    "frontend.t_s_ms": 20.0,  # sub-window period
-    # chip instantiation
-    "chip.seed": 1,
-    "chip.d": 0,  # 0 = take the front end's row count (or synth.q standalone)
-    "chip.l": 60,
-    "chip.probe_code": 8,  # diagonal DAC code for the mismatch map
-    # training
-    "train.method": "T1",  # T1 | T2
-    "train.ridge_lambda": 0.0,
-    "train.l1_lambda": -1.0,  # < 0 = unset
-    "train.target_sparsity": -1.0,  # < 0 = unset
-    "train.refit": False,
-    "train.sample_policy": "unambiguous",  # unambiguous | plateau | all
-    "train.noise_on": False,
-    "train.noise_seed": 0,
-    # runtime decoder scoring
-    "decoder.tol_ms": 150.0,  # onset truth window for scoring
-    "decoder.noise_on": False,
-    "decoder.noise_seed": 0,
-    # train/test splitting (sweep)
-    "split.test_fraction": 0.3,
-    "split.seed": 0,
-    # streaming decode
-    "stream.trial": "0",  # trial index or trial id
-    # ROC sweep
-    "roc.theta_min": 0.0,
-    "roc.theta_max": 1.5,
-    "roc.points": 20,
-    # accuracy sweep grids (comma-separated)
-    "sweep.l_grid": "10,20,40,60",
-    "sweep.n_grid": "0",  # 0 = all dataset channels
-    "sweep.p_grid": "1",
-    "sweep.methods": "T1",
-    "sweep.chip_seeds": "1,2,3,4,5",
-}
+DEFAULTS: dict[str, object] = {f"{name}.{f.name}": f.default
+                               for name, _, declared in _DECLARED for f in declared}
 
 
 def section(cfg: dict[str, object], name: str):
@@ -91,29 +93,21 @@ def section(cfg: dict[str, object], name: str):
         return cls(**{f.name: cfg[f"{name}.{f.name}"] for f in fields(cls)})
 
 
-_TRUE = {"true", "1", "yes", "on"}
-_FALSE = {"false", "0", "no", "off"}
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
 
 
 def coerce(key: str, raw: str) -> object:
     """Convert a raw string to the key's type, or raise ConfigError."""
     if key not in DEFAULTS:
         raise ConfigError(f"unknown configuration key {key!r}")
-    default = DEFAULTS[key]
-    raw = raw.strip()
+    default, raw = DEFAULTS[key], raw.strip()
     try:
-        if isinstance(default, bool):  # must precede int: bool is an int subclass
-            low = raw.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        return raw
+        if isinstance(default, bool):  # bool(raw) would make any word true
+            if raw.lower() not in _BOOLS:
+                raise ValueError(f"not a boolean: {raw!r}")
+            return _BOOLS[raw.lower()]
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
@@ -148,7 +142,8 @@ def resolve_config(
     """Defaults <- config file <- --set overrides <- --seed convenience.
 
     ``--seed`` assigns the generator and chip seeds in one stroke; the
-    individual keys stay available for finer control.
+    individual keys stay available for finer control.  Raises ``FieldError``
+    naming the first key whose value lies outside its field's domain.
     """
     cfg = dict(DEFAULTS)
     if config_path is not None:
@@ -159,17 +154,17 @@ def resolve_config(
         key, _, raw = item.partition("=")
         cfg[key.strip()] = coerce(key.strip(), raw)
     if seed is not None:
-        cfg["synth.seed"] = int(seed)
-        cfg["chip.seed"] = int(seed)
+        cfg["synth.seed"] = cfg["chip.seed"] = int(seed)
+    for name, cls, declared in _DECLARED:  # a value outside its domain, by its key
+        with under(f"{name}."):
+            check_values(cls, {f.name: cfg[f"{name}.{f.name}"] for f in declared})
     return cfg
 
 
 def format_value(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def echo_config(cfg: dict[str, object]) -> str:
@@ -177,15 +172,9 @@ def echo_config(cfg: dict[str, object]) -> str:
     return "\n".join(f"{key} = {format_value(cfg[key])}" for key in sorted(cfg))
 
 
-def parse_int_list(raw: str, key: str = "") -> list[int]:
-    """Comma-separated integers; empty string means the empty list.  An
-    error names ``key``, the setting ``raw`` came from, if given."""
-    items = [part.strip() for part in raw.split(",") if part.strip()]
+def parse_int_list(raw: str) -> list[int]:
+    """Comma-separated integers; empty string means the empty list."""
     try:
-        return [int(item) for item in items]
+        return [int(item) for item in parse_str_list(raw)]
     except ValueError as exc:
-        raise ConfigError(f"bad integer list {raw!r}{key and f' for {key!r}'}: {exc}") from exc
-
-
-def parse_str_list(raw: str) -> list[str]:
-    return [part.strip() for part in raw.split(",") if part.strip()]
+        raise ConfigError(f"bad integer list {raw!r}: {exc}") from exc

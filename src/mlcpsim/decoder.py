@@ -34,8 +34,8 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .analog import FMAX_SEL_MAX, ChipInstance
-from .fields import (FieldError, bounds, check_fields, check_order, json_array,
+from .analog import AnalogParams, ChipInstance
+from .fields import (bounds, check_fields, check_order, check_values, json_array,
                      read_versioned_json, write_versioned_json)
 from .frontend import FrontendConfig, run_trial
 from .spikeio import SpikeDataset, Trial
@@ -62,8 +62,8 @@ class DecoderModel:
     tau: int = bounds(10, ge=1)  # tracking window length, ticks; >= lam
     tr_ms: float = bounds(140.0, ge=0.0)  # refractory after a detection
     normalize: bool = True
-    chip_seed: int = bounds(0, ge=0)
-    fmax_sel: int = bounds(7, ge=0, le=FMAX_SEL_MAX)
+    chip_seed: int = bounds(0, like=(ChipInstance, "seed"))
+    fmax_sel: int = bounds(7, like=(AnalogParams, "fmax_sel"))
     frontend: FrontendConfig = None  # type: ignore[assignment]
     trap: TrapezoidParams = field(default_factory=TrapezoidParams)
     report: dict = field(default_factory=dict)
@@ -82,6 +82,23 @@ class DecoderModel:
     def tr_ticks(self) -> float:
         """The refractory length in ticks (not rounded)."""
         return self.tr_ms / self.frontend.t_s_ms
+
+
+@dataclass
+class ScoringSettings:
+    """The ``decoder.*`` keys outside the model: onset scoring and runtime noise."""
+
+    tol_ms: float = bounds(150.0, ge=0)
+    noise_on: bool = False
+    noise_seed: int = bounds(0, ge=0)
+
+
+@dataclass
+class SplitSettings:
+    """The ``split.*`` keys: ``split_dataset``'s test share and seed."""
+
+    test_fraction: float = bounds(0.3, gt=0.0, lt=1.0)
+    seed: int = bounds(0, ge=0)
 
 
 def save_model(model: DecoderModel, path: str | Path) -> None:
@@ -213,8 +230,7 @@ class EvalReport:
 def split_dataset(dataset: SpikeDataset, test_fraction: float, seed: int
                   ) -> tuple[SpikeDataset, SpikeDataset]:
     """Deterministic stratified train/test split (per-class shuffle)."""
-    if not 0.0 < test_fraction < 1.0:  # NaN fails too
-        raise FieldError("test_fraction", "a number > 0 and < 1", test_fraction, "")
+    check_values(SplitSettings, {"test_fraction": test_fraction})
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
     for cls in range(1, dataset.class_count + 1):
@@ -277,15 +293,6 @@ def _window_levels(outputs: list[np.ndarray], model: DecoderModel) -> np.ndarray
     return levels
 
 
-def check_scoring(thetas, tol_ms: float) -> None:
-    """Raise ``ValueError`` for a NaN threshold, and ``FieldError`` for a
-    ``tol_ms`` that is negative, NaN or infinite."""
-    if not 0 <= tol_ms < math.inf:
-        raise FieldError("tol_ms", "a finite number >= 0", tol_ms, "")
-    if np.isnan(thetas).any():
-        raise ValueError("onset thresholds must not be NaN")
-
-
 def score_onsets(trials: list[Trial], outputs: list[np.ndarray], model: DecoderModel,
                  thetas: list[float], tol_ms: float) -> list[tuple[int, int, np.ndarray]]:
     """(hits, false positives, float array of hit latencies in ms) per threshold.
@@ -297,7 +304,7 @@ def score_onsets(trials: list[Trial], outputs: list[np.ndarray], model: DecoderM
     through the ticks tracks every (threshold, trial) pair, in groups of at
     most ``_TRACK_CELLS`` pairs; hits and false positives are counted at the
     ticks that have a rising edge.  ``evaluate`` and ``roc_sweep`` check
-    ``thetas`` and ``tol_ms`` (``check_scoring``) before any work.
+    ``thetas`` and ``tol_ms`` (``ScoringSettings``) before any work.
     """
     thetas = np.asarray(thetas, dtype=np.float64).ravel()
     levels = _window_levels(outputs, model)
@@ -339,7 +346,7 @@ def evaluate(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
     The trials are decoded here (``_output_streams``); ``sweep`` scores type
     alone, by ``plateau_votes`` on the plateau rows.
     """
-    check_scoring([model.theta], tol_ms)
+    check_values(ScoringSettings, {"tol_ms": tol_ms})
     outputs = _output_streams(dataset, model, chip, noise_seed)
     on = model.trap.on_plateau(model.frontend.tick_end_ms(np.arange(max(map(len, outputs)))))
     plateau = [o[on[:len(o)]] for o in outputs]
@@ -369,9 +376,9 @@ def roc_sweep(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
     once per trial and only the thresholding and tracking are re-run.
     """
     thetas = sorted(float(t) for t in np.asarray(theta_grid).ravel())
-    if not thetas:
-        raise ValueError("theta grid is empty")
-    check_scoring(thetas, tol_ms)
+    if not thetas or np.isnan(thetas).any():
+        raise ValueError("the theta grid must hold one or more onset thresholds, none NaN")
+    check_values(ScoringSettings, {"tol_ms": tol_ms})
     outputs = _output_streams(dataset, model, chip, noise_seed)
     scores = score_onsets(dataset.trials, outputs, model, thetas, tol_ms)
     n = len(dataset.trials)

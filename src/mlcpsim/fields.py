@@ -1,12 +1,12 @@
 """Parameter-field domains and the versioned-JSON codec.
 
-A scalar field's annotation gives its kind: a ``float`` is a finite real
-number, an ``int`` an integral one, a ``bool`` a bool (never a number).
-``bounds`` adds limits as field metadata.  ``check_fields``, called from a
-parameter class's ``__post_init__``, tests every scalar field with
-comparisons that NaN fails, so the configuration, the Python API and the
-file reader share one check; ``FieldError.under`` adds the key's prefix,
-and ``under`` adds it to any ``FieldError`` raised in a block.
+A field's annotation gives its kind: a ``float`` is a finite real number,
+an ``int`` an integral one, a ``bool`` a bool (never a number), a ``str`` a
+string.  ``bounds`` adds limits, choices or a grid as field metadata.
+``check_values`` tests fields with comparisons that NaN fails, so the
+configuration, the Python API and the file reader share one check;
+``FieldError.under`` adds the key's prefix, and ``under`` adds it to any
+``FieldError`` raised in a block.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import math
 import numbers
 import operator
+import re
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, field, fields, is_dataclass
 from pathlib import Path
@@ -22,19 +23,31 @@ from typing import get_type_hints
 
 import numpy as np
 
-#: What each annotated scalar kind admits, and how a message names it.
+#: What each annotated kind admits, and how a message names it.
 _KINDS = {
     "bool": ("a boolean", lambda v: isinstance(v, (bool, np.bool_))),
     "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
     "float": ("a finite number", lambda v: isinstance(v, numbers.Real)
               and not isinstance(v, bool) and abs(v) < math.inf),
+    "str": ("a string", lambda v: isinstance(v, str)),
 }
-_LIMITS = {"gt": (">", operator.gt), "ge": (">=", operator.ge), "le": ("<=", operator.le)}
+_LIMITS = {"gt": (">", operator.gt), "ge": (">=", operator.ge), "lt": ("<", operator.lt),
+           "le": ("<=", operator.le)}
 
 
-def bounds(default=MISSING, **limits):
-    """A field with limits ``gt``, ``ge`` or ``le`` (> , >=, <=) on its value."""
-    return field(default=default, metadata=limits)
+def bounds(default=MISSING, like: tuple = (), **domain):
+    """A field with limits ``gt``, ``ge``, ``lt`` or ``le`` (>, >=, <, <=) or
+    ``choices`` on its value, and those of the field ``like`` names as
+    (dataclass, field name); with ``grid``, the kind ("int" or "str") of its
+    items, a comma-separated string of one or more distinct items, each so."""
+    if like:
+        domain = {**like[0].__dataclass_fields__[like[1]].metadata, **domain}
+    return field(default=default, metadata=domain)
+
+
+def parse_str_list(raw: str) -> list[str]:
+    """The items of a comma-separated list, such as a grid; blank ones are dropped."""
+    return [part.strip() for part in raw.split(",") if part.strip()]
 
 
 class FieldError(ValueError):
@@ -61,15 +74,25 @@ def under(prefix: str):
 
 
 def check_values(cls, values: dict) -> None:
-    """Raise ``FieldError`` naming the first scalar field of dataclass ``cls``
-    whose value in ``values`` lies outside its domain (absent ones pass)."""
+    """Raise ``FieldError`` naming the first annotated field of dataclass
+    ``cls`` whose value in ``values`` lies outside its domain (absent ones
+    pass); for a grid, the value shown is its first item outside it."""
     for f in fields(cls):
         if f.type in _KINDS and f.name in values:
-            (what, admits), value = _KINDS[f.type], values[f.name]
-            limits = [(*_LIMITS[op], limit) for op, limit in f.metadata.items()]
-            if not (admits(value) and all(test(value, limit) for _, test, limit in limits)):
-                domain = " and ".join(f"{sign} {limit}" for sign, _, limit in limits)
-                raise FieldError(f.name, f"{what} {domain}".rstrip(), value, "")
+            value, meta = values[f.name], f.metadata
+            what, admits = _KINDS[meta.get("grid", f.type)]
+            limits = [(*_LIMITS[op], limit) for op, limit in meta.items() if op in _LIMITS]
+            choices, items = meta.get("choices", ()), [value]
+            if "grid" in meta and isinstance(value, str):  # an empty grid is one empty item
+                items = [int(item) if meta["grid"] == "int" and re.fullmatch(r"[+-]?[0-9]+", item)
+                         else item for item in parse_str_list(value) or [value]]
+            for i, item in enumerate(items):
+                if not (admits(item) and all(test(item, limit) for _, test, limit in limits)
+                        and (not choices or item in choices) and item not in items[:i]):
+                    domain = (f"one of {', '.join(choices)}" if choices else f"{what} "
+                              + " and ".join(f"{sign} {limit}" for sign, _, limit in limits))
+                    grid = ", each listed once" if "grid" in meta else ""
+                    raise FieldError(f.name, domain.rstrip() + grid, item, "")
 
 
 def check_fields(obj) -> None:

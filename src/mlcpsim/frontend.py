@@ -101,14 +101,21 @@ class FrontendConfig:
         delay their predecessor by ``link_delay`` sub-windows, so row
         ``j*p + l`` carries channel j delayed by ``l*link_delay``.
         """
-        if p < 1:
-            raise FieldError("p", "an integer >= 1", p, "")
-        if not 1 <= link_delay <= SDL_MAX + 1:
-            raise FieldError("link_delay", f"an integer >= 1 and <= {SDL_MAX + 1}", link_delay, "")
+        check_values(FrontendSettings, {"p": p, "link_delay": link_delay})
         rows = n_channels * p
         check_values(cls, {"rows": rows})  # before the per-row arrays
         s_ext = (np.arange(rows) % p != 0).astype(np.int64)
         return cls(rows=rows, s_ext=s_ext, sdl=s_ext * (link_delay - 1), t_s_ms=t_s_ms)
+
+
+@dataclass
+class FrontendSettings:
+    """The ``frontend.*`` keys: the layout ``FrontendConfig.tdbdi`` builds."""
+
+    mode: str = bounds("direct", choices=("direct", "tdbdi"))  # tdbdi: p rows per channel
+    p: int = bounds(2, ge=1)
+    link_delay: int = bounds(5, ge=1, le=SDL_MAX + 1)  # sub-windows per delay link
+    t_s_ms: float = bounds(20.0, like=(FrontendConfig, "t_s_ms"))
 
 
 def bin_events(times_us: np.ndarray, channels: np.ndarray, n_channels: int, t_s_us: int,

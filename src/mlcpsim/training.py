@@ -26,13 +26,12 @@ membership is exactly 0 or 1, while the onset output trains on every tick.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analog import ChipInstance, draw_noise, hidden_layer, normalize_rows
-from .fields import check_fields, check_order
+from .fields import FieldError, bounds, check_fields, check_order, check_values
 from .frontend import FrontendConfig, run_trial, tick_count
 from .spikeio import SpikeDataset
 
@@ -45,6 +44,20 @@ _PASS_CELLS = 1 << 15
 
 SAMPLE_POLICIES = ("unambiguous", "plateau", "all")
 METHODS = ("T1", "T2")
+
+
+@dataclass
+class TrainSettings:
+    """The ``train.*`` keys; a penalty below 0 is unset, as in ``fit_blocks``."""
+
+    method: str = bounds("T1", choices=METHODS)
+    ridge_lambda: float = bounds(0.0, ge=0.0)
+    l1_lambda: float = -1.0
+    target_sparsity: float = bounds(-1.0, lt=1.0)
+    refit: bool = False
+    sample_policy: str = bounds("unambiguous", choices=SAMPLE_POLICIES)
+    noise_on: bool = False
+    noise_seed: int = bounds(0, ge=0)
 
 
 class TrainingError(Exception):
@@ -228,8 +241,7 @@ def collect_H(dataset: SpikeDataset, chip: ChipInstance, frontend_cfg: FrontendC
     "unambiguous" (membership exactly 0 or 1), "plateau" (membership 1),
     or "all".
     """
-    if sample_policy not in SAMPLE_POLICIES:
-        raise TrainingError(f"unknown sample_policy {sample_policy!r}")
+    check_values(TrainSettings, {"sample_policy": sample_policy})
     if not dataset.trials:
         raise TrainingError("dataset has no trials")
     if frontend_cfg.n_external != dataset.channel_count:
@@ -420,20 +432,22 @@ def _least_squares(h: np.ndarray, t: np.ndarray, ridge_lambda: float = 0.0) -> n
 
 
 def check_penalties(method: str, ridge_lambda: float = 0.0, l1_lambda: float | None = None,
-                    target_sparsity: float | None = None, prefix: str = "") -> None:
-    """Raise ``TrainingError`` unless ``fit_blocks`` can fit ``method`` with
-    these settings: the penalties given are finite and >= 0, the target
-    sparsity in [0, 1), and T2 takes exactly one of the last two.  An error
-    names a setting with ``prefix`` before it."""
-    if method not in METHODS:
-        raise TrainingError(f"unknown training method {method!r}")
+                    target_sparsity: float | None = None) -> tuple:
+    """(l1_lambda, target_sparsity) as ``fit_blocks`` fits ``method``, an
+    unset one (None or below 0) as None.  A ``TrainingError`` names a
+    setting outside its ``TrainSettings`` domain; T2 takes exactly one of
+    the two."""
+    try:
+        check_values(TrainSettings, {name: value for name, value in [
+            ("method", method), ("ridge_lambda", ridge_lambda), ("l1_lambda", l1_lambda),
+            ("target_sparsity", target_sparsity)] if value is not None})
+    except FieldError as exc:
+        raise TrainingError(str(exc)) from None
+    l1_lambda, target_sparsity = (None if value is None or value < 0 else value
+                                  for value in (l1_lambda, target_sparsity))
     if method == "T2" and (l1_lambda is None) == (target_sparsity is None):
         raise TrainingError("T2 takes exactly one of l1_lambda or target_sparsity")
-    for name, value, top in [("ridge_lambda", ridge_lambda, math.inf),
-                             ("l1_lambda", l1_lambda, math.inf),
-                             ("target_sparsity", target_sparsity, 1.0)]:
-        if value is not None and not 0 <= value < top:  # NaN fails too
-            raise TrainingError(f"'{prefix}{name}' must be in [0, {top:g}), got {value}")
+    return l1_lambda, target_sparsity
 
 
 def _block(block) -> tuple:
@@ -468,13 +482,13 @@ def fit_blocks(
     given as pairs first: a function is called only after they are fitted,
     so the h it returns may overwrite theirs.  T2 builds every block first,
     then reads every column's lasso path at one penalty: ``l1_lambda``, or
-    the one the common-penalty search picks for ``target_sparsity`` (give
-    exactly one).  A neuron is pruned when its row is zero in every column,
-    and ``refit`` refits each block on the surviving neurons by least
-    squares.  The report flags ``degenerate`` when every h is all zero
-    (beta is then 0).
+    the one the common-penalty search picks for ``target_sparsity`` (set
+    exactly one; None or below 0 is unset).  A neuron is pruned when its row
+    is zero in every column, and ``refit`` refits each block on the
+    surviving neurons by least squares.  The report flags ``degenerate``
+    when every h is all zero (beta is then 0).
     """
-    check_penalties(method, ridge_lambda, l1_lambda, target_sparsity)
+    l1_lambda, target_sparsity = check_penalties(method, ridge_lambda, l1_lambda, target_sparsity)
     if method == "T1":
         fitted = [None] * len(blocks)  # (beta, residuals, whether h is nonzero) per block
         for k in sorted(range(len(blocks)), key=lambda k: callable(blocks[k])):

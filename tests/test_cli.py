@@ -395,6 +395,23 @@ def test_sweep_takes_chip_d_only_as_every_grid_points_row_count(capsys, tmp_path
         assert not out.exists()
 
 
+@pytest.mark.parametrize("setting, grid", [("chip.l=16", "sweep.l_grid"),
+                                           ("frontend.p=3", "sweep.p_grid")])
+def test_sweep_refuses_a_chip_l_or_frontend_p_that_its_grid_replaces(capsys, tmp_path, monkeypatch,
+                                                                      shared_run, setting, grid):
+    # every point runs on the grid's values, so a setting of the key would be
+    # echoed and ignored; chip.seed stays open, as --seed sets it
+    ds, _ = shared_run
+    monkeypatch.setattr(cli, "parse_dataset", _fail("the dataset read"))
+    out = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, "sweep", "--data", str(ds), "--out", str(out), "--seed", "3",
+                       "--set", setting)
+    key, value = setting.split("=")
+    assert code == 2
+    assert err.startswith(f"error: '{key}' must be ") and f"'{grid}', got {value}" in err, err
+    assert not out.exists()
+
+
 def test_sweep_scores_the_type_vote_alone(capsys, tmp_path, monkeypatch, shared_run):
     # sweep writes type accuracy only: no onset is scored
     def scored(*args, **kwargs):
@@ -465,24 +482,25 @@ def test_sweep_refuses_a_split_that_leaves_no_training_trial(capsys, tmp_path, m
 BOTH_T2_PENALTIES = ["--set", "train.l1_lambda=0.5", "--set", "train.target_sparsity=0.3"]
 
 
-@pytest.mark.parametrize("cmd, extra", [("train", ["--set", "train.method=T2"]),
+@pytest.mark.parametrize("cmd, extra", [("train", [*SMALL_CHIP, "--set", "train.method=T2"]),
                                         ("sweep", ["--set", "sweep.methods=T1,T2",
                                                    "--set", "sweep.l_grid=8"])])
 def test_conflicting_t2_penalties_are_a_data_error(capsys, tmp_path, easy_run, cmd, extra):
     ds, _ = easy_run
     out = tmp_path / "out"
     code, _, err = run(capsys, cmd, "--data", str(ds), "--out", str(out), "--seed", "3",
-                       *SMALL_CHIP, *BOTH_T2_PENALTIES, *extra)
+                       *BOTH_T2_PENALTIES, *extra)
     assert code == 2
     assert "l1_lambda" in err and "target_sparsity" in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cmd, extra", [("train", []), ("sweep", ["--set", "sweep.l_grid=8"])])
+@pytest.mark.parametrize("cmd, extra", [("train", SMALL_CHIP),
+                                        ("sweep", ["--set", "sweep.l_grid=8"])])
 def test_t1_ignores_the_t2_penalties(capsys, tmp_path, easy_run, cmd, extra):
     ds, _ = easy_run
     code, _, _ = run(capsys, cmd, "--data", str(ds), "--out", str(tmp_path / "out"), "--seed", "3",
-                     *SMALL_CHIP, *BOTH_T2_PENALTIES, *extra)
+                     *BOTH_T2_PENALTIES, *extra)
     assert code == 0
 
 
@@ -735,7 +753,8 @@ def test_chip_sweep_and_split_values_are_named_by_their_key(capsys, tmp_path, mo
     monkeypatch.setattr(cli, "collect_H", _fail("H collected"))
     out = tmp_path / "out"
     data = [] if cmd == "chip" else ["--data", str(ds)]
-    code, _, err = run(capsys, cmd, *data, "--out", str(out), *SMALL_CHIP, "--set", setting)
+    chip_l = [] if cmd == "sweep" else SMALL_CHIP  # a sweep takes L from sweep.l_grid
+    code, _, err = run(capsys, cmd, *data, "--out", str(out), *chip_l, "--set", setting)
     assert code == 2
     assert err.startswith(f"error: '{key}' must be an integer >= ")
     assert not out.exists()
@@ -764,11 +783,12 @@ def test_runtime_commands_echo_the_chip_files_parameters(capsys, tmp_path, monke
     monkeypatch.setattr(decoder, "_output_streams", _fail("decoder outputs computed"))
     monkeypatch.setattr(cli, "decode_stream", _fail("the trial decoded"))
     out = tmp_path / "refused"
-    for setting, named in [("analog.alpha_supply=nan", "analog.alpha_supply = nan"),
-                           ("analog.i_ref_na=7", "analog.i_ref_na = 7.0")]:
+    for setting, named in [("analog.alpha_supply=nan",
+                            "'analog.alpha_supply' must be a finite number > 0, got NaN"),
+                           ("analog.i_ref_na=7", "analog.i_ref_na = 7.0 differs from the chip file's")]:
         code, _, err = run(capsys, *base, "--out", str(out), "--set", setting)
         assert code == 2
-        assert f"{named} differs from the chip file's" in err
+        assert named in err
         assert not out.exists()
     # a chip file of another die than the model's (trained on seed 3, fmax_sel 7)
     other = tmp_path / "other.json"
@@ -798,9 +818,11 @@ def test_train_with_a_chip_file_refuses_a_differing_analog_setting(capsys, tmp_p
     echoed = parse_config_text(text)
     assert code == 0 and (echoed["chip.seed"], echoed["chip.d"], echoed["chip.l"]) == (3, 8, 16)
     monkeypatch.setattr(cli, "collect_H", _fail("H collected"))
-    code, _, err = run(capsys, *argv, "--force", "--set", "analog.alpha_supply=nan")
-    assert code == 2
-    assert "analog.alpha_supply = nan differs from the chip file's 1.0" in err
+    for value, named in [("nan", "'analog.alpha_supply' must be a finite number > 0, got NaN"),
+                         ("2", "analog.alpha_supply = 2.0 differs from the chip file's 1.0")]:
+        code, _, err = run(capsys, *argv, "--force", "--set", f"analog.alpha_supply={value}")
+        assert code == 2
+        assert named in err
     for setting, named in [("chip.seed=9", "chip.seed = 9 differs from the chip file's 3"),
                            ("chip.l=40", "chip.l = 40 differs from the chip file's 16")]:
         code, _, err = run(capsys, *argv[:7], "--force", "--set", setting)
@@ -1077,5 +1099,6 @@ def test_non_finite_roc_bounds_are_named_before_any_work(capsys, tmp_path, monke
     code, _, err = run(capsys, "roc", "--data", str(tmp_path / "none"), "--model",
                        str(tmp_path / "none.json"), "--out", str(out), "--set", f"{key}={value}")
     assert code == 2
-    assert f"{key} = {value}, but ROC thresholds must be finite" in err
+    shown = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[value]
+    assert f"'{key}' must be a finite number, got {shown}" in err
     assert not out.exists()

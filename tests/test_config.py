@@ -1,5 +1,6 @@
 """Tests for the flat key = value configuration layer."""
 
+import hashlib
 import typing
 from dataclasses import fields
 
@@ -124,14 +125,22 @@ def _field_keys(prefix, cls, names=None):
 def test_section_and_decoder_keys_are_the_dataclass_fields():
     backed = [row for name, cls in SECTIONS.items() for row in _field_keys(name, cls)]
     backed += _field_keys("decoder", DecoderModel, DECODER_KEYS)
-    assert len(backed) == len({key for key, _, _ in backed}) == 46 + len(DECODER_KEYS)
+    assert len(backed) == len({key for key, _, _ in backed}) == 76 + len(DECODER_KEYS)
     assert {f"decoder.{name}" for name in DECODER_KEYS} <= {key for key, _, _ in backed}
     for key, default, hint in backed:
         # the default's type is what coerce parses, so it must be the annotated one
         assert type(DEFAULTS[key]) is hint, key
         assert DEFAULTS[key] == default, key
-    section_keys = {key for key in DEFAULTS if key.split(".")[0] in SECTIONS}
-    assert section_keys == {key for key, _, _ in backed if not key.startswith("decoder.")}
+    assert set(DEFAULTS) == {key for key, _, _ in backed}  # no key but a field's
+
+
+def test_the_generated_defaults_echo_the_recorded_keys_values_and_types():
+    # every key, its default and its type (as echoed), as they were when the
+    # defaults were first generated from the dataclasses
+    text = echo_config(resolve_config())
+    assert len(text.splitlines()) == len(DEFAULTS) == 81
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "92ed74f96b97db3779bccd69d10c9d97dc3dbbcacbd46937e56b9fa4757b0c05")
 
 
 def test_section_of_the_defaults_is_the_default_instance():

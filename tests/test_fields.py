@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from mlcpsim import cli
+from mlcpsim import cli, spikeio
 from mlcpsim.analog import AnalogParams, ChipInstance, build_chip, load_chip, save_chip
 from mlcpsim.budget import BudgetInputs
 from mlcpsim.cli import main
@@ -33,7 +33,8 @@ def above(x: float) -> str:
 #: Every checked key: the command (or commands) that read it, and values
 #: outside its domain, just past its edges where it has them (each key also
 #: gets NaN and both infinities).  The edges of the ordered fields are their
-#: neighbours' defaults.
+#: neighbours' defaults.  ``stream.trial`` names any trial index or id, so
+#: only the dataset can refuse it.
 EDGES = {
     "synth.q": ("gen", ["0"]),
     "synth.m": ("gen", ["0"]),
@@ -97,15 +98,31 @@ EDGES = {
     "train.sample_policy": ("train", ["every"]),
     "split.test_fraction": ("sweep", ["0.0", "1.0", "1.5"]),
     "sweep.p_grid": ("sweep", ["0", "1,0"]),
-    "sweep.methods": ("sweep", ["T1,T3"]),
+    "sweep.methods": ("sweep", ["T1,T3", "T1,T1", ""]),
     "decoder.tol_ms": (("eval", "sweep"), [below(0.0)]),  # sweep echoes it
+    "chip.seed": ("chip", ["-1"]),
+    "chip.l": ("chip", ["0", "129"]),
+    "train.l1_lambda": ("train", []),
+    "train.target_sparsity": ("train", ["1.0"]),
+    "train.refit": ("train", ["2"]),
+    "train.noise_on": ("train", ["2"]),
+    "train.noise_seed": ("train", ["-1"]),
+    "decoder.noise_on": ("eval", ["2"]),
+    "decoder.noise_seed": ("eval", ["-1"]),
+    "split.seed": ("sweep", ["-1"]),
+    "stream.trial": ((), []),
+    "roc.theta_min": ("roc", []),
+    "roc.theta_max": ("roc", []),
+    "roc.points": ("roc", ["0"]),
+    "sweep.l_grid": ("sweep", ["", "0", "129", "8,x", "8,8"]),
+    "sweep.n_grid": ("sweep", ["", "-1", "0,0"]),
+    "sweep.chip_seeds": ("sweep", ["", "-1", "1,1"]),
 }
 #: ``train`` settings whose domain depends on another key, or that leave
 #: the setting unset when negative: (key, settings).
 TRAIN_ONLY = [
     ("analog.i_rst_na", ["analog.use_full_cco=true", "analog.i_rst_na=0"]),
     ("analog.i_rst_na", ["analog.use_full_cco=true", f"analog.i_rst_na={below(0.0)}"]),
-    ("train.l1_lambda", ["train.l1_lambda=nan"]),
     ("train.l1_lambda", ["train.method=T2", "train.l1_lambda=inf"]),
     ("train.target_sparsity", ["train.method=T2", "train.target_sparsity=1.0"]),
     ("frontend.p", ["frontend.mode=tdbdi", "frontend.p=200"]),
@@ -123,7 +140,7 @@ CASES = ([pytest.param(command, key, [f"{key}={value}"],
 
 def test_the_sweep_covers_every_section_and_decoder_key():
     keys = {f"{name}.{f.name}" for name, cls in SECTIONS.items() for f in dataclasses.fields(cls)}
-    keys |= {f"decoder.{name}" for name in DECODER_KEYS} | {"frontend.t_s_ms"}
+    keys |= {f"decoder.{name}" for name in DECODER_KEYS}
     assert keys <= set(EDGES)
 
 
@@ -153,10 +170,10 @@ def test_each_setting_outside_its_domain_exits_2_naming_its_key(capsys, tmp_path
     for name in ("gen_synthetic", "collect_H", "budget_report", "evaluate"):
         monkeypatch.setattr(cli, name, _fail)
     out = tmp_path / "out"
+    decode = ["--data", str(tiny_dataset), "--model", str(tiny_model)]
     argv = [command, "--out", str(out)] + {"train": ["--data", str(tiny_dataset)],
                                            "sweep": ["--data", str(tiny_dataset)],
-                                           "eval": ["--data", str(tiny_dataset),
-                                                    "--model", str(tiny_model)],
+                                           "eval": decode, "roc": decode,
                                            "chip": ["--dump", str(tmp_path / "map.csv")]
                                            }.get(command, [])
     for setting in settings:
@@ -167,6 +184,32 @@ def test_each_setting_outside_its_domain_exits_2_naming_its_key(capsys, tmp_path
     assert f"'{key}'" in err or f"bad value for {key}:" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+#: For each command, a setting outside its domain of a key it does not read.
+FOREIGN = {"gen": "roc.points=0", "chip": "train.method=T9", "train": "chip.probe_code=0",
+           "eval": "sweep.methods=T1,T1", "stream": "split.seed=-5",
+           "roc": "train.sample_policy=bogus", "sweep": "roc.theta_max=inf",
+           "budget": "frontend.mode=tdbd"}
+
+
+@pytest.mark.parametrize("command", FOREIGN)
+def test_every_command_refuses_any_key_outside_its_domain_before_reading_a_file(
+        capsys, tmp_path, monkeypatch, command):
+    for module, name in [(cli, "parse_dataset"), (spikeio, "read_manifest"),
+                         (cli, "gen_synthetic")]:
+        monkeypatch.setattr(module, name, _fail)
+    missing = tmp_path / "missing"
+    argv = [command, "--out", str(tmp_path / "out"), "--set", FOREIGN[command]]
+    if command in ("train", "sweep", "eval", "stream", "roc"):
+        argv += ["--data", str(missing)]
+    if command in ("eval", "stream", "roc"):
+        argv += ["--model", str(missing / "model.json")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    key = FOREIGN[command].split("=")[0]
+    assert code == 2 and err.startswith(f"error: '{key}' must be "), err
+    assert not any(tmp_path.iterdir())
 
 
 def _scalar_paths(cls, prefix=""):
