@@ -125,21 +125,19 @@ def _fresh_path(path: Path, force: bool, directory: bool = False) -> Path:
 def _frontend_from_cfg(cfg: dict, n_channels: int, p: int | None = None,
                        p_key: str = "frontend.p", source: str = "the dataset") -> FrontendConfig:
     """The ``frontend.*`` front end on ``n_channels`` channels (over ``MAX_ROWS``
-    refused as ``source``'s): under tdbdi ``p`` rows per channel (default: the
-    ``frontend.p`` setting; too many refused by ``p_key``), in direct mode one."""
+    refused as ``source``'s), ``p`` rows per channel (default: ``frontend.p``;
+    one that the ``frontend.*`` rules or the row limit refuse is named by ``p_key``)."""
     if n_channels > MAX_ROWS:  # too many at one row per channel
         raise ConfigError(f"{source} gives {n_channels} channels, but a chip has at most "
                           f"{MAX_ROWS} rows, one or more per channel")
-    p = cfg[p_key] if p is None else p
-    per_channel = p if cfg["frontend.mode"] == "tdbdi" else 1
-    try:
-        return FrontendConfig.tdbdi(n_channels, per_channel, link_delay=cfg["frontend.link_delay"],
-                                    t_s_ms=cfg["frontend.t_s_ms"])
+    try:  # direct takes only p = 1
+        fe = section({**cfg, "frontend.p": cfg[p_key] if p is None else p}, "frontend")
     except FieldError as exc:
-        if exc.args[0] == "rows":  # p rows per channel are too many
-            raise FieldError(p_key, f"an integer >= 1 and <= {MAX_ROWS // n_channels} on "
-                             f"{n_channels} channels", p, "") from None
-        raise exc.under("frontend.") from None
+        raise FieldError(p_key, *exc.args[1:]) from None
+    if n_channels * fe.p > MAX_ROWS:  # p rows per channel are too many
+        raise FieldError(p_key, f"an integer >= 1 and <= {MAX_ROWS // n_channels} on "
+                         f"{n_channels} channels", fe.p, "")
+    return FrontendConfig.tdbdi(n_channels, fe.p, fe.link_delay, fe.t_s_ms)
 
 
 def _noise_seed(cfg: dict, name: str) -> int | None:
@@ -151,15 +149,14 @@ def _trainer(cfg: dict, dataset: SpikeDataset, frontend, methods: list,
              codes: list | None = None, score: bool = False, out: np.ndarray | None = None,
              type_only: bool = False):
     """Check the T2 penalties, then return ``train(chip)``: one model per
-    training method, in ``methods`` order, fitted on one H collected on the
-    chip (from ``codes``, the trials' front-end codes, if given) after the
-    model's ``lam`` and ``tau`` are checked together.  Every chip shares the
-    training targets, built on the first, and ``out`` (None: a new H per
-    chip), the buffer each H is written into.  T2 fits first, so the last
-    fit, which may overwrite H, is a T1 fit whenever there is one.
-    ``score`` adds ``train_accuracy`` to each report: the evaluation vote on
-    the training set itself, an optimistic figure.  ``type_only`` leaves a
-    T1 model's onset column zero (``fit_output_weights``)."""
+    training method, in ``methods`` order, fitted on one H collected on the chip
+    (from ``codes``, the trials' front-end codes, if given).  Every chip shares
+    the training targets, built on the first, and ``out`` (None: a new H per
+    chip), the buffer each H is written into.  T2 fits first, so the last fit,
+    which may overwrite H, is a T1 fit whenever there is one.  ``score`` adds
+    ``train_accuracy`` to each report: the evaluation vote on the training set
+    itself, an optimistic figure.  ``type_only`` leaves a T1 model's onset
+    column zero (``fit_output_weights``)."""
     penalties = {name: cfg[f"train.{name}"]
                  for name in ("ridge_lambda", "l1_lambda", "target_sparsity")}
     for method in methods:
@@ -169,13 +166,10 @@ def _trainer(cfg: dict, dataset: SpikeDataset, frontend, methods: list,
 
     def train(chip) -> list:
         nonlocal targets
-        try:
-            untrained = DecoderModel(np.zeros((chip.l, m + 1)), np.zeros(chip.l, bool), m,
-                                     frontend=frontend, chip_seed=chip.seed,
-                                     fmax_sel=chip.params.fmax_sel, trap=trap,
-                                     **{name: cfg[f"decoder.{name}"] for name in DECODER_KEYS})
-        except FieldError as exc:
-            raise exc.under("decoder.") if exc.args[0] in DECODER_KEYS else exc from None
+        untrained = DecoderModel(np.zeros((chip.l, m + 1)), np.zeros(chip.l, bool), m,
+                                 frontend=frontend, chip_seed=chip.seed,
+                                 fmax_sel=chip.params.fmax_sel, trap=trap,
+                                 **{name: cfg[f"decoder.{name}"] for name in DECODER_KEYS})
         hidden, targets = collect_H(dataset, chip, frontend, noise_seed=noise_seed,
                                     sample_policy=policy, trap=trap,
                                     normalize=cfg["decoder.normalize"], codes=codes,
@@ -367,14 +361,13 @@ def cmd_sweep(args, cfg: dict) -> int:
                                      for key in ("l_grid", "n_grid", "p_grid", "chip_seeds"))
     dataset = parse_dataset(args.data)
     train_set, test_set = split_dataset(dataset, cfg["split.test_fraction"], cfg["split.seed"])
-    if max(n_grid) > dataset.channel_count:  # 0 = every channel
-        raise FieldError("sweep.n_grid", f"an integer >= 0 and <= {dataset.channel_count}",
-                         max(n_grid), "")
-    n_grid = [n or dataset.channel_count for n in n_grid]
+    channels = dataset.channel_count
+    n_grid = [n or channels for n in n_grid]  # 0 = every channel
+    for i, n in enumerate(n_grid):
+        if n > channels or n in n_grid[:i]:
+            raise FieldError("sweep.n_grid", f"an integer >= 0 and <= {channels} (0 is "
+                             f"{channels}), each listed once", n, "")
     noise_seed = _noise_seed(cfg, "decoder")
-    if cfg["frontend.mode"] == "direct" and max(p_grid) > 1:
-        raise ConfigError(f"sweep.p_grid has p={max(p_grid)}, but frontend.mode=direct builds "
-                          "one row per channel; set frontend.mode=tdbdi or sweep.p_grid=1")
     frontends = {(n, p): _frontend_from_cfg(cfg, n, p, "sweep.p_grid", "sweep.n_grid")
                  for n, p in itertools.product(n_grid, p_grid)}
     for frontend in frontends.values():  # every grid point's chip has its front end's rows

@@ -6,8 +6,8 @@ the default's type.  Every key is a field of a dataclass, declared once with
 its default and its domain (``fields.bounds``): each section's keys are the
 fields of its class in ``SECTIONS``, and the model ``decoder.*`` keys
 (``DECODER_KEYS``) are fields of ``DecoderModel``.  ``resolve_config``
-refuses a value outside its field's domain by its key, before a command
-reads any file; ``section`` builds a parameter object from its keys.
+refuses a value outside its field's domain or its class's rules by its key,
+before a command reads any file; ``section`` builds a section's object.
 ``echo_config`` renders a resolved configuration as config-file text, so a
 run's echoed configuration can be fed straight back in to reproduce it.
 """
@@ -143,7 +143,7 @@ def resolve_config(
 
     ``--seed`` assigns the generator and chip seeds in one stroke; the
     individual keys stay available for finer control.  Raises ``FieldError``
-    naming the first key whose value lies outside its field's domain.
+    naming the first key outside its field's domain, then its class's rules.
     """
     cfg = dict(DEFAULTS)
     if config_path is not None:
@@ -158,6 +158,8 @@ def resolve_config(
     for name, cls, declared in _DECLARED:  # a value outside its domain, by its key
         with under(f"{name}."):
             check_values(cls, {f.name: cfg[f"{name}.{f.name}"] for f in declared})
+    for name in SECTIONS:  # then the rules a class checks as it is built
+        section(cfg, name)
     return cfg
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .analog import AnalogParams, ChipInstance
-from .fields import (bounds, check_fields, check_order, check_values, json_array,
+from .fields import (bounds, check_fields, check_values, json_array,
                      read_versioned_json, write_versioned_json)
 from .frontend import FrontendConfig, run_trial
 from .spikeio import SpikeDataset, Trial
@@ -59,7 +59,7 @@ class DecoderModel:
     m: int = bounds(ge=1)
     theta: float = 0.75
     lam: int = bounds(6, ge=1)  # required high ticks in the tracking window
-    tau: int = bounds(10, ge=1)  # tracking window length, ticks; >= lam
+    tau: int = bounds(10, ge=1, ge_field="lam")  # tracking window length, ticks
     tr_ms: float = bounds(140.0, ge=0.0)  # refractory after a detection
     normalize: bool = True
     chip_seed: int = bounds(0, like=(ChipInstance, "seed"))
@@ -70,7 +70,6 @@ class DecoderModel:
 
     def __post_init__(self):
         check_fields(self)
-        check_order(self, "lam", "tau")
         self.beta = np.asarray(self.beta, dtype=np.float64)
         self.support = np.asarray(self.support, dtype=bool)
         if self.beta.ndim != 2 or self.beta.shape[1] != self.m + 1:

@@ -2,7 +2,7 @@
 
 A field's annotation gives its kind: a ``float`` is a finite real number,
 an ``int`` an integral one, a ``bool`` a bool (never a number), a ``str`` a
-string.  ``bounds`` adds limits, choices or a grid as field metadata.
+string.  ``bounds`` adds limits, choices, a grid or an order as metadata.
 ``check_values`` tests fields with comparisons that NaN fails, so the
 configuration, the Python API and the file reader share one check;
 ``FieldError.under`` adds the key's prefix, and ``under`` adds it to any
@@ -39,7 +39,8 @@ def bounds(default=MISSING, like: tuple = (), **domain):
     """A field with limits ``gt``, ``ge``, ``lt`` or ``le`` (>, >=, <, <=) or
     ``choices`` on its value, and those of the field ``like`` names as
     (dataclass, field name); with ``grid``, the kind ("int" or "str") of its
-    items, a comma-separated string of one or more distinct items, each so."""
+    items, a comma-separated string of one or more distinct items, each so;
+    with ``ge_field``, the name of a field of its class that it is >=."""
     if like:
         domain = {**like[0].__dataclass_fields__[like[1]].metadata, **domain}
     return field(default=default, metadata=domain)
@@ -75,8 +76,9 @@ def under(prefix: str):
 
 def check_values(cls, values: dict) -> None:
     """Raise ``FieldError`` naming the first annotated field of dataclass
-    ``cls`` whose value in ``values`` lies outside its domain (absent ones
-    pass); for a grid, the value shown is its first item outside it."""
+    ``cls`` whose value in ``values`` lies outside its domain, then the first
+    below its ``ge_field`` (absent ones pass); for a grid, the value shown is
+    its first item outside it."""
     for f in fields(cls):
         if f.type in _KINDS and f.name in values:
             value, meta = values[f.name], f.metadata
@@ -93,20 +95,16 @@ def check_values(cls, values: dict) -> None:
                               + " and ".join(f"{sign} {limit}" for sign, _, limit in limits))
                     grid = ", each listed once" if "grid" in meta else ""
                     raise FieldError(f.name, domain.rstrip() + grid, item, "")
+    for f in fields(cls):  # orders, once every value lies in its own domain
+        low = f.metadata.get("ge_field")
+        if low in values and f.name in values and not values[low] <= values[f.name]:
+            raise FieldError(f.name, f">= {{}} ({values[low]})", values[f.name], low)
 
 
 def check_fields(obj) -> None:
     """Raise ``FieldError`` naming the first scalar field of the dataclass
     ``obj`` whose value lies outside its domain."""
     check_values(type(obj), vars(obj))
-
-
-def check_order(obj, *names: str) -> None:
-    """Raise ``FieldError`` naming the first of the fields ``names`` of
-    ``obj`` whose value is below the one before it."""
-    for low, name in zip(names, names[1:]):
-        if not getattr(obj, low) <= getattr(obj, name):
-            raise FieldError(name, f">= {{}} ({getattr(obj, low)})", getattr(obj, name), low)
 
 
 def json_array(value) -> list:

@@ -38,6 +38,15 @@ WINDOW_SUBCOUNT = 5  # sub-windows summed per output
 SDL_MAX = 4  # delay code, decodes to 1..5 sub-windows
 
 
+def whole_microseconds(t_s_ms: float) -> int:
+    """Sub-window length ``t_s_ms`` in µs; a ``FieldError`` unless whole."""
+    us = t_s_ms * 1000.0  # a decimal ms value is whole in µs up to float noise
+    if not (1.0 <= us < 9e15 and abs(us - round(us)) <= 1e-9 * us):  # 9e15 < 2**53
+        raise FieldError("t_s_ms", "a multiple of 0.001 (whole microseconds) >= 0.001 and "
+                         "< 9e12", t_s_ms, "")
+    return round(us)
+
+
 @dataclass
 class FrontendConfig:
     """Row configuration of the input path.
@@ -54,11 +63,7 @@ class FrontendConfig:
 
     def __post_init__(self):
         check_fields(self)
-        us = self.t_s_ms * 1000.0  # a decimal ms value is whole in µs up to float noise
-        if not (1.0 <= us < 9e15 and abs(us - round(us)) <= 1e-9 * us):  # 9e15 < 2**53
-            raise FieldError("t_s_ms", "a multiple of 0.001 (whole microseconds) >= 0.001 and "
-                             "< 9e12", self.t_s_ms, "")
-        self.t_s_us = round(us)  # the one tick length ``bin_events`` and ``tick_count`` read
+        self.t_s_us = whole_microseconds(self.t_s_ms)  # the one tick length, in µs
         if self.s_ext is None:
             self.s_ext = np.zeros(self.rows, dtype=np.int64)
         self.s_ext = np.asarray(self.s_ext, dtype=np.int64)
@@ -110,12 +115,18 @@ class FrontendConfig:
 
 @dataclass
 class FrontendSettings:
-    """The ``frontend.*`` keys: the layout ``FrontendConfig.tdbdi`` builds."""
+    """The ``frontend.*`` keys: ``FrontendConfig.tdbdi``'s layout; ``direct`` is p = 1."""
 
-    mode: str = bounds("direct", choices=("direct", "tdbdi"))  # tdbdi: p rows per channel
-    p: int = bounds(2, ge=1)
+    mode: str = bounds("tdbdi", choices=("direct", "tdbdi"))
+    p: int = bounds(1, ge=1)
     link_delay: int = bounds(5, ge=1, le=SDL_MAX + 1)  # sub-windows per delay link
     t_s_ms: float = bounds(20.0, like=(FrontendConfig, "t_s_ms"))
+
+    def __post_init__(self):
+        check_fields(self)
+        whole_microseconds(self.t_s_ms)  # refuses a fraction of a µs
+        if self.mode == "direct" and self.p != 1:
+            raise FieldError("p", "1 when {} is direct", self.p, "mode")
 
 
 def bin_events(times_us: np.ndarray, channels: np.ndarray, n_channels: int, t_s_us: int,

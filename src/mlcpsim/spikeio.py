@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import FieldError, bounds, check_fields, check_order
+from .fields import FieldError, bounds, check_fields
 
 MANIFEST_NAME = "manifest.csv"
 META_NAME = "meta.txt"
@@ -180,22 +180,19 @@ class SynthParams:
     q: int = bounds(30, ge=1)  # input channels
     m: int = bounds(12, ge=1)  # movement classes
     baseline_rate: float = bounds(8.0, ge=0.0)  # Hz at rest
-    peak_rate: float = 90.0  # Hz at the preferred class's peak, >= baseline_rate
+    peak_rate: float = bounds(90.0, ge_field="baseline_rate")  # Hz at the preferred class's peak
     tuning_width: float = bounds(2.0, gt=0)  # raised-cosine half-width, in class distance
     ramp_start_ms: float = -300.0  # rate envelope, relative to onset, in this order
-    ramp_peak_ms: float = -100.0
-    decay_start_ms: float = 100.0
-    decay_end_ms: float = 300.0
+    ramp_peak_ms: float = bounds(-100.0, ge_field="ramp_start_ms")
+    decay_start_ms: float = bounds(100.0, ge_field="ramp_peak_ms")
+    decay_end_ms: float = bounds(300.0, ge_field="decay_start_ms")
     onset_ms: float = bounds(1000.0, ge=0.0)
-    trial_duration_ms: float = bounds(2000.0, ge=0.0)
+    trial_duration_ms: float = bounds(2000.0, ge=0.0, ge_field="onset_ms")
     trials_per_class: int = bounds(10, ge=1)
     seed: int = bounds(0, ge=0)
 
     def __post_init__(self):
         check_fields(self)
-        check_order(self, "baseline_rate", "peak_rate")
-        check_order(self, "ramp_start_ms", "ramp_peak_ms", "decay_start_ms", "decay_end_ms")
-        check_order(self, "onset_ms", "trial_duration_ms")
         # each neuron's candidate count is one Poisson draw of this mean, as
         # ``_candidate_times`` computes it; numpy refuses one above its limit
         rate_max = max(tuned_peak_rate(self, 1, 1), self.baseline_rate)

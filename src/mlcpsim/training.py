@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analog import ChipInstance, draw_noise, hidden_layer, normalize_rows
-from .fields import FieldError, bounds, check_fields, check_order, check_values
+from .fields import FieldError, bounds, check_fields, check_values
 from .frontend import FrontendConfig, run_trial, tick_count
 from .spikeio import SpikeDataset
 
@@ -77,13 +77,12 @@ class TrapezoidParams:
     """
 
     t0_ms: float = 800.0
-    t1_ms: float = 900.0
-    t2_ms: float = 1100.0
-    t3_ms: float = 1200.0
+    t1_ms: float = bounds(900.0, ge_field="t0_ms")
+    t2_ms: float = bounds(1100.0, ge_field="t1_ms")
+    t3_ms: float = bounds(1200.0, ge_field="t2_ms")
 
     def __post_init__(self):
         check_fields(self)
-        check_order(self, "t0_ms", "t1_ms", "t2_ms", "t3_ms")
 
     def on_plateau(self, t_ms) -> np.ndarray:
         """Whether each time ``t_ms`` lies on the plateau [t1, t2]: the

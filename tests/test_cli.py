@@ -118,10 +118,11 @@ def test_echo_is_reusable_config(capsys, tmp_path):
 def test_echo_of_a_chip_train_or_decode_run_is_reusable_config(capsys, tmp_path, shared_run, cmd,
                                                                extra):
     ds, model = shared_run
-    chip = tmp_path / "chip.json"  # the row count of 8 channels under tdbdi, p = 2
+    chip = tmp_path / "chip.json"  # the row count of 8 channels at p = 2
     assert run(capsys, "chip", "--out", str(chip), "--seed", "5", "--set", "chip.d=16",
                "--set", "chip.l=12")[0] == 0
-    argv = (["train", "--data", str(ds), "--chip", str(chip), "--set", "frontend.mode=tdbdi"]
+    argv = (["train", "--data", str(ds), "--chip", str(chip), "--set", "frontend.mode=tdbdi",
+             "--set", "frontend.p=2"]
             if cmd == "train" else [cmd, "--data", str(ds), "--model", str(model)])
     code, echo, _ = run(capsys, *argv, *extra, "--out", str(tmp_path / "a"))
     assert code == 0
@@ -371,9 +372,48 @@ def test_sweep_p_above_one_in_direct_mode_is_rejected(capsys, tmp_path, easy_run
     ds, _ = easy_run
     out = tmp_path / "sweep.csv"
     code, _, err = run(capsys, "sweep", "--data", str(ds), "--out", str(out), "--seed", "3",
-                       "--set", "sweep.p_grid=1,2", "--set", "sweep.l_grid=8")
+                       "--set", "frontend.mode=direct", "--set", "sweep.p_grid=1,2",
+                       "--set", "sweep.l_grid=8")
     assert code == 2
-    assert "sweep.p_grid" in err and "frontend.mode=direct" in err
+    assert "'sweep.p_grid' must be 1 when 'frontend.mode' is direct, got 2" in err, err
+    assert not out.exists()
+
+
+def test_frontend_mode_selects_no_front_end(capsys, tmp_path, shared_run):
+    ds, model = shared_run  # trained at the defaults, --seed 3
+    for i, extra in enumerate([["frontend.mode=direct"],
+                               ["frontend.mode=tdbdi", "frontend.p=1", "frontend.link_delay=2"]]):
+        out = tmp_path / f"model{i}.json"
+        assert run(capsys, "train", "--data", str(ds), "--out", str(out), "--seed", "3",
+                   *SMALL_CHIP, *[arg for setting in extra for arg in ("--set", setting)])[0] == 0
+        assert out.read_bytes() == model.read_bytes(), extra
+    out = tmp_path / "refused.json"
+    code, _, err = run(capsys, "train", "--data", str(ds), "--out", str(out),
+                       "--set", "frontend.mode=direct", "--set", "frontend.p=3")
+    assert code == 2
+    assert err.startswith("error: 'frontend.p' must be 1 when 'frontend.mode' is direct"), err
+    assert not out.exists()
+
+
+def test_frontend_p_alone_sets_the_rows_per_channel(capsys, tmp_path, shared_run):
+    ds, _ = shared_run  # 8 channels
+    out = tmp_path / "model.json"
+    assert run(capsys, "train", "--data", str(ds), "--out", str(out), "--seed", "3",
+               *SMALL_CHIP, "--set", "frontend.p=3")[0] == 0
+    assert load_model(out).frontend.rows == 24
+
+
+def test_sweep_refuses_a_channel_count_listed_twice_once_as_zero(capsys, tmp_path, monkeypatch,
+                                                                  shared_run):
+    ds, _ = shared_run  # 8 channels
+    monkeypatch.setattr(cli, "collect_H", _fail("H collected"))
+    out = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, "sweep", "--data", str(ds), "--out", str(out),
+                       "--set", "sweep.n_grid=0,8", "--set", "sweep.l_grid=8",
+                       "--set", "sweep.chip_seeds=1")
+    assert code == 2
+    assert err.startswith("error: 'sweep.n_grid' must be an integer >= 0 and <= 8 (0 is 8), "
+                          "each listed once, got 8"), err
     assert not out.exists()
 
 

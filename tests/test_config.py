@@ -136,11 +136,12 @@ def test_section_and_decoder_keys_are_the_dataclass_fields():
 
 def test_the_generated_defaults_echo_the_recorded_keys_values_and_types():
     # every key, its default and its type (as echoed), as they were when the
-    # defaults were first generated from the dataclasses
+    # defaults were first generated from the dataclasses, but for the front
+    # end's, now frontend.mode = tdbdi and frontend.p = 1 (one row per channel)
     text = echo_config(resolve_config())
     assert len(text.splitlines()) == len(DEFAULTS) == 81
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "92ed74f96b97db3779bccd69d10c9d97dc3dbbcacbd46937e56b9fa4757b0c05")
+        "71a19a99062515655a736d528870e0792efd1cf41b6f83302e74bca8df239090")
 
 
 def test_section_of_the_defaults_is_the_default_instance():

@@ -24,6 +24,8 @@ from pathlib import Path
 import pytest
 
 import mlcpsim
+from mlcpsim.cli import build_parser
+from mlcpsim.config import resolve_config
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(mlcpsim.__file__).resolve().parents[1]
@@ -73,7 +75,7 @@ def _commands(data: Path, model: Path, out: Path) -> list:
             ["roc", *run, "--set", "roc.points=40", "--out", str(out / "roc.csv")],
             ["stream", *run, "--trial", "c05_r001", "--out", str(out / "stream.csv")],
             ["train", "--data", str(data), "--seed", "7", "--set", "frontend.mode=tdbdi",
-             "--set", "train.noise_on=true", "--set", "train.method=T2",
+             "--set", "frontend.p=2", "--set", "train.noise_on=true", "--set", "train.method=T2",
              "--set", "train.target_sparsity=0.3", "--out", str(out / "model_t2.json")],
             ["chip", "--seed", "7", "--set", "chip.l=16", "--out", str(out / "chip.json")],
             ["sweep", "--data", str(data), *sweep, "--out", str(out / "sweep.csv")],
@@ -91,7 +93,7 @@ def decoded(tmp_path_factory):
     data, model = root / "data", root / "model.json"
     setup = [["gen", "--seed", "7", "--set", "synth.trials_per_class=3", "--out", str(data)],
              ["train", "--data", str(data), "--seed", "7", "--set", "frontend.mode=tdbdi",
-              "--set", "train.noise_on=true", "--out", str(model)]]
+              "--set", "frontend.p=2", "--set", "train.noise_on=true", "--out", str(model)]]
     _run_cli(setup + _commands(data, model, root / "t1"), threads=1)
     _run_cli(_commands(data, model, root / "t2"), threads=2)
     return {1: root / "t1", 2: root / "t2"}, model
@@ -103,12 +105,17 @@ def test_decode_bytes_do_not_depend_on_the_blas_thread_count(decoded):
         assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 
 
-def _recorded_platform_reason() -> str | None:
-    """None on the platform ``bench/expected.json`` records, else why not."""
+def _bench_worker():
+    """The benchmark's ``bench/worker.py``, loaded as a module."""
     spec = importlib.util.spec_from_file_location("bench_worker", ROOT / "bench" / "worker.py")
     worker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(worker)
-    here = worker.platform_fingerprint()
+    return worker
+
+
+def _recorded_platform_reason() -> str | None:
+    """None on the platform ``bench/expected.json`` records, else why not."""
+    here = _bench_worker().platform_fingerprint()
     recorded = json.loads((ROOT / "bench" / "expected.json").read_text())["platform"]
     if here != recorded:
         return f"digests are recorded for {recorded}, this platform is {here}"
@@ -122,3 +129,18 @@ def test_decode_bytes_match_the_recorded_digests(decoded):
     files = {"model.json": model, **{name: outs[1] / name for name in OUTPUTS}}
     got = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
     assert got == DIGESTS
+
+
+def test_every_benchmark_command_line_resolves(tmp_path):
+    # a configuration change that refuses one of the benchmark's command
+    # lines fails here, not only when the benchmark runs
+    worker, parser = _bench_worker(), build_parser()
+    refused = []
+    for workload in worker.WORKLOADS.values():
+        for argv in workload.setup(7, tmp_path) + workload.chain(7, tmp_path, tmp_path):
+            args = parser.parse_args(argv)
+            try:
+                resolve_config(args.config, args.set, args.seed)
+            except ValueError as exc:
+                refused.append(f"{workload.name}: {' '.join(argv)}: {exc}")
+    assert not refused

@@ -121,8 +121,6 @@ EDGES = {
 #: ``train`` settings whose domain depends on another key, or that leave
 #: the setting unset when negative: (key, settings).
 TRAIN_ONLY = [
-    ("analog.i_rst_na", ["analog.use_full_cco=true", "analog.i_rst_na=0"]),
-    ("analog.i_rst_na", ["analog.use_full_cco=true", f"analog.i_rst_na={below(0.0)}"]),
     ("train.l1_lambda", ["train.method=T2", "train.l1_lambda=inf"]),
     ("train.target_sparsity", ["train.method=T2", "train.target_sparsity=1.0"]),
     ("frontend.p", ["frontend.mode=tdbdi", "frontend.p=200"]),
@@ -193,23 +191,55 @@ FOREIGN = {"gen": "roc.points=0", "chip": "train.method=T9", "train": "chip.prob
            "budget": "frontend.mode=tdbd"}
 
 
-@pytest.mark.parametrize("command", FOREIGN)
+def _order_cases():
+    """(key, settings) of each field declared >= another field of its class:
+    its value just below that field's default."""
+    for prefix, cls in [*SECTIONS.items(), ("decoder", DecoderModel)]:
+        for f in dataclasses.fields(cls):
+            if low := f.metadata.get("ge_field"):
+                limit = cls.__dataclass_fields__[low].default
+                value = limit - 1 if f.type == "int" else below(limit)
+                yield f"{prefix}.{f.name}", [f"{prefix}.{f.name}={value}"]
+
+
+#: (key, settings) of every rule across keys, each within its own domain.
+CROSS = [*_order_cases(),
+         ("analog.i_rst_na", ["analog.use_full_cco=true", "analog.i_rst_na=0"]),
+         ("analog.i_rst_na", ["analog.use_full_cco=true", f"analog.i_rst_na={below(0.0)}"]),
+         ("synth.trial_duration_ms", ["synth.peak_rate=1e19"]),  # a Poisson mean too large
+         ("frontend.t_s_ms", ["frontend.t_s_ms=19.9996"]),
+         ("frontend.p", ["frontend.mode=direct", "frontend.p=2"])]
+
+
+@pytest.mark.parametrize("command, key, settings",
+                         [pytest.param(command, setting.split("=")[0], [setting], id=command)
+                          for command, setting in FOREIGN.items()]
+                         + [pytest.param(command, key, settings,
+                                         id=f"{command} {' '.join(settings)}")
+                            for key, settings in CROSS for command in FOREIGN])
 def test_every_command_refuses_any_key_outside_its_domain_before_reading_a_file(
-        capsys, tmp_path, monkeypatch, command):
+        capsys, tmp_path, monkeypatch, command, key, settings):
     for module, name in [(cli, "parse_dataset"), (spikeio, "read_manifest"),
                          (cli, "gen_synthetic")]:
         monkeypatch.setattr(module, name, _fail)
     missing = tmp_path / "missing"
-    argv = [command, "--out", str(tmp_path / "out"), "--set", FOREIGN[command]]
+    argv = [command, "--out", str(tmp_path / "out")]
+    for setting in settings:
+        argv += ["--set", setting]
     if command in ("train", "sweep", "eval", "stream", "roc"):
         argv += ["--data", str(missing)]
     if command in ("eval", "stream", "roc"):
         argv += ["--model", str(missing / "model.json")]
     code = main(argv)
     err = capsys.readouterr().err
-    key = FOREIGN[command].split("=")[0]
     assert code == 2 and err.startswith(f"error: '{key}' must be "), err
     assert not any(tmp_path.iterdir())
+
+
+def test_the_order_cases_are_read_from_the_declarations():
+    assert {key for key, _ in _order_cases()} >= {
+        "synth.peak_rate", "synth.ramp_peak_ms", "synth.decay_start_ms", "synth.decay_end_ms",
+        "synth.trial_duration_ms", "trap.t1_ms", "trap.t2_ms", "trap.t3_ms", "decoder.tau"}
 
 
 def _scalar_paths(cls, prefix=""):
