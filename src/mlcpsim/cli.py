@@ -14,6 +14,11 @@ Conventions:
   seeds give identical bytes.  No timestamps are embedded anywhere.
 * Exit codes: 0 success, 1 usage error, 2 data/validation error (or a run
   too large for memory), 3 numerical failure.
+* Every key's domain is checked before any file is read.  The checks that
+  need the data follow it, each by its key: ``sweep.n_grid`` against the
+  channel count, the rows per channel against 128, ``chip.d`` against the
+  front end's rows, a split that leaves ``sweep`` no training trial, and
+  T2's one penalty, all before H is collected.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import argparse
 import itertools
 import shutil
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -126,18 +131,16 @@ def _frontend_from_cfg(cfg: dict, n_channels: int, p: int | None = None,
                        p_key: str = "frontend.p", source: str = "the dataset") -> FrontendConfig:
     """The ``frontend.*`` front end on ``n_channels`` channels (over ``MAX_ROWS``
     refused as ``source``'s), ``p`` rows per channel (default: ``frontend.p``;
-    one that the ``frontend.*`` rules or the row limit refuse is named by ``p_key``)."""
+    one that the row limit refuses is named by ``p_key``)."""
     if n_channels > MAX_ROWS:  # too many at one row per channel
         raise ConfigError(f"{source} gives {n_channels} channels, but a chip has at most "
                           f"{MAX_ROWS} rows, one or more per channel")
-    try:  # direct takes only p = 1
-        fe = section({**cfg, "frontend.p": cfg[p_key] if p is None else p}, "frontend")
-    except FieldError as exc:
-        raise FieldError(p_key, *exc.args[1:]) from None
-    if n_channels * fe.p > MAX_ROWS:  # p rows per channel are too many
+    fe = section(cfg, "frontend")
+    p = fe.p if p is None else p
+    if n_channels * p > MAX_ROWS:  # p rows per channel are too many
         raise FieldError(p_key, f"an integer >= 1 and <= {MAX_ROWS // n_channels} on "
-                         f"{n_channels} channels", fe.p, "")
-    return FrontendConfig.tdbdi(n_channels, fe.p, fe.link_delay, fe.t_s_ms)
+                         f"{n_channels} channels", p, "")
+    return FrontendConfig.tdbdi(n_channels, p, fe.link_delay, fe.t_s_ms)
 
 
 def _noise_seed(cfg: dict, name: str) -> int | None:
@@ -150,45 +153,40 @@ def _trainer(cfg: dict, dataset: SpikeDataset, frontend, methods: list,
              type_only: bool = False):
     """Check the T2 penalties, then return ``train(chip)``: one model per
     training method, in ``methods`` order, fitted on one H collected on the chip
-    (from ``codes``, the trials' front-end codes, if given).  Every chip shares
-    the training targets, built on the first, and ``out`` (None: a new H per
-    chip), the buffer each H is written into.  T2 fits first, so the last fit,
-    which may overwrite H, is a T1 fit whenever there is one.  ``score`` adds
-    ``train_accuracy`` to each report: the evaluation vote on the training set
-    itself, an optimistic figure.  ``type_only`` leaves a T1 model's onset
-    column zero (``fit_output_weights``)."""
+    (from ``codes``, the trials' front-end codes, if given) into ``out`` (None:
+    a new H per chip).  T2 fits first, so the last fit, which may overwrite H,
+    is a T1 fit whenever there is one.  ``score`` adds ``train_accuracy`` to
+    each report: the evaluation vote on the training set itself, an optimistic
+    figure.  ``type_only`` leaves a T1 model's onset column zero
+    (``fit_output_weights``)."""
     penalties = {name: cfg[f"train.{name}"]
                  for name in ("ridge_lambda", "l1_lambda", "target_sparsity")}
     for method in methods:
         check_penalties(method, **penalties)
     noise_seed, policy = _noise_seed(cfg, "train"), cfg["train.sample_policy"]
-    trap, m, targets = section(cfg, "trap"), dataset.class_count, None
+    trap, m = section(cfg, "trap"), dataset.class_count
+    decoder = {name: cfg[f"decoder.{name}"] for name in DECODER_KEYS}
 
     def train(chip) -> list:
-        nonlocal targets
-        untrained = DecoderModel(np.zeros((chip.l, m + 1)), np.zeros(chip.l, bool), m,
-                                 frontend=frontend, chip_seed=chip.seed,
-                                 fmax_sel=chip.params.fmax_sel, trap=trap,
-                                 **{name: cfg[f"decoder.{name}"] for name in DECODER_KEYS})
         hidden, targets = collect_H(dataset, chip, frontend, noise_seed=noise_seed,
                                     sample_policy=policy, trap=trap,
-                                    normalize=cfg["decoder.normalize"], codes=codes,
-                                    targets=targets, out=out)
-        if score:  # each trial's plateau rows, before the last fit may reorder H
+                                    normalize=cfg["decoder.normalize"], codes=codes, out=out)
+        if score:  # the plateau rows, taken before the last fit may reorder H
             labels = np.array([trial.label for trial in dataset.trials])
             on = trap.on_plateau(frontend.tick_end_ms(np.arange(hidden.n_ticks.max())))
-            plateau = [hidden.h[end - n : end][on[:n]]
-                       for end, n in zip(np.cumsum(hidden.n_ticks), hidden.n_ticks)]
+            plateau = hidden.h[np.concatenate([on[:n] for n in hidden.n_ticks])]
+            n_votes = np.concatenate([[0], np.cumsum(on)])[hidden.n_ticks]
         models = [None] * len(methods)
         order = sorted(range(len(methods)), key=lambda i: methods[i] == "T1")
         for i in order:  # no later fit reads H, so the last may overwrite it
             w = fit_output_weights(hidden, targets, method=methods[i], refit=cfg["train.refit"],
                                    overwrite_h=i == order[-1], type_only=type_only, **penalties)
             if score:
-                votes = plateau_votes(np.concatenate([h @ w.beta[:, :m] for h in plateau]),
-                                      [len(h) for h in plateau], m)
+                votes = plateau_votes(plateau @ w.beta[:, :m], n_votes, m)
                 w.report["train_accuracy"] = np.count_nonzero(votes == labels) / len(labels)
-            models[i] = replace(untrained, beta=w.beta, support=w.support, report=w.report)
+            models[i] = DecoderModel(w.beta, w.support, m, frontend=frontend,
+                                     chip_seed=chip.seed, fmax_sel=chip.params.fmax_sel,
+                                     trap=trap, report=w.report, **decoder)
         return models
 
     return train
@@ -232,7 +230,7 @@ def _chip(cfg: dict, path: str | None, d: int, model: DecoderModel | None = None
             **{f"trap.{k}": v for k, v in asdict(model.trap).items()},
             "analog.fmax_sel": model.fmax_sel, "chip.seed": model.chip_seed,
             "chip.l": model.beta.shape[0], "frontend.p": p, "frontend.t_s_ms": fe.t_s_ms,
-            **({"frontend.mode": "tdbdi", "frontend.link_delay": fe.delay_of(1)} if p > 1 else {})}
+            **({"frontend.link_delay": fe.delay_of(1)} if p > 1 else {})}
     _resolve(cfg, {**sources, "front end": {"chip.d": d}})
     if chip:
         return chip
@@ -377,9 +375,9 @@ def cmd_sweep(args, cfg: dict) -> int:
                           "training trials: the split keeps at least one test trial per class")
 
     # H depends on the data, the front end and the chip, never on the trainer:
-    # codes, targets and the test trials' plateau codes are made once per
-    # (n, p), and hidden rows once per chip, each H into one buffer.  The
-    # type vote reads only plateau ticks, so only those test rows are made.
+    # codes and the test trials' plateau codes are made once per (n, p), and
+    # hidden rows once per chip, each H into one buffer.  The type vote reads
+    # only plateau ticks, so only those test rows are made.
     accuracy, buffer = {}, None
     labels = np.array([trial.label for trial in test_set.trials])
     m = dataset.class_count

@@ -39,7 +39,7 @@ from .fields import (bounds, check_fields, check_values, json_array,
                      read_versioned_json, write_versioned_json)
 from .frontend import FrontendConfig, run_trial
 from .spikeio import SpikeDataset, Trial
-from .training import TrapezoidParams, hidden_stream, hidden_streams
+from .training import TrapezoidParams, hidden_stream, trial_rng
 
 MODEL_FORMAT = "mlcpsim-model"
 MODEL_VERSION = 1
@@ -263,8 +263,9 @@ def _output_streams(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstan
     if not dataset.trials:
         raise ValueError("cannot evaluate an empty test set")
     check_chip(model, chip)
-    codes = (run_trial(model.frontend, trial) for trial in dataset.trials)
-    return [h @ model.beta for h in hidden_streams(codes, chip, model.normalize, noise_seed)]
+    return [hidden_stream(run_trial(model.frontend, trial), chip, model.normalize,
+                          trial_rng(noise_seed, i)) @ model.beta
+            for i, trial in enumerate(dataset.trials)]
 
 
 def _window_levels(outputs: list[np.ndarray], model: DecoderModel) -> np.ndarray:

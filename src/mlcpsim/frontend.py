@@ -115,9 +115,9 @@ class FrontendConfig:
 
 @dataclass
 class FrontendSettings:
-    """The ``frontend.*`` keys: ``FrontendConfig.tdbdi``'s layout; ``direct`` is p = 1."""
+    """The ``frontend.*`` keys: ``FrontendConfig.tdbdi``'s layout."""
 
-    mode: str = bounds("tdbdi", choices=("direct", "tdbdi"))
+    mode: str = bounds("tdbdi", choices=("tdbdi",))
     p: int = bounds(1, ge=1)
     link_delay: int = bounds(5, ge=1, le=SDL_MAX + 1)  # sub-windows per delay link
     t_s_ms: float = bounds(20.0, like=(FrontendConfig, "t_s_ms"))
@@ -125,8 +125,6 @@ class FrontendSettings:
     def __post_init__(self):
         check_fields(self)
         whole_microseconds(self.t_s_ms)  # refuses a fraction of a µs
-        if self.mode == "direct" and self.p != 1:
-            raise FieldError("p", "1 when {} is direct", self.p, "mode")
 
 
 def bin_events(times_us: np.ndarray, channels: np.ndarray, n_channels: int, t_s_us: int,

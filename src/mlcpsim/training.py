@@ -7,7 +7,8 @@ normalization) to collect the hidden matrix H, then solves for beta.  One
 trainer, ``fit_blocks``, fits (h, t) blocks that share the hidden neurons;
 ``fit_output_weights`` passes it the type block and the onset block.  T1
 fits the onset block first, so a caller that owns H may let the type rows
-be gathered to the front of H in place rather than copied; a caller that
+be gathered to the front of H in place rather than copied (a lone T1 fit
+then peaks at about twice H's bytes: H and LAPACK's copy); a caller that
 reads only the type columns may have T1 fit the type block alone.
 
 * T1 - least squares: the minimum-norm solution via a rank-revealing
@@ -171,13 +172,6 @@ def trial_rng(noise_seed: int | None, index: int) -> np.random.Generator | None:
     return None if noise_seed is None else np.random.default_rng([noise_seed, index])
 
 
-def hidden_streams(codes, chip: ChipInstance, normalize: bool, noise_seed: int | None = None):
-    """``hidden_stream`` of each trial's codes in turn; trial ``i`` draws
-    its noise from ``trial_rng(noise_seed, i)`` (None: noise off)."""
-    for idx, trial_codes in enumerate(codes):
-        yield hidden_stream(trial_codes, chip, normalize, trial_rng(noise_seed, idx))
-
-
 def hidden_rows(codes, n_ticks: np.ndarray, chip: ChipInstance, normalize: bool,
                 noise_seed: int | None = None, ticks: np.ndarray | None = None,
                 out: np.ndarray | None = None) -> np.ndarray:
@@ -220,7 +214,7 @@ def hidden_rows(codes, n_ticks: np.ndarray, chip: ChipInstance, normalize: bool,
 def collect_H(dataset: SpikeDataset, chip: ChipInstance, frontend_cfg: FrontendConfig,
               noise_seed: int | None = None, sample_policy: str = "unambiguous",
               trap: TrapezoidParams | None = None, normalize: bool = True,
-              codes: list | None = None, targets: TargetSet | None = None,
+              codes: list | None = None,
               out: np.ndarray | None = None) -> tuple[HiddenMatrix, TargetSet]:
     """Run the simulated chain over a dataset and assemble (H, targets).
 
@@ -230,11 +224,9 @@ def collect_H(dataset: SpikeDataset, chip: ChipInstance, frontend_cfg: FrontendC
     ``trial_rng(noise_seed, i)`` so results do not depend on evaluation
     order.  Row timestamps are ``frontend_cfg.tick_end_ms``.
     ``codes``, when given, are the trials' front-end codes computed
-    beforehand with ``frontend_cfg``; ``targets``, when given, the targets
-    an earlier call returned for this dataset, front end, policy and trap,
-    which depend on no chip; ``out``, when given, a float64 buffer whose
-    first rows x L values become H, so H can be collected again on another
-    chip without a new allocation.
+    beforehand with ``frontend_cfg``; ``out``, when given, a float64 buffer
+    whose first rows x L values become H, so H can be collected again on
+    another chip without a new allocation.
 
     ``sample_policy`` selects the rows the type outputs train on:
     "unambiguous" (membership exactly 0 or 1), "plateau" (membership 1),
@@ -257,16 +249,15 @@ def collect_H(dataset: SpikeDataset, chip: ChipInstance, frontend_cfg: FrontendC
     if out is not None:
         out = out[: rows * chip.l].reshape(rows, chip.l)
     h = hidden_rows(codes, n_ticks, chip, normalize, noise_seed, out=out)
-    if targets is None:
-        # tick k of every trial ends at the same time, so one trial's worth of
-        # memberships, as long as the longest, serves every trial
-        ticks_membership = trapezoid(frontend_cfg.tick_end_ms(np.arange(n_ticks.max())), trap)
-        membership = np.concatenate([ticks_membership[:n] for n in n_ticks])
-        labels = np.repeat([trial.label for trial in dataset.trials], n_ticks)
-        type_rows = np.ones(len(membership), bool) if sample_policy == "all" else membership == 1.0
-        if sample_policy == "unambiguous":
-            type_rows |= membership == 0.0
-        targets = TargetSet(labels, dataset.class_count, membership, type_rows)
+    # tick k of every trial ends at the same time, so one trial's worth of
+    # memberships, as long as the longest, serves every trial
+    ticks_membership = trapezoid(frontend_cfg.tick_end_ms(np.arange(n_ticks.max())), trap)
+    membership = np.concatenate([ticks_membership[:n] for n in n_ticks])
+    labels = np.repeat([trial.label for trial in dataset.trials], n_ticks)
+    type_rows = np.ones(len(membership), bool) if sample_policy == "all" else membership == 1.0
+    if sample_policy == "unambiguous":
+        type_rows |= membership == 0.0
+    targets = TargetSet(labels, dataset.class_count, membership, type_rows)
     return HiddenMatrix(h, n_ticks), targets
 
 

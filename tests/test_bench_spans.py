@@ -16,6 +16,8 @@ import numpy as np
 import mlcpsim.cli  # noqa: F401  (every package module, as the benchmark worker imports them)
 from mlcpsim import analog, training
 from mlcpsim.analog import AnalogParams, build_chip
+from mlcpsim.frontend import FrontendConfig
+from test_training import tiny_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,6 +48,17 @@ def test_every_span_target_resolves_and_is_restored():
         assert tracer.counts["analog.macs"] == 7 * 3 * 4
         assert tracer.counts["analog.cco_cells"] == 7 * 4
         assert tracer.counts["analog.zero_rows"] == 2
+        # the training counters read collect_H's H and the fit's method
+        # argument, given by position or by name
+        hidden, targets = training.collect_H(tiny_dataset(q=3, m=2, trials_per_class=2), chip,
+                                             FrontendConfig.tdbdi(3, 1))
+        assert tracer.counts["training.h_rows"] == hidden.h.shape[0] > 0
+        pruned = 0
+        for fits, args, kwargs in [(1, ("T2",), {}), (2, (), {"method": "T2"})]:
+            w = training.fit_output_weights(hidden, targets, *args, target_sparsity=0.5, **kwargs)
+            pruned += int(np.count_nonzero(~w.support))
+            assert tracer.counts["training.fits"] == fits
+            assert tracer.counts["training.t2_pruned"] == pruned > 0
     finally:
         tracer.uninstall()
     for (module, attr), original in originals.items():

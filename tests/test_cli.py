@@ -16,7 +16,9 @@ from mlcpsim.analog import AnalogParams, build_chip, load_chip
 from mlcpsim.cli import main
 from mlcpsim.config import parse_config_text, resolve_config
 from mlcpsim.decoder import load_model
+from mlcpsim.training import collect_H
 from cli_oracle import oracle_sweep
+from decoder_oracle import plateau_class
 from test_files import DEFECT_CASES, write_defective
 
 EASY_GEN = [
@@ -314,6 +316,29 @@ def test_train_accuracy_votes_like_eval_when_no_trial_reaches_the_plateau(capsys
     assert json.loads(report.read_text())["accuracy"] == accuracy
 
 
+@pytest.mark.parametrize("noise", ["false", "true"])
+def test_train_accuracy_is_the_vote_of_each_trial_on_its_rows_of_H(capsys, tmp_path, noise):
+    """A four-neuron chip classifies its own training set imperfectly; the
+    reported accuracy is the share of trials whose plateau vote, taken
+    trial by trial on that trial's rows of H times beta, is its label."""
+    ds, model_path = tmp_path / "ds", tmp_path / "m.json"
+    assert run(capsys, "gen", "--out", str(ds), "--seed", "3", "--set", "synth.q=8",
+               "--set", "synth.m=4", "--set", "synth.trials_per_class=5")[0] == 0
+    code, _, err = run(capsys, "train", "--data", str(ds), "--out", str(model_path), "--seed", "3",
+                       "--set", "chip.l=4", "--set", f"train.noise_on={noise}",
+                       "--set", "train.noise_seed=11")
+    assert code == 0, err
+    model = load_model(model_path)
+    dataset = spikeio.parse_dataset(ds)
+    chip = build_chip(3, AnalogParams(), d=model.frontend.rows, l=4)
+    hidden, _ = collect_H(dataset, chip, model.frontend, noise_seed=11 if noise == "true" else None)
+    ends = np.cumsum(hidden.n_ticks)
+    right = [plateau_class(hidden.h[end - n : end] @ model.beta, model) == trial.label
+             for trial, end, n in zip(dataset.trials, ends, hidden.n_ticks)]
+    assert 0 < np.mean(right) < 1
+    assert model.report["train_accuracy"] == np.count_nonzero(right) / len(right)
+
+
 def test_numeric_failures_map_to_exit_3(capsys, monkeypatch):
     import mlcpsim.cli as cli
     from mlcpsim.training import ConvergenceError
@@ -375,23 +400,22 @@ def test_sweep_p_above_one_in_direct_mode_is_rejected(capsys, tmp_path, easy_run
                        "--set", "frontend.mode=direct", "--set", "sweep.p_grid=1,2",
                        "--set", "sweep.l_grid=8")
     assert code == 2
-    assert "'sweep.p_grid' must be 1 when 'frontend.mode' is direct, got 2" in err, err
+    assert "'frontend.mode' must be one of tdbdi, got \"direct\"" in err, err
     assert not out.exists()
 
 
 def test_frontend_mode_selects_no_front_end(capsys, tmp_path, shared_run):
     ds, model = shared_run  # trained at the defaults, --seed 3
-    for i, extra in enumerate([["frontend.mode=direct"],
-                               ["frontend.mode=tdbdi", "frontend.p=1", "frontend.link_delay=2"]]):
-        out = tmp_path / f"model{i}.json"
-        assert run(capsys, "train", "--data", str(ds), "--out", str(out), "--seed", "3",
-                   *SMALL_CHIP, *[arg for setting in extra for arg in ("--set", setting)])[0] == 0
-        assert out.read_bytes() == model.read_bytes(), extra
+    extra = ["frontend.mode=tdbdi", "frontend.p=1", "frontend.link_delay=2"]
+    out = tmp_path / "model.json"
+    assert run(capsys, "train", "--data", str(ds), "--out", str(out), "--seed", "3",
+               *SMALL_CHIP, *[arg for setting in extra for arg in ("--set", setting)])[0] == 0
+    assert out.read_bytes() == model.read_bytes(), extra
     out = tmp_path / "refused.json"
     code, _, err = run(capsys, "train", "--data", str(ds), "--out", str(out),
-                       "--set", "frontend.mode=direct", "--set", "frontend.p=3")
+                       "--set", "frontend.mode=direct")
     assert code == 2
-    assert err.startswith("error: 'frontend.p' must be 1 when 'frontend.mode' is direct"), err
+    assert err.startswith("error: 'frontend.mode' must be one of tdbdi, got \"direct\""), err
     assert not out.exists()
 
 
@@ -493,16 +517,15 @@ def test_sweep_solves_one_least_squares_per_t1_point_whatever_the_method_order(
     assert rows["T1,T2"] == rows["T2,T1"] and set(rows["T1,T2"]) == {"T1", "T2"}
 
 
-@pytest.mark.parametrize("mode", ["direct", "tdbdi"])
 def test_more_channels_than_chip_rows_are_refused_by_the_channel_count(capsys, tmp_path,
-                                                                      monkeypatch, mode):
+                                                                      monkeypatch):
     ds, out = tmp_path / "ds", tmp_path / "out"
     assert run(capsys, "gen", "--out", str(ds), "--set", "synth.q=129", "--set", "synth.m=2",
                "--set", "synth.trials_per_class=2")[0] == 0
     monkeypatch.setattr(cli, "collect_H", _fail("H collected"))
     for cmd, source in [("train", "the dataset"), ("sweep", "sweep.n_grid")]:
         code, _, err = run(capsys, cmd, "--data", str(ds), "--out", str(out),
-                           "--set", f"frontend.mode={mode}", "--set", "sweep.n_grid=100,0")
+                           "--set", "sweep.n_grid=100,0")
         assert code == 2
         assert f"{source} gives 129 channels, but a chip has at most 128 rows" in err, err
         assert not out.exists()
@@ -581,7 +604,7 @@ def test_misspelled_frontend_mode_rejected_at_p_one(capsys, tmp_path, easy_run, 
     code, _, err = run(capsys, cmd, "--data", str(ds), "--out", str(out), "--seed", "3",
                        *SMALL_CHIP, "--set", "frontend.mode=tdbd", *extra)
     assert code == 2
-    assert "'frontend.mode' must be one of direct, tdbdi, got \"tdbd\"" in err
+    assert "'frontend.mode' must be one of tdbdi, got \"tdbd\"" in err
     assert not out.exists()
 
 

@@ -88,7 +88,7 @@ EDGES = {
     "decoder.tr_ms": ("train", [below(0.0)]),
     "decoder.normalize": ("train", ["2"]),
     "frontend.t_s_ms": ("train", ["0.0", below(0.0), "0.0004", "19.9996", "1e300"]),
-    "frontend.mode": ("train", ["tdbd"]),
+    "frontend.mode": ("train", ["tdbd", "direct"]),
     "frontend.p": ("train", ["0"]),
     "frontend.link_delay": ("train", ["0", "6"]),
     "chip.d": ("train", ["-1", "5"]),
@@ -208,7 +208,7 @@ CROSS = [*_order_cases(),
          ("analog.i_rst_na", ["analog.use_full_cco=true", f"analog.i_rst_na={below(0.0)}"]),
          ("synth.trial_duration_ms", ["synth.peak_rate=1e19"]),  # a Poisson mean too large
          ("frontend.t_s_ms", ["frontend.t_s_ms=19.9996"]),
-         ("frontend.p", ["frontend.mode=direct", "frontend.p=2"])]
+         ("frontend.mode", ["frontend.mode=direct", "frontend.p=2"])]
 
 
 @pytest.mark.parametrize("command, key, settings",
