@@ -18,7 +18,18 @@ Conventions:
   need the data follow it, each by its key: ``sweep.n_grid`` against the
   channel count, the rows per channel against 128, ``chip.d`` against the
   front end's rows, a split that leaves ``sweep`` no training trial, and
-  T2's one penalty, all before H is collected.
+  T2's one penalty, all before H is collected.  A setting that no part of
+  the run would use is refused by its key rather than echoed: a
+  ``frontend.link_delay`` where every front end has one row per channel
+  (checked against a model's rows once the model is read), and in
+  ``sweep`` a ``chip.l``, ``frontend.p`` or ``chip.seed`` that its grids
+  replace.
+* ``gen`` and ``train`` hold one trial's events at a time: ``gen`` writes
+  each trial as it is made, and ``train`` reads the manifest first and each
+  event file only when the front end reaches that trial, so a bad event
+  file exits 2, naming its line, after part of H is collected and before
+  any model is written.  ``eval``, ``roc`` and ``sweep`` read the whole
+  dataset; ``stream`` reads its one trial.
 """
 
 from __future__ import annotations
@@ -42,8 +53,9 @@ from .decoder import (DecoderModel, check_chip, decode_stream, evaluate, load_mo
                       write_stream_csv)
 from .fields import FieldError, check_values, under
 from .frontend import MAX_ROWS, FrontendConfig, run_trial, tick_count
-from .spikeio import (ChannelCountError, ChannelRangeError, DatasetError, SpikeDataset, Trial,
-                      gen_synthetic, parse_dataset, read_trial, write_dataset)
+from .spikeio import (ChannelCountError, ChannelRangeError, DatasetError, Manifest, SpikeDataset,
+                      Trial, parse_dataset, read_manifest, read_trial, synthetic_metadata,
+                      synthetic_trials, write_trials)
 from .training import (ConvergenceError, TrainingError, check_penalties, collect_H,
                        fit_output_weights, hidden_rows, trial_rng)
 
@@ -143,12 +155,22 @@ def _frontend_from_cfg(cfg: dict, n_channels: int, p: int | None = None,
     return FrontendConfig.tdbdi(n_channels, p, fe.link_delay, fe.t_s_ms)
 
 
+def _refuse_unused_link_delay(cfg: dict, p_values: list, p_key: str) -> None:
+    """Refuse a ``frontend.link_delay`` other than its default when every
+    front end of the run (``p_values`` rows per channel, set by ``p_key``)
+    has one row per channel, so no row is delayed."""
+    default = DEFAULTS["frontend.link_delay"]
+    if cfg["frontend.link_delay"] != default and max(p_values) == 1:
+        raise FieldError("frontend.link_delay", f"{default} where {{}} is 1, which delays no row",
+                         cfg["frontend.link_delay"], p_key)
+
+
 def _noise_seed(cfg: dict, name: str) -> int | None:
     """``name.noise_seed`` (train or decoder) if ``name.noise_on``, else None."""
     return cfg[f"{name}.noise_seed"] if cfg[f"{name}.noise_on"] else None
 
 
-def _trainer(cfg: dict, dataset: SpikeDataset, frontend, methods: list,
+def _trainer(cfg: dict, dataset: SpikeDataset | Manifest, frontend, methods: list,
              codes: list | None = None, score: bool = False, out: np.ndarray | None = None,
              type_only: bool = False):
     """Check the T2 penalties, then return ``train(chip)``: one model per
@@ -172,7 +194,7 @@ def _trainer(cfg: dict, dataset: SpikeDataset, frontend, methods: list,
                                     sample_policy=policy, trap=trap,
                                     normalize=cfg["decoder.normalize"], codes=codes, out=out)
         if score:  # the plateau rows, taken before the last fit may reorder H
-            labels = np.array([trial.label for trial in dataset.trials])
+            labels = np.array([trial.label for trial in dataset.rows])
             on = trap.on_plateau(frontend.tick_end_ms(np.arange(hidden.n_ticks.max())))
             plateau = hidden.h[np.concatenate([on[:n] for n in hidden.n_ticks])]
             n_votes = np.concatenate([[0], np.cumsum(on)])[hidden.n_ticks]
@@ -232,6 +254,8 @@ def _chip(cfg: dict, path: str | None, d: int, model: DecoderModel | None = None
             "chip.l": model.beta.shape[0], "frontend.p": p, "frontend.t_s_ms": fe.t_s_ms,
             **({"frontend.link_delay": fe.delay_of(1)} if p > 1 else {})}
     _resolve(cfg, {**sources, "front end": {"chip.d": d}})
+    if model:  # the model's p, now in cfg
+        _refuse_unused_link_delay(cfg, [cfg["frontend.p"]], "frontend.p")
     if chip:
         return chip
     params = section(cfg, "analog")
@@ -268,10 +292,10 @@ def _restrict_channels(dataset: SpikeDataset, n: int) -> SpikeDataset:
 
 def cmd_gen(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force, directory=True)
-    dataset = gen_synthetic(section(cfg, "synth"))
-    write_dataset(dataset, out)
+    params = section(cfg, "synth")
+    n = write_trials(out, synthetic_trials(params), params.q, params.m, synthetic_metadata(params))
     _echo(cfg)
-    _note(f"wrote {len(dataset.trials)} trials to {out}")
+    _note(f"wrote {n} trials to {out}")
     return EXIT_OK
 
 
@@ -296,13 +320,14 @@ def cmd_chip(args, cfg: dict) -> int:
 
 def cmd_train(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
-    dataset = parse_dataset(args.data)
+    _refuse_unused_link_delay(cfg, [cfg["frontend.p"]], "frontend.p")
+    dataset = read_manifest(args.data).counted()  # events are read as H is collected
     frontend = _frontend_from_cfg(cfg, dataset.channel_count)
     chip = _chip(cfg, args.chip, frontend.rows)
     [model] = _trainer(cfg, dataset, frontend, [cfg["train.method"]], score=True)(chip)
     save_model(model, out)
     _echo(cfg)
-    _note(f"trained {cfg['train.method']} on {len(dataset.trials)} trials")
+    _note(f"trained {cfg['train.method']} on {len(dataset.rows)} trials")
     _note(f"train_accuracy = {model.report['train_accuracy']:.4f}")
     _note(f"pruned = {int(np.sum(~model.support))} of {model.support.size} neurons")
     _note(f"wrote model to {out}")
@@ -350,13 +375,17 @@ def cmd_roc(args, cfg: dict) -> int:
 
 def cmd_sweep(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
-    for key, grid in (("chip.l", "sweep.l_grid"), ("frontend.p", "sweep.p_grid")):
-        if cfg[key] != DEFAULTS[key]:  # every point takes it from the grid instead
-            raise FieldError(key, f"{DEFAULTS[key]} in a sweep, which runs every point of {{}}",
-                             cfg[key], grid)
     methods = parse_str_list(cfg["sweep.methods"])
     l_grid, n_grid, p_grid, seeds = (parse_int_list(cfg[f"sweep.{key}"])
                                      for key in ("l_grid", "n_grid", "p_grid", "chip_seeds"))
+    # every point takes these from the grid instead; a chip.seed that --seed
+    # set may name a point's seed, which the echo then shows
+    for key, grid, also in (("chip.l", "sweep.l_grid", []), ("frontend.p", "sweep.p_grid", []),
+                            ("chip.seed", "sweep.chip_seeds", seeds)):
+        if cfg[key] != DEFAULTS[key] and cfg[key] not in also:
+            raise FieldError(key, f"{DEFAULTS[key]} in a sweep, which runs every point of {{}}"
+                             + (", or one of its items" if also else ""), cfg[key], grid)
+    _refuse_unused_link_delay(cfg, p_grid, "sweep.p_grid")
     dataset = parse_dataset(args.data)
     train_set, test_set = split_dataset(dataset, cfg["split.test_fraction"], cfg["split.seed"])
     channels = dataset.channel_count

@@ -12,10 +12,16 @@ integer microseconds from trial start.  Event rows are sorted non-decreasing
 in time.  ``meta.txt`` is written by :func:`write_dataset` and read when
 present; without it channel and class counts are inferred from the data.
 
-Reading is two passes: :func:`read_manifest` reads and checks the manifest
-and ``meta.txt`` without opening any event file, and ``Manifest.trial``
-reads one trial's events.  :func:`parse_dataset` reads every trial;
-:func:`read_trial` reads the one trial it is asked for.
+Reading and writing go one trial at a time.  :func:`read_manifest` reads
+and checks the manifest and ``meta.txt`` without opening any event file, and
+``Manifest.trial`` reads one trial's events; ``Manifest.counted`` fills in
+the counts that ``meta.txt`` leaves out, reading the event files only for an
+undeclared channel count.  :func:`parse_dataset` reads every trial into
+memory; :func:`read_trial` reads the one trial it is asked for.
+:func:`write_trials` checks and writes each trial it is given before it
+takes the next, and :func:`write_dataset` checks a whole dataset first and
+then writes it so; :func:`synthetic_trials` makes the synthetic trials one
+at a time, and :func:`gen_synthetic` keeps them all.
 
 In memory a trial's events are two parallel int64 arrays, ``times_us`` and
 ``channels``.  An event file is read in one of two tiers.  A body of
@@ -35,8 +41,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,28 +151,42 @@ class SpikeDataset:
 
     def validate(self) -> None:
         for trial in self.trials:
-            _check_trial_id(trial.id)
-            if not (1 <= trial.label <= self.class_count):
-                raise LabelRangeError(
-                    f"trial {trial.id!r}: label {trial.label} outside [1, {self.class_count}]"
-                )
-            if not (0 <= trial.onset <= trial.duration):
-                raise DatasetError(
-                    f"trial {trial.id!r}: onset {trial.onset} outside [0, {trial.duration}]"
-                )
-            times, channels = trial.times_us, trial.channels
-            prev = np.concatenate(([-1], times))[:-1]
-            bad_time = (times < 0) | (times < prev)
-            bad = np.flatnonzero(bad_time | (channels < 0) | (channels >= self.channel_count))
-            if bad.size:
-                i = bad[0]
-                if bad_time[i]:
-                    raise BadTimestampError(
-                        f"trial {trial.id!r}: bad event time {times[i]} after {prev[i]}"
-                    )
-                raise ChannelRangeError(
-                    f"trial {trial.id!r}: channel {channels[i]} outside [0, {self.channel_count})"
-                )
+            _check_trial(trial, self.channel_count, self.class_count)
+
+    @property
+    def rows(self) -> list[Trial]:
+        """The trials, whose first fields are a ``TrialRow``'s, as
+        ``Manifest.rows`` gives them."""
+        return self.trials
+
+    def trial(self, index: int) -> Trial:
+        """Trial ``index``, as ``Manifest.trial`` reads it."""
+        return self.trials[index]
+
+
+def _check_trial(trial: Trial, channel_count: int, class_count: int) -> None:
+    """Raise the ``DatasetError`` of the first rule ``trial`` breaks in a
+    dataset of ``channel_count`` channels and ``class_count`` classes."""
+    _check_trial_id(trial.id)
+    if not (1 <= trial.label <= class_count):
+        raise LabelRangeError(f"trial {trial.id!r}: label {trial.label} outside [1, {class_count}]")
+    if not (0 <= trial.onset <= trial.duration):
+        raise DatasetError(
+            f"trial {trial.id!r}: onset {trial.onset} outside [0, {trial.duration}]"
+        )
+    times, channels = trial.times_us, trial.channels
+    prev = np.concatenate(([-1], times))[:-1]
+    bad_time = (times < 0) | (times < prev)
+    bad = np.flatnonzero(bad_time | (channels < 0) | (channels >= channel_count))
+    if bad.size:
+        i = bad[0]
+        if bad_time[i]:
+            raise BadTimestampError(
+                f"trial {trial.id!r}: bad event time {times[i]} after {prev[i]}"
+            )
+        raise ChannelRangeError(
+            f"trial {trial.id!r}: channel {channels[i]} outside [0, {channel_count})"
+        )
 
 
 @dataclass
@@ -280,8 +302,8 @@ def _candidate_times(
     return times, rng.random(n) * rate_max
 
 
-def gen_synthetic(params: SynthParams) -> SpikeDataset:
-    """Generate a tuned-Poisson dataset, deterministic in ``params.seed``.
+def synthetic_trials(params: SynthParams) -> Iterator[Trial]:
+    """The tuned-Poisson trials, made one at a time, deterministic in ``params.seed``.
 
     Trials are generated class-major (``trials_per_class`` trials for class 1,
     then class 2, ...), neurons in index order within a trial, so the random
@@ -293,7 +315,6 @@ def gen_synthetic(params: SynthParams) -> SpikeDataset:
     onset_us = _us(params.onset_ms)
     neurons = np.arange(params.q, dtype=np.int64)
 
-    trials = []
     for cls in range(1, params.m + 1):
         peaks = [tuned_peak_rate(params, (j % params.m) + 1, cls) for j in range(params.q)]
         for rep in range(params.trials_per_class):
@@ -305,18 +326,25 @@ def gen_synthetic(params: SynthParams) -> SpikeDataset:
             keep = draws < rate_profile(params, np.repeat(peaks, counts), times)
             times, channels = times[keep], channels[keep]
             order = np.lexsort((channels, times))
-            trials.append(
-                Trial(
-                    id=f"c{cls:02d}_r{rep:03d}",
-                    label=cls,
-                    onset=onset_us,
-                    duration=duration_us,
-                    times_us=times[order],
-                    channels=channels[order],
-                )
+            yield Trial(
+                id=f"c{cls:02d}_r{rep:03d}",
+                label=cls,
+                onset=onset_us,
+                duration=duration_us,
+                times_us=times[order],
+                channels=channels[order],
             )
-    metadata = {"source": "synthetic", "seed": str(params.seed)}
-    return SpikeDataset(trials, channel_count=params.q, class_count=params.m, metadata=metadata)
+
+
+def synthetic_metadata(params: SynthParams) -> dict[str, str]:
+    """The ``meta.txt`` entries of a synthetic dataset beside its counts."""
+    return {"source": "synthetic", "seed": str(params.seed)}
+
+
+def gen_synthetic(params: SynthParams) -> SpikeDataset:
+    """Generate a tuned-Poisson dataset: every :func:`synthetic_trials` trial."""
+    return SpikeDataset(list(synthetic_trials(params)), channel_count=params.q,
+                        class_count=params.m, metadata=synthetic_metadata(params))
 
 
 def _read_lines(path: Path) -> list[str]:
@@ -417,33 +445,58 @@ def _parse_events(path: Path, q: int | None) -> tuple[np.ndarray, np.ndarray]:
     return _scan_rows(path, text.split("\n"), q)
 
 
+class TrialRow(NamedTuple):
+    """One manifest row: a trial's fields without its events."""
+
+    id: str
+    label: int
+    onset: int
+    duration: int
+
+
 @dataclass
 class Manifest:
     """A dataset directory's trial list and ``meta.txt``, read and checked
     without opening any event file.
 
-    ``rows`` are the manifest's (id, label, onset_us, duration_us) rows in
-    file order, blank lines skipped, so row ``i`` is trial ``i`` of the
-    dataset.  ``channel_count`` is the count events are checked against: the
-    one ``meta.txt`` declares, else the one the reader was asked for, else
-    None (inferred from the events).  ``class_count`` is the declared one or
-    None.
+    ``rows`` are the manifest's rows in file order, blank lines skipped, so
+    row ``i`` is trial ``i`` of the dataset.  ``channel_count`` is the count
+    events are checked against: the one ``meta.txt`` declares, else the one
+    the reader was asked for, else None (inferred from the events).
+    ``class_count`` is the declared one or None.
     """
 
     root: Path
-    rows: list[tuple[str, int, int, int]]
+    rows: list[TrialRow]
     channel_count: int | None
     class_count: int | None
     metadata: dict[str, str]
 
     def trial(self, index: int) -> Trial:
         """Trial ``index`` with its events, read from its event file."""
-        trial_id, label, onset, duration = self.rows[index]
-        events_path = self.root / EVENTS_DIR / f"{trial_id}.csv"
+        row = self.rows[index]
+        events_path = self.root / EVENTS_DIR / f"{row.id}.csv"
         if not events_path.is_file():
             raise DatasetError("event file not found", events_path)
-        return Trial(trial_id, label, onset, duration,
-                     *_parse_events(events_path, self.channel_count))
+        return Trial(*row, *_parse_events(events_path, self.channel_count))
+
+    def _counts(self, trials: Iterable[Trial]) -> tuple[int, int]:
+        """(channel count, class count): each the declared one, else one past
+        the largest channel of ``trials`` (iterated only then), and the
+        largest label."""
+        q, m = self.channel_count, self.class_count
+        if q is None:
+            q = max([int(t.channels.max()) + 1 for t in trials if len(t.channels)], default=1)
+        if m is None:
+            m = max([row.label for row in self.rows], default=1)
+        return q, m
+
+    def counted(self) -> Manifest:
+        """This manifest with both counts set as :func:`parse_dataset` sets
+        them.  An undeclared channel count costs one pass over the event
+        files, each read, checked and dropped before the next."""
+        q, m = self._counts(self.trial(i) for i in range(len(self.rows)))
+        return replace(self, channel_count=q, class_count=m)
 
 
 def read_manifest(root_path: str | Path, channel_count: int | None = None) -> Manifest:
@@ -491,7 +544,7 @@ def read_manifest(root_path: str | Path, channel_count: int | None = None) -> Ma
         if not (0 <= onset <= duration):
             raise DatasetError(f"trial {trial_id!r}: onset {onset} outside [0, {duration}]",
                                manifest, i)
-        rows.append((trial_id, label, onset, duration))
+        rows.append(TrialRow(trial_id, label, onset, duration))
     return Manifest(root, rows, q if q is not None else channel_count, m, metadata)
 
 
@@ -507,11 +560,7 @@ def parse_dataset(root_path: str | Path, channel_count: int | None = None) -> Sp
     """
     manifest = read_manifest(root_path, channel_count)
     trials = [manifest.trial(i) for i in range(len(manifest.rows))]
-    q, m = manifest.channel_count, manifest.class_count
-    if q is None:
-        q = max([int(t.channels.max()) + 1 for t in trials if len(t.channels)], default=1)
-    if m is None:
-        m = max([t.label for t in trials], default=1)
+    q, m = manifest._counts(trials)
     return SpikeDataset(trials, channel_count=q, class_count=m, metadata=manifest.metadata)
 
 
@@ -522,7 +571,7 @@ def read_trial(root_path: str | Path, selector: str,
     file alone, with the checks :func:`parse_dataset` gives it.  The index
     is the trial's place in ``parse_dataset(root_path).trials``."""
     manifest = read_manifest(root_path, channel_count)
-    ids = [row[0] for row in manifest.rows]
+    ids = [row.id for row in manifest.rows]
     if selector.lstrip("-").isdigit():
         index = int(selector)
         if not (0 <= index < len(ids)):
@@ -534,35 +583,46 @@ def read_trial(root_path: str | Path, selector: str,
     return index, manifest.trial(index)
 
 
-def write_dataset(dataset: SpikeDataset, root_path: str | Path) -> None:
-    """Write a dataset directory (manifest, meta, per-trial event files).
+def write_trials(root_path: str | Path, trials: Iterable[Trial], channel_count: int,
+                 class_count: int, metadata: dict[str, str]) -> int:
+    """Write a dataset directory of ``trials``, one at a time, and return
+    how many it wrote.
 
-    Output is deterministic: trial order is preserved, metadata keys are
-    sorted, lines are LF-terminated.  Datasets written here round-trip
-    byte-for-byte through :func:`parse_dataset`.
+    Each trial is checked by :meth:`SpikeDataset.validate`'s rules and its
+    event file written before the next is taken, so only one trial need be
+    in memory; the manifest follows the last.  A bad trial raises after the
+    files of the trials before it are written.  Output is deterministic:
+    trial order is preserved, metadata keys are sorted, lines are
+    LF-terminated.
     """
-    dataset.validate()
+    for key in sorted(metadata):
+        if "\n" in key or "\n" in metadata[key]:
+            raise DatasetError(f"metadata entry {key!r} contains a newline")
     root = Path(root_path)
     (root / EVENTS_DIR).mkdir(parents=True, exist_ok=True)
 
-    manifest_lines = [MANIFEST_HEADER]
-    for trial in dataset.trials:
-        manifest_lines.append(f"{trial.id},{trial.label},{trial.onset},{trial.duration}")
-    (root / MANIFEST_NAME).write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
-
-    meta_lines = [
-        f"channel_count = {dataset.channel_count}",
-        f"class_count = {dataset.class_count}",
-    ]
-    for key in sorted(dataset.metadata):
-        value = dataset.metadata[key]
-        if "\n" in key or "\n" in value:
-            raise DatasetError(f"metadata entry {key!r} contains a newline")
-        meta_lines.append(f"{key} = {value}")
+    meta_lines = [f"channel_count = {channel_count}", f"class_count = {class_count}"]
+    meta_lines += [f"{key} = {metadata[key]}" for key in sorted(metadata)]
     (root / META_NAME).write_text("\n".join(meta_lines) + "\n", encoding="utf-8")
 
-    for trial in dataset.trials:
+    manifest_lines = [MANIFEST_HEADER]
+    for trial in trials:
+        _check_trial(trial, channel_count, class_count)
         rows = np.column_stack((trial.times_us, trial.channels))
         text = ("%d,%d\n" * len(rows)) % tuple(rows.ravel().tolist())
         path = root / EVENTS_DIR / f"{trial.id}.csv"
         path.write_text(f"{EVENTS_HEADER}\n{text}", encoding="utf-8")
+        manifest_lines.append(f"{trial.id},{trial.label},{trial.onset},{trial.duration}")
+    (root / MANIFEST_NAME).write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
+    return len(manifest_lines) - 1
+
+
+def write_dataset(dataset: SpikeDataset, root_path: str | Path) -> None:
+    """Write a dataset directory (manifest, meta, per-trial event files):
+    every trial is checked before anything is written, then
+    :func:`write_trials` writes them.  Datasets written here round-trip
+    byte-for-byte through :func:`parse_dataset`.
+    """
+    dataset.validate()
+    write_trials(root_path, dataset.trials, dataset.channel_count, dataset.class_count,
+                 dataset.metadata)

@@ -34,7 +34,7 @@ import numpy as np
 from .analog import ChipInstance, draw_noise, hidden_layer, normalize_rows
 from .fields import FieldError, bounds, check_fields, check_values
 from .frontend import FrontendConfig, run_trial, tick_count
-from .spikeio import SpikeDataset
+from .spikeio import Manifest, SpikeDataset
 
 SV_CUTOFF = 1e-10  # relative singular-value cutoff for least squares
 _GATHER_BYTES = 1 << 20  # the largest copy ``_gather_rows`` makes
@@ -211,15 +211,19 @@ def hidden_rows(codes, n_ticks: np.ndarray, chip: ChipInstance, normalize: bool,
     return out
 
 
-def collect_H(dataset: SpikeDataset, chip: ChipInstance, frontend_cfg: FrontendConfig,
+def collect_H(dataset: SpikeDataset | Manifest, chip: ChipInstance, frontend_cfg: FrontendConfig,
               noise_seed: int | None = None, sample_policy: str = "unambiguous",
               trap: TrapezoidParams | None = None, normalize: bool = True,
               codes: list | None = None,
               out: np.ndarray | None = None) -> tuple[HiddenMatrix, TargetSet]:
     """Run the simulated chain over a dataset and assemble (H, targets).
 
-    One row per tick, every trial's ticks in trial order (``n_ticks``
-    rows each), the rows ``hidden_rows`` makes: with a ``noise_seed``
+    ``dataset`` is a ``SpikeDataset`` or a counted ``Manifest``: the
+    labels and trial lengths come from its ``rows``, and each trial's
+    events from ``dataset.trial(i)`` only as the hidden layer reaches it, so
+    a manifest's event files are read one at a time and dropped.  One row
+    per tick, every trial's ticks in trial order (``n_ticks`` rows each),
+    the rows ``hidden_rows`` makes: with a ``noise_seed``
     (None: noise off), trial i draws from its own counter-derived stream
     ``trial_rng(noise_seed, i)`` so results do not depend on evaluation
     order.  Row timestamps are ``frontend_cfg.tick_end_ms``.
@@ -233,7 +237,8 @@ def collect_H(dataset: SpikeDataset, chip: ChipInstance, frontend_cfg: FrontendC
     or "all".
     """
     check_values(TrainSettings, {"sample_policy": sample_policy})
-    if not dataset.trials:
+    trials = dataset.rows
+    if not trials:
         raise TrainingError("dataset has no trials")
     if frontend_cfg.n_external != dataset.channel_count:
         raise TrainingError(f"front end expects {frontend_cfg.n_external} channels, "
@@ -243,8 +248,8 @@ def collect_H(dataset: SpikeDataset, chip: ChipInstance, frontend_cfg: FrontendC
     trap = trap or TrapezoidParams()
 
     if codes is None:
-        codes = (run_trial(frontend_cfg, trial) for trial in dataset.trials)
-    n_ticks = np.array([tick_count(frontend_cfg, trial) for trial in dataset.trials])
+        codes = (run_trial(frontend_cfg, dataset.trial(i)) for i in range(len(trials)))
+    n_ticks = np.array([tick_count(frontend_cfg, trial) for trial in trials])
     rows = int(n_ticks.sum())
     if out is not None:
         out = out[: rows * chip.l].reshape(rows, chip.l)
@@ -253,7 +258,7 @@ def collect_H(dataset: SpikeDataset, chip: ChipInstance, frontend_cfg: FrontendC
     # memberships, as long as the longest, serves every trial
     ticks_membership = trapezoid(frontend_cfg.tick_end_ms(np.arange(n_ticks.max())), trap)
     membership = np.concatenate([ticks_membership[:n] for n in n_ticks])
-    labels = np.repeat([trial.label for trial in dataset.trials], n_ticks)
+    labels = np.repeat([trial.label for trial in trials], n_ticks)
     type_rows = np.ones(len(membership), bool) if sample_policy == "all" else membership == 1.0
     if sample_policy == "unambiguous":
         type_rows |= membership == 0.0

@@ -364,7 +364,7 @@ def test_c12_cli_byte_determinism(tmp_path, capsys):
             "--trial", "1", "--seed", "3", *small)
         run("roc", "--data", str(ds), "--model", str(model), "--out", str(roc),
             "--seed", "3", *small, "--set", "roc.points=5")
-        run("sweep", "--data", str(ds), "--out", str(sweep), "--seed", "3",
+        run("sweep", "--data", str(ds), "--out", str(sweep),
             "--set", "sweep.l_grid=8,16", "--set", "sweep.chip_seeds=1,2",
             "--set", "split.test_fraction=0.25")
         run("budget", "--out", str(bud))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlcpsim import cli, decoder, spikeio
+from mlcpsim import cli, decoder, spikeio, training
 from mlcpsim.analog import AnalogParams, build_chip, load_chip
 from mlcpsim.cli import main
 from mlcpsim.config import parse_config_text, resolve_config
@@ -237,8 +237,7 @@ def test_sweep_shape_and_determinism(capsys, tmp_path, easy_run):
     sweep_args = ["--set", "sweep.l_grid=8,16", "--set", "sweep.chip_seeds=1,2",
                   "--set", "split.test_fraction=0.25"]
     for out in (s1, s2):
-        code, _, _ = run(capsys, "sweep", "--data", str(ds), "--out", str(out),
-                         "--seed", "3", *sweep_args)
+        code, _, _ = run(capsys, "sweep", "--data", str(ds), "--out", str(out), *sweep_args)
         assert code == 0
     assert s1.read_bytes() == s2.read_bytes()
     lines = s1.read_text().splitlines()
@@ -260,10 +259,10 @@ def test_sweep_equals_per_point_oracle(capsys, tmp_path):
             "sweep.p_grid=1,2", "frontend.mode=tdbdi", "sweep.l_grid=8,12",
             "sweep.chip_seeds=1,2", "train.noise_on=true", "decoder.noise_on=true",
             "split.test_fraction=0.5", "analog.mirror_snr_db=12"]
-    code, text, _ = run(capsys, "sweep", "--data", str(ds), "--out", str(out), "--seed", "4",
+    code, text, _ = run(capsys, "sweep", "--data", str(ds), "--out", str(out),
                         *[arg for s in sets for arg in ("--set", s)])
     assert code == 0
-    want_csv, want_notes = oracle_sweep(resolve_config(None, sets, seed=4), ds)
+    want_csv, want_notes = oracle_sweep(resolve_config(None, sets), ds)
     assert out.read_text() == want_csv
     assert [line for line in text.splitlines() if ": accuracy " in line] == want_notes
     assert len(want_notes) == 16
@@ -406,11 +405,19 @@ def test_sweep_p_above_one_in_direct_mode_is_rejected(capsys, tmp_path, easy_run
 
 def test_frontend_mode_selects_no_front_end(capsys, tmp_path, shared_run):
     ds, model = shared_run  # trained at the defaults, --seed 3
-    extra = ["frontend.mode=tdbdi", "frontend.p=1", "frontend.link_delay=2"]
+    extra = ["frontend.mode=tdbdi", "frontend.p=1"]
     out = tmp_path / "model.json"
     assert run(capsys, "train", "--data", str(ds), "--out", str(out), "--seed", "3",
                *SMALL_CHIP, *[arg for setting in extra for arg in ("--set", setting)])[0] == 0
     assert out.read_bytes() == model.read_bytes(), extra
+    # at p = 1 no row is delayed, so a link delay would be echoed and ignored
+    out = tmp_path / "delayed.json"
+    code, _, err = run(capsys, "train", "--data", str(ds), "--out", str(out), "--seed", "3",
+                       *SMALL_CHIP, *[arg for setting in extra for arg in ("--set", setting)],
+                       "--set", "frontend.link_delay=2")
+    assert code == 2
+    assert err.startswith("error: 'frontend.link_delay' must be 5 where 'frontend.p' is 1"), err
+    assert not out.exists()
     out = tmp_path / "refused.json"
     code, _, err = run(capsys, "train", "--data", str(ds), "--out", str(out),
                        "--set", "frontend.mode=direct")
@@ -464,7 +471,7 @@ def test_sweep_takes_chip_d_only_as_every_grid_points_row_count(capsys, tmp_path
 def test_sweep_refuses_a_chip_l_or_frontend_p_that_its_grid_replaces(capsys, tmp_path, monkeypatch,
                                                                       shared_run, setting, grid):
     # every point runs on the grid's values, so a setting of the key would be
-    # echoed and ignored; chip.seed stays open, as --seed sets it
+    # echoed and ignored
     ds, _ = shared_run
     monkeypatch.setattr(cli, "parse_dataset", _fail("the dataset read"))
     out = tmp_path / "sweep.csv"
@@ -473,6 +480,112 @@ def test_sweep_refuses_a_chip_l_or_frontend_p_that_its_grid_replaces(capsys, tmp
     key, value = setting.split("=")
     assert code == 2
     assert err.startswith(f"error: '{key}' must be ") and f"'{grid}', got {value}" in err, err
+    assert not out.exists()
+
+
+def test_sweep_refuses_a_chip_seed_that_no_point_uses(capsys, tmp_path, monkeypatch, shared_run):
+    # --seed sets chip.seed too: a seed of sweep.chip_seeds is one that some
+    # point runs on, so the echo may show it; any other is refused
+    ds, _ = shared_run
+    base = ["sweep", "--data", str(ds), "--set", "sweep.l_grid=8", "--set", "sweep.chip_seeds=1,2"]
+    seeded, free = tmp_path / "seeded.csv", tmp_path / "free.csv"
+    code, text, _ = run(capsys, *base, "--out", str(seeded), "--seed", "2")
+    assert code == 0 and "\nchip.seed = 2\n" in text
+    assert run(capsys, *base, "--out", str(free))[0] == 0
+    assert seeded.read_bytes() == free.read_bytes()
+    monkeypatch.setattr(cli, "parse_dataset", _fail("the dataset read"))
+    out = tmp_path / "refused.csv"
+    code, _, err = run(capsys, *base, "--out", str(out), "--seed", "3")
+    assert code == 2
+    assert err.startswith("error: 'chip.seed' must be 1 in a sweep, which runs every point of "
+                          "'sweep.chip_seeds', or one of its items, got 3"), err
+    assert not out.exists()
+
+
+def test_sweep_refuses_a_link_delay_only_where_no_point_delays_a_row(capsys, tmp_path,
+                                                                      monkeypatch, shared_run):
+    ds, _ = shared_run
+    base = ["sweep", "--data", str(ds), "--set", "sweep.l_grid=8", "--set", "sweep.chip_seeds=1",
+            "--set", "frontend.link_delay=2"]
+    assert run(capsys, *base, "--out", str(tmp_path / "delayed.csv"),
+               "--set", "sweep.p_grid=1,2")[0] == 0
+    monkeypatch.setattr(cli, "parse_dataset", _fail("the dataset read"))
+    out = tmp_path / "refused.csv"
+    code, _, err = run(capsys, *base, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: 'frontend.link_delay' must be 5 where 'sweep.p_grid' is 1, "
+                          "which delays no row, got 2"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["eval", "roc", "stream"])
+def test_decoding_a_one_row_per_channel_model_refuses_a_link_delay(capsys, tmp_path, monkeypatch,
+                                                                   shared_run, cmd):
+    ds, model = shared_run  # frontend.p = 1
+    for name in ("parse_dataset", "read_trial"):
+        monkeypatch.setattr(cli, name, _fail("the dataset read"))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, cmd, "--data", str(ds), "--model", str(model), "--out", str(out),
+                       "--seed", "3", *SMALL_CHIP, "--set", "frontend.link_delay=2")
+    assert code == 2
+    assert err.startswith("error: 'frontend.link_delay' must be 5 where 'frontend.p' is 1"), err
+    assert not out.exists()
+
+
+def _manifest_ids(ds: Path) -> list[str]:
+    return [line.split(",")[0] for line in (ds / "manifest.csv").read_text().splitlines()[1:]]
+
+
+def _count_opens(monkeypatch) -> list:
+    """The event files read from now on, by name, in order."""
+    opened = []
+    parse_events = spikeio._parse_events
+    monkeypatch.setattr(spikeio, "_parse_events",
+                        lambda path, q: opened.append(path.name) or parse_events(path, q))
+    return opened
+
+
+def test_train_reads_each_event_file_once_as_it_collects_h(capsys, tmp_path, monkeypatch,
+                                                           shared_run):
+    source, model = shared_run  # trained at the defaults, --seed 3
+    ds = tmp_path / "ds"
+    shutil.copytree(source, ds)
+    files = [f"{trial_id}.csv" for trial_id in _manifest_ids(ds)]
+    opened = _count_opens(monkeypatch)
+    base = ["train", "--data", str(ds), "--seed", "3", *SMALL_CHIP]
+    out = tmp_path / "model.json"
+    assert run(capsys, *base, "--out", str(out))[0] == 0
+    assert opened == files
+    assert out.read_bytes() == model.read_bytes()
+    # without meta.txt, one read-only pass finds the channel count first
+    (ds / "meta.txt").unlink()
+    opened.clear()
+    out = tmp_path / "inferred.json"
+    assert run(capsys, *base, "--out", str(out))[0] == 0
+    assert opened == files * 2
+    assert out.read_bytes() == model.read_bytes()
+
+
+def test_train_names_a_corrupt_event_file_met_while_collecting_h(capsys, tmp_path, monkeypatch,
+                                                                 shared_run):
+    source, _ = shared_run
+    ds = tmp_path / "ds"
+    shutil.copytree(source, ds)
+    ids = _manifest_ids(ds)
+    middle = len(ids) // 2
+    (ds / "events" / f"{ids[middle]}.csv").write_text("time_us,channel\n5,0\n3,0\n")
+    opened = _count_opens(monkeypatch)
+    coded = []  # the trials whose front-end codes were made before the error
+    run_trial = training.run_trial
+    monkeypatch.setattr(training, "run_trial",
+                        lambda fe, trial: coded.append(trial.id) or run_trial(fe, trial))
+    out = tmp_path / "model.json"
+    code, _, err = run(capsys, "train", "--data", str(ds), "--out", str(out), "--seed", "3",
+                       *SMALL_CHIP)
+    assert code == 2
+    assert f"{ids[middle]}.csv:3]" in err, err
+    assert opened == [f"{trial_id}.csv" for trial_id in ids[: middle + 1]]
+    assert coded == ids[:middle]
     assert not out.exists()
 
 
@@ -975,7 +1088,7 @@ def test_budget_that_overflows_names_the_value_and_its_input(capsys, tmp_path, s
 def test_gen_refuses_a_poisson_mean_past_numpys_limit_by_name(capsys, tmp_path, monkeypatch,
                                                              duration):
     out = tmp_path / "ds"
-    monkeypatch.setattr(cli, "gen_synthetic", _fail("the dataset generated"))
+    monkeypatch.setattr(cli, "synthetic_trials", _fail("the dataset generated"))
     code, _, err = run(capsys, "gen", "--out", str(out), "--set", "synth.q=2",
                        "--set", "synth.m=2", "--set", "synth.trials_per_class=1",
                        "--set", f"synth.trial_duration_ms={duration}")
@@ -1071,10 +1184,7 @@ def test_stream_reads_only_the_trial_it_decodes(capsys, tmp_path, monkeypatch, s
                         lambda trials, outputs, *a: scored.extend(outputs)
                         or score_onsets(trials, outputs, *a))
     assert run(capsys, "eval", *base)[0] == 0
-    opened = []
-    parse_events = spikeio._parse_events
-    monkeypatch.setattr(spikeio, "_parse_events",
-                        lambda path, q: opened.append(path.name) or parse_events(path, q))
+    opened = _count_opens(monkeypatch)
     out = tmp_path / "stream.csv"
 
     def stream():

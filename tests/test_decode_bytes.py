@@ -7,10 +7,11 @@ solve in ``train`` is not byte-stable across thread counts).  ``eval``,
 in the other order), a ridge T1 ``sweep`` and ``budget`` run, in
 one subprocess at ``OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1`` and one at 2;
 their outputs must be byte-identical.  On the platform recorded in ``bench/expected.json``
-every file must also have the sha256 in ``DIGESTS``, so a change to the
-bytes of an output (or of the one-thread model) shows in tier-1, not only
-in the benchmark.  A change that means to move them updates the table and
-says so.
+every file must also have the sha256 in ``DIGESTS``, and the dataset tree
+that ``gen`` wrote for them the benchmark's tree digest, so a change to the
+bytes of an output (or of the one-thread model or the generated set) shows
+in tier-1, not only in the benchmark.  A change that means to move them
+updates the table and says so.
 """
 
 import hashlib
@@ -33,8 +34,10 @@ SRC = Path(mlcpsim.__file__).resolve().parents[1]
 OUTPUTS = ("eval.json", "roc.csv", "stream.csv", "model_t2.json", "chip.json", "sweep.csv",
            "sweep_ridge.csv", "sweep_t2_t1.csv", "budget.json")
 
-#: sha256 of each file on the recorded platform.
+#: sha256 of each file on the recorded platform; for "data", the ``gen``
+#: tree's ``bench/worker.tree_sha256``.
 DIGESTS = {
+    "data": "b54dbaf42d7144909560391cc204f965c101cf051cfbb3c3aecbe9dfe2ba11e5",
     "model.json": "1d732651b651877d732902cba8ff06292b4ff4ed66b9535f2c66609841f53a89",
     "eval.json": "c1dc1b347a4101f6742aa31543facbc9f1b1fdfaa8a1de849e017d6d0229d7aa",
     "roc.csv": "6ce19f30e3bba3c1cfe52392b5d4c3ef0f2827b8f08f7a8b1c1deb0ba9ed4bd0",
@@ -88,7 +91,7 @@ def _commands(data: Path, model: Path, out: Path) -> list:
 
 @pytest.fixture(scope="module")
 def decoded(tmp_path_factory):
-    """{threads: directory of the outputs}, and the model's path."""
+    """{threads: directory of the outputs}, the model's path and the dataset's."""
     root = tmp_path_factory.mktemp("threads")
     data, model = root / "data", root / "model.json"
     setup = [["gen", "--seed", "7", "--set", "synth.trials_per_class=3", "--out", str(data)],
@@ -96,11 +99,11 @@ def decoded(tmp_path_factory):
               "--set", "frontend.p=2", "--set", "train.noise_on=true", "--out", str(model)]]
     _run_cli(setup + _commands(data, model, root / "t1"), threads=1)
     _run_cli(_commands(data, model, root / "t2"), threads=2)
-    return {1: root / "t1", 2: root / "t2"}, model
+    return {1: root / "t1", 2: root / "t2"}, model, data
 
 
 def test_decode_bytes_do_not_depend_on_the_blas_thread_count(decoded):
-    outs, _ = decoded
+    outs, _, _ = decoded
     for name in OUTPUTS:
         assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 
@@ -123,11 +126,12 @@ def _recorded_platform_reason() -> str | None:
 
 
 def test_decode_bytes_match_the_recorded_digests(decoded):
-    outs, model = decoded
+    outs, model, data = decoded
     if reason := _recorded_platform_reason():
         pytest.skip(reason)
     files = {"model.json": model, **{name: outs[1] / name for name in OUTPUTS}}
     got = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
+    got["data"] = _bench_worker().tree_sha256(data)
     assert got == DIGESTS
 
 

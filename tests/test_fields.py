@@ -165,7 +165,7 @@ def _fail(*args, **kwargs):
 def test_each_setting_outside_its_domain_exits_2_naming_its_key(capsys, tmp_path, monkeypatch,
                                                                  tiny_dataset, tiny_model,
                                                                  command, key, settings):
-    for name in ("gen_synthetic", "collect_H", "budget_report", "evaluate"):
+    for name in ("synthetic_trials", "collect_H", "budget_report", "evaluate"):
         monkeypatch.setattr(cli, name, _fail)
     out = tmp_path / "out"
     decode = ["--data", str(tiny_dataset), "--model", str(tiny_model)]
@@ -219,8 +219,8 @@ CROSS = [*_order_cases(),
                             for key, settings in CROSS for command in FOREIGN])
 def test_every_command_refuses_any_key_outside_its_domain_before_reading_a_file(
         capsys, tmp_path, monkeypatch, command, key, settings):
-    for module, name in [(cli, "parse_dataset"), (spikeio, "read_manifest"),
-                         (cli, "gen_synthetic")]:
+    for module, name in [(cli, "parse_dataset"), (cli, "read_manifest"),
+                         (spikeio, "read_manifest"), (cli, "synthetic_trials")]:
         monkeypatch.setattr(module, name, _fail)
     missing = tmp_path / "missing"
     argv = [command, "--out", str(tmp_path / "out")]

@@ -1,0 +1,125 @@
+"""Peak memory of ``gen`` and ``train``: one trial's events at a time.
+
+``tracemalloc`` sees numpy's array buffers, so it measures what the two
+commands hold without reading the process's resident size.  The set is
+generated at high firing rates and a small L, so its events, held whole,
+would take more memory than the slack and the one-hot type rows together:
+a command that kept every trial's events alive would fail the bounds below.
+"""
+
+import inspect
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mlcpsim import spikeio
+from mlcpsim.analog import load_chip
+from mlcpsim.cli import main
+from mlcpsim.frontend import FrontendConfig
+from mlcpsim.spikeio import parse_dataset
+from mlcpsim.training import TrapezoidParams, collect_H
+
+GEN = ["--seed", "3", "--set", "synth.q=8", "--set", "synth.m=2", "--set", "synth.baseline_rate=40",
+       "--set", "synth.peak_rate=120", "--set", "synth.trials_per_class=100"]  # 200 trials
+SLACK = 1 << 19  # bytes: the manifest rows, the chip, the settings, a pass's codes
+
+
+def _event_bytes(dataset) -> int:
+    """Bytes of every trial's parsed event arrays."""
+    return sum(t.times_us.nbytes + t.channels.nbytes for t in dataset.trials)
+
+
+def _parser_lines() -> tuple[range, ...]:
+    """The source lines of the event-file parser, where its arrays are allocated."""
+    spans = []
+    for fn in (spikeio._parse_events, spikeio._scan_rows):
+        lines, first = inspect.getsourcelines(fn)
+        spans.append(range(first, first + len(lines)))
+    return tuple(spans)
+
+
+def _parsed_bytes(snapshot) -> int:
+    """Traced bytes still alive that the event-file parser allocated."""
+    spans, path = _parser_lines(), Path(spikeio.__file__).resolve()
+    return sum(trace.size for trace in snapshot.traces
+               if Path(trace.traceback[0].filename).resolve() == path
+               and any(trace.traceback[0].lineno in span for span in spans))
+
+
+@pytest.fixture(scope="module")
+def big_events(tmp_path_factory):
+    """(dataset directory, its parsed dataset), generated by ``gen``."""
+    ds = tmp_path_factory.mktemp("memory") / "ds"
+    assert main(["gen", "--out", str(ds), *GEN]) == 0
+    return ds, parse_dataset(ds)
+
+
+def test_gen_holds_a_few_trials_not_the_dataset(tmp_path, capsys, big_events):
+    _, dataset = big_events
+    per_trial = _event_bytes(dataset) / len(dataset.trials)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(["gen", "--out", str(tmp_path / "ds"), *GEN]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < _event_bytes(dataset) / 8, (peak, per_trial)  # 25 of its 200 trials
+
+
+def test_train_solves_with_h_and_its_targets_alone(tmp_path, capsys, monkeypatch, big_events):
+    ds, dataset = big_events
+    chip_path = tmp_path / "chip.json"
+    assert main(["chip", "--out", str(chip_path), "--seed", "3", "--set", "chip.d=8",
+                 "--set", "chip.l=16"]) == 0
+    chip = load_chip(chip_path)
+    # what the solves may hold: H, the targets, the one-hot type rows and
+    # the plateau rows kept for train_accuracy
+    frontend = FrontendConfig.tdbdi(8, 1)
+    hidden, targets = collect_H(dataset, chip, frontend)
+    ticks = frontend.tick_end_ms(np.arange(hidden.n_ticks.max()))
+    plateau = np.count_nonzero(TrapezoidParams().on_plateau(ticks)) * len(dataset.trials)
+    one_hot = np.count_nonzero(targets.type_rows) * targets.m * 8
+    held = (hidden.h.nbytes + targets.labels.nbytes + targets.t_onset.nbytes
+            + targets.type_rows.nbytes + one_hot + plateau * chip.l * 8)
+    # events held whole would break the bound, even at the first solve,
+    # before the one-hot rows are built
+    assert _event_bytes(dataset) > one_hot + SLACK
+    del hidden, targets
+
+    seen = []  # (traced bytes, parser bytes) at each solve
+    lstsq = np.linalg.lstsq
+
+    def traced_lstsq(*args, **kwargs):
+        seen.append((tracemalloc.get_traced_memory()[0] - base,
+                     _parsed_bytes(tracemalloc.take_snapshot())))
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", traced_lstsq)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(["train", "--data", str(ds), "--chip", str(chip_path),
+                     "--out", str(tmp_path / "model.json")]) == 0
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert len(seen) == 2  # the onset block, then the type block
+    for traced, parsed in seen:
+        assert traced < held + SLACK, (traced, held)
+        assert parsed == 0
+
+
+def test_the_parser_lines_see_the_event_arrays(big_events):
+    # the check above reads the parser's allocations; they are the events
+    ds, dataset = big_events
+    tracemalloc.start()
+    try:
+        again = parse_dataset(ds)
+        parsed = _parsed_bytes(tracemalloc.take_snapshot())
+    finally:
+        tracemalloc.stop()
+    assert parsed >= _event_bytes(again) == _event_bytes(dataset)

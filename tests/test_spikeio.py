@@ -310,6 +310,23 @@ def test_parse_infers_counts_without_meta(tmp_path):
     reparsed = parse_dataset(tmp_path)
     assert reparsed.channel_count == 5  # max channel + 1
     assert reparsed.class_count == 2  # max label
+    manifest = spikeio.read_manifest(tmp_path)
+    assert (manifest.channel_count, manifest.class_count) == (None, None)
+    counted = manifest.counted()
+    assert (counted.channel_count, counted.class_count) == (5, 2)
+
+
+def test_write_trials_checks_each_trial_before_writing_its_file(tmp_path):
+    trials = [Trial("a", 1, 0, 100, [5], [0]), Trial("b", 1, 0, 100, [5], [3])]
+    with pytest.raises(ChannelRangeError, match="trial 'b'"):
+        spikeio.write_trials(tmp_path / "stream", iter(trials), 2, 1, {})
+    assert (tmp_path / "stream" / "events" / "a.csv").is_file()
+    assert not (tmp_path / "stream" / "events" / "b.csv").exists()
+    assert not (tmp_path / "stream" / "manifest.csv").exists()
+    # write_dataset checks every trial before it creates the directory
+    with pytest.raises(ChannelRangeError, match="trial 'b'"):
+        write_dataset(SpikeDataset(trials, 2, 1), tmp_path / "whole")
+    assert not (tmp_path / "whole").exists()
 
 
 def test_trial_coerces_events_to_int64_arrays():
