@@ -24,12 +24,12 @@ Conventions:
   (checked against a model's rows once the model is read), and in
   ``sweep`` a ``chip.l``, ``frontend.p`` or ``chip.seed`` that its grids
   replace.
-* ``gen`` and ``train`` hold one trial's events at a time: ``gen`` writes
-  each trial as it is made, and ``train`` reads the manifest first and each
-  event file only when the front end reaches that trial, so a bad event
-  file exits 2, naming its line, after part of H is collected and before
-  any model is written.  ``eval``, ``roc`` and ``sweep`` read the whole
-  dataset; ``stream`` reads its one trial.
+* ``gen``, ``train``, ``eval``, ``roc`` and ``stream`` hold one trial's
+  events at a time: ``gen`` writes each trial as it is made, and the others
+  read the manifest first and each event file only when the front end
+  reaches that trial (``stream`` reads its one trial's), so a bad event
+  file exits 2, naming its line, before any output is written.  ``sweep``
+  reads the whole dataset, whose trials it codes once per front end.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import argparse
 import itertools
 import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -53,9 +54,9 @@ from .decoder import (DecoderModel, check_chip, decode_stream, evaluate, load_mo
                       write_stream_csv)
 from .fields import FieldError, check_values, under
 from .frontend import MAX_ROWS, FrontendConfig, run_trial, tick_count
-from .spikeio import (ChannelCountError, ChannelRangeError, DatasetError, Manifest, SpikeDataset,
-                      Trial, parse_dataset, read_manifest, read_trial, synthetic_metadata,
-                      synthetic_trials, write_trials)
+from .spikeio import (ChannelCountError, ChannelRangeError, Dataset, DatasetError, SpikeDataset,
+                      Trial, parse_dataset, read_manifest, synthetic_metadata, synthetic_trials,
+                      write_trials)
 from .training import (ConvergenceError, TrainingError, check_penalties, collect_H,
                        fit_output_weights, hidden_rows, trial_rng)
 
@@ -170,9 +171,8 @@ def _noise_seed(cfg: dict, name: str) -> int | None:
     return cfg[f"{name}.noise_seed"] if cfg[f"{name}.noise_on"] else None
 
 
-def _trainer(cfg: dict, dataset: SpikeDataset | Manifest, frontend, methods: list,
-             codes: list | None = None, score: bool = False, out: np.ndarray | None = None,
-             type_only: bool = False):
+def _trainer(cfg: dict, dataset: Dataset, frontend, methods: list, codes: list | None = None,
+             score: bool = False, out: np.ndarray | None = None, type_only: bool = False):
     """Check the T2 penalties, then return ``train(chip)``: one model per
     training method, in ``methods`` order, fitted on one H collected on the chip
     (from ``codes``, the trials' front-end codes, if given) into ``out`` (None:
@@ -194,7 +194,7 @@ def _trainer(cfg: dict, dataset: SpikeDataset | Manifest, frontend, methods: lis
                                     sample_policy=policy, trap=trap,
                                     normalize=cfg["decoder.normalize"], codes=codes, out=out)
         if score:  # the plateau rows, taken before the last fit may reorder H
-            labels = np.array([trial.label for trial in dataset.rows])
+            labels = np.array([trial.label for trial in dataset.trials])
             on = trap.on_plateau(frontend.tick_end_ms(np.arange(hidden.n_ticks.max())))
             plateau = hidden.h[np.concatenate([on[:n] for n in hidden.n_ticks])]
             n_votes = np.concatenate([[0], np.cumsum(on)])[hidden.n_ticks]
@@ -263,20 +263,20 @@ def _chip(cfg: dict, path: str | None, d: int, model: DecoderModel | None = None
         return build_chip(cfg["chip.seed"], params, d=cfg["chip.d"], l=cfg["chip.l"])
 
 
-def _load_runtime(cfg: dict, args, trial: str | None = None) -> tuple:
-    """(data, model, chip, noise seed) for the eval/stream/roc commands: the
-    data is the dataset, or with ``trial`` only the (index, Trial) it names,
-    and must have the channel count of the model's front end.  The chip is
-    the ``--chip`` file or the model's (``_chip``)."""
+@contextmanager
+def _load_runtime(cfg: dict, args):
+    """(dataset, model, chip, noise seed) for the eval/stream/roc decode in
+    the ``with`` block: the counted manifest, whose event files the decode
+    reads, and must match the model's front end in channel count, in
+    ``meta.txt`` and in every event.  The chip is the ``--chip`` file or the
+    model's (``_chip``)."""
     model = load_model(args.model)
     chip = _chip(cfg, args.chip, model.frontend.rows, model)
     channels = model.frontend.n_external
     try:
-        data = (parse_dataset(args.data, channels) if trial is None
-                else read_trial(args.data, trial, channels))
+        yield read_manifest(args.data, channels).counted(), model, chip, _noise_seed(cfg, "decoder")
     except (ChannelCountError, ChannelRangeError) as exc:
         raise ChannelCountError(f"the model's front end takes {channels} channels: {exc}") from exc
-    return data, model, chip, _noise_seed(cfg, "decoder")
 
 
 def _restrict_channels(dataset: SpikeDataset, n: int) -> SpikeDataset:
@@ -327,7 +327,7 @@ def cmd_train(args, cfg: dict) -> int:
     [model] = _trainer(cfg, dataset, frontend, [cfg["train.method"]], score=True)(chip)
     save_model(model, out)
     _echo(cfg)
-    _note(f"trained {cfg['train.method']} on {len(dataset.rows)} trials")
+    _note(f"trained {cfg['train.method']} on {len(dataset.trials)} trials")
     _note(f"train_accuracy = {model.report['train_accuracy']:.4f}")
     _note(f"pruned = {int(np.sum(~model.support))} of {model.support.size} neurons")
     _note(f"wrote model to {out}")
@@ -335,8 +335,8 @@ def cmd_train(args, cfg: dict) -> int:
 
 
 def cmd_eval(args, cfg: dict) -> int:
-    dataset, model, chip, noise_seed = _load_runtime(cfg, args)
-    report = evaluate(dataset, model, chip, noise_seed=noise_seed, tol_ms=cfg["decoder.tol_ms"])
+    with _load_runtime(cfg, args) as (dataset, model, chip, noise_seed):
+        report = evaluate(dataset, model, chip, noise_seed=noise_seed, tol_ms=cfg["decoder.tol_ms"])
     _echo(cfg)
     _note(f"accuracy = {report.accuracy:.4f} over {report.n_trials} trials")
     _note(f"onset tpr = {report.tpr:.4f}, fp/trial = {report.fp_per_trial:.4f}")
@@ -353,20 +353,21 @@ def cmd_stream(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
     if args.trial is not None:  # so the echo names the trial streamed
         cfg["stream.trial"] = args.trial
-    (idx, trial), model, chip, noise_seed = _load_runtime(cfg, args, cfg["stream.trial"])
-    result = decode_stream(trial, model, chip, rng=trial_rng(noise_seed, idx))
+    with _load_runtime(cfg, args) as (dataset, model, chip, noise_seed):
+        idx = dataset.index(cfg["stream.trial"])
+        result = decode_stream(dataset.trial(idx), model, chip, rng=trial_rng(noise_seed, idx))
     write_stream_csv(out, result)
     _echo(cfg)
-    _note(f"streamed trial {trial.id} ({len(result.t_ms)} ticks) to {out}")
+    _note(f"streamed trial {dataset.trials[idx].id} ({len(result.t_ms)} ticks) to {out}")
     return EXIT_OK
 
 
 def cmd_roc(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
-    dataset, model, chip, noise_seed = _load_runtime(cfg, args)
     grid = np.linspace(cfg["roc.theta_min"], cfg["roc.theta_max"], cfg["roc.points"])
-    points = roc_sweep(dataset, model, chip, theta_grid=grid, noise_seed=noise_seed,
-                       tol_ms=cfg["decoder.tol_ms"])
+    with _load_runtime(cfg, args) as (dataset, model, chip, noise_seed):
+        points = roc_sweep(dataset, model, chip, theta_grid=grid, noise_seed=noise_seed,
+                           tol_ms=cfg["decoder.tol_ms"])
     write_roc_csv(out, points)
     _echo(cfg)
     _note(f"wrote {len(points)} ROC points to {out}")

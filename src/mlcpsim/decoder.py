@@ -38,7 +38,7 @@ from .analog import AnalogParams, ChipInstance
 from .fields import (bounds, check_fields, check_values, json_array,
                      read_versioned_json, write_versioned_json)
 from .frontend import FrontendConfig, run_trial
-from .spikeio import SpikeDataset, Trial
+from .spikeio import Dataset, SpikeDataset, Trial
 from .training import TrapezoidParams, hidden_stream, trial_rng
 
 MODEL_FORMAT = "mlcpsim-model"
@@ -255,17 +255,17 @@ def plateau_votes(outputs: np.ndarray, n_ticks, m: int) -> np.ndarray:
     return np.where(n_ticks > 0, np.argmax(counts.reshape(-1, m), axis=1) + 1, 0)
 
 
-def _output_streams(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
+def _output_streams(dataset: Dataset, model: DecoderModel, chip: ChipInstance,
                     noise_seed: int | None) -> list[np.ndarray]:
-    """(T, M+1) decoder outputs per trial; trial ``i`` draws its noise from
-    ``trial_rng(noise_seed, i)`` (None: noise off), so outputs do not depend
-    on order."""
+    """(T, M+1) decoder outputs per trial; trial ``i`` is read only as it is
+    decoded, and draws its noise from ``trial_rng(noise_seed, i)`` (None:
+    noise off), so outputs do not depend on order."""
     if not dataset.trials:
         raise ValueError("cannot evaluate an empty test set")
     check_chip(model, chip)
-    return [hidden_stream(run_trial(model.frontend, trial), chip, model.normalize,
+    return [hidden_stream(run_trial(model.frontend, dataset.trial(i)), chip, model.normalize,
                           trial_rng(noise_seed, i)) @ model.beta
-            for i, trial in enumerate(dataset.trials)]
+            for i in range(len(dataset.trials))]
 
 
 def _window_levels(outputs: list[np.ndarray], model: DecoderModel) -> np.ndarray:
@@ -293,16 +293,17 @@ def _window_levels(outputs: list[np.ndarray], model: DecoderModel) -> np.ndarray
     return levels
 
 
-def score_onsets(trials: list[Trial], outputs: list[np.ndarray], model: DecoderModel,
+def score_onsets(trials: list, outputs: list[np.ndarray], model: DecoderModel,
                  thetas: list[float], tol_ms: float) -> list[tuple[int, int, np.ndarray]]:
     """(hits, false positives, float array of hit latencies in ms) per threshold.
 
-    A trial is hit when a G_track rising edge lies within ``tol_ms`` of its
-    onset (the latency is the first such edge's); every other rising edge is
-    a false positive.  Whether a trial's window test passes depends on
-    theta only through one level per tick (``_window_levels``), so one pass
-    through the ticks tracks every (threshold, trial) pair, in groups of at
-    most ``_TRACK_CELLS`` pairs; hits and false positives are counted at the
+    A trial of ``trials`` (a dataset's) is hit when a G_track rising edge of
+    its ``outputs`` lies within ``tol_ms`` of its onset (the latency is the
+    first such edge's); every other rising edge is a false positive.
+    Whether a trial's window test passes depends on theta only through one
+    level per tick (``_window_levels``), so one pass through the ticks
+    tracks every (threshold, trial) pair, in groups of at most
+    ``_TRACK_CELLS`` pairs; hits and false positives are counted at the
     ticks that have a rising edge.  ``evaluate`` and ``roc_sweep`` check
     ``thetas`` and ``tol_ms`` (``ScoringSettings``) before any work.
     """
@@ -331,7 +332,7 @@ def score_onsets(trials: list[Trial], outputs: list[np.ndarray], model: DecoderM
     return scores
 
 
-def evaluate(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
+def evaluate(dataset: Dataset, model: DecoderModel, chip: ChipInstance,
              noise_seed: int | None = None, tol_ms: float = 150.0) -> EvalReport:
     """Score a test set.
 
@@ -367,7 +368,7 @@ def evaluate(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
     )
 
 
-def roc_sweep(dataset: SpikeDataset, model: DecoderModel, chip: ChipInstance,
+def roc_sweep(dataset: Dataset, model: DecoderModel, chip: ChipInstance,
               theta_grid: np.ndarray, noise_seed: int | None = None,
               tol_ms: float = 150.0) -> list[tuple[float, float, float]]:
     """(theta, TPR, FP/trial) over a threshold grid, sorted by theta.

@@ -12,16 +12,18 @@ integer microseconds from trial start.  Event rows are sorted non-decreasing
 in time.  ``meta.txt`` is written by :func:`write_dataset` and read when
 present; without it channel and class counts are inferred from the data.
 
-Reading and writing go one trial at a time.  :func:`read_manifest` reads
-and checks the manifest and ``meta.txt`` without opening any event file, and
-``Manifest.trial`` reads one trial's events; ``Manifest.counted`` fills in
-the counts that ``meta.txt`` leaves out, reading the event files only for an
-undeclared channel count.  :func:`parse_dataset` reads every trial into
-memory; :func:`read_trial` reads the one trial it is asked for.
-:func:`write_trials` checks and writes each trial it is given before it
-takes the next, and :func:`write_dataset` checks a whole dataset first and
-then writes it so; :func:`synthetic_trials` makes the synthetic trials one
-at a time, and :func:`gen_synthetic` keeps them all.
+Reading and writing go one trial at a time.  :func:`read_manifest` reads and
+checks the manifest and ``meta.txt`` without opening any event file.  Its
+``Manifest`` is read as a ``SpikeDataset`` is (``Dataset``): ``trials``
+gives each trial's id, label, onset and duration, and ``trial(i)`` reads
+trial i's events.  ``Manifest.counted`` fills in the counts that
+``meta.txt`` leaves out, reading the event files only for an undeclared
+channel count.  :func:`parse_dataset` reads every trial into memory, as
+``sweep`` needs; ``gen``, ``train``, ``eval``, ``roc`` and ``stream`` hold
+one trial's events at a time.  :func:`write_trials` checks and writes each
+trial it is given before it takes the next, and :func:`write_dataset` checks
+a whole dataset first and then writes it so; :func:`synthetic_trials` makes
+synthetic trials one at a time, and :func:`gen_synthetic` keeps them all.
 
 In memory a trial's events are two parallel int64 arrays, ``times_us`` and
 ``channels``.  An event file is read in one of two tiers.  A body of
@@ -95,15 +97,19 @@ class ChannelCountError(DatasetError):
 
 
 class TrialIdError(DatasetError):
-    """A trial id is empty or could name a file outside the events directory."""
+    """A trial id is empty, holds a path step or repeats an earlier one."""
 
 
-def _check_trial_id(trial_id: str, path: Path | None = None, line: int | None = None) -> None:
-    """Trial ids name event files, so they may not be empty or hold a path step."""
+def _check_trial_id(trial_id: str, seen: set, path: Path | None = None,
+                    line: int | None = None) -> None:
+    """Ids name event files: refuse one empty, with a path step or in ``seen``; add it."""
     if not trial_id or any(bad in trial_id for bad in ("/", "\\", "..")):
         raise TrialIdError(
             f"trial id {trial_id!r} is empty or contains '/', '\\' or '..'", path, line
         )
+    if trial_id in seen:
+        raise TrialIdError(f"trial id {trial_id!r} repeats an earlier trial's", path, line)
+    seen.add(trial_id)
 
 
 def _event_array(values, name: str) -> np.ndarray:
@@ -150,24 +156,19 @@ class SpikeDataset:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def validate(self) -> None:
+        seen: set[str] = set()
         for trial in self.trials:
-            _check_trial(trial, self.channel_count, self.class_count)
-
-    @property
-    def rows(self) -> list[Trial]:
-        """The trials, whose first fields are a ``TrialRow``'s, as
-        ``Manifest.rows`` gives them."""
-        return self.trials
+            _check_trial(trial, self.channel_count, self.class_count, seen)
 
     def trial(self, index: int) -> Trial:
         """Trial ``index``, as ``Manifest.trial`` reads it."""
         return self.trials[index]
 
 
-def _check_trial(trial: Trial, channel_count: int, class_count: int) -> None:
-    """Raise the ``DatasetError`` of the first rule ``trial`` breaks in a
-    dataset of ``channel_count`` channels and ``class_count`` classes."""
-    _check_trial_id(trial.id)
+def _check_trial(trial: Trial, channel_count: int, class_count: int, seen: set) -> None:
+    """Raise the ``DatasetError`` of the first rule ``trial`` breaks after
+    trials of ids ``seen``, in ``channel_count`` channels and ``class_count`` classes."""
+    _check_trial_id(trial.id, seen)
     if not (1 <= trial.label <= class_count):
         raise LabelRangeError(f"trial {trial.id!r}: label {trial.label} outside [1, {class_count}]")
     if not (0 <= trial.onset <= trial.duration):
@@ -459,22 +460,22 @@ class Manifest:
     """A dataset directory's trial list and ``meta.txt``, read and checked
     without opening any event file.
 
-    ``rows`` are the manifest's rows in file order, blank lines skipped, so
-    row ``i`` is trial ``i`` of the dataset.  ``channel_count`` is the count
+    ``trials`` are the manifest's rows in file order, blank lines skipped,
+    so row ``i`` is trial ``i`` of the dataset.  ``channel_count`` is the count
     events are checked against: the one ``meta.txt`` declares, else the one
     the reader was asked for, else None (inferred from the events).
     ``class_count`` is the declared one or None.
     """
 
     root: Path
-    rows: list[TrialRow]
+    trials: list[TrialRow]
     channel_count: int | None
     class_count: int | None
     metadata: dict[str, str]
 
     def trial(self, index: int) -> Trial:
         """Trial ``index`` with its events, read from its event file."""
-        row = self.rows[index]
+        row = self.trials[index]
         events_path = self.root / EVENTS_DIR / f"{row.id}.csv"
         if not events_path.is_file():
             raise DatasetError("event file not found", events_path)
@@ -488,22 +489,37 @@ class Manifest:
         if q is None:
             q = max([int(t.channels.max()) + 1 for t in trials if len(t.channels)], default=1)
         if m is None:
-            m = max([row.label for row in self.rows], default=1)
+            m = max([row.label for row in self.trials], default=1)
         return q, m
 
     def counted(self) -> Manifest:
         """This manifest with both counts set as :func:`parse_dataset` sets
         them.  An undeclared channel count costs one pass over the event
         files, each read, checked and dropped before the next."""
-        q, m = self._counts(self.trial(i) for i in range(len(self.rows)))
+        q, m = self._counts(self.trial(i) for i in range(len(self.trials)))
         return replace(self, channel_count=q, class_count=m)
+
+    def index(self, selector: str) -> int:
+        """The index of the trial that ``selector`` names by index or id."""
+        ids = [row.id for row in self.trials]
+        if selector.lstrip("-").isdigit():
+            if not (0 <= int(selector) < len(ids)):
+                raise DatasetError(f"trial index {int(selector)} out of range [0, {len(ids)})")
+            return int(selector)
+        if selector not in ids:
+            raise DatasetError(f"no trial with id {selector!r}")
+        return ids.index(selector)
+
+
+#: A dataset as the pipeline reads it: ``trials``, and ``trial(i)``.
+Dataset = SpikeDataset | Manifest
 
 
 def read_manifest(root_path: str | Path, channel_count: int | None = None) -> Manifest:
     """Read and check a dataset's manifest and ``meta.txt``.
 
-    Every row is checked: field count, trial id, integer fields, label at
-    least 1 and within a declared class count, onset within [0, duration].
+    Every row is checked: field count, unique trial id, integer fields,
+    label at least 1 and within a declared class count, onset in [0, duration].
     ``channel_count``, if given, is the count the caller needs: a
     ``meta.txt`` that declares another raises :class:`ChannelCountError`.
     """
@@ -525,7 +541,7 @@ def read_manifest(root_path: str | Path, channel_count: int | None = None) -> Ma
     if not lines or lines[0] != MANIFEST_HEADER:
         raise DatasetError(f"expected header {MANIFEST_HEADER!r}", manifest, 1)
 
-    rows = []
+    rows, seen = [], set()
     for i, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -533,7 +549,7 @@ def read_manifest(root_path: str | Path, channel_count: int | None = None) -> Ma
         if len(parts) != 4:
             raise DatasetError(f"expected 4 fields, got {len(parts)}", manifest, i)
         trial_id = parts[0]
-        _check_trial_id(trial_id, manifest, i)
+        _check_trial_id(trial_id, seen, manifest, i)
         label = _parse_int(parts[1], "label", manifest, i)
         onset = _parse_int(parts[2], "onset_us", manifest, i)
         duration = _parse_int(parts[3], "duration_us", manifest, i)
@@ -559,28 +575,9 @@ def parse_dataset(root_path: str | Path, channel_count: int | None = None) -> Sp
     largest channel, and the class count is the largest label.
     """
     manifest = read_manifest(root_path, channel_count)
-    trials = [manifest.trial(i) for i in range(len(manifest.rows))]
+    trials = [manifest.trial(i) for i in range(len(manifest.trials))]
     q, m = manifest._counts(trials)
     return SpikeDataset(trials, channel_count=q, class_count=m, metadata=manifest.metadata)
-
-
-def read_trial(root_path: str | Path, selector: str,
-               channel_count: int | None = None) -> tuple[int, Trial]:
-    """(index, trial) of the one trial that ``selector`` names by index or
-    id: the manifest pass of :func:`parse_dataset`, then that trial's event
-    file alone, with the checks :func:`parse_dataset` gives it.  The index
-    is the trial's place in ``parse_dataset(root_path).trials``."""
-    manifest = read_manifest(root_path, channel_count)
-    ids = [row.id for row in manifest.rows]
-    if selector.lstrip("-").isdigit():
-        index = int(selector)
-        if not (0 <= index < len(ids)):
-            raise DatasetError(f"trial index {index} out of range [0, {len(ids)})")
-    elif selector in ids:
-        index = ids.index(selector)
-    else:
-        raise DatasetError(f"no trial with id {selector!r}")
-    return index, manifest.trial(index)
 
 
 def write_trials(root_path: str | Path, trials: Iterable[Trial], channel_count: int,
@@ -605,9 +602,9 @@ def write_trials(root_path: str | Path, trials: Iterable[Trial], channel_count: 
     meta_lines += [f"{key} = {metadata[key]}" for key in sorted(metadata)]
     (root / META_NAME).write_text("\n".join(meta_lines) + "\n", encoding="utf-8")
 
-    manifest_lines = [MANIFEST_HEADER]
+    manifest_lines, seen = [MANIFEST_HEADER], set()
     for trial in trials:
-        _check_trial(trial, channel_count, class_count)
+        _check_trial(trial, channel_count, class_count, seen)
         rows = np.column_stack((trial.times_us, trial.channels))
         text = ("%d,%d\n" * len(rows)) % tuple(rows.ravel().tolist())
         path = root / EVENTS_DIR / f"{trial.id}.csv"

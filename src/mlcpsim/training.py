@@ -34,7 +34,7 @@ import numpy as np
 from .analog import ChipInstance, draw_noise, hidden_layer, normalize_rows
 from .fields import FieldError, bounds, check_fields, check_values
 from .frontend import FrontendConfig, run_trial, tick_count
-from .spikeio import Manifest, SpikeDataset
+from .spikeio import Dataset
 
 SV_CUTOFF = 1e-10  # relative singular-value cutoff for least squares
 _GATHER_BYTES = 1 << 20  # the largest copy ``_gather_rows`` makes
@@ -211,7 +211,7 @@ def hidden_rows(codes, n_ticks: np.ndarray, chip: ChipInstance, normalize: bool,
     return out
 
 
-def collect_H(dataset: SpikeDataset | Manifest, chip: ChipInstance, frontend_cfg: FrontendConfig,
+def collect_H(dataset: Dataset, chip: ChipInstance, frontend_cfg: FrontendConfig,
               noise_seed: int | None = None, sample_policy: str = "unambiguous",
               trap: TrapezoidParams | None = None, normalize: bool = True,
               codes: list | None = None,
@@ -219,7 +219,7 @@ def collect_H(dataset: SpikeDataset | Manifest, chip: ChipInstance, frontend_cfg
     """Run the simulated chain over a dataset and assemble (H, targets).
 
     ``dataset`` is a ``SpikeDataset`` or a counted ``Manifest``: the
-    labels and trial lengths come from its ``rows``, and each trial's
+    labels and trial lengths come from its ``trials``, and each trial's
     events from ``dataset.trial(i)`` only as the hidden layer reaches it, so
     a manifest's event files are read one at a time and dropped.  One row
     per tick, every trial's ticks in trial order (``n_ticks`` rows each),
@@ -237,7 +237,7 @@ def collect_H(dataset: SpikeDataset | Manifest, chip: ChipInstance, frontend_cfg
     or "all".
     """
     check_values(TrainSettings, {"sample_policy": sample_policy})
-    trials = dataset.rows
+    trials = dataset.trials
     if not trials:
         raise TrainingError("dataset has no trials")
     if frontend_cfg.n_external != dataset.channel_count:

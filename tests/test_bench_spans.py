@@ -14,9 +14,11 @@ from pathlib import Path
 import numpy as np
 
 import mlcpsim.cli  # noqa: F401  (every package module, as the benchmark worker imports them)
-from mlcpsim import analog, training
+from mlcpsim import analog, decoder, training
 from mlcpsim.analog import AnalogParams, build_chip
-from mlcpsim.frontend import FrontendConfig
+from mlcpsim.decoder import DecoderModel
+from mlcpsim.frontend import FrontendConfig, tick_count
+from mlcpsim.spikeio import read_manifest, write_dataset
 from test_training import tiny_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,7 +35,8 @@ def _target(module: str, attr: str):
     return getattr(importlib.import_module(f"mlcpsim.{module}"), attr)
 
 
-def test_every_span_target_resolves_and_is_restored():
+def test_every_span_target_resolves_and_is_restored(tmp_path):
+    write_dataset(tiny_dataset(q=3, m=2, trials_per_class=2), tmp_path / "ds")
     spans = _spans()
     originals = {(module, attr): _target(module, attr) for module, attr, *_ in spans.TARGETS}
     tracer = spans.Tracer()
@@ -59,6 +62,16 @@ def test_every_span_target_resolves_and_is_restored():
             pruned += int(np.count_nonzero(~w.support))
             assert tracer.counts["training.fits"] == fits
             assert tracer.counts["training.t2_pruned"] == pruned > 0
+        # the decoder counters read the dataset's trials, here a manifest's
+        # rows, whose events the decode reads one file at a time
+        manifest = read_manifest(tmp_path / "ds").counted()
+        model = DecoderModel(w.beta, w.support, 2, frontend=FrontendConfig.tdbdi(3, 1))
+        decoder.evaluate(manifest, model, chip)
+        assert tracer.counts["decoder.evaluations"] == 1
+        grid = np.linspace(0.0, 1.5, 7)
+        decoder.roc_sweep(manifest, model, chip, theta_grid=grid)
+        ticks = sum(tick_count(model.frontend, trial) for trial in manifest.trials)
+        assert tracer.counts["decoder.fsm_steps"] == len(grid) * ticks > 0
     finally:
         tracer.uninstall()
     for (module, attr), original in originals.items():

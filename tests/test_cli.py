@@ -522,8 +522,7 @@ def test_sweep_refuses_a_link_delay_only_where_no_point_delays_a_row(capsys, tmp
 def test_decoding_a_one_row_per_channel_model_refuses_a_link_delay(capsys, tmp_path, monkeypatch,
                                                                    shared_run, cmd):
     ds, model = shared_run  # frontend.p = 1
-    for name in ("parse_dataset", "read_trial"):
-        monkeypatch.setattr(cli, name, _fail("the dataset read"))
+    monkeypatch.setattr(cli, "read_manifest", _fail("the dataset read"))
     out = tmp_path / "out"
     code, _, err = run(capsys, cmd, "--data", str(ds), "--model", str(model), "--out", str(out),
                        "--seed", "3", *SMALL_CHIP, "--set", "frontend.link_delay=2")
@@ -587,6 +586,41 @@ def test_train_names_a_corrupt_event_file_met_while_collecting_h(capsys, tmp_pat
     assert opened == [f"{trial_id}.csv" for trial_id in ids[: middle + 1]]
     assert coded == ids[:middle]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["eval", "roc", "stream"])
+def test_decoding_reads_each_event_file_as_its_trial_is_coded(capsys, tmp_path, monkeypatch,
+                                                              shared_run, cmd):
+    # each file is read once, just before its trial is coded, so one
+    # trial's events are held at a time; stream reads its own trial's alone
+    ds, model = shared_run
+    log = _count_opens(monkeypatch)
+    run_trial = decoder.run_trial
+    monkeypatch.setattr(decoder, "run_trial",
+                        lambda fe, trial: log.append(trial.id) or run_trial(fe, trial))
+    code, _, err = run(capsys, cmd, "--data", str(ds), "--model", str(model), "--seed", "3",
+                       *SMALL_CHIP, "--set", "stream.trial=3", "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    ids = _manifest_ids(ds)[3:4] if cmd == "stream" else _manifest_ids(ds)
+    assert log == [step for trial_id in ids for step in (f"{trial_id}.csv", trial_id)]
+
+
+def test_train_refuses_a_manifest_that_lists_a_trial_twice(capsys, tmp_path, monkeypatch,
+                                                           shared_run):
+    source, _ = shared_run
+    ds = tmp_path / "ds"
+    shutil.copytree(source, ds)
+    manifest = ds / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(lines + [lines[1]]) + "\n")
+    opened = _count_opens(monkeypatch)
+    out = tmp_path / "model.json"
+    code, _, err = run(capsys, "train", "--data", str(ds), "--out", str(out), "--seed", "3",
+                       *SMALL_CHIP)
+    assert code == 2
+    assert f"trial id '{lines[1].split(',')[0]}' repeats an earlier trial's" in err, err
+    assert f"manifest.csv:{len(lines) + 1}]" in err
+    assert opened == [] and not out.exists()
 
 
 def test_sweep_scores_the_type_vote_alone(capsys, tmp_path, monkeypatch, shared_run):

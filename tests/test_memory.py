@@ -1,6 +1,6 @@
-"""Peak memory of ``gen`` and ``train``: one trial's events at a time.
+"""Peak memory of ``gen``, ``train`` and the decode: one trial's events at a time.
 
-``tracemalloc`` sees numpy's array buffers, so it measures what the two
+``tracemalloc`` sees numpy's array buffers, so it measures what the
 commands hold without reading the process's resident size.  The set is
 generated at high firing rates and a small L, so its events, held whole,
 would take more memory than the slack and the one-hot type rows together:
@@ -14,11 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlcpsim import spikeio
-from mlcpsim.analog import load_chip
+from mlcpsim import decoder, spikeio
+from mlcpsim.analog import AnalogParams, build_chip, load_chip
 from mlcpsim.cli import main
-from mlcpsim.frontend import FrontendConfig
-from mlcpsim.spikeio import parse_dataset
+from mlcpsim.decoder import DecoderModel
+from mlcpsim.frontend import FrontendConfig, tick_count
+from mlcpsim.spikeio import parse_dataset, read_manifest
 from mlcpsim.training import TrapezoidParams, collect_H
 
 GEN = ["--seed", "3", "--set", "synth.q=8", "--set", "synth.m=2", "--set", "synth.baseline_rate=40",
@@ -111,6 +112,43 @@ def test_train_solves_with_h_and_its_targets_alone(tmp_path, capsys, monkeypatch
     for traced, parsed in seen:
         assert traced < held + SLACK, (traced, held)
         assert parsed == 0
+
+
+def test_evaluate_on_a_manifest_holds_one_trials_events(monkeypatch, big_events):
+    ds, dataset = big_events
+    frontend, n_trials = FrontendConfig.tdbdi(8, 1), len(dataset.trials)
+    chip = build_chip(3, AnalogParams(), d=8, l=16)
+    model = DecoderModel(np.random.default_rng(5).normal(size=(16, 3)), np.ones(16, bool), 2,
+                         frontend=frontend)
+    # what the decode may hold: every trial's outputs, the padded onset rows
+    # and window levels, and one block of ranked windows
+    ticks = sum(tick_count(frontend, trial) for trial in dataset.trials)
+    held = 8 * (ticks * (model.m + 1) + 2 * (ticks + n_trials * model.tau)
+                + decoder._TRACK_CELLS)
+    assert _event_bytes(dataset) > held + SLACK
+    per_trial = max(t.times_us.nbytes + t.channels.nbytes for t in dataset.trials)
+
+    sampled = {t.id for t in dataset.trials[::40]}
+    parsed = []  # parser bytes alive as each sampled trial is coded
+    run_trial = decoder.run_trial
+
+    def traced_run_trial(fe, trial):
+        if trial.id in sampled:
+            parsed.append(_parsed_bytes(tracemalloc.take_snapshot()))
+        return run_trial(fe, trial)
+
+    monkeypatch.setattr(decoder, "run_trial", traced_run_trial)
+    manifest = read_manifest(ds).counted()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        decoder.evaluate(manifest, model, chip)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(parsed) == len(sampled)
+    assert 0 < max(parsed) < 2 * per_trial, (parsed, per_trial)  # the trial being coded
+    assert peak < held + SLACK, (peak, held)
 
 
 def test_the_parser_lines_see_the_event_arrays(big_events):

@@ -21,7 +21,7 @@ from mlcpsim.spikeio import (
     TrialIdError,
     gen_synthetic,
     parse_dataset,
-    read_trial,
+    read_manifest,
     tuned_peak_rate,
     write_dataset,
 )
@@ -329,6 +329,20 @@ def test_write_trials_checks_each_trial_before_writing_its_file(tmp_path):
     assert not (tmp_path / "whole").exists()
 
 
+def test_a_repeated_trial_id_is_refused_before_its_file_is_written(tmp_path):
+    # one event file per id: a second trial 'a' would overwrite the first's
+    trials = [Trial("a", 1, 0, 100, [5], [0]), Trial("b", 1, 0, 100, [6], [1]),
+              Trial("a", 1, 0, 100, [7], [1])]
+    with pytest.raises(TrialIdError, match="trial id 'a' repeats an earlier trial's"):
+        spikeio.write_trials(tmp_path / "stream", iter(trials), 2, 1, {})
+    first = tmp_path / "stream" / "events" / "a.csv"
+    assert first.read_text() == "time_us,channel\n5,0\n"
+    assert not (tmp_path / "stream" / "manifest.csv").exists()
+    with pytest.raises(TrialIdError, match="trial id 'a' repeats an earlier trial's"):
+        write_dataset(SpikeDataset(trials, 2, 1), tmp_path / "whole")
+    assert not (tmp_path / "whole").exists()
+
+
 def test_trial_coerces_events_to_int64_arrays():
     trial = Trial("t", 1, 0, 100, [3, 5], (0, 2))
     assert isinstance(trial.times_us, np.ndarray) and trial.times_us.dtype == np.int64
@@ -421,7 +435,15 @@ def _small_set(root, q=4, m=3):
     return ds
 
 
-def test_read_trial_is_the_trial_parse_dataset_reads_at_that_index(tmp_path, monkeypatch):
+def _selected(root, selector, channel_count=None):
+    """(index, trial) that ``selector`` names, as ``stream`` reads it."""
+    manifest = read_manifest(root, channel_count)
+    index = manifest.index(selector)
+    return index, manifest.trial(index)
+
+
+def test_the_manifest_selects_the_trial_parse_dataset_reads_at_that_index(tmp_path,
+                                                                          monkeypatch):
     _small_set(tmp_path)
     manifest = tmp_path / "manifest.csv"
     lines = manifest.read_text().split("\n")
@@ -435,7 +457,7 @@ def test_read_trial_is_the_trial_parse_dataset_reads_at_that_index(tmp_path, mon
     for index, trial in enumerate(full.trials):
         for selector in (str(index), trial.id):
             opened.clear()
-            got_index, got = read_trial(tmp_path, selector)
+            got_index, got = _selected(tmp_path, selector)
             assert opened == [f"{trial.id}.csv"]  # the manifest pass opens no event file
             assert got_index == index
             assert (got.id, got.label, got.onset, got.duration) == (
@@ -446,19 +468,19 @@ def test_read_trial_is_the_trial_parse_dataset_reads_at_that_index(tmp_path, mon
                               ("-1", "trial index -1 out of range [0, 6)"),
                               ("c09_r000", "no trial with id 'c09_r000'")):
         with pytest.raises(DatasetError, match=message.replace("[", r"\[").replace(")", r"\)")):
-            read_trial(tmp_path, selector)
+            _selected(tmp_path, selector)
 
 
-def test_read_trial_reads_no_other_event_file(tmp_path):
+def test_a_selected_trial_reads_no_other_event_file(tmp_path):
     ds = _small_set(tmp_path)
     (tmp_path / "events" / f"{ds.trials[0].id}.csv").write_text("time_us,channel\n5,x\n")
     (tmp_path / "events" / f"{ds.trials[2].id}.csv").unlink()
-    index, trial = read_trial(tmp_path, "1")
+    index, trial = _selected(tmp_path, "1")
     assert (index, trial.id) == (1, ds.trials[1].id)
     with pytest.raises(DatasetError, match=f"{ds.trials[0].id}.csv:2"):
-        read_trial(tmp_path, ds.trials[0].id)
+        _selected(tmp_path, ds.trials[0].id)
     with pytest.raises(DatasetError, match="event file not found"):
-        read_trial(tmp_path, "2")
+        _selected(tmp_path, "2")
     with pytest.raises(DatasetError, match=f"{ds.trials[0].id}.csv:2"):
         parse_dataset(tmp_path)
 
@@ -469,6 +491,7 @@ def test_read_trial_reads_no_other_event_file(tmp_path):
     ("z,4,0,2000", LabelRangeError, "label 4 outside [1, 3]"),
     ("z,0,0,2000", LabelRangeError, "label 0 outside [1, 3]"),
     ("z/y,1,0,2000", TrialIdError, "trial id 'z/y' is empty or contains '/', '\\' or '..'"),
+    ("c01_r000,1,0,2000", TrialIdError, "trial id 'c01_r000' repeats an earlier trial's"),
     ("z,1,0", DatasetError, "expected 4 fields, got 3"),
 ])
 def test_every_manifest_row_is_checked_before_any_event_file(tmp_path, row, error, message):
@@ -477,7 +500,7 @@ def test_every_manifest_row_is_checked_before_any_event_file(tmp_path, row, erro
     _small_set(tmp_path)
     with (tmp_path / "manifest.csv").open("a") as manifest:
         manifest.write(row + "\n")
-    for read in (lambda: parse_dataset(tmp_path), lambda: read_trial(tmp_path, "0")):
+    for read in (lambda: parse_dataset(tmp_path), lambda: _selected(tmp_path, "0")):
         with pytest.raises(error) as excinfo:
             read()
         assert str(excinfo.value) == f"{message} [{tmp_path / 'manifest.csv'}:8]"
@@ -491,7 +514,7 @@ def test_a_channel_count_is_held_against_meta_and_every_event(tmp_path):
         with pytest.raises(ChannelCountError, match=f"declares 4 channels where {wrong} are"):
             parse_dataset(root, wrong)
         with pytest.raises(ChannelCountError, match=f"declares 4 channels where {wrong} are"):
-            read_trial(root, "0", wrong)
+            _selected(root, "0", wrong)
     # without meta.txt the count is inferred, so only the events can differ
     (root / "meta.txt").unlink()
     assert parse_dataset(root).channel_count == 4
@@ -502,5 +525,5 @@ def test_a_channel_count_is_held_against_meta_and_every_event(tmp_path):
         parse_dataset(root, 3)
     assert str(excinfo.value).startswith("channel 3 outside [0, 3)")
     with pytest.raises(ChannelRangeError) as excinfo:
-        read_trial(root, first.id, 3)
+        _selected(root, first.id, 3)
     assert str(excinfo.value).endswith(f"{first.id}.csv:{line}]")
