@@ -128,21 +128,26 @@ class ChipSettings:
     probe_code: int = bounds(8, ge=1, le=DAC_CODES - 1)  # diagonal DAC code
 
 
-def _draw_dnl(rng: np.random.Generator, bound: float) -> np.ndarray:
-    """Per-step DNL for one channel: uniform draws rescaled to the worst-case bound.
+def _draw_dnl(rng: np.random.Generator, bound: float, d: int) -> np.ndarray:
+    """Per-step DNL tables of ``d`` channels: uniform draws rescaled to the
+    worst-case bound.
 
-    Redraws until the cumulative error keeps every tap current non-negative
-    (a physical current splitter cannot sink below zero).
+    A table whose cumulative error would drive a tap current negative (a
+    physical current splitter cannot sink below zero) is rejected and the
+    next table drawn takes its place, so the stream is consumed exactly as by
+    drawing each channel's table in turn until one is accepted.
     """
     if bound == 0.0:
-        return np.zeros(DAC_CODES - 1)
+        return np.zeros((d, DAC_CODES - 1))
+    tables = np.zeros((0, DAC_CODES - 1))
     for _ in range(1000):
-        steps = rng.uniform(-1.0, 1.0, size=DAC_CODES - 1)
-        steps *= bound / np.max(np.abs(steps))
-        inl = np.cumsum(steps)
-        if np.all(np.arange(1, DAC_CODES) + inl >= 0.0):
-            return steps
-    raise RuntimeError("could not draw a non-negative DNL table")  # pragma: no cover
+        steps = rng.uniform(-1.0, 1.0, size=(d - len(tables), DAC_CODES - 1))
+        steps *= bound / np.max(np.abs(steps), axis=1, keepdims=True)
+        inl = np.cumsum(steps, axis=1)
+        tables = np.vstack([tables, steps[np.all(np.arange(1, DAC_CODES) + inl >= 0.0, axis=1)]])
+        if len(tables) == d:
+            return tables
+    raise RuntimeError("could not draw non-negative DNL tables")  # pragma: no cover
 
 
 def build_chip(seed: int, params: AnalogParams, d: int, l: int) -> ChipInstance:
@@ -150,8 +155,7 @@ def build_chip(seed: int, params: AnalogParams, d: int, l: int) -> ChipInstance:
     check_values(ChipInstance, {"seed": seed, "d": d, "l": l})  # before drawing (L, D) tables
     rng = np.random.default_rng(seed)
     delta_vt = rng.normal(params.mu_vt_mv, params.sigma_vt_mv, size=(l, d))
-    dnl = np.stack([_draw_dnl(rng, params.dnl_max_lsb) for _ in range(d)])
-    return ChipInstance(seed, params, d, l, delta_vt, dnl)
+    return ChipInstance(seed, params, d, l, delta_vt, _draw_dnl(rng, params.dnl_max_lsb, d))
 
 
 def save_chip(chip: ChipInstance, path: str | Path) -> None:

@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_decode.add_argument("--model", required=True)
         p_decode.add_argument("--chip", help="chip file (default: rebuild from the model's seed)")
         if name == "stream":
-            p_decode.add_argument("--trial", help="trial index or id (default: stream.trial)")
+            p_decode.add_argument("--trial", help="trial id, else index (default: stream.trial)")
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="accuracy over parameter grids")
     p_sweep.add_argument("--data", required=True)

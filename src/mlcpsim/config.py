@@ -32,7 +32,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class StreamSettings:
-    """The ``stream.*`` key: the trial ``stream`` decodes, by index or id."""
+    """The ``stream.*`` key: the trial ``stream`` decodes, by id, else by index."""
 
     trial: str = "0"
 

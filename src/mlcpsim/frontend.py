@@ -19,8 +19,13 @@ channel-major as
 
 which multiplies the feature dimension by p without extra electrodes.
 
-:func:`run_counts` computes whole trials in one vectorized pass; the tests
-cross-check it against a stateful tick-by-tick model of the same counters.
+:func:`bin_events` counts a trial's events per (tick, channel) with one
+``np.bincount`` over ``tick * n_channels + channel``.  :func:`run_counts`
+computes the whole trial in one vectorized pass: delayed rows are copied
+once per group of rows that share a chain depth and a delay, and the window
+output is the sum of five shifted slices of the sub-window counts behind
+four zero ticks.  The tests cross-check it against a stateful tick-by-tick
+model of the same counters.
 """
 
 from __future__ import annotations
@@ -78,15 +83,25 @@ class FrontendConfig:
             raise ValueError("row 0 has no previous row and must be external (S_ext=0)")
         if ((self.sdl < 0) | (self.sdl > SDL_MAX)).any():
             raise ValueError(f"sdl codes must be in [0, {SDL_MAX}]")
+        self._external_rows = np.flatnonzero(self.s_ext == 0)
+        # delayed rows grouped by (chain depth, delay), shallowest first: a
+        # group's source rows are external or in an earlier group
+        groups: dict[tuple[int, int], list[int]] = {}
+        depth = 0
+        for r in range(self.rows):
+            depth = depth + 1 if self.s_ext[r] else 0
+            if depth:
+                groups.setdefault((depth, self.delay_of(r)), []).append(r)
+        self.delay_groups = [(delay, np.array(group)) for (_, delay), group in sorted(groups.items())]
 
     @property
     def n_external(self) -> int:
-        return int(np.sum(self.s_ext == 0))
+        return len(self._external_rows)
 
     @property
     def external_rows(self) -> np.ndarray:
         """Row indices of external rows, in row order (channel k feeds the k-th)."""
-        return np.flatnonzero(self.s_ext == 0)
+        return self._external_rows
 
     def delay_of(self, row: int) -> int:
         """Decoded delay of a delayed row, in sub-windows (1..5)."""
@@ -133,15 +148,19 @@ def bin_events(times_us: np.ndarray, channels: np.ndarray, n_channels: int, t_s_
 
     Sub-windows are half-open: an event exactly on a tick boundary belongs to
     the later sub-window.  Events at or past ``n_ticks`` sub-windows are
-    dropped.
+    dropped.  A ``ValueError`` names the first event with a negative time or
+    a channel outside ``[0, n_channels)``.
     """
-    counts = np.zeros((n_ticks, n_channels), dtype=np.int64)
-    if len(times_us) == 0:
-        return counts
-    ticks = np.asarray(times_us, dtype=np.int64) // t_s_us
-    keep = ticks < n_ticks
-    np.add.at(counts, (ticks[keep], np.asarray(channels)[keep]), 1)
-    return counts
+    times = np.asarray(times_us, dtype=np.int64)
+    channels = np.asarray(channels, dtype=np.int64)
+    if len(times) and (times.min() < 0 or channels.min() < 0 or channels.max() >= n_channels):
+        i = int(np.argmax((times < 0) | (channels < 0) | (channels >= n_channels)))
+        raise ValueError(f"event {i} (time {times[i]} us, channel {channels[i]}) has a negative "
+                         f"time or a channel outside [0, {n_channels})")
+    # events at or past n_ticks are counted in one more tick, then dropped
+    flat = np.minimum(times // t_s_us, n_ticks) * n_channels + channels
+    size = n_ticks * n_channels
+    return np.bincount(flat, minlength=size)[:size].reshape(n_ticks, n_channels)
 
 
 def run_counts(config: FrontendConfig, channel_counts: np.ndarray) -> np.ndarray:
@@ -152,15 +171,16 @@ def run_counts(config: FrontendConfig, channel_counts: np.ndarray) -> np.ndarray
         raise ValueError(
             f"expected (n_ticks, {config.n_external}) counts, got {counts.shape}"
         )
-    d = np.zeros((n_ticks, config.rows), dtype=np.int64)
+    # sub-window counts behind four zero ticks: padded[n + k] is D_{n-4+k}
+    padded = np.zeros((n_ticks + WINDOW_SUBCOUNT - 1, config.rows), dtype=np.int64)
+    d = padded[WINDOW_SUBCOUNT - 1:]
     d[:, config.external_rows] = np.minimum(SUBCOUNT_MAX, counts)
-    for r in np.flatnonzero(config.s_ext == 1):
-        delay = config.delay_of(r)
-        d[delay:, r] = d[: max(n_ticks - delay, 0), r - 1]
-    # behind five zero rows, csum[n + 5] - csum[n] sums sub-windows n-4 .. n
-    csum = np.cumsum(np.vstack([np.zeros((WINDOW_SUBCOUNT, config.rows), dtype=np.int64), d]),
-                     axis=0)
-    return np.minimum(WINDOW_MAX, csum[WINDOW_SUBCOUNT:] - csum[:n_ticks])
+    for delay, rows in config.delay_groups:
+        d[delay:, rows] = d[: max(n_ticks - delay, 0), rows - 1]
+    window = d.copy()
+    for k in range(WINDOW_SUBCOUNT - 1):
+        window += padded[k : k + n_ticks]
+    return np.minimum(WINDOW_MAX, window, out=window)
 
 
 def tick_count(config: FrontendConfig, trial) -> int:

@@ -42,7 +42,9 @@ movement onset.
 from __future__ import annotations
 
 import math
+import os
 import re
+import stat
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -421,15 +423,38 @@ def _scan_rows(path: Path, lines: list[str], q: int | None) -> tuple[np.ndarray,
     return np.array(times, dtype=np.int64), np.array(channels, dtype=np.int64)
 
 
+def _read_event_file(path: Path) -> bytes:
+    """The bytes of the regular file ``path``, read with one open, one stat,
+    reads to its end and one close; "event file not found" if it is missing
+    or not a regular file (a directory, a FIFO or a device)."""
+    try:  # non-blocking, so that a FIFO in the file's place cannot hang the open
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise DatasetError("event file not found", path) from None
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise DatasetError("event file not found", path)
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 def _parse_events(path: Path, q: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Times and channels of one event file.
 
     Blank rows are skipped.  A body of canonical rows (``time,channel``,
     unsigned ASCII digits, at most 18 each) is read in one pass by numpy and
     checked as a whole: times sorted, channels below ``q``.  Every other
-    body, and one that fails a check, goes to the row-by-row scan.
+    body, and one that fails a check, goes to the row-by-row scan.  The
+    file's bytes are decoded to the text ``Path.read_text`` gives: UTF-8,
+    ``\\r\\n`` and ``\\r`` read as ``\\n``.
     """
-    text = path.read_text(encoding="utf-8")
+    text = _read_event_file(path).decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     header, _, body = text.partition("\n")
     if header != EVENTS_HEADER:
         raise DatasetError(f"expected header {EVENTS_HEADER!r}", path, 1)
@@ -476,10 +501,8 @@ class Manifest:
     def trial(self, index: int) -> Trial:
         """Trial ``index`` with its events, read from its event file."""
         row = self.trials[index]
-        events_path = self.root / EVENTS_DIR / f"{row.id}.csv"
-        if not events_path.is_file():
-            raise DatasetError("event file not found", events_path)
-        return Trial(*row, *_parse_events(events_path, self.channel_count))
+        return Trial(*row, *_parse_events(self.root / EVENTS_DIR / f"{row.id}.csv",
+                                          self.channel_count))
 
     def _counts(self, trials: Iterable[Trial]) -> tuple[int, int]:
         """(channel count, class count): each the declared one, else one past
@@ -500,15 +523,15 @@ class Manifest:
         return replace(self, channel_count=q, class_count=m)
 
     def index(self, selector: str) -> int:
-        """The index of the trial that ``selector`` names by index or id."""
+        """The index of the trial that ``selector`` names by id, else by index."""
         ids = [row.id for row in self.trials]
+        if selector in ids:
+            return ids.index(selector)
         if selector.lstrip("-").isdigit():
             if not (0 <= int(selector) < len(ids)):
                 raise DatasetError(f"trial index {int(selector)} out of range [0, {len(ids)})")
             return int(selector)
-        if selector not in ids:
-            raise DatasetError(f"no trial with id {selector!r}")
-        return ids.index(selector)
+        raise DatasetError(f"no trial with id {selector!r}")
 
 
 #: A dataset as the pipeline reads it: ``trials``, and ``trial(i)``.

@@ -7,7 +7,10 @@ bit.  ``dac_current`` is the scalar lookup of one channel DAC that
 ``dac_currents`` vectorizes, and ``normalize_hidden`` the single-window
 normalization that ``normalize_rows`` applies row by row (where a
 degenerate row passes through as zeros instead of raising
-``DegenerateInputError``).  They live here only as references.
+``DegenerateInputError``).  ``dnl_tables`` draws a die's DNL tables one
+channel at a time, redrawing a channel's table until it is accepted, as
+``analog.build_chip`` draws them all in one call.  They live here only as
+references.
 """
 
 import numpy as np
@@ -17,6 +20,25 @@ from mlcpsim.analog import _FLOOR_EPS, DAC_CODES, AnalogParams, ChipInstance
 
 class DegenerateInputError(ValueError):
     """Normalization requested on an all-zero code or count vector."""
+
+
+def dnl_table(rng: np.random.Generator, bound: float) -> np.ndarray:
+    """One channel's per-step DNL, redrawn until no tap current is negative."""
+    if bound == 0.0:
+        return np.zeros(DAC_CODES - 1)
+    while True:
+        steps = rng.uniform(-1.0, 1.0, size=DAC_CODES - 1)
+        steps *= bound / np.max(np.abs(steps))
+        if np.all(np.arange(1, DAC_CODES) + np.cumsum(steps) >= 0.0):
+            return steps
+
+
+def dnl_tables(seed: int, params: AnalogParams, d: int, l: int) -> np.ndarray:
+    """The ``(d, 63)`` DNL tables of die ``seed``: after its ``(l, d)``
+    mismatch draw, one :func:`dnl_table` per channel in channel order."""
+    rng = np.random.default_rng(seed)
+    rng.normal(params.mu_vt_mv, params.sigma_vt_mv, size=(l, d))
+    return np.stack([dnl_table(rng, params.dnl_max_lsb) for _ in range(d)])
 
 
 def dac_current(chip: ChipInstance, code: int, channel: int) -> float:

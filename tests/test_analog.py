@@ -27,7 +27,8 @@ from mlcpsim.spikeio import SynthParams, gen_synthetic
 from mlcpsim.training import hidden_rows, hidden_stream, trial_rng
 
 from analog_oracle import (DegenerateInputError, cco_count, cco_frequency, dac_current,
-                           dac_currents, hidden_counts, mirror_multiply, normalize_hidden)
+                           dac_currents, dnl_tables, hidden_counts, mirror_multiply,
+                           normalize_hidden)
 
 
 def ideal_params(**overrides):
@@ -115,6 +116,18 @@ def test_dac_measured_dnl_within_bound():
     # the rescaling pins the worst case at the bound
     assert np.max(np.abs(measured)) == pytest.approx(3.0)
     assert (chip.current_lut >= 0.0).all()
+
+
+@pytest.mark.parametrize("bound", [0.0, 3.0, 20.0, 40.0])
+def test_dnl_tables_drawn_in_one_call_match_the_per_channel_draws(bound):
+    # at 20 and 40 LSB many tables are rejected and redrawn from the stream
+    rng = np.random.default_rng(31)
+    for seed in rng.integers(0, 2**32, size=40).tolist():
+        d, l = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+        params = AnalogParams(dnl_max_lsb=bound)
+        want = dnl_tables(seed, params, d, l)
+        got = build_chip(seed, params, d, l).dac_dnl_lsb
+        assert got.shape == (d, 63) and np.array_equal(got, want)
 
 
 def test_dac_currents_of_a_batch_are_its_rows_one_by_one():

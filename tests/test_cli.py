@@ -605,6 +605,46 @@ def test_decoding_reads_each_event_file_as_its_trial_is_coded(capsys, tmp_path, 
     assert log == [step for trial_id in ids for step in (f"{trial_id}.csv", trial_id)]
 
 
+def _command(cmd: str, ds: Path, model: Path) -> list[str]:
+    """``cmd`` on ``ds`` at the shared run's settings; decode commands read ``model``."""
+    return [cmd, "--data", str(ds), *([] if cmd == "train" else ["--model", str(model)]),
+            "--seed", "3", *SMALL_CHIP]
+
+
+@pytest.mark.parametrize("cmd", ["train", "eval", "roc"])
+def test_each_event_file_is_opened_once_by_the_os(capsys, tmp_path, monkeypatch, shared_run,
+                                                  cmd):
+    ds, model = shared_run
+    events = ds / "events"
+    opened = []
+    os_open = spikeio.os.open
+    monkeypatch.setattr(spikeio.os, "open", lambda path, *a, **k: opened.append(Path(path))
+                        or os_open(path, *a, **k))
+    code, _, err = run(capsys, *_command(cmd, ds, model), "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    assert [path.name for path in opened if path.parent == events] == [
+        f"{trial_id}.csv" for trial_id in _manifest_ids(ds)]
+
+
+@pytest.mark.parametrize("cmd", ["train", "eval", "roc", "stream"])
+@pytest.mark.parametrize("defect", ["missing", "directory", "invalid utf-8"])
+def test_an_unreadable_event_file_exits_2(capsys, tmp_path, shared_run, cmd, defect):
+    source, model = shared_run
+    ds = tmp_path / "ds"
+    shutil.copytree(source, ds)
+    path = ds / "events" / f"{_manifest_ids(ds)[0]}.csv"
+    path.unlink()
+    if defect == "directory":
+        path.mkdir()
+    elif defect == "invalid utf-8":
+        path.write_bytes(b"time_us,channel\n5,0\n\xff6,1\n")
+    code, _, err = run(capsys, *_command(cmd, ds, model), "--out", str(tmp_path / "out"))
+    assert code == 2
+    want = "can't decode byte 0xff" if defect == "invalid utf-8" else "event file not found"
+    assert err.startswith("error: ") and want in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_refuses_a_manifest_that_lists_a_trial_twice(capsys, tmp_path, monkeypatch,
                                                            shared_run):
     source, _ = shared_run

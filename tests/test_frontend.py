@@ -240,6 +240,35 @@ def test_bin_events_half_open_boundaries():
     assert counts[:, 0].tolist() == [2, 2, 1]
 
 
+def test_bin_events_matches_a_per_event_count_on_random_events():
+    # times drawn on, beside and between tick boundaries, some past the last tick
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n_channels, t_s_us = int(rng.integers(1, 9)), int(rng.integers(1, 50))
+        n_ticks, n_events = int(rng.integers(0, 12)), int(rng.integers(0, 60))
+        ticks = rng.integers(0, n_ticks + 3, size=n_events)
+        times = ticks * t_s_us + rng.choice([0, 1, t_s_us - 1], size=n_events) % t_s_us
+        channels = rng.integers(0, n_channels, size=n_events)
+        want = np.zeros((n_ticks, n_channels), dtype=np.int64)
+        for t, ch in zip(times.tolist(), channels.tolist()):
+            if t // t_s_us < n_ticks:
+                want[t // t_s_us, ch] += 1
+        counts = bin_events(times, channels, n_channels, t_s_us, n_ticks)
+        assert counts.dtype == np.int64 and np.array_equal(counts, want)
+
+
+@pytest.mark.parametrize("times, channels, first", [
+    ([5], [-1], "event 0 (time 5 us, channel -1)"),  # was counted on channel 2
+    ([-30000], [0], "event 0 (time -30000 us, channel 0)"),  # was counted at tick 0
+    ([5, 6, 7], [0, 3, 4], "event 1 (time 6 us, channel 3)"),  # would spill into tick 1
+    ([5, -6, 25], [0, 0, 9], "event 1 (time -6 us, channel 0)"),
+])
+def test_bin_events_names_the_first_event_off_its_grid(times, channels, first):
+    with pytest.raises(ValueError) as excinfo:
+        bin_events(times, channels, 3, 20_000, 2)
+    assert str(excinfo.value) == (f"{first} has a negative time or a channel outside [0, 3)")
+
+
 @pytest.mark.parametrize("t_s_ms", [19.9996, 0.0004, 0.0, 1e300])
 def test_a_tick_length_off_the_microsecond_grid_is_refused_by_name(t_s_ms):
     # 19.9996 ms would count ticks of 19,999.6 us but bin events in 20,000 us

@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import os
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -527,3 +530,58 @@ def test_a_channel_count_is_held_against_meta_and_every_event(tmp_path):
     with pytest.raises(ChannelRangeError) as excinfo:
         _selected(root, first.id, 3)
     assert str(excinfo.value).endswith(f"{first.id}.csv:{line}]")
+
+
+def test_a_trial_id_of_digits_is_selected_by_id_before_index(tmp_path):
+    trials = [Trial(trial_id, 1, 0, 2000, [5], [0]) for trial_id in ("100", "200", "1", "0")]
+    write_dataset(SpikeDataset(trials, channel_count=1, class_count=1), tmp_path)
+    manifest = read_manifest(tmp_path)
+    # "100" is trial 0's id and out of range as an index; "1" and "0" are ids too
+    assert [manifest.index(s) for s in ("100", "200", "1", "0", "3")] == [0, 1, 2, 3, 3]
+    for selector, message in (("4", r"trial index 4 out of range \[0, 4\)"),
+                              ("x", "no trial with id 'x'")):
+        with pytest.raises(DatasetError, match=message):
+            manifest.index(selector)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_lone_cr_event_files_read_as_lf_ones(tmp_path, newline):
+    ds = _small_set(tmp_path)
+    for trial in ds.trials[::2]:
+        path = tmp_path / "events" / f"{trial.id}.csv"
+        path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    got = parse_dataset(tmp_path)
+    for want, trial in zip(ds.trials, got.trials):
+        assert np.array_equal(trial.times_us, want.times_us)
+        assert np.array_equal(trial.channels, want.channels)
+
+
+@pytest.mark.parametrize("stand_in", ["missing", "directory", "fifo", "device"])
+def test_a_missing_event_file_or_a_non_file_in_its_place_is_not_found(tmp_path, stand_in):
+    ds = _small_set(tmp_path)
+    path = tmp_path / "events" / f"{ds.trials[1].id}.csv"
+    path.unlink()
+    if stand_in == "directory":
+        path.mkdir()
+    elif stand_in == "fifo":  # a blocking open for reading waits for a writer
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs on this platform")
+        os.mkfifo(path)
+        # a writer that opens and closes it, so that a reader that blocked
+        # reads an empty file and fails the assertion instead of hanging
+        writer = threading.Thread(target=lambda: open(path, "wb").close(), daemon=True)
+        writer.start()
+    elif stand_in == "device":  # /dev/null, as /dev/zero, which would read without end
+        if not Path("/dev/null").exists():
+            pytest.skip("no /dev/null on this platform")
+        path.symlink_to("/dev/null")
+    try:
+        with pytest.raises(DatasetError) as excinfo:
+            _selected(tmp_path, "1")
+        assert str(excinfo.value) == f"event file not found [{path}]"
+    finally:
+        if stand_in == "fifo":  # a reader of our own lets the writer's open return
+            fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+            writer.join(timeout=10)
+            os.close(fd)
+            assert not writer.is_alive()
