@@ -24,12 +24,12 @@ Conventions:
   (checked against a model's rows once the model is read), and in
   ``sweep`` a ``chip.l``, ``frontend.p`` or ``chip.seed`` that its grids
   replace.
-* ``gen``, ``train``, ``eval``, ``roc`` and ``stream`` hold one trial's
-  events at a time: ``gen`` writes each trial as it is made, and the others
-  read the manifest first and each event file only when the front end
-  reaches that trial (``stream`` reads its one trial's), so a bad event
-  file exits 2, naming its line, before any output is written.  ``sweep``
-  reads the whole dataset, whose trials it codes once per front end.
+* Every command holds one trial's events at a time: ``gen`` writes each
+  trial as it is made, and the others read the manifest first and each
+  event file only when the front end reaches that trial (``stream`` reads
+  its one trial's, ``sweep`` each trial's once, coded by every front end of
+  its grid), so a bad event file exits 2, naming its line, before any
+  output is written.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import itertools
 import shutil
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,9 +54,8 @@ from .decoder import (DecoderModel, check_chip, decode_stream, evaluate, load_mo
                       write_stream_csv)
 from .fields import FieldError, check_values, under
 from .frontend import MAX_ROWS, FrontendConfig, run_trial, tick_count
-from .spikeio import (ChannelCountError, ChannelRangeError, Dataset, DatasetError, SpikeDataset,
-                      Trial, parse_dataset, read_manifest, synthetic_metadata, synthetic_trials,
-                      write_trials)
+from .spikeio import (ChannelCountError, ChannelRangeError, Dataset, DatasetError, read_manifest,
+                      synthetic_metadata, synthetic_trials, write_trials)
 from .training import (ConvergenceError, TrainingError, check_penalties, collect_H,
                        fit_output_weights, hidden_rows, trial_rng)
 
@@ -266,26 +265,35 @@ def _chip(cfg: dict, path: str | None, d: int, model: DecoderModel | None = None
 @contextmanager
 def _load_runtime(cfg: dict, args):
     """(dataset, model, chip, noise seed) for the eval/stream/roc decode in
-    the ``with`` block: the counted manifest, whose event files the decode
-    reads, and must match the model's front end in channel count, in
+    the ``with`` block: the manifest, whose event files the decode reads,
+    and must match the model's front end in channel count, in
     ``meta.txt`` and in every event.  The chip is the ``--chip`` file or the
     model's (``_chip``)."""
     model = load_model(args.model)
     chip = _chip(cfg, args.chip, model.frontend.rows, model)
     channels = model.frontend.n_external
     try:
-        yield read_manifest(args.data, channels).counted(), model, chip, _noise_seed(cfg, "decoder")
+        yield read_manifest(args.data, channels), model, chip, _noise_seed(cfg, "decoder")
     except (ChannelCountError, ChannelRangeError) as exc:
         raise ChannelCountError(f"the model's front end takes {channels} channels: {exc}") from exc
 
 
-def _restrict_channels(dataset: SpikeDataset, n: int) -> SpikeDataset:
-    """Keep only channels < n (the synthetic layout spreads classes evenly)."""
-    if n >= dataset.channel_count:
-        return dataset
-    trials = [Trial(t.id, t.label, t.onset, t.duration, t.times_us[t.channels < n],
-                    t.channels[t.channels < n]) for t in dataset.trials]
-    return SpikeDataset(trials, n, dataset.class_count, dataset.metadata)
+def _grid_codes(view: Dataset, frontends: dict, ticks: np.ndarray | None = None) -> dict:
+    """``{(n, p): codes}``: each trial's uint8 codes (0..63, so exact) on
+    ``frontends[n, p]``, from its events on channels < n (the synthetic
+    layout spreads classes evenly); with ``ticks``, a mask over tick numbers,
+    only the ticks it marks.  Each trial is read once and dropped."""
+    codes = {key: [] for key in frontends}
+    for trial in map(view.trial, range(len(view.trials))):
+        for (n, p), frontend in frontends.items():
+            keep = trial.channels < n
+            x = run_trial(frontend, replace(trial, times_us=trial.times_us[keep],
+                                            channels=trial.channels[keep]))
+            codes[n, p].append((x if ticks is None else x[ticks[:len(x)]]).astype(np.uint8))
+    for key, parts in codes.items():  # one array per front end, split by trial: kept
+        # as many small arrays, the codes fragment the heap (a higher peak RSS)
+        codes[key] = np.split(np.concatenate(parts), np.cumsum([len(x) for x in parts])[:-1])
+    return codes
 
 
 # ------------------------------------------------------------- commands
@@ -321,7 +329,7 @@ def cmd_chip(args, cfg: dict) -> int:
 def cmd_train(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
     _refuse_unused_link_delay(cfg, [cfg["frontend.p"]], "frontend.p")
-    dataset = read_manifest(args.data).counted()  # events are read as H is collected
+    dataset = read_manifest(args.data)  # events are read as H is collected
     frontend = _frontend_from_cfg(cfg, dataset.channel_count)
     chip = _chip(cfg, args.chip, frontend.rows)
     [model] = _trainer(cfg, dataset, frontend, [cfg["train.method"]], score=True)(chip)
@@ -387,7 +395,7 @@ def cmd_sweep(args, cfg: dict) -> int:
             raise FieldError(key, f"{DEFAULTS[key]} in a sweep, which runs every point of {{}}"
                              + (", or one of its items" if also else ""), cfg[key], grid)
     _refuse_unused_link_delay(cfg, p_grid, "sweep.p_grid")
-    dataset = parse_dataset(args.data)
+    dataset = read_manifest(args.data)
     train_set, test_set = split_dataset(dataset, cfg["split.test_fraction"], cfg["split.seed"])
     channels = dataset.channel_count
     n_grid = [n or channels for n in n_grid]  # 0 = every channel
@@ -405,37 +413,31 @@ def cmd_sweep(args, cfg: dict) -> int:
                           "training trials: the split keeps at least one test trial per class")
 
     # H depends on the data, the front end and the chip, never on the trainer:
-    # codes and the test trials' plateau codes are made once per (n, p), and
-    # hidden rows once per chip, each H into one buffer.  The type vote reads
-    # only plateau ticks, so only those test rows are made.
-    accuracy, buffer = {}, None
-    labels = np.array([trial.label for trial in test_set.trials])
-    m = dataset.class_count
-    for n in n_grid:
-        sub_train = _restrict_channels(train_set, n)
-        sub_test = _restrict_channels(test_set, n)
-        for p in p_grid:
-            frontend = frontends[n, p]
-            # codes are 0..63, so uint8 holds them exactly
-            train_codes = [run_trial(frontend, t).astype(np.uint8) for t in sub_train.trials]
-            if buffer is None:  # every front end has the same training rows
-                buffer = np.empty(sum(map(len, train_codes)) * max(l_grid))
-            train = _trainer(cfg, sub_train, frontend, methods, train_codes, out=buffer,
-                             type_only=True)
-            test_ticks = np.array([tick_count(frontend, t) for t in sub_test.trials])
-            on = section(cfg, "trap").on_plateau(frontend.tick_end_ms(np.arange(test_ticks.max())))
-            test_codes = [run_trial(frontend, t)[on[:k]].astype(np.uint8)
-                          for t, k in zip(sub_test.trials, test_ticks)]
-            n_votes = [len(c) for c in test_codes]
-            for l, seed in itertools.product(l_grid, seeds):
-                chip = _chip({**cfg, "chip.seed": seed, "chip.l": l}, None, frontend.rows)
-                models = train(chip)
-                h = hidden_rows(test_codes, test_ticks, chip, cfg["decoder.normalize"],
-                                noise_seed, ticks=on)
-                for method, model in zip(methods, models):  # the type vote alone
-                    right = plateau_votes(h @ model.beta, n_votes, m) == labels
-                    accuracy[method, l, n, p, seed] = np.count_nonzero(right) / len(labels)
-                del h, models  # before the next chip's
+    # each trial is read once and coded once per (n, p), and hidden rows are
+    # made once per chip, each H into one buffer.  The type vote reads only
+    # plateau ticks, so only those test codes are kept.
+    first = frontends[n_grid[0], p_grid[0]]  # every front end has the same tick
+    test_ticks = np.array([tick_count(first, t) for t in test_set.trials])
+    on = section(cfg, "trap").on_plateau(first.tick_end_ms(np.arange(test_ticks.max())))
+    train_codes = _grid_codes(train_set, frontends)
+    test_codes = _grid_codes(test_set, frontends, on)
+    buffer = np.empty(sum(tick_count(first, t) for t in train_set.trials) * max(l_grid))
+    accuracy, labels = {}, np.array([trial.label for trial in test_set.trials])
+    for (n, p), frontend in frontends.items():
+        # a view of n channels for collect_H, which reads the codes given and
+        # never the view's event files: Manifest.trial refuses channels >= n
+        train = _trainer(cfg, replace(train_set, channel_count=n), frontend, methods,
+                         train_codes.pop((n, p)), out=buffer, type_only=True)
+        codes = test_codes.pop((n, p))
+        n_votes = [len(c) for c in codes]
+        for l, seed in itertools.product(l_grid, seeds):
+            chip = _chip({**cfg, "chip.seed": seed, "chip.l": l}, None, frontend.rows)
+            models = train(chip)
+            h = hidden_rows(codes, test_ticks, chip, cfg["decoder.normalize"], noise_seed, ticks=on)
+            for method, model in zip(methods, models):  # the type vote alone
+                right = plateau_votes(h @ model.beta, n_votes, dataset.class_count) == labels
+                accuracy[method, l, n, p, seed] = np.count_nonzero(right) / len(labels)
+            del h, models  # before the next chip's
 
     lines = ["method,l,n,p,accuracy_mean,accuracy_std"]
     for method, l, n, p in itertools.product(methods, l_grid, n_grid, p_grid):

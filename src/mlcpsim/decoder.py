@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .analog import AnalogParams, ChipInstance
 from .fields import (bounds, check_fields, check_values, json_array,
                      read_versioned_json, write_versioned_json)
 from .frontend import FrontendConfig, run_trial
-from .spikeio import Dataset, SpikeDataset, Trial
+from .spikeio import Dataset, Trial
 from .training import TrapezoidParams, hidden_stream, trial_rng
 
 MODEL_FORMAT = "mlcpsim-model"
@@ -226,9 +226,9 @@ class EvalReport:
         return json.dumps(asdict(self), sort_keys=True, indent=2, default=json_array) + "\n"
 
 
-def split_dataset(dataset: SpikeDataset, test_fraction: float, seed: int
-                  ) -> tuple[SpikeDataset, SpikeDataset]:
-    """Deterministic stratified train/test split (per-class shuffle)."""
+def split_dataset(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Deterministic stratified train/test split (per-class shuffle) of the
+    rows of ``dataset`` by label: two datasets of its type, ``replace``d."""
     check_values(SplitSettings, {"test_fraction": test_fraction})
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
@@ -238,9 +238,8 @@ def split_dataset(dataset: SpikeDataset, test_fraction: float, seed: int
         n_test = max(1, int(round(test_fraction * len(members)))) if members else 0
         for pos, k in enumerate(order):
             (test_idx if pos < n_test else train_idx).append(members[k])
-    return tuple(SpikeDataset([dataset.trials[i] for i in sorted(idx)], dataset.channel_count,
-                              dataset.class_count, dict(dataset.metadata))
-                 for idx in (train_idx, test_idx))
+    return tuple(replace(dataset, trials=[dataset.trials[i] for i in sorted(idx)],
+                         metadata=dict(dataset.metadata)) for idx in (train_idx, test_idx))
 
 
 def plateau_votes(outputs: np.ndarray, n_ticks, m: int) -> np.ndarray:

@@ -13,17 +13,16 @@ in time.  ``meta.txt`` is written by :func:`write_dataset` and read when
 present; without it channel and class counts are inferred from the data.
 
 Reading and writing go one trial at a time.  :func:`read_manifest` reads and
-checks the manifest and ``meta.txt`` without opening any event file.  Its
-``Manifest`` is read as a ``SpikeDataset`` is (``Dataset``): ``trials``
-gives each trial's id, label, onset and duration, and ``trial(i)`` reads
-trial i's events.  ``Manifest.counted`` fills in the counts that
-``meta.txt`` leaves out, reading the event files only for an undeclared
-channel count.  :func:`parse_dataset` reads every trial into memory, as
-``sweep`` needs; ``gen``, ``train``, ``eval``, ``roc`` and ``stream`` hold
-one trial's events at a time.  :func:`write_trials` checks and writes each
-trial it is given before it takes the next, and :func:`write_dataset` checks
-a whole dataset first and then writes it so; :func:`synthetic_trials` makes
-synthetic trials one at a time, and :func:`gen_synthetic` keeps them all.
+checks the manifest and ``meta.txt``; it reads the event files, one at a
+time, only to infer a channel count that neither declares.  Its ``Manifest``
+is read as a ``SpikeDataset`` is (``Dataset``): ``trials`` gives each
+trial's id, label, onset and duration, and ``trial(i)`` reads trial i's
+events.  Every command reads a dataset so, holding one trial's events at a
+time; :func:`parse_dataset` reads every trial into memory.  :func:`write_trials`
+checks and writes each trial it is given before it takes the next, and
+:func:`write_dataset` checks a whole dataset first and then writes it so;
+:func:`synthetic_trials` makes synthetic trials one at a time, and
+:func:`gen_synthetic` keeps them all.
 
 In memory a trial's events are two parallel int64 arrays, ``times_us`` and
 ``channels``.  An event file is read in one of two tiers.  A body of
@@ -46,7 +45,7 @@ import os
 import re
 import stat
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -99,16 +98,19 @@ class ChannelCountError(DatasetError):
 
 
 class TrialIdError(DatasetError):
-    """A trial id is empty, holds a path step or repeats an earlier one."""
+    """A trial id is empty, holds a path step, ',' or a line break, or repeats one."""
 
 
 def _check_trial_id(trial_id: str, seen: set, path: Path | None = None,
                     line: int | None = None) -> None:
-    """Ids name event files: refuse one empty, with a path step or in ``seen``; add it."""
+    """Ids name event files and manifest rows: refuse one empty, with a path
+    step, ',' or a line break, or in ``seen``; add it."""
     if not trial_id or any(bad in trial_id for bad in ("/", "\\", "..")):
         raise TrialIdError(
             f"trial id {trial_id!r} is empty or contains '/', '\\' or '..'", path, line
         )
+    if any(bad in trial_id for bad in (",", "\n", "\r")):
+        raise TrialIdError(f"trial id {trial_id!r} contains ',' or a line break", path, line)
     if trial_id in seen:
         raise TrialIdError(f"trial id {trial_id!r} repeats an earlier trial's", path, line)
     seen.add(trial_id)
@@ -350,6 +352,10 @@ def gen_synthetic(params: SynthParams) -> SpikeDataset:
                         class_count=params.m, metadata=synthetic_metadata(params))
 
 
+def _event_path(root: Path, trial_id: str) -> Path:
+    return root / EVENTS_DIR / f"{trial_id}.csv"
+
+
 def _read_lines(path: Path) -> list[str]:
     text = path.read_text(encoding="utf-8")
     lines = text.split("\n")
@@ -482,52 +488,33 @@ class TrialRow(NamedTuple):
 
 @dataclass
 class Manifest:
-    """A dataset directory's trial list and ``meta.txt``, read and checked
-    without opening any event file.
+    """A dataset directory's trial list and ``meta.txt``, as
+    :func:`read_manifest` reads and checks them.
 
     ``trials`` are the manifest's rows in file order, blank lines skipped,
     so row ``i`` is trial ``i`` of the dataset.  ``channel_count`` is the count
     events are checked against: the one ``meta.txt`` declares, else the one
-    the reader was asked for, else None (inferred from the events).
-    ``class_count`` is the declared one or None.
+    the reader was asked for, else one past the largest channel of any
+    event.  ``class_count`` is the declared one, else the largest label.
     """
 
     root: Path
     trials: list[TrialRow]
-    channel_count: int | None
-    class_count: int | None
+    channel_count: int
+    class_count: int
     metadata: dict[str, str]
 
     def trial(self, index: int) -> Trial:
         """Trial ``index`` with its events, read from its event file."""
         row = self.trials[index]
-        return Trial(*row, *_parse_events(self.root / EVENTS_DIR / f"{row.id}.csv",
-                                          self.channel_count))
-
-    def _counts(self, trials: Iterable[Trial]) -> tuple[int, int]:
-        """(channel count, class count): each the declared one, else one past
-        the largest channel of ``trials`` (iterated only then), and the
-        largest label."""
-        q, m = self.channel_count, self.class_count
-        if q is None:
-            q = max([int(t.channels.max()) + 1 for t in trials if len(t.channels)], default=1)
-        if m is None:
-            m = max([row.label for row in self.trials], default=1)
-        return q, m
-
-    def counted(self) -> Manifest:
-        """This manifest with both counts set as :func:`parse_dataset` sets
-        them.  An undeclared channel count costs one pass over the event
-        files, each read, checked and dropped before the next."""
-        q, m = self._counts(self.trial(i) for i in range(len(self.trials)))
-        return replace(self, channel_count=q, class_count=m)
+        return Trial(*row, *_parse_events(_event_path(self.root, row.id), self.channel_count))
 
     def index(self, selector: str) -> int:
         """The index of the trial that ``selector`` names by id, else by index."""
         ids = [row.id for row in self.trials]
         if selector in ids:
             return ids.index(selector)
-        if selector.lstrip("-").isdigit():
+        if re.fullmatch(r"-?[0-9]+", selector):  # ASCII digits alone
             if not (0 <= int(selector) < len(ids)):
                 raise DatasetError(f"trial index {int(selector)} out of range [0, {len(ids)})")
             return int(selector)
@@ -545,6 +532,8 @@ def read_manifest(root_path: str | Path, channel_count: int | None = None) -> Ma
     label at least 1 and within a declared class count, onset in [0, duration].
     ``channel_count``, if given, is the count the caller needs: a
     ``meta.txt`` that declares another raises :class:`ChannelCountError`.
+    A channel count that neither gives is inferred in one pass over the
+    event files, each read and dropped before the next.
     """
     root = Path(root_path)
     manifest = root / MANIFEST_NAME
@@ -584,23 +573,26 @@ def read_manifest(root_path: str | Path, channel_count: int | None = None) -> Ma
             raise DatasetError(f"trial {trial_id!r}: onset {onset} outside [0, {duration}]",
                                manifest, i)
         rows.append(TrialRow(trial_id, label, onset, duration))
-    return Manifest(root, rows, q if q is not None else channel_count, m, metadata)
+    q = channel_count if q is None else q
+    if q is None:  # one past the largest channel of any event
+        channels = (_parse_events(_event_path(root, row.id), None)[1] for row in rows)
+        q = max([int(c.max()) + 1 for c in channels if len(c)], default=1)
+    if m is None:
+        m = max([row.label for row in rows], default=1)
+    return Manifest(root, rows, q, m, metadata)
 
 
 def parse_dataset(root_path: str | Path, channel_count: int | None = None) -> SpikeDataset:
     """Load and validate a dataset directory: :func:`read_manifest`, then
-    every trial's event file.
+    every trial's event file, read into memory.
 
     Raises a distinct :class:`DatasetError` subclass naming file and line for
     a missing manifest, unsorted or negative timestamps, channels outside the
-    channel count, and labels outside the class count.  Without ``meta.txt``
-    the channel count is ``channel_count`` if given, else one past the
-    largest channel, and the class count is the largest label.
+    channel count, and labels outside the class count.
     """
     manifest = read_manifest(root_path, channel_count)
-    trials = [manifest.trial(i) for i in range(len(manifest.trials))]
-    q, m = manifest._counts(trials)
-    return SpikeDataset(trials, channel_count=q, class_count=m, metadata=manifest.metadata)
+    return SpikeDataset([manifest.trial(i) for i in range(len(manifest.trials))],
+                        manifest.channel_count, manifest.class_count, manifest.metadata)
 
 
 def write_trials(root_path: str | Path, trials: Iterable[Trial], channel_count: int,
@@ -613,11 +605,18 @@ def write_trials(root_path: str | Path, trials: Iterable[Trial], channel_count: 
     in memory; the manifest follows the last.  A bad trial raises after the
     files of the trials before it are written.  Output is deterministic:
     trial order is preserved, metadata keys are sorted, lines are
-    LF-terminated.
+    LF-terminated.  A metadata entry that would not read back as itself is
+    refused by its key before anything is written.
     """
-    for key in sorted(metadata):
-        if "\n" in key or "\n" in metadata[key]:
-            raise DatasetError(f"metadata entry {key!r} contains a newline")
+    for key, value in sorted(metadata.items()):
+        for bad, what in ((any(c in key + value for c in "\n\r"), "or its value holds a newline"),
+                          (not key or "=" in key or key.startswith("#"),
+                           "is empty, holds '=' or starts with '#'"),
+                          (key in ("channel_count", "class_count"), "is a count meta.txt declares"),
+                          (key != key.strip() or value != value.strip(),
+                           "or its value has surrounding whitespace")):
+            if bad:
+                raise DatasetError(f"metadata key {key!r} {what}")
     root = Path(root_path)
     (root / EVENTS_DIR).mkdir(parents=True, exist_ok=True)
 
@@ -630,8 +629,7 @@ def write_trials(root_path: str | Path, trials: Iterable[Trial], channel_count: 
         _check_trial(trial, channel_count, class_count, seen)
         rows = np.column_stack((trial.times_us, trial.channels))
         text = ("%d,%d\n" * len(rows)) % tuple(rows.ravel().tolist())
-        path = root / EVENTS_DIR / f"{trial.id}.csv"
-        path.write_text(f"{EVENTS_HEADER}\n{text}", encoding="utf-8")
+        _event_path(root, trial.id).write_text(f"{EVENTS_HEADER}\n{text}", encoding="utf-8")
         manifest_lines.append(f"{trial.id},{trial.label},{trial.onset},{trial.duration}")
     (root / MANIFEST_NAME).write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
     return len(manifest_lines) - 1

@@ -218,7 +218,7 @@ def collect_H(dataset: Dataset, chip: ChipInstance, frontend_cfg: FrontendConfig
               out: np.ndarray | None = None) -> tuple[HiddenMatrix, TargetSet]:
     """Run the simulated chain over a dataset and assemble (H, targets).
 
-    ``dataset`` is a ``SpikeDataset`` or a counted ``Manifest``: the
+    ``dataset`` is a ``SpikeDataset`` or a ``Manifest``: the
     labels and trial lengths come from its ``trials``, and each trial's
     events from ``dataset.trial(i)`` only as the hidden layer reaches it, so
     a manifest's event files are read one at a time and dropped.  One row

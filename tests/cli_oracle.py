@@ -13,11 +13,20 @@ import itertools
 import numpy as np
 
 from mlcpsim.analog import build_chip
-from mlcpsim.cli import _frontend_from_cfg, _restrict_channels
+from mlcpsim.cli import _frontend_from_cfg
 from mlcpsim.config import parse_int_list, parse_str_list, section
 from mlcpsim.decoder import DecoderModel, evaluate, split_dataset
-from mlcpsim.spikeio import parse_dataset
+from mlcpsim.spikeio import SpikeDataset, Trial, parse_dataset
 from mlcpsim.training import collect_H, fit_output_weights
+
+
+def _restrict_channels(dataset: SpikeDataset, n: int) -> SpikeDataset:
+    """Keep only channels < n (the synthetic layout spreads classes evenly)."""
+    if n >= dataset.channel_count:
+        return dataset
+    trials = [Trial(t.id, t.label, t.onset, t.duration, t.times_us[t.channels < n],
+                    t.channels[t.channels < n]) for t in dataset.trials]
+    return SpikeDataset(trials, n, dataset.class_count, dataset.metadata)
 
 
 def _point_model(cfg, method, hidden, targets, frontend, m, chip):

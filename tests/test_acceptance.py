@@ -17,10 +17,11 @@ from mlcpsim.budget import BudgetInputs, datarate_report, energy_report
 from mlcpsim.cli import main
 from mlcpsim.decoder import DecoderModel, decode_stream, evaluate, roc_sweep, split_dataset
 from mlcpsim.frontend import FrontendConfig
-from mlcpsim.spikeio import SpikeDataset, SynthParams, Trial, gen_synthetic
+from mlcpsim.spikeio import SynthParams, gen_synthetic
 from mlcpsim.training import collect_H, fit_blocks, fit_output_weights
 
 from analog_oracle import cco_count, mirror_multiply
+from cli_oracle import _restrict_channels
 from decoder_oracle import TrackingFsm
 from frontend_oracle import Frontend
 
@@ -220,16 +221,6 @@ def test_c08_trainer_oracles():
 
 
 # ------------------------------------------------------- 9. decoding trends
-
-def _restrict_channels(dataset, n):
-    if n >= dataset.channel_count:
-        return dataset
-    trials = []
-    for t in dataset.trials:
-        keep = t.channels < n
-        trials.append(Trial(t.id, t.label, t.onset, t.duration, t.times_us[keep], t.channels[keep]))
-    return SpikeDataset(trials, n, dataset.class_count, dataset.metadata)
-
 
 def test_c09_decoding_trends_on_synthetic_data():
     ds = gen_synthetic(SynthParams())  # 30 channels, 12 classes, 10 trials each

@@ -64,7 +64,7 @@ def test_every_span_target_resolves_and_is_restored(tmp_path):
             assert tracer.counts["training.t2_pruned"] == pruned > 0
         # the decoder counters read the dataset's trials, here a manifest's
         # rows, whose events the decode reads one file at a time
-        manifest = read_manifest(tmp_path / "ds").counted()
+        manifest = read_manifest(tmp_path / "ds")
         model = DecoderModel(w.beta, w.support, 2, frontend=FrontendConfig.tdbdi(3, 1))
         decoder.evaluate(manifest, model, chip)
         assert tracer.counts["decoder.evaluations"] == 1

@@ -473,7 +473,7 @@ def test_sweep_refuses_a_chip_l_or_frontend_p_that_its_grid_replaces(capsys, tmp
     # every point runs on the grid's values, so a setting of the key would be
     # echoed and ignored
     ds, _ = shared_run
-    monkeypatch.setattr(cli, "parse_dataset", _fail("the dataset read"))
+    monkeypatch.setattr(cli, "read_manifest", _fail("the dataset read"))
     out = tmp_path / "sweep.csv"
     code, _, err = run(capsys, "sweep", "--data", str(ds), "--out", str(out), "--seed", "3",
                        "--set", setting)
@@ -493,7 +493,7 @@ def test_sweep_refuses_a_chip_seed_that_no_point_uses(capsys, tmp_path, monkeypa
     assert code == 0 and "\nchip.seed = 2\n" in text
     assert run(capsys, *base, "--out", str(free))[0] == 0
     assert seeded.read_bytes() == free.read_bytes()
-    monkeypatch.setattr(cli, "parse_dataset", _fail("the dataset read"))
+    monkeypatch.setattr(cli, "read_manifest", _fail("the dataset read"))
     out = tmp_path / "refused.csv"
     code, _, err = run(capsys, *base, "--out", str(out), "--seed", "3")
     assert code == 2
@@ -509,7 +509,7 @@ def test_sweep_refuses_a_link_delay_only_where_no_point_delays_a_row(capsys, tmp
             "--set", "frontend.link_delay=2"]
     assert run(capsys, *base, "--out", str(tmp_path / "delayed.csv"),
                "--set", "sweep.p_grid=1,2")[0] == 0
-    monkeypatch.setattr(cli, "parse_dataset", _fail("the dataset read"))
+    monkeypatch.setattr(cli, "read_manifest", _fail("the dataset read"))
     out = tmp_path / "refused.csv"
     code, _, err = run(capsys, *base, "--out", str(out))
     assert code == 2
@@ -563,6 +563,44 @@ def test_train_reads_each_event_file_once_as_it_collects_h(capsys, tmp_path, mon
     assert run(capsys, *base, "--out", str(out))[0] == 0
     assert opened == files * 2
     assert out.read_bytes() == model.read_bytes()
+
+
+def test_sweep_reads_each_event_file_once_for_every_front_end(capsys, tmp_path, monkeypatch,
+                                                              shared_run):
+    # every (n, p) front end codes the trial read once: the training half's
+    # files first, then the test half's, each in manifest order
+    source, _ = shared_run
+    ds = tmp_path / "ds"
+    shutil.copytree(source, ds)
+    ids = _manifest_ids(ds)
+    halves = decoder.split_dataset(spikeio.read_manifest(ds), 0.3, 0)
+    files = [f"{row.id}.csv" for half in halves for row in half.trials]
+    assert sorted(files) == sorted(f"{trial_id}.csv" for trial_id in ids)
+    opened = _count_opens(monkeypatch)
+    base = ["sweep", "--data", str(ds), "--set", "sweep.l_grid=8", "--set", "sweep.chip_seeds=1",
+            "--set", "sweep.n_grid=4,0", "--set", "sweep.p_grid=1,2"]
+    out = tmp_path / "sweep.csv"
+    assert run(capsys, *base, "--out", str(out))[0] == 0
+    assert opened == files
+    # without meta.txt, one read-only pass finds the channel count first
+    (ds / "meta.txt").unlink()
+    opened.clear()
+    inferred = tmp_path / "inferred.csv"
+    assert run(capsys, *base, "--out", str(inferred))[0] == 0
+    assert opened == [f"{trial_id}.csv" for trial_id in ids] + files
+    assert inferred.read_bytes() == out.read_bytes()
+    # a corrupt event file exits 2 by its line, before the CSV is written
+    (ds / "events" / files[-1]).write_text("time_us,channel\n5,0\n3,0\n")
+    code, _, err = run(capsys, *base, "--set", "sweep.n_grid=8", "--out", str(tmp_path / "bad"))
+    assert code == 2 and f"{files[-1]}:3]" in err, err
+    assert not (tmp_path / "bad").exists()
+
+
+def test_the_cli_binds_no_whole_set_reader():
+    # every command reads a dataset through read_manifest, one trial at a time
+    for name in ("parse_dataset", "SpikeDataset", "gen_synthetic", "write_dataset",
+                 "_restrict_channels"):
+        assert not hasattr(cli, name), name
 
 
 def test_train_names_a_corrupt_event_file_met_while_collecting_h(capsys, tmp_path, monkeypatch,

@@ -219,8 +219,8 @@ CROSS = [*_order_cases(),
                             for key, settings in CROSS for command in FOREIGN])
 def test_every_command_refuses_any_key_outside_its_domain_before_reading_a_file(
         capsys, tmp_path, monkeypatch, command, key, settings):
-    for module, name in [(cli, "parse_dataset"), (cli, "read_manifest"),
-                         (spikeio, "read_manifest"), (cli, "synthetic_trials")]:
+    for module, name in [(cli, "read_manifest"), (spikeio, "read_manifest"),
+                         (cli, "synthetic_trials")]:
         monkeypatch.setattr(module, name, _fail)
     missing = tmp_path / "missing"
     argv = [command, "--out", str(tmp_path / "out")]

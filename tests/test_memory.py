@@ -1,4 +1,4 @@
-"""Peak memory of ``gen``, ``train`` and the decode: one trial's events at a time.
+"""Peak memory of ``gen``, ``train``, ``sweep`` and the decode: one trial's events at a time.
 
 ``tracemalloc`` sees numpy's array buffers, so it measures what the
 commands hold without reading the process's resident size.  The set is
@@ -17,7 +17,7 @@ import pytest
 from mlcpsim import decoder, spikeio
 from mlcpsim.analog import AnalogParams, build_chip, load_chip
 from mlcpsim.cli import main
-from mlcpsim.decoder import DecoderModel
+from mlcpsim.decoder import DecoderModel, split_dataset
 from mlcpsim.frontend import FrontendConfig, tick_count
 from mlcpsim.spikeio import parse_dataset, read_manifest
 from mlcpsim.training import TrapezoidParams, collect_H
@@ -138,7 +138,7 @@ def test_evaluate_on_a_manifest_holds_one_trials_events(monkeypatch, big_events)
         return run_trial(fe, trial)
 
     monkeypatch.setattr(decoder, "run_trial", traced_run_trial)
-    manifest = read_manifest(ds).counted()
+    manifest = read_manifest(ds)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -161,3 +161,43 @@ def test_the_parser_lines_see_the_event_arrays(big_events):
     finally:
         tracemalloc.stop()
     assert parsed >= _event_bytes(again) == _event_bytes(dataset)
+
+
+def test_sweep_holds_its_codes_not_the_events(tmp_path, capsys, monkeypatch, big_events):
+    ds, dataset = big_events
+    l, rows = 2, 8 + 16  # the front ends (8, 1) and (8, 2): 8 and 16 rows
+    train_set, test_set = split_dataset(dataset, 0.3, 0)
+    frontend = FrontendConfig.tdbdi(8, 1)
+    hidden, targets = collect_H(train_set, build_chip(1, AnalogParams(), d=8, l=l), frontend)
+    on = TrapezoidParams().on_plateau(frontend.tick_end_ms(np.arange(hidden.n_ticks.max())))
+    plateau = sum(np.count_nonzero(on[:tick_count(frontend, t)]) for t in test_set.trials)
+    one_hot = np.count_nonzero(targets.type_rows) * targets.m * 8
+    # what the sweep may hold: the H buffer, the targets, every (n, p)'s
+    # training codes and test plateau codes (uint8), the one-hot type rows
+    # and the fit's residual ``h @ beta - t``, two arrays of their shape
+    # (LAPACK's copy of the type rows is made outside tracemalloc's view)
+    held = (hidden.h.nbytes + targets.labels.nbytes + targets.t_onset.nbytes
+            + targets.type_rows.nbytes + (len(targets.labels) + plateau) * rows + 3 * one_hot)
+    assert _event_bytes(dataset) > held + SLACK
+    del hidden, targets
+
+    seen = []  # parser bytes alive at each solve
+    lstsq = np.linalg.lstsq
+
+    def traced_lstsq(*args, **kwargs):
+        seen.append(_parsed_bytes(tracemalloc.take_snapshot()))
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", traced_lstsq)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(["sweep", "--data", str(ds), "--out", str(tmp_path / "sweep.csv"),
+                     "--set", f"sweep.l_grid={l}", "--set", "sweep.chip_seeds=1",
+                     "--set", "sweep.p_grid=1,2"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert seen == [0, 0]  # one T1 fit per front end, with no events alive
+    assert peak < held + SLACK, (peak, held)

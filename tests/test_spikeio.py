@@ -313,10 +313,9 @@ def test_parse_infers_counts_without_meta(tmp_path):
     reparsed = parse_dataset(tmp_path)
     assert reparsed.channel_count == 5  # max channel + 1
     assert reparsed.class_count == 2  # max label
+    # a manifest without meta.txt reads with the inferred counts
     manifest = spikeio.read_manifest(tmp_path)
-    assert (manifest.channel_count, manifest.class_count) == (None, None)
-    counted = manifest.counted()
-    assert (counted.channel_count, counted.class_count) == (5, 2)
+    assert (manifest.channel_count, manifest.class_count) == (5, 2)
 
 
 def test_write_trials_checks_each_trial_before_writing_its_file(tmp_path):
@@ -344,6 +343,78 @@ def test_a_repeated_trial_id_is_refused_before_its_file_is_written(tmp_path):
     with pytest.raises(TrialIdError, match="trial id 'a' repeats an earlier trial's"):
         write_dataset(SpikeDataset(trials, 2, 1), tmp_path / "whole")
     assert not (tmp_path / "whole").exists()
+
+
+@pytest.mark.parametrize("trial_id", ["a,b", "a\nb", "a\rb", "a\r\n"])
+def test_a_trial_id_that_would_break_a_manifest_row_is_refused_before_its_file(tmp_path,
+                                                                               trial_id):
+    # a comma splits the row into five fields and a line break into two rows,
+    # so the manifest written would not read back
+    trials = [Trial("ok", 1, 0, 100, [5], [0]), Trial(trial_id, 1, 0, 100, [6], [1])]
+    message = f"trial id {trial_id!r} contains ',' or a line break"
+    with pytest.raises(TrialIdError) as excinfo:
+        spikeio.write_trials(tmp_path / "stream", iter(trials), 2, 1, {})
+    assert str(excinfo.value).startswith(message)
+    assert [p.name for p in (tmp_path / "stream" / "events").iterdir()] == ["ok.csv"]
+    assert not (tmp_path / "stream" / "manifest.csv").exists()
+    with pytest.raises(TrialIdError):
+        write_dataset(SpikeDataset(trials, 2, 1), tmp_path / "whole")
+    assert not (tmp_path / "whole").exists()
+
+
+def test_trial_ids_of_any_other_characters_round_trip(tmp_path):
+    ids = ["a b", "a;b", "a.b", "t\u00e9", "tab\there", "\u0661", "-1", " pad "]
+    trials = [Trial(trial_id, 1, 0, 100, [k], [0]) for k, trial_id in enumerate(ids)]
+    assert spikeio.write_trials(tmp_path, iter(trials), 1, 1, {}) == len(ids)
+    manifest = read_manifest(tmp_path)
+    assert [row.id for row in manifest.trials] == ids
+    for i, trial_id in enumerate(ids):
+        assert manifest.index(trial_id) == i
+        assert manifest.trial(i).times_us.tolist() == [i]
+
+
+@pytest.mark.parametrize("key, value, what", [
+    ("", "x", "is empty, holds '=' or starts with '#'"),
+    ("x=y", "z", "is empty, holds '=' or starts with '#'"),
+    ("#note", "x", "is empty, holds '=' or starts with '#'"),
+    ("channel_count", "1", "is a count meta.txt declares"),
+    ("class_count", "1", "is a count meta.txt declares"),
+    (" pad ", "x", "or its value has surrounding whitespace"),
+    ("pad", " x", "or its value has surrounding whitespace"),
+    ("pad", "x\t", "or its value has surrounding whitespace"),
+    ("a\nb", "x", "or its value holds a newline"),
+    ("pad", "x\ry", "or its value holds a newline"),
+])
+def test_metadata_that_would_read_back_as_other_data_is_refused_before_writing(
+        tmp_path, key, value, what):
+    # each would read back as another entry, as none, or as a count: a
+    # channel_count of 1 on a set of 2 channels read back as 1 channel
+    with pytest.raises(DatasetError) as excinfo:
+        spikeio.write_trials(tmp_path / "ds", iter([Trial("a", 1, 0, 100, [5], [1])]), 2, 1,
+                             {"source": "x", key: value})
+    assert str(excinfo.value) == f"metadata key {key!r} {what}"
+    assert not (tmp_path / "ds").exists()
+
+
+def test_metadata_of_plain_keys_and_values_round_trips(tmp_path):
+    metadata = {"source": "a = b", "x.y": "#1", "empty": "", "k-2": "v  w"}
+    spikeio.write_trials(tmp_path, iter([Trial("a", 1, 0, 100, [5], [1])]), 2, 1, metadata)
+    manifest = read_manifest(tmp_path)
+    assert (manifest.channel_count, manifest.class_count) == (2, 1)
+    assert manifest.metadata == metadata
+
+
+def test_only_ascii_digits_select_a_trial_by_index(tmp_path):
+    trials = [Trial(trial_id, 1, 0, 2000, [5], [0]) for trial_id in ("a", "b", "c")]
+    write_dataset(SpikeDataset(trials, channel_count=1, class_count=1), tmp_path)
+    manifest = read_manifest(tmp_path)
+    assert [manifest.index(s) for s in ("0", "2", "-0", "002")] == [0, 2, 0, 2]
+    # "\u00b2" (superscript two) failed int(), and "\u0661" (Arabic-Indic one)
+    # selected index 1
+    for selector in ("\u00b2", "\u0661", "\uff11", "+1", " 1", "1 ", "1.0", "", "-"):
+        with pytest.raises(DatasetError) as excinfo:
+            manifest.index(selector)
+        assert str(excinfo.value) == f"no trial with id {selector!r}"
 
 
 def test_trial_coerces_events_to_int64_arrays():
