@@ -57,7 +57,7 @@ from .frontend import MAX_ROWS, FrontendConfig, run_trial, tick_count
 from .spikeio import (ChannelCountError, ChannelRangeError, Dataset, DatasetError, read_manifest,
                       synthetic_metadata, synthetic_trials, write_trials)
 from .training import (ConvergenceError, TrainingError, check_penalties, collect_H,
-                       fit_output_weights, hidden_rows, trial_rng)
+                       fit_output_weights, hidden_rows)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -309,6 +309,8 @@ def cmd_gen(args, cfg: dict) -> int:
 
 def cmd_chip(args, cfg: dict) -> int:
     out = _fresh_path(_require_out(args), args.force)
+    if args.dump and Path(args.dump).resolve() == out.resolve():
+        raise UsageError(f"--dump {args.dump} names the --out file; the map would replace the chip")
     dump = args.dump and _fresh_path(Path(args.dump), args.force)
     try:  # synth.q sets the chip's D when chip.d is 0
         check_values(ChipInstance, {"d": cfg["chip.d"] or cfg["synth.q"]})
@@ -363,7 +365,7 @@ def cmd_stream(args, cfg: dict) -> int:
         cfg["stream.trial"] = args.trial
     with _load_runtime(cfg, args) as (dataset, model, chip, noise_seed):
         idx = dataset.index(cfg["stream.trial"])
-        result = decode_stream(dataset.trial(idx), model, chip, rng=trial_rng(noise_seed, idx))
+        result = decode_stream(dataset, idx, model, chip, noise_seed)
     write_stream_csv(out, result)
     _echo(cfg)
     _note(f"streamed trial {dataset.trials[idx].id} ({len(result.t_ms)} ticks) to {out}")
@@ -424,10 +426,8 @@ def cmd_sweep(args, cfg: dict) -> int:
     buffer = np.empty(sum(tick_count(first, t) for t in train_set.trials) * max(l_grid))
     accuracy, labels = {}, np.array([trial.label for trial in test_set.trials])
     for (n, p), frontend in frontends.items():
-        # a view of n channels for collect_H, which reads the codes given and
-        # never the view's event files: Manifest.trial refuses channels >= n
-        train = _trainer(cfg, replace(train_set, channel_count=n), frontend, methods,
-                         train_codes.pop((n, p)), out=buffer, type_only=True)
+        train = _trainer(cfg, train_set, frontend, methods, train_codes.pop((n, p)), out=buffer,
+                         type_only=True)
         codes = test_codes.pop((n, p))
         n_votes = [len(c) for c in codes]
         for l, seed in itertools.product(l_grid, seeds):

@@ -38,7 +38,7 @@ from .analog import AnalogParams, ChipInstance
 from .fields import (bounds, check_fields, check_values, json_array,
                      read_versioned_json, write_versioned_json)
 from .frontend import FrontendConfig, run_trial
-from .spikeio import Dataset, Trial
+from .spikeio import Dataset, DatasetError
 from .training import TrapezoidParams, hidden_stream, trial_rng
 
 MODEL_FORMAT = "mlcpsim-model"
@@ -180,11 +180,11 @@ class DecodeResult:
         return self.t_ms[rising]
 
 
-def decode_stream(trial: Trial, model: DecoderModel, chip: ChipInstance,
-                  rng: np.random.Generator | None = None) -> DecodeResult:
-    """Decode one spike trial end to end; noise is on when ``rng`` is given."""
-    check_chip(model, chip)
-    o = hidden_stream(run_trial(model.frontend, trial), chip, model.normalize, rng) @ model.beta
+def decode_stream(dataset: Dataset, index: int, model: DecoderModel, chip: ChipInstance,
+                  noise_seed: int | None = None) -> DecodeResult:
+    """Trial ``index`` of ``dataset`` decoded tick by tick: its outputs from
+    ``_output_streams``, then the per-tick class, onset bits and times."""
+    [o] = _output_streams(dataset, [index], model, chip, noise_seed)
     s = np.argmax(o[:, : model.m], axis=1) + 1
     g = (o[:, model.m] > model.theta).astype(np.int64)
     g_track = np.zeros(len(o), dtype=np.int64)  # by the window test of score_onsets
@@ -254,17 +254,16 @@ def plateau_votes(outputs: np.ndarray, n_ticks, m: int) -> np.ndarray:
     return np.where(n_ticks > 0, np.argmax(counts.reshape(-1, m), axis=1) + 1, 0)
 
 
-def _output_streams(dataset: Dataset, model: DecoderModel, chip: ChipInstance,
+def _output_streams(dataset: Dataset, indices, model: DecoderModel, chip: ChipInstance,
                     noise_seed: int | None) -> list[np.ndarray]:
-    """(T, M+1) decoder outputs per trial; trial ``i`` is read only as it is
-    decoded, and draws its noise from ``trial_rng(noise_seed, i)`` (None:
-    noise off), so outputs do not depend on order."""
-    if not dataset.trials:
+    """(T, M+1) decoder outputs of the trials at ``indices``, in that order:
+    the one decode path.  Trial ``i`` is read only as it is decoded and draws
+    its noise from ``trial_rng(noise_seed, i)`` (None: off), whatever else is decoded."""
+    if not indices:
         raise ValueError("cannot evaluate an empty test set")
     check_chip(model, chip)
     return [hidden_stream(run_trial(model.frontend, dataset.trial(i)), chip, model.normalize,
-                          trial_rng(noise_seed, i)) @ model.beta
-            for i in range(len(dataset.trials))]
+                          trial_rng(noise_seed, i)) @ model.beta for i in indices]
 
 
 def _window_levels(outputs: list[np.ndarray], model: DecoderModel) -> np.ndarray:
@@ -347,12 +346,17 @@ def evaluate(dataset: Dataset, model: DecoderModel, chip: ChipInstance,
     alone, by ``plateau_votes`` on the plateau rows.
     """
     check_values(ScoringSettings, {"tol_ms": tol_ms})
-    outputs = _output_streams(dataset, model, chip, noise_seed)
+    labels = np.array([trial.label for trial in dataset.trials], dtype=np.int64)
+    if (above := labels > model.m).any():  # a class the model can never vote for
+        trial = dataset.trials[int(np.argmax(above))]
+        raise DatasetError(f"trial {trial.id!r} has label {trial.label}, but the model "
+                           f"decodes M = {model.m} classes")
+    outputs = _output_streams(dataset, range(len(dataset.trials)), model, chip, noise_seed)
     on = model.trap.on_plateau(model.frontend.tick_end_ms(np.arange(max(map(len, outputs)))))
     plateau = [o[on[:len(o)]] for o in outputs]
     votes = plateau_votes(np.concatenate(plateau), list(map(len, plateau)), model.m)
-    labels, voted = np.array([trial.label for trial in dataset.trials]), votes > 0
-    confusion = np.zeros((dataset.class_count, dataset.class_count), dtype=np.int64)
+    voted = votes > 0
+    confusion = np.zeros((model.m, model.m), dtype=np.int64)
     np.add.at(confusion, (labels[voted] - 1, votes[voted] - 1), 1)
     [(hits, fps, latencies)] = score_onsets(dataset.trials, outputs, model, [model.theta], tol_ms)
     n = len(dataset.trials)
@@ -379,7 +383,7 @@ def roc_sweep(dataset: Dataset, model: DecoderModel, chip: ChipInstance,
     if not thetas or np.isnan(thetas).any():
         raise ValueError("the theta grid must hold one or more onset thresholds, none NaN")
     check_values(ScoringSettings, {"tol_ms": tol_ms})
-    outputs = _output_streams(dataset, model, chip, noise_seed)
+    outputs = _output_streams(dataset, range(len(dataset.trials)), model, chip, noise_seed)
     scores = score_onsets(dataset.trials, outputs, model, thetas, tol_ms)
     n = len(dataset.trials)
     return [(theta, hits / n, fps / n) for theta, (hits, fps, _) in zip(thetas, scores)]

@@ -23,6 +23,12 @@ Targets: one-hot class rows for the M type outputs, and a trapezoid
 membership (0 before movement, ramp up, 1 around onset, ramp down) for the
 onset output.  By default the type outputs train only on ticks where the
 membership is exactly 0 or 1, while the onset output trains on every tick.
+
+Runtime noise follows one contract, in training as in decoding: trial i of
+a dataset draws from ``trial_rng(noise_seed, i)`` alone, for all T of its
+ticks at once whichever ticks are kept, in ``analog.draw_noise``'s order:
+the (T, L) mirror factors, then the (T, L) counter-jitter factors (none
+when ``jitter_rel`` is 0), each row by row in tick order.
 """
 
 from __future__ import annotations
@@ -228,7 +234,9 @@ def collect_H(dataset: Dataset, chip: ChipInstance, frontend_cfg: FrontendConfig
     ``trial_rng(noise_seed, i)`` so results do not depend on evaluation
     order.  Row timestamps are ``frontend_cfg.tick_end_ms``.
     ``codes``, when given, are the trials' front-end codes computed
-    beforehand with ``frontend_cfg``; ``out``, when given, a float64 buffer
+    beforehand with ``frontend_cfg`` (no event is read, so the front end may
+    take fewer channels than ``dataset``, as in ``sweep``; without codes the
+    channel counts must match); ``out``, when given, a float64 buffer
     whose first rows x L values become H, so H can be collected again on
     another chip without a new allocation.
 
@@ -240,7 +248,7 @@ def collect_H(dataset: Dataset, chip: ChipInstance, frontend_cfg: FrontendConfig
     trials = dataset.trials
     if not trials:
         raise TrainingError("dataset has no trials")
-    if frontend_cfg.n_external != dataset.channel_count:
+    if codes is None and frontend_cfg.n_external != dataset.channel_count:
         raise TrainingError(f"front end expects {frontend_cfg.n_external} channels, "
                             f"dataset has {dataset.channel_count}")
     if frontend_cfg.rows != chip.d:

@@ -136,13 +136,13 @@ def test_c07_supply_sweep_normalization_invariance():
 
     from mlcpsim.frontend import run_trial
 
-    for trial in [ds.trials[0], ds.trials[5], ds.trials[10]]:
-        codes = run_trial(cfg, trial)
+    for i in (0, 5, 10):
+        codes = run_trial(cfg, ds.trials[i])
         streams, raw = {}, {}
         for alpha in [0.5, 1.0, 2.0]:
             params = AnalogParams(**{**base.__dict__, "alpha_supply": alpha})
             alt = build_chip(chip.seed, params, chip.d, chip.l)
-            streams[alpha] = decode_stream(trial, model, alt)
+            streams[alpha] = decode_stream(ds, i, model, alt)
             raw[alpha] = hidden_layer(codes, alt)
         ref_norm = normalize_rows(raw[1.0].copy(), codes)  # scaled in place
         for alpha in [0.5, 2.0]:
@@ -317,8 +317,8 @@ def test_c11_roc_sweep_sanity():
     by_theta = {t: (tpr, fp) for t, tpr, fp in points}
     assert by_theta[1e9] == (0.0, 0.0)  # threshold above every output
     # primary bit is pointwise monotone in theta on every trial
-    for trial in ds.trials:
-        onset_out = decode_stream(trial, model, chip).o[:, model.m]
+    for i in range(len(ds.trials)):
+        onset_out = decode_stream(ds, i, model, chip).o[:, model.m]
         for lo, hi in zip(sorted(grid), sorted(grid)[1:]):
             assert np.all((onset_out > lo).astype(int) >= (onset_out > hi).astype(int))
 

@@ -150,6 +150,21 @@ def test_chip_dump_and_roundtrip(capsys, tmp_path):
     assert all(v > 0 for v in values)
 
 
+@pytest.mark.parametrize("dump", ["same", "dot", "absolute"])
+def test_chip_refuses_a_dump_onto_its_own_out_file(capsys, tmp_path, monkeypatch, dump):
+    monkeypatch.chdir(tmp_path)
+    dump = {"same": "chip.json", "dot": "./chip.json", "absolute": str(tmp_path / "chip.json")}[dump]
+    keys = ["--seed", "7", "--set", "chip.d=6", "--set", "chip.l=10"]
+    code, _, err = run(capsys, "chip", "--out", "chip.json", "--dump", dump, *keys)
+    assert code == 1 and "--dump" in err and "--out" in err, err
+    assert not (tmp_path / "chip.json").exists()
+    # with --force over a chip file, the chip is kept
+    assert run(capsys, "chip", "--out", "chip.json", *keys)[0] == 0
+    chip = (tmp_path / "chip.json").read_bytes()
+    assert run(capsys, "chip", "--out", "chip.json", "--dump", dump, "--force", *keys)[0] == 1
+    assert (tmp_path / "chip.json").read_bytes() == chip
+
+
 def test_train_reports_high_accuracy_on_easy_set(easy_run):
     _, model_path = easy_run
     model = load_model(model_path)
@@ -188,6 +203,36 @@ def test_eval_without_out_prints_json(capsys, easy_run):
     assert code == 0
     payload = json.loads(out[out.index("{"):])
     assert 0.0 <= payload["accuracy"] <= 1.0
+
+
+def _eval_of_a_four_class_model(capsys, tmp_path, set_m: int) -> list:
+    """The ``eval`` command line of a 4-class model on an ``set_m``-class set."""
+    ds, model, other = tmp_path / "ds", tmp_path / "model.json", tmp_path / "other"
+    small = ["--set", "synth.q=8", "--set", "synth.trials_per_class=5"]
+    assert run(capsys, "gen", "--out", str(ds), "--seed", "3", "--set", "synth.m=4", *small)[0] == 0
+    assert run(capsys, "train", "--data", str(ds), "--out", str(model), *SMALL_CHIP)[0] == 0
+    assert run(capsys, "gen", "--out", str(other), "--seed", "4", "--set", f"synth.m={set_m}",
+               *small)[0] == 0
+    return ["eval", "--data", str(other), "--model", str(model), "--out", str(tmp_path / "r")]
+
+
+def test_eval_scores_a_set_of_fewer_classes_in_the_models_matrix(capsys, tmp_path):
+    assert run(capsys, *_eval_of_a_four_class_model(capsys, tmp_path, 2))[0] == 0
+    report = json.loads((tmp_path / "r").read_text())
+    confusion = np.array(report["confusion"])
+    assert confusion.shape == (4, 4) and not confusion[2:].any()
+    assert report["n_trials"] == 10 and report["accuracy"] == np.trace(confusion) / 10
+
+
+def test_eval_refuses_a_label_above_the_models_classes_before_decoding(capsys, tmp_path,
+                                                                        monkeypatch):
+    argv = _eval_of_a_four_class_model(capsys, tmp_path, 6)
+    monkeypatch.setattr(decoder, "_output_streams", _fail("a trial decoded"))
+    code, _, err = run(capsys, *argv)
+    first = next(row.id for row in spikeio.read_manifest(tmp_path / "other").trials
+                 if row.label > 4)
+    assert code == 2 and repr(first) in err and "M = 4" in err, err
+    assert not (tmp_path / "r").exists()
 
 
 def test_stream_csv_shape_and_determinism(capsys, tmp_path, easy_run):
@@ -600,6 +645,13 @@ def test_the_cli_binds_no_whole_set_reader():
     # every command reads a dataset through read_manifest, one trial at a time
     for name in ("parse_dataset", "SpikeDataset", "gen_synthetic", "write_dataset",
                  "_restrict_channels"):
+        assert not hasattr(cli, name), name
+
+
+def test_the_cli_binds_no_part_of_the_decode_path():
+    # which noise stream a trial draws, and the chain that decodes it, live in
+    # the decoder's one decode path
+    for name in ("trial_rng", "hidden_stream", "hidden_layer"):
         assert not hasattr(cli, name), name
 
 
@@ -1267,6 +1319,25 @@ def test_noisy_stream_outputs_are_the_ones_eval_scores(capsys, tmp_path, monkeyp
     for idx in (0, 5):
         assert np.array_equal(streamed(idx, "--set", "decoder.noise_on=true"), scored[idx])
     assert not np.array_equal(streamed(5), scored[5])  # the noise is on
+
+
+def test_a_streamed_trial_draws_the_noise_of_its_index(capsys, tmp_path, shared_run):
+    ds, model_file = shared_run
+    out, k = tmp_path / "stream.csv", 5
+    assert run(capsys, "stream", "--data", str(ds), "--model", str(model_file), "--trial", str(k),
+               "--set", "decoder.noise_on=true", "--set", "decoder.noise_seed=5",
+               "--out", str(out))[0] == 0
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    cols = [c for c, name in enumerate(header) if name.startswith("o_")]
+    streamed = np.array([[float(row[c]) for c in cols] for row in rows])
+    manifest, model = spikeio.read_manifest(ds), load_model(model_file)
+    chip = build_chip(model.chip_seed, AnalogParams(), model.frontend.rows, model.beta.shape[0])
+    [want] = decoder._output_streams(manifest, [k], model, chip, 5)
+    assert np.array_equal(streamed, want)
+    # a one-trial view of the manifest would decode trial k on index 0's stream
+    view = dataclasses.replace(manifest, trials=[manifest.trials[k]])
+    [on_index_0] = decoder._output_streams(view, [0], model, chip, 5)
+    assert not np.array_equal(streamed, on_index_0)
 
 
 @pytest.fixture(scope="module")

@@ -191,8 +191,8 @@ def test_batched_track_matches_brute_force_random():
 
 def test_silent_trial_decodes_to_zero(easy_setup):
     _, chip, model = easy_setup
-    trial = Trial("quiet", 1, 1000000, 2000000, [])
-    result = decode_stream(trial, model, chip)
+    quiet = SpikeDataset([Trial("quiet", 1, 1000000, 2000000, [])], 12, 3)
+    result = decode_stream(quiet, 0, model, chip)
     assert (result.f == 0).all()
     assert (result.g == 0).all()
     assert (result.o == 0).all()
@@ -201,7 +201,7 @@ def test_silent_trial_decodes_to_zero(easy_setup):
 def test_decode_equals_composed_ops(easy_setup):
     ds, chip, model = easy_setup
     trial = ds.trials[3]
-    result = decode_stream(trial, model, chip)
+    result = decode_stream(ds, 3, model, chip)
     # compose the stages by hand
     codes = run_trial(model.frontend, trial)
     h = hidden_layer(codes, chip).astype(float)
@@ -225,8 +225,8 @@ def test_decode_stream_tracks_like_the_batched_oracle(easy_setup):
     for theta, lam, tau, tr_ms in [(0.75, 6, 10, 140.0), (0.2, 1, 1, 0.0), (0.4, 3, 3, 30.0),
                                    (-5.0, 2, 7, 470.0), (0.9, 4, 12, 2000.0)]:
         variant = replace(model, theta=theta, lam=lam, tau=tau, tr_ms=tr_ms)
-        for trial in ds.trials[::3]:
-            result = decode_stream(trial, variant, chip)
+        for i in range(0, len(ds.trials), 3):
+            result = decode_stream(ds, i, variant, chip)
             want = track(result.g[None, :].astype(bool), lam, tau, tr_ms / 20.0)[0]
             assert result.g_track.dtype == np.int64
             assert np.array_equal(result.g_track, want.astype(np.int64))
@@ -234,8 +234,8 @@ def test_decode_stream_tracks_like_the_batched_oracle(easy_setup):
 
 def test_f_identity_every_tick(easy_setup):
     ds, chip, model = easy_setup
-    for trial in ds.trials[:6]:
-        result = decode_stream(trial, model, chip)
+    for i in range(6):
+        result = decode_stream(ds, i, model, chip)
         assert np.array_equal(result.f, result.g_track * result.s)
         assert np.all((result.s >= 1) & (result.s <= model.m))
 
@@ -243,7 +243,7 @@ def test_f_identity_every_tick(easy_setup):
 def test_strong_tuning_fires_near_onset(easy_setup):
     ds, chip, model = easy_setup
     trial = ds.trials[0]  # class 1
-    result = decode_stream(trial, model, chip)
+    result = decode_stream(ds, 0, model, chip)
     fired = result.f[result.f > 0]
     assert fired.size >= 1
     assert fired[0] == trial.label
@@ -253,7 +253,7 @@ def test_strong_tuning_fires_near_onset(easy_setup):
 
 def test_stream_csv_format(tmp_path, easy_setup):
     ds, chip, model = easy_setup
-    result = decode_stream(ds.trials[0], model, chip)
+    result = decode_stream(ds, 0, model, chip)
     out = tmp_path / "stream.csv"
     write_stream_csv(out, result)
     lines = out.read_text().splitlines()
@@ -309,8 +309,8 @@ def test_perfect_predictor_scores():
     model = DecoderModel(w.beta, w.support, 3, frontend=cfg, chip_seed=81, tr_ms=400.0,
                          report=w.report)
     # establish that this predictor really is perfect, trial by trial ...
-    for trial in ds.trials:
-        res = decode_stream(trial, model, chip)
+    for i, trial in enumerate(ds.trials):
+        res = decode_stream(ds, i, model, chip)
         dets = res.detections_ms()
         assert len(dets) == 1 and abs(dets[0] - 1000.0) <= 150.0
         plateau = res.s[(res.t_ms >= 900.0) & (res.t_ms <= 1100.0)]
@@ -358,7 +358,7 @@ def test_evaluate_empty_rejected(easy_setup):
 def test_chip_shape_mismatch_is_named(easy_setup):
     ds, chip, model = easy_setup
     narrow = build_chip(chip.seed, chip.params, d=chip.d, l=chip.l - 4)
-    for run in (lambda c: evaluate(ds, model, c), lambda c: decode_stream(ds.trials[0], model, c),
+    for run in (lambda c: evaluate(ds, model, c), lambda c: decode_stream(ds, 0, model, c),
                 lambda c: roc_sweep(ds, model, c, theta_grid=[0.5])):
         with pytest.raises(ChipMismatchError, match="L=24 neurons.*L=20"):
             run(narrow)
@@ -390,7 +390,7 @@ def test_ragged_trials_score_like_per_trial_oracle():
                          frontend=FrontendConfig.tdbdi(4, 1))
     # the tail trial's refractory runs out in the padding while its window
     # count is still >= lam, so an unmasked batch would detect there
-    g = decode_stream(trials[2], model, chip).g
+    g = decode_stream(ds, 2, model, chip).g
     padded = track(np.concatenate([g, np.zeros(model.tau, int)])[None, :].astype(bool),
                    model.lam, model.tau, model.tr_ms / model.frontend.t_s_ms)[0]
     rising = padded & ~np.concatenate([[False], padded[:-1]])
@@ -508,7 +508,7 @@ def test_roc_sweep_ignores_grid_order(easy_setup):
     want = roc_sweep(ds, model, chip, theta_grid=np.sort(grid))
     assert roc_sweep(ds, model, chip, theta_grid=shuffled) == want
     # the scorer itself keeps each threshold's score in the order given
-    outputs = [decode_stream(trial, model, chip).o for trial in ds.trials]
+    outputs = [decode_stream(ds, i, model, chip).o for i in range(len(ds.trials))]
     by_theta = dict(zip(np.sort(grid), as_lists(score_onsets(ds.trials, outputs, model,
                                                              np.sort(grid), 150.0))))
     got = as_lists(score_onsets(ds.trials, outputs, model, shuffled, 150.0))
@@ -610,8 +610,8 @@ def test_plateau_rows_vote_like_plateau_class_on_full_streams(easy_setup, noise_
     h = hidden_rows(plateau_codes, [len(x) for x in codes], chip, model.normalize, noise_seed,
                     ticks=on)
     votes = plateau_votes(h @ model.beta, [len(x) for x in plateau_codes], model.m)
-    want = [plateau_class(o, model) for o in decoder._output_streams(data, model, chip,
-                                                                       noise_seed)]
+    want = [plateau_class(o, model) for o in decoder._output_streams(
+        data, range(len(trials)), model, chip, noise_seed)]
     assert votes.tolist() == want
     assert want[1] == 0 and all(want[:1] + want[2:]) and len(set(want)) == model.m + 1
 
@@ -652,8 +652,8 @@ def test_roc_sorted_and_monotone_g(easy_setup):
     points = roc_sweep(sub, model, chip, theta_grid=grid)
     assert [p[0] for p in points] == sorted(grid)
     # pointwise threshold monotonicity of the primary bit
-    for trial in sub.trials:
-        o = decode_stream(trial, model, chip).o[:, model.m]
+    for i in range(len(sub.trials)):
+        o = decode_stream(sub, i, model, chip).o[:, model.m]
         for lo, hi in [(0.3, 0.6), (0.6, 0.9)]:
             assert np.all((o > lo).astype(int) >= (o > hi).astype(int))
 
@@ -675,8 +675,8 @@ def test_model_roundtrip(tmp_path, easy_setup):
     loaded = load_model(p1)
     save_model(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    r_orig = decode_stream(ds.trials[5], model, chip)
-    r_load = decode_stream(ds.trials[5], loaded, chip)
+    r_orig = decode_stream(ds, 5, model, chip)
+    r_load = decode_stream(ds, 5, loaded, chip)
     assert np.array_equal(r_orig.o, r_load.o)
     assert np.array_equal(r_orig.f, r_load.f)
 
@@ -728,13 +728,13 @@ def test_supply_factor_does_not_move_predictions():
     w = fit_output_weights(hidden, targets, method="T1", ridge_lambda=30.0)
     model = DecoderModel(w.beta, w.support, 3, report=w.report, frontend=cfg, chip_seed=85)
 
-    for trial in [ds.trials[1], ds.trials[5], ds.trials[9]]:  # one per class
-        codes = run_trial(cfg, trial)
+    for i in (1, 5, 9):  # one per class
+        codes = run_trial(cfg, ds.trials[i])
         results, h_raw = {}, {}
         for alpha in [0.5, 1.0, 2.0]:
             params = AnalogParams(**{**base_params.__dict__, "alpha_supply": alpha})
             alt_chip = build_chip(chip.seed, params, chip.d, chip.l)
-            results[alpha] = decode_stream(trial, model, alt_chip)
+            results[alpha] = decode_stream(ds, i, model, alt_chip)
             h_raw[alpha] = hidden_layer(codes, alt_chip)
         ref = results[1.0]
         ref_norm = normalize_rows(h_raw[1.0].copy(), codes)  # scaled in place

@@ -23,6 +23,7 @@ from mlcpsim.training import (
     hidden_stream,
     trapezoid,
 )
+from cli_oracle import _restrict_channels
 from training_oracle import (
     eager_block_T2,
     eager_fit_T2,
@@ -195,6 +196,31 @@ def test_collect_dimension_mismatch_rejected():
         collect_H(ds, chip, FrontendConfig.tdbdi(6, 1))
     with pytest.raises(TrainingError):
         collect_H(ds, chip, FrontendConfig.tdbdi(7, 1))
+
+
+class _Unread(SpikeDataset):
+    def trial(self, index):
+        raise AssertionError(f"trial {index}'s events read")
+
+
+def test_collect_takes_codes_of_fewer_channels_than_the_dataset_holds():
+    # sweep codes each trial's first n channels itself: given those codes,
+    # collect_H reads no event and collects the H of the n-channel set
+    ds = tiny_dataset()  # 6 channels
+    cfg = FrontendConfig.tdbdi(4, 2, link_delay=3)
+    chip = build_chip(46, AnalogParams(), d=cfg.rows, l=8)
+    narrow = _restrict_channels(ds, 4)
+    want_h, want_t = collect_H(narrow, chip, cfg, noise_seed=5)
+    codes = [run_trial(cfg, trial).astype(np.uint8) for trial in narrow.trials]
+    unread = _Unread(ds.trials, ds.channel_count, ds.class_count)
+    hidden, targets = collect_H(unread, chip, cfg, noise_seed=5, codes=codes)
+    assert np.array_equal(hidden.h, want_h.h)
+    assert np.array_equal(hidden.n_ticks, want_h.n_ticks)
+    for name in ("labels", "m", "t_onset", "type_rows"):
+        assert np.array_equal(getattr(targets, name), getattr(want_t, name)), name
+    # reading the events itself, it still refuses the channel mismatch
+    with pytest.raises(TrainingError, match="front end expects 4 channels, dataset has 6"):
+        collect_H(ds, chip, cfg)
 
 
 def test_collect_empty_dataset_rejected():
