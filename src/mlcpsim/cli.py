@@ -24,6 +24,10 @@ Conventions:
   (checked against a model's rows once the model is read), and in
   ``sweep`` a ``chip.l``, ``frontend.p`` or ``chip.seed`` that its grids
   replace.
+* Every output path (``--out``, ``chip``'s ``--dump``) is checked before any
+  work.  One that is missing (but in ``eval`` and ``budget``), exists without
+  ``--force``, is of the wrong kind, lies in no directory (``gen`` makes its
+  own) or names another output or an input is a usage error.
 * Every command holds one trial's events at a time: ``gen`` writes each
   trial as it is made, and the others read the manifest first and each
   event file only when the front end reaches that trial (``stream`` reads
@@ -50,8 +54,8 @@ from .budget import budget_json, budget_report, format_budget
 from .config import (DECODER_KEYS, DEFAULTS, ConfigError, echo_config, format_value,
                      parse_int_list, parse_str_list, resolve_config, section)
 from .decoder import (DecoderModel, check_chip, decode_stream, evaluate, load_model,
-                      plateau_votes, roc_sweep, save_model, split_dataset, write_roc_csv,
-                      write_stream_csv)
+                      plateau_ticks, plateau_votes, roc_sweep, save_model, split_dataset,
+                      write_roc_csv, write_stream_csv)
 from .fields import FieldError, check_values, under
 from .frontend import MAX_ROWS, FrontendConfig, run_trial, tick_count
 from .spikeio import (ChannelCountError, ChannelRangeError, Dataset, DatasetError, read_manifest,
@@ -123,20 +127,28 @@ def _note(message: str) -> None:
     print(f"# {message}")
 
 
-def _require_out(args) -> Path:
-    if not args.out:
+def _check_outputs(args) -> None:
+    """The output rule of the conventions above; ``gen --force`` clears the old set."""
+    if not args.out and args.cmd not in ("eval", "budget"):
         raise UsageError("this command requires --out")
-    return Path(args.out)
-
-
-def _fresh_path(path: Path, force: bool, directory: bool = False) -> Path:
-    """Refuse to overwrite unless forced; with force, clear directories."""
-    if path.exists():
-        if not force:
+    names = ("out", "dump", "data", "model", "chip", "config")  # the outputs first
+    paths = [(f"--{name}", Path(path)) for name in names if (path := getattr(args, name, None))]
+    directory = args.cmd == "gen"  # gen's one output is a dataset directory
+    for i, (flag, path) in enumerate(paths):
+        if flag not in ("--out", "--dump"):
+            break
+        for other, other_path in paths[i + 1:]:
+            if path.resolve() == other_path.resolve():
+                raise UsageError(f"{flag} {path} and {other} {other_path} name one path")
+        if not path.exists():
+            if not (directory or path.parent.is_dir()):
+                raise UsageError(f"{flag} {path}: its directory {path.parent} does not exist")
+        elif path.is_dir() != directory:
+            raise UsageError(f"{flag} {path} is {'not ' * directory}a directory")
+        elif not args.force:
             raise UsageError(f"{path} exists; pass --force to overwrite")
-        if directory and path.is_dir():
+        elif directory:  # forced: gen writes its dataset afresh
             shutil.rmtree(path)
-    return path
 
 
 def _frontend_from_cfg(cfg: dict, n_channels: int, p: int | None = None,
@@ -194,9 +206,8 @@ def _trainer(cfg: dict, dataset: Dataset, frontend, methods: list, codes: list |
                                     normalize=cfg["decoder.normalize"], codes=codes, out=out)
         if score:  # the plateau rows, taken before the last fit may reorder H
             labels = np.array([trial.label for trial in dataset.trials])
-            on = trap.on_plateau(frontend.tick_end_ms(np.arange(hidden.n_ticks.max())))
+            on, n_votes = plateau_ticks(trap, frontend, hidden.n_ticks)
             plateau = hidden.h[np.concatenate([on[:n] for n in hidden.n_ticks])]
-            n_votes = np.concatenate([[0], np.cumsum(on)])[hidden.n_ticks]
         models = [None] * len(methods)
         order = sorted(range(len(methods)), key=lambda i: methods[i] == "T1")
         for i in order:  # no later fit reads H, so the last may overwrite it
@@ -299,48 +310,43 @@ def _grid_codes(view: Dataset, frontends: dict, ticks: np.ndarray | None = None)
 # ------------------------------------------------------------- commands
 
 def cmd_gen(args, cfg: dict) -> int:
-    out = _fresh_path(_require_out(args), args.force, directory=True)
     params = section(cfg, "synth")
-    n = write_trials(out, synthetic_trials(params), params.q, params.m, synthetic_metadata(params))
+    n = write_trials(args.out, synthetic_trials(params), params.q, params.m,
+                     synthetic_metadata(params))
     _echo(cfg)
-    _note(f"wrote {n} trials to {out}")
+    _note(f"wrote {n} trials to {args.out}")
     return EXIT_OK
 
 
 def cmd_chip(args, cfg: dict) -> int:
-    out = _fresh_path(_require_out(args), args.force)
-    if args.dump and Path(args.dump).resolve() == out.resolve():
-        raise UsageError(f"--dump {args.dump} names the --out file; the map would replace the chip")
-    dump = args.dump and _fresh_path(Path(args.dump), args.force)
     try:  # synth.q sets the chip's D when chip.d is 0
         check_values(ChipInstance, {"d": cfg["chip.d"] or cfg["synth.q"]})
     except FieldError as exc:
         raise FieldError("synth.q", *exc.args[1:]) from None
     chip = _chip(cfg, None, cfg["chip.d"] or cfg["synth.q"])
     # the map, if asked for, before anything is written
-    values = mismatch_map(chip, probe_code=cfg["chip.probe_code"]) if dump else None
-    save_chip(chip, out)
+    values = mismatch_map(chip, probe_code=cfg["chip.probe_code"]) if args.dump else None
+    save_chip(chip, args.out)
     _echo(cfg)
-    _note(f"wrote chip (D={chip.d}, L={chip.l}, seed={chip.seed}) to {out}")
-    if dump:
-        write_mismatch_map(dump, values)
-        _note(f"wrote mismatch map to {dump}")
+    _note(f"wrote chip (D={chip.d}, L={chip.l}, seed={chip.seed}) to {args.out}")
+    if args.dump:
+        write_mismatch_map(args.dump, values)
+        _note(f"wrote mismatch map to {args.dump}")
     return EXIT_OK
 
 
 def cmd_train(args, cfg: dict) -> int:
-    out = _fresh_path(_require_out(args), args.force)
     _refuse_unused_link_delay(cfg, [cfg["frontend.p"]], "frontend.p")
     dataset = read_manifest(args.data)  # events are read as H is collected
     frontend = _frontend_from_cfg(cfg, dataset.channel_count)
     chip = _chip(cfg, args.chip, frontend.rows)
     [model] = _trainer(cfg, dataset, frontend, [cfg["train.method"]], score=True)(chip)
-    save_model(model, out)
+    save_model(model, args.out)
     _echo(cfg)
     _note(f"trained {cfg['train.method']} on {len(dataset.trials)} trials")
     _note(f"train_accuracy = {model.report['train_accuracy']:.4f}")
     _note(f"pruned = {int(np.sum(~model.support))} of {model.support.size} neurons")
-    _note(f"wrote model to {out}")
+    _note(f"wrote model to {args.out}")
     return EXIT_OK
 
 
@@ -351,41 +357,37 @@ def cmd_eval(args, cfg: dict) -> int:
     _note(f"accuracy = {report.accuracy:.4f} over {report.n_trials} trials")
     _note(f"onset tpr = {report.tpr:.4f}, fp/trial = {report.fp_per_trial:.4f}")
     if args.out:
-        out = _fresh_path(Path(args.out), args.force)
-        out.write_text(report.to_json())
-        _note(f"wrote report to {out}")
+        Path(args.out).write_text(report.to_json())
+        _note(f"wrote report to {args.out}")
     else:
         sys.stdout.write(report.to_json())
     return EXIT_OK
 
 
 def cmd_stream(args, cfg: dict) -> int:
-    out = _fresh_path(_require_out(args), args.force)
     if args.trial is not None:  # so the echo names the trial streamed
         cfg["stream.trial"] = args.trial
     with _load_runtime(cfg, args) as (dataset, model, chip, noise_seed):
         idx = dataset.index(cfg["stream.trial"])
         result = decode_stream(dataset, idx, model, chip, noise_seed)
-    write_stream_csv(out, result)
+    write_stream_csv(args.out, result)
     _echo(cfg)
-    _note(f"streamed trial {dataset.trials[idx].id} ({len(result.t_ms)} ticks) to {out}")
+    _note(f"streamed trial {dataset.trials[idx].id} ({len(result.t_ms)} ticks) to {args.out}")
     return EXIT_OK
 
 
 def cmd_roc(args, cfg: dict) -> int:
-    out = _fresh_path(_require_out(args), args.force)
     grid = np.linspace(cfg["roc.theta_min"], cfg["roc.theta_max"], cfg["roc.points"])
     with _load_runtime(cfg, args) as (dataset, model, chip, noise_seed):
         points = roc_sweep(dataset, model, chip, theta_grid=grid, noise_seed=noise_seed,
                            tol_ms=cfg["decoder.tol_ms"])
-    write_roc_csv(out, points)
+    write_roc_csv(args.out, points)
     _echo(cfg)
-    _note(f"wrote {len(points)} ROC points to {out}")
+    _note(f"wrote {len(points)} ROC points to {args.out}")
     return EXIT_OK
 
 
 def cmd_sweep(args, cfg: dict) -> int:
-    out = _fresh_path(_require_out(args), args.force)
     methods = parse_str_list(cfg["sweep.methods"])
     l_grid, n_grid, p_grid, seeds = (parse_int_list(cfg[f"sweep.{key}"])
                                      for key in ("l_grid", "n_grid", "p_grid", "chip_seeds"))
@@ -420,7 +422,7 @@ def cmd_sweep(args, cfg: dict) -> int:
     # plateau ticks, so only those test codes are kept.
     first = frontends[n_grid[0], p_grid[0]]  # every front end has the same tick
     test_ticks = np.array([tick_count(first, t) for t in test_set.trials])
-    on = section(cfg, "trap").on_plateau(first.tick_end_ms(np.arange(test_ticks.max())))
+    on, n_votes = plateau_ticks(section(cfg, "trap"), first, test_ticks)
     train_codes = _grid_codes(train_set, frontends)
     test_codes = _grid_codes(test_set, frontends, on)
     buffer = np.empty(sum(tick_count(first, t) for t in train_set.trials) * max(l_grid))
@@ -429,7 +431,6 @@ def cmd_sweep(args, cfg: dict) -> int:
         train = _trainer(cfg, train_set, frontend, methods, train_codes.pop((n, p)), out=buffer,
                          type_only=True)
         codes = test_codes.pop((n, p))
-        n_votes = [len(c) for c in codes]
         for l, seed in itertools.product(l_grid, seeds):
             chip = _chip({**cfg, "chip.seed": seed, "chip.l": l}, None, frontend.rows)
             models = train(chip)
@@ -445,9 +446,9 @@ def cmd_sweep(args, cfg: dict) -> int:
         mean, std = float(np.mean(accs)), float(np.std(accs))
         lines.append(f"{method},{l},{n},{p},{mean!r},{std!r}")
         _note(f"{method} l={l} n={n} p={p}: accuracy {mean:.4f} +/- {std:.4f}")
-    out.write_text("\n".join(lines) + "\n")
+    Path(args.out).write_text("\n".join(lines) + "\n")
     _echo(cfg)
-    _note(f"wrote {len(lines) - 1} sweep points to {out}")
+    _note(f"wrote {len(lines) - 1} sweep points to {args.out}")
     return EXIT_OK
 
 
@@ -459,9 +460,8 @@ def cmd_budget(args, cfg: dict) -> int:
     for line in format_budget(report).splitlines():
         _note(line)
     if args.out:
-        out = _fresh_path(Path(args.out), args.force)
-        out.write_text(budget_json(report) + "\n")
-        _note(f"wrote budget JSON to {out}")
+        Path(args.out).write_text(budget_json(report) + "\n")
+        _note(f"wrote budget JSON to {args.out}")
     return EXIT_OK
 
 
@@ -476,6 +476,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.cmd is None:
             raise UsageError("a subcommand is required (see --help)")
         cfg = resolve_config(args.config, args.set, args.seed)
+        _check_outputs(args)
         return COMMANDS[args.cmd](args, cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

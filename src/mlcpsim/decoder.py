@@ -195,14 +195,17 @@ def decode_stream(dataset: Dataset, index: int, model: DecoderModel, chip: ChipI
 
 
 def write_stream_csv(path: str | Path, result: DecodeResult) -> None:
-    """Stream output CSV: ``tick_ms,o_1..o_{M+1},s,G,G_track,F``."""
+    """Stream output CSV: ``tick_ms,o_1..o_{M+1},s,G,G_track,F``.  A tick
+    ends on a whole µs, so its time prints exactly, in ms without trailing
+    zeros (``20``, ``1019.949``)."""
     n_out = result.o.shape[1]
     header = "tick_ms," + ",".join(f"o_{k}" for k in range(1, n_out + 1)) + ",s,G,G_track,F"
     lines = [header]
-    for i in range(len(result.t_ms)):
+    for i, us in enumerate(np.round(result.t_ms * 1000).astype(np.int64).tolist()):
         o_txt = ",".join(repr(float(v)) for v in result.o[i])
+        t_txt = f"{us // 1000}.{us % 1000:03d}".rstrip("0").rstrip(".")
         lines.append(
-            f"{result.t_ms[i]:g},{o_txt},{result.s[i]},{result.g[i]},"
+            f"{t_txt},{o_txt},{result.s[i]},{result.g[i]},"
             f"{result.g_track[i]},{result.f[i]}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -252,6 +255,17 @@ def plateau_votes(outputs: np.ndarray, n_ticks, m: int) -> np.ndarray:
     counts = np.bincount(trial * m + np.argmax(outputs[:, :m], axis=1),
                          minlength=len(n_ticks) * m)
     return np.where(n_ticks > 0, np.argmax(counts.reshape(-1, m), axis=1) + 1, 0)
+
+
+def plateau_ticks(trap: TrapezoidParams, frontend: FrontendConfig,
+                  n_ticks) -> tuple[np.ndarray, np.ndarray]:
+    """The ticks that the type vote reads, for trials of ``n_ticks`` ticks:
+    a mask over tick numbers up to the longest trial's, true where the
+    tick's window ends on the plateau (``trap.on_plateau``), and each
+    trial's count of them, its ``plateau_votes`` row count."""
+    n_ticks = np.asarray(n_ticks, dtype=np.int64)
+    on = trap.on_plateau(frontend.tick_end_ms(np.arange(n_ticks.max())))
+    return on, np.concatenate([[0], np.cumsum(on)])[n_ticks]
 
 
 def _output_streams(dataset: Dataset, indices, model: DecoderModel, chip: ChipInstance,
@@ -352,9 +366,8 @@ def evaluate(dataset: Dataset, model: DecoderModel, chip: ChipInstance,
         raise DatasetError(f"trial {trial.id!r} has label {trial.label}, but the model "
                            f"decodes M = {model.m} classes")
     outputs = _output_streams(dataset, range(len(dataset.trials)), model, chip, noise_seed)
-    on = model.trap.on_plateau(model.frontend.tick_end_ms(np.arange(max(map(len, outputs)))))
-    plateau = [o[on[:len(o)]] for o in outputs]
-    votes = plateau_votes(np.concatenate(plateau), list(map(len, plateau)), model.m)
+    on, n_votes = plateau_ticks(model.trap, model.frontend, list(map(len, outputs)))
+    votes = plateau_votes(np.concatenate([o[on[:len(o)]] for o in outputs]), n_votes, model.m)
     voted = votes > 0
     confusion = np.zeros((model.m, model.m), dtype=np.int64)
     np.add.at(confusion, (labels[voted] - 1, votes[voted] - 1), 1)

@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line surface (in-process via main)."""
 
+import ast
 import contextlib
 import dataclasses
 import importlib.util
 import io
 import json
+import re
 import shutil
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +168,69 @@ def test_chip_refuses_a_dump_onto_its_own_out_file(capsys, tmp_path, monkeypatch
     assert (tmp_path / "chip.json").read_bytes() == chip
 
 
+#: One minimal argv per command, its inputs placeholders that no refused run
+#: may read; each run also reads ``--config cfg.txt``, which sets nothing.
+MINIMAL_ARGV = {"gen": ["gen"], "chip": ["chip"],
+                "train": ["train", "--data", "ds", "--chip", "c.json"],
+                **{cmd: [cmd, "--data", "ds", "--model", "m.json", "--chip", "c.json"]
+                   for cmd in ("eval", "stream", "roc")},
+                "sweep": ["sweep", "--data", "ds"], "budget": ["budget"]}
+#: The calls that start a command's work once its outputs are checked.
+WORK = ("read_manifest", "synthetic_trials", "write_trials", "build_chip", "load_chip",
+        "save_chip", "mismatch_map", "load_model", "budget_report")
+
+
+def _output_refusals(argv: list) -> list:
+    """(case, the argv's output flags, a word of the refusal) for each output
+    path that the output rule refuses in a run of ``argv``."""
+    directory = argv[0] == "gen"
+    same_kind, other_kind = ("olddir", "old.json") if directory else ("old.json", "olddir")
+    cases = [("exists", ["--out", same_kind], "--force"),
+             ("wrong kind", ["--out", other_kind, "--force"], "directory")]
+    if argv[0] not in ("eval", "budget"):
+        cases.append(("missing", [], "requires --out"))
+    if not directory:
+        cases.append(("no directory", ["--out", "nodir/x", "--force"], "nodir"))
+    cases += [(f"names {flag}", ["--out", path, "--force"], flag)
+              for flag, path in zip(argv[1::2], argv[2::2])]
+    if argv[0] == "chip":
+        dumps = [("exists", ["old.json"], "--force"),
+                 ("wrong kind", ["olddir", "--force"], "directory"),
+                 ("no directory", ["nodir/map.csv"], "nodir"),
+                 ("names --out", ["./new.json"], "--out"),
+                 ("names --config", ["cfg.txt", "--force"], "--config")]
+        cases += [(f"--dump {case}", ["--out", "new.json", "--dump", *paths], word)
+                  for case, paths, word in dumps]
+    return cases
+
+
+def _tree(root: Path) -> dict:
+    """Every path under ``root``, directories too (unlike ``read_tree``), and
+    each file's bytes."""
+    return {p.relative_to(root): p.is_file() and p.read_bytes() for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("cmd", cli.COMMANDS)
+def test_every_refused_output_is_refused_before_any_work(capsys, tmp_path, monkeypatch, cmd):
+    monkeypatch.chdir(tmp_path)
+    for name in WORK:
+        monkeypatch.setattr(cli, name, lambda *_, name=name, **__: pytest.fail(f"{name} ran"))
+    (tmp_path / "ds").mkdir()
+    (tmp_path / "olddir").mkdir()
+    for name in ("ds/manifest.csv", "olddir/kept", "m.json", "c.json", "old.json"):
+        (tmp_path / name).write_text(name)
+    (tmp_path / "cfg.txt").write_text("# sets nothing\n")
+    argv = [*MINIMAL_ARGV[cmd], "--config", "cfg.txt"]  # a new command needs its argv
+    before = _tree(tmp_path)
+    for case, outputs, word in _output_refusals(argv):
+        code, out, err = run(capsys, *argv, *outputs)
+        assert (code, out) == (1, "") and word in err, (case, code, err)
+        assert _tree(tmp_path) == before, case
+    # and a fresh output passes the check, so the work starts
+    with pytest.raises(pytest.fail.Exception):
+        main([*argv, "--out", "new.json"])
+
+
 def test_train_reports_high_accuracy_on_easy_set(easy_run):
     _, model_path = easy_run
     model = load_model(model_path)
@@ -260,6 +326,23 @@ def test_stream_selects_by_trial_id(capsys, tmp_path, easy_run):
                        "--out", str(tmp_path / "x.csv"), "--trial", "zzz", "--seed", "3",
                        *SMALL_CHIP)
     assert code == 2 and "zzz" in err
+
+
+def test_stream_prints_each_tick_time_exactly(capsys, tmp_path):
+    # a 19.999 ms tick is whole in µs; tick 51 ends at 1019.949 ms, not 1019.95
+    ds, model, csv = tmp_path / "ds", tmp_path / "m.json", tmp_path / "s.csv"
+    assert run(capsys, "gen", "--out", str(ds), "--seed", "3", *EASY_GEN,
+               "--set", "synth.trial_duration_ms=2100")[0] == 0
+    assert run(capsys, "train", "--data", str(ds), "--out", str(model), "--seed", "3",
+               *SMALL_CHIP, "--set", "frontend.t_s_ms=19.999")[0] == 0
+    assert run(capsys, "stream", "--data", str(ds), "--model", str(model),
+               "--out", str(csv))[0] == 0
+    times = [line.split(",")[0] for line in csv.read_text().splitlines()[1:]]
+    assert len(times) > 101
+    assert [Decimal(t) for t in times] == [Decimal((k + 1) * 19999) / 1000
+                                           for k in range(len(times))]
+    assert all(re.fullmatch(r"\d+(\.\d*[1-9])?", t) for t in times)  # no trailing zero or "."
+    assert len(set(times)) == len(times)
 
 
 def test_roc_grid_rows_sorted(capsys, tmp_path, easy_run):
@@ -653,6 +736,17 @@ def test_the_cli_binds_no_part_of_the_decode_path():
     # the decoder's one decode path
     for name in ("trial_rng", "hidden_stream", "hidden_layer"):
         assert not hasattr(cli, name), name
+
+
+def test_only_the_output_check_tests_a_path():
+    # main checks every output path once, before the command; no command
+    # tests a path itself
+    tree = ast.parse(Path(cli.__file__).read_text())
+    testers = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+               for call in ast.walk(node) if isinstance(call, ast.Call)
+               and (getattr(call.func, "attr", None) in ("exists", "is_dir", "resolve")
+                    or getattr(call.func, "id", None) == "_fresh_path")}
+    assert testers == {"_check_outputs"}
 
 
 def test_train_names_a_corrupt_event_file_met_while_collecting_h(capsys, tmp_path, monkeypatch,
