@@ -434,7 +434,8 @@ def cmd_sweep(args, cfg: dict) -> int:
         for l, seed in itertools.product(l_grid, seeds):
             chip = _chip({**cfg, "chip.seed": seed, "chip.l": l}, None, frontend.rows)
             models = train(chip)
-            h = hidden_rows(codes, test_ticks, chip, cfg["decoder.normalize"], noise_seed, ticks=on)
+            h = hidden_rows(codes, test_ticks, chip, cfg["decoder.normalize"], noise_seed,
+                            ticks=(on, n_votes))
             for method, model in zip(methods, models):  # the type vote alone
                 right = plateau_votes(h @ model.beta, n_votes, dataset.class_count) == labels
                 accuracy[method, l, n, p, seed] = np.count_nonzero(right) / len(labels)

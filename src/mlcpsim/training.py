@@ -7,9 +7,10 @@ normalization) to collect the hidden matrix H, then solves for beta.  One
 trainer, ``fit_blocks``, fits (h, t) blocks that share the hidden neurons;
 ``fit_output_weights`` passes it the type block and the onset block.  T1
 fits the onset block first, so a caller that owns H may let the type rows
-be gathered to the front of H in place rather than copied (a lone T1 fit
-then peaks at about twice H's bytes: H and LAPACK's copy); a caller that
-reads only the type columns may have T1 fit the type block alone.
+be gathered to the front of H in place rather than copied; a lone T1 fit
+then peaks at about twice H's bytes (H and LAPACK's copy), or at H's bytes
+for a caller that reads only the type columns: T1 then fits the type block
+alone, on its Gram matrix while cond(h.T h) < 1 / ``GRAM_CUTOFF``.
 
 * T1 - least squares: the minimum-norm solution via a rank-revealing
   decomposition (or ridge regression for ridge_lambda > 0).
@@ -43,6 +44,7 @@ from .frontend import FrontendConfig, run_trial, tick_count
 from .spikeio import Dataset
 
 SV_CUTOFF = 1e-10  # relative singular-value cutoff for least squares
+GRAM_CUTOFF = 1e-10  # smallest eigenvalue of h.T h, relative, that the normal equations take
 _GATHER_BYTES = 1 << 20  # the largest copy ``_gather_rows`` makes
 #: Cells, per row D codes plus L counts, that one hidden-layer pass of
 #: ``hidden_rows`` covers: whole trials at a time (or one longer trial), so
@@ -179,14 +181,15 @@ def trial_rng(noise_seed: int | None, index: int) -> np.random.Generator | None:
 
 
 def hidden_rows(codes, n_ticks: np.ndarray, chip: ChipInstance, normalize: bool,
-                noise_seed: int | None = None, ticks: np.ndarray | None = None,
+                noise_seed: int | None = None, ticks: tuple | None = None,
                 out: np.ndarray | None = None) -> np.ndarray:
     """The ``hidden_stream`` rows of trials, in trial order, written into
     ``out`` (a new array when None).
 
     ``codes`` yields each trial's front-end codes: all ``n_ticks[i]`` ticks
-    of trial i, or with ``ticks``, a mask over tick numbers, only the ticks
-    it marks.  Trial i draws noise for all of its ticks from
+    of trial i, or with ``ticks``, ``(mask, counts)`` over tick numbers as
+    ``decoder.plateau_ticks`` gives, only the ``counts[i]`` ticks the mask
+    marks.  Trial i draws noise for all of its ticks from
     ``trial_rng(noise_seed, i)`` (None: noise off), so a row holds the noise
     it has in the trial's stream.  The rows are made whole trials at a time,
     at most ``_PASS_CELLS`` cells (or one trial) per ``hidden_layer`` pass.
@@ -195,7 +198,7 @@ def hidden_rows(codes, n_ticks: np.ndarray, chip: ChipInstance, normalize: bool,
     unless the sum lies within that bit of a count boundary.
     """
     n_ticks = np.asarray(n_ticks)
-    rows = n_ticks if ticks is None else np.concatenate([[0], np.cumsum(ticks)])[n_ticks]
+    ticks, rows = (None, n_ticks) if ticks is None else ticks
     if out is None:
         out = np.empty((int(rows.sum()), chip.l))
     codes, ends, per_pass = iter(codes), np.cumsum(rows), _PASS_CELLS // (chip.d + chip.l)
@@ -421,17 +424,25 @@ def _common_penalty_search(columns: list, target_sparsity: float) -> tuple[float
 
 # ------------------------------------------------------------ the trainer
 
-def _least_squares(h: np.ndarray, t: np.ndarray, ridge_lambda: float = 0.0) -> np.ndarray:
+def _least_squares(h: np.ndarray, t: np.ndarray, ridge_lambda: float = 0.0,
+                   normal: bool = False) -> np.ndarray:
     """(L, k) beta minimizing ||h beta - t||^2 + ridge_lambda ||beta||^2: the
-    minimum-norm solution for ridge_lambda = 0 (singular values below
-    ``SV_CUTOFF`` relative to the largest count as zero), else the solution
-    of the regularized normal equations.  An all-zero h gives beta = 0.
+    solution of the regularized normal equations, or for ridge_lambda = 0
+    the minimum-norm solution (singular values below ``SV_CUTOFF`` relative
+    to the largest count as zero; LAPACK copies h).  With ``normal``, the
+    normal equations serve ridge_lambda = 0 too while h.T h's eigenvalues
+    have min > max * ``GRAM_CUTOFF`` (a NaN fails).  An all-zero h gives 0.
     """
     if not h.any():
         return np.zeros((h.shape[1], t.shape[1]))
-    if ridge_lambda == 0.0:
+    if ridge_lambda == 0.0 and not normal:
         return np.linalg.lstsq(h, t, rcond=SV_CUTOFF)[0]
-    return np.linalg.solve(h.T @ h + ridge_lambda * np.eye(h.shape[1]), h.T @ t)
+    gram = h.T @ h
+    if ridge_lambda == 0.0:
+        w = np.linalg.eigvalsh(gram)  # ascending
+        if not w[0] > w[-1] * GRAM_CUTOFF:
+            return np.linalg.lstsq(h, t, rcond=SV_CUTOFF)[0]
+    return np.linalg.solve(gram + ridge_lambda * np.eye(h.shape[1]), h.T @ t)
 
 
 def check_penalties(method: str, ridge_lambda: float = 0.0, l1_lambda: float | None = None,
@@ -475,15 +486,17 @@ def fit_blocks(
     l1_lambda: float | None = None,
     target_sparsity: float | None = None,
     refit: bool = False,
+    normal: bool = False,
 ) -> OutputWeights:
     """Output weights for (h, t) blocks that share the hidden neurons.
 
     Each block pairs an (n, L) hidden matrix, L the same in every block,
     with (n,) or (n, k) targets; beta holds the blocks' columns in order.
     A block may also be a function that returns it.  T1 is least squares
-    per block (ridge for ridge_lambda > 0), one block at a time, the blocks
-    given as pairs first: a function is called only after they are fitted,
-    so the h it returns may overwrite theirs.  T2 builds every block first,
+    per block (ridge for ridge_lambda > 0; ``normal`` as ``_least_squares``
+    takes it), one block at a time, the blocks given as pairs first: a
+    function is called only after they are fitted, so the h it returns may
+    overwrite theirs.  T2, which ignores ``normal``, builds every block first,
     then reads every column's lasso path at one penalty: ``l1_lambda``, or
     the one the common-penalty search picks for ``target_sparsity`` (set
     exactly one; None or below 0 is unset).  A neuron is pruned when its row
@@ -496,7 +509,7 @@ def fit_blocks(
         fitted = [None] * len(blocks)  # (beta, residuals, whether h is nonzero) per block
         for k in sorted(range(len(blocks)), key=lambda k: callable(blocks[k])):
             h, t = _block(blocks[k])
-            b = _least_squares(h, t, ridge_lambda)
+            b = _least_squares(h, t, ridge_lambda, normal)
             fitted[k] = b, np.linalg.norm(h @ b - t, axis=0), h.any()
         betas, residuals, nonzero = zip(*fitted)
         _check_width([b.shape[0] for b in betas])
@@ -564,10 +577,12 @@ def fit_output_weights(
     ``overwrite_h`` lets a T1 fit take the type rows out of ``hidden.h``
     itself: T1 fits the onset column on all of H first, so the type rows can
     then be gathered to the front of H in place instead of copied.
-    ``type_only`` lets a T1 fit solve the type block alone and leave the
-    onset column zero: T1 fits each block on its own, so the type columns
-    keep their bits, and the residuals and ``degenerate`` cover the type
-    block only.  T2 reads H once per block and ignores both.
+    ``type_only`` lets a T1 fit solve the type block alone, on its Gram
+    matrix while well conditioned (``_least_squares``' ``normal``), and
+    leave the onset column zero: the type columns agree with the full fit's
+    to about cond(h.T h) eps (in bits under ridge or past the bound), and
+    the residuals and ``degenerate`` cover the type block only.  T2 reads H
+    once per block and ignores both.
     """
     rows = targets.type_rows
     if not rows.any():
@@ -579,7 +594,7 @@ def fit_output_weights(
         return h, np.eye(targets.m)[targets.labels[rows] - 1]  # one-hot class rows
 
     blocks = [type_block] if type_only and t1 else [type_block, (hidden.h, targets.t_onset)]
-    w = fit_blocks(blocks, method, ridge_lambda, l1_lambda, target_sparsity, refit)
+    w = fit_blocks(blocks, method, ridge_lambda, l1_lambda, target_sparsity, refit, type_only)
     if len(blocks) == 1:  # a zero onset column
         w.beta = np.pad(w.beta, ((0, 0), (0, 1)))
     return w

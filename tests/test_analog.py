@@ -399,8 +399,9 @@ def test_marked_ticks_hold_their_stream_rows(noise_seed):
     lengths = np.array([30, 0, 12, 30, 5])
     ticks = rng.random(30) < 0.4
     codes = [rng.integers(0, 64, size=(n, chip.d)) for n in lengths]
-    got = hidden_rows([x[ticks[:len(x)]] for x in codes], lengths, chip, True, noise_seed,
-                      ticks=ticks)
+    marked = [x[ticks[:len(x)]] for x in codes]
+    got = hidden_rows(marked, lengths, chip, True, noise_seed,
+                      ticks=(ticks, np.array([len(x) for x in marked])))
     want = _stage_rows(codes, chip, True, noise_seed)[np.concatenate([ticks[:n] for n in lengths])]
     assert got.tobytes() == want.tobytes()
 

@@ -864,15 +864,15 @@ def test_sweep_scores_the_type_vote_alone(capsys, tmp_path, monkeypatch, shared_
 def test_sweep_solves_one_least_squares_per_t1_point_whatever_the_method_order(
         capsys, tmp_path, monkeypatch, shared_run):
     """Only the type columns feed the score, so a T1 point solves the type
-    block alone: one ``lstsq`` per T1 point, none for T2 (no refit).  The
-    order of ``sweep.methods`` moves no method's row."""
-    calls, lstsq = [], np.linalg.lstsq
+    block alone: one least-squares solve per T1 point, none for T2 (no
+    refit).  The order of ``sweep.methods`` moves no method's row."""
+    calls, least_squares = [], training._least_squares
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return lstsq(*args, **kwargs)
+    def counted(h, *args, **kwargs):
+        calls.append(h.shape)
+        return least_squares(h, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    monkeypatch.setattr(training, "_least_squares", counted)
     ds, _ = shared_run
     rows = {}
     for methods in ("T1,T2", "T2,T1"):

@@ -6,7 +6,9 @@ solve in ``train`` is not byte-stable across thread counts).  ``eval``,
 ``train``, ``chip``, a two-point T1 and T2 ``sweep`` (also with the methods
 in the other order), a ridge T1 ``sweep`` and ``budget`` run, in
 one subprocess at ``OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1`` and one at 2;
-their outputs must be byte-identical.  On the platform recorded in ``bench/expected.json``
+their outputs must be byte-identical.  The three sweeps run once more
+under OpenBLAS's Haswell kernels (``OPENBLAS_CORETYPE``), and must give the
+default kernel's bytes.  On the platform recorded in ``bench/expected.json``
 every file must also have the sha256 in ``DIGESTS``, and the dataset tree
 that ``gen`` wrote for them the benchmark's tree digest, so a change to the
 bytes of an output (or of the one-thread model or the generated set) shows
@@ -22,6 +24,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mlcpsim
@@ -59,9 +62,11 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def _run_cli(commands: list, threads: int) -> None:
-    """Run CLI commands, in order, in one fresh process at ``threads`` BLAS threads."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+def _run_cli(commands: list, threads: int, **env_vars) -> None:
+    """Run CLI commands, in order, in one fresh process at ``threads`` BLAS
+    threads, with ``env_vars`` added to its environment."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               **env_vars)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-c", _RUN, json.dumps(commands)], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -106,6 +111,23 @@ def test_decode_bytes_do_not_depend_on_the_blas_thread_count(decoded):
     outs, _, _ = decoded
     for name in OUTPUTS:
         assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+
+
+SWEEPS = ("sweep.csv", "sweep_ridge.csv", "sweep_t2_t1.csv")
+
+
+def test_sweep_bytes_do_not_depend_on_the_blas_kernel(decoded, tmp_path):
+    """The three sweeps, run under OpenBLAS's Haswell kernels, give the
+    default kernel's bytes."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if blas != "scipy-openblas":
+        pytest.skip(f"OPENBLAS_CORETYPE selects kernels of scipy-openblas, numpy uses {blas}")
+    outs, model, data = decoded
+    sweeps = [argv for argv in _commands(data, model, tmp_path / "haswell") if argv[0] == "sweep"]
+    assert len(sweeps) == len(SWEEPS)
+    _run_cli(sweeps, threads=1, OPENBLAS_CORETYPE="Haswell")
+    for name in SWEEPS:
+        assert (tmp_path / "haswell" / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def _bench_worker():

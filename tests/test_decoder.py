@@ -607,9 +607,10 @@ def test_plateau_rows_vote_like_plateau_class_on_full_streams(easy_setup, noise_
     codes = [run_trial(model.frontend, trial) for trial in trials]
     on = model.trap.on_plateau(model.frontend.tick_end_ms(np.arange(100)))
     plateau_codes = [x[on[:len(x)]] for x in codes]
+    n_votes = np.array([len(x) for x in plateau_codes])
     h = hidden_rows(plateau_codes, [len(x) for x in codes], chip, model.normalize, noise_seed,
-                    ticks=on)
-    votes = plateau_votes(h @ model.beta, [len(x) for x in plateau_codes], model.m)
+                    ticks=(on, n_votes))
+    votes = plateau_votes(h @ model.beta, n_votes, model.m)
     want = [plateau_class(o, model) for o in decoder._output_streams(
         data, range(len(trials)), model, chip, noise_seed)]
     assert votes.tolist() == want

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlcpsim import decoder, spikeio
+from mlcpsim import decoder, spikeio, training
 from mlcpsim.analog import AnalogParams, build_chip, load_chip
 from mlcpsim.cli import main
 from mlcpsim.decoder import DecoderModel, split_dataset
@@ -175,20 +175,20 @@ def test_sweep_holds_its_codes_not_the_events(tmp_path, capsys, monkeypatch, big
     # what the sweep may hold: the H buffer, the targets, every (n, p)'s
     # training codes and test plateau codes (uint8), the one-hot type rows
     # and the fit's residual ``h @ beta - t``, two arrays of their shape
-    # (LAPACK's copy of the type rows is made outside tracemalloc's view)
+    # (a well-conditioned fit solves on the Gram matrix: no LAPACK copy of H)
     held = (hidden.h.nbytes + targets.labels.nbytes + targets.t_onset.nbytes
             + targets.type_rows.nbytes + (len(targets.labels) + plateau) * rows + 3 * one_hot)
     assert _event_bytes(dataset) > held + SLACK
     del hidden, targets
 
     seen = []  # parser bytes alive at each solve
-    lstsq = np.linalg.lstsq
+    least_squares = training._least_squares
 
-    def traced_lstsq(*args, **kwargs):
+    def traced_solve(*args, **kwargs):
         seen.append(_parsed_bytes(tracemalloc.take_snapshot()))
-        return lstsq(*args, **kwargs)
+        return least_squares(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", traced_lstsq)
+    monkeypatch.setattr(training, "_least_squares", traced_solve)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

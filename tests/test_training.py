@@ -539,13 +539,19 @@ def test_t1_fit_that_may_overwrite_h_gives_the_shared_fits_bits(monkeypatch, pol
 @pytest.mark.parametrize("policy", training.SAMPLE_POLICIES)
 @pytest.mark.parametrize("ridge", [0.0, 3.0])
 def test_type_only_t1_fit_gives_the_full_fits_type_columns(policy, ridge):
-    """T1 fits each block on its own, so a fit of the type block alone has
-    the type columns of the full fit bit for bit, also when it gathers the
-    type rows in place; the onset column is zero.  T2 ignores ``type_only``."""
+    """A fit of the type block alone, also when it gathers the type rows in
+    place, leaves the onset column zero.  At ridge 0 it solves the normal
+    equations on the type rows, bit for bit, whose columns and residuals
+    lie within cond(h.T h) eps of the full fit's; under ridge it has the
+    full fit's type columns bit for bit.  T2 ignores ``type_only``."""
     ds = tiny_dataset(trials_per_class=3)
     chip = build_chip(65, AnalogParams(), d=6, l=10)
     hidden, targets = collect_H(ds, chip, FrontendConfig.tdbdi(6, 1), sample_policy=policy)
-    m = targets.m
+    m, rows = targets.m, targets.type_rows
+    h, t = hidden.h[rows], type_targets(targets)
+    w = np.linalg.eigvalsh(h.T @ h)
+    assert w[0] > w[-1] * training.GRAM_CUTOFF  # the normal path runs
+    tol = w[-1] / w[0] * np.finfo(float).eps
     full = fit_output_weights(hidden, targets, ridge_lambda=ridge)
     assert full.beta[:, m].any()
     for overwrite_h in (False, True):
@@ -553,15 +559,82 @@ def test_type_only_t1_fit_gives_the_full_fits_type_columns(policy, ridge):
         typed = fit_output_weights(own, targets, ridge_lambda=ridge, overwrite_h=overwrite_h,
                                    type_only=True)
         assert typed.beta.shape == full.beta.shape
-        assert typed.beta[:, :m].tobytes() == full.beta[:, :m].tobytes()
         assert not typed.beta[:, m].any()
-        assert typed.report["residuals"] == full.report["residuals"][:m]
+        if ridge:
+            assert typed.beta[:, :m].tobytes() == full.beta[:, :m].tobytes()
+            assert typed.report["residuals"] == full.report["residuals"][:m]
+        else:
+            normal = np.linalg.solve(h.T @ h, h.T @ t)
+            assert typed.beta[:, :m].tobytes() == normal.tobytes()
+            assert np.abs(normal - full.beta[:, :m]).max() <= tol * np.abs(full.beta).max()
+            residuals = np.array(full.report["residuals"][:m])
+            assert np.all(np.abs(typed.report["residuals"] - residuals) <= tol * residuals)
         if overwrite_h:  # the type rows now lead H, in order
-            assert np.array_equal(own.h[: targets.type_rows.sum()], hidden.h[targets.type_rows])
+            assert np.array_equal(own.h[: rows.sum()], hidden.h[rows])
         else:
             assert np.array_equal(own.h, hidden.h)
     t2 = fit_output_weights(hidden, targets, "T2", target_sparsity=0.3, type_only=True)
     assert _bits(t2) == _bits(fit_output_weights(hidden, targets, "T2", target_sparsity=0.3))
+
+
+def _counted_lstsq(monkeypatch) -> list:
+    """The shapes of h that ``np.linalg.lstsq`` is called with from now on."""
+    calls, lstsq = [], np.linalg.lstsq
+
+    def counted(h, *args, **kwargs):
+        calls.append(h.shape)
+        return lstsq(h, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+def test_type_only_t1_fit_on_two_identical_neurons_takes_lstsq(monkeypatch):
+    """Two identical neuron columns make h.T h singular, so a type-only fit
+    falls back to the full fit's minimum-norm solve and keeps its bits."""
+    ds = tiny_dataset(trials_per_class=3)
+    chip = build_chip(65, AnalogParams(), d=6, l=10)
+    hidden, targets = collect_H(ds, chip, FrontendConfig.tdbdi(6, 1))
+    hidden.h[:, 7] = hidden.h[:, 2]
+    m = targets.m
+    full = fit_output_weights(hidden, targets)
+    calls = _counted_lstsq(monkeypatch)
+    typed = fit_output_weights(hidden, targets, type_only=True)
+    assert calls == [(targets.type_rows.sum(), 10)]
+    assert typed.beta[:, :m].tobytes() == full.beta[:, :m].tobytes()
+    assert typed.report["residuals"] == full.report["residuals"][:m]
+
+
+def _fail_call(*args, **kwargs):
+    raise AssertionError("lstsq called")
+
+
+def test_a_well_conditioned_t1_block_solves_its_normal_equations(monkeypatch):
+    rng = np.random.default_rng(52)
+    h, t = rng.random((80, 12)), rng.random((80, 3))
+    monkeypatch.setattr(np.linalg, "lstsq", _fail_call)
+    w = fit_blocks([(h, t)], normal=True)
+    assert w.beta.tobytes() == np.linalg.solve(h.T @ h, h.T @ t).tobytes()
+
+
+@pytest.mark.parametrize("smallest, normal", [
+    (training.GRAM_CUTOFF, False),  # the bound itself falls back
+    (np.nextafter(training.GRAM_CUTOFF, 1.0), True),
+    (np.nan, False),
+    (-1.0, False),
+])
+def test_the_normal_equations_need_the_smallest_eigenvalue_strictly_above_the_bound(
+        monkeypatch, smallest, normal):
+    """The normal path runs when eigvalsh(h.T h) gives w[0] > w[-1] * GRAM_CUTOFF."""
+    rng = np.random.default_rng(53)
+    h, t = rng.random((40, 5)), rng.random((40, 2))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: np.array([smallest, 0.5, 1.0]))
+    calls = _counted_lstsq(monkeypatch)
+    beta = training._least_squares(h, t, normal=True)
+    assert calls == ([] if normal else [h.shape])
+    want = (np.linalg.solve(h.T @ h, h.T @ t) if normal
+            else np.linalg.lstsq(h, t, rcond=training.SV_CUTOFF)[0])
+    assert beta.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("ridge", [0.0, 3.0])
